@@ -8,11 +8,11 @@ message.  The session protocol, per module:
 2. chunks are dispatched dynamically: one to each slave up front, then one
    new chunk to a slave for each completion signal it returns (a completion
    signal is a ``RunReturn`` with an empty payload);
-3. each slave rewrites every term of a chunk, sorts the raw batch into a
-   per-chunk run, and merges that into its accumulated slave-local run;
+3. each slave rewrites every term of a chunk and keeps the raw output of all
+   its chunks together, unsorted;
 4. once every chunk is acknowledged the master sends ``ModuleBegin`` again,
-   the sort boundary, and each slave answers with one ``RunReturn`` carrying
-   its whole accumulated run;
+   the sort boundary; each slave combines and sorts its raw terms once into
+   its run and answers with one ``RunReturn`` carrying it;
 5. the master k-way-merges the collected runs (plus its own, if it joined the
    computation) into the module's output, then sends ``Shutdown``; nothing
    travels on a channel after its Shutdown.
@@ -68,7 +68,6 @@ class RunConfig:
     chunk_size: int = 1000
     backend: str = "sm"
     master_computes: bool = False
-    seed: int = 0
     mailbox_bound: int = MAILBOX_BOUND
     static_dispatch: bool = False  # test-only placement policy
 
@@ -145,10 +144,7 @@ def partition_chunks(e: Expression, chunk_size: int) -> list[Chunk]:
 
 def execute_sequential(e: Expression, m: Module, nsymbols: int) -> Expression:
     """Reference executor: rewrite every term, then one full normalize."""
-    raw: list[terms.Term] = []
-    for t in e:
-        raw.extend(rewrite.apply_module_to_term(t, m))
-    return terms.normalize(raw, nsymbols)
+    return _sequential_module(e, m, nsymbols)[0]
 
 
 @dataclass
@@ -164,31 +160,31 @@ class _WorkerSlot:
 
 
 def _slave_loop(endpoint, module: Module, nsymbols: int, slot: _WorkerSlot) -> None:
-    accum: Expression = terms.ZERO
+    raw: list[terms.Term] = []
     began = False
     try:
         while True:
             msg = endpoint.recv()
             if msg.kind is MessageKind.MODULE_BEGIN:
-                if began:  # sort boundary: return the accumulated run
+                if began:  # sort boundary: combine and sort once, return the run
                     t0 = perf_counter_ns()
-                    endpoint.reply(Message(MessageKind.RUN_RETURN, payload=accum))
-                    accum = terms.ZERO
+                    run = sortmerge.build_run(raw, endpoint.worker)
+                    raw = []
+                    t1 = perf_counter_ns()
+                    endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run.terms))
+                    slot.sort_ns += t1 - t0
                     slot.busy_ns += perf_counter_ns() - t0
                 else:
                     began = True
             elif msg.kind is MessageKind.CHUNK_ASSIGNMENT:
                 t0 = perf_counter_ns()
-                batch = rewrite.apply_module_to_chunk(msg.payload, module, msg.chunk_seq)
+                batch = rewrite.apply_module_to_chunk(msg.payload, module, nsymbols,
+                                                      msg.chunk_seq)
+                raw.extend(batch.terms)
                 t1 = perf_counter_ns()
-                run = sortmerge.build_run(batch.terms, endpoint.worker, nsymbols)
-                accum = terms.add_expressions(accum, run.terms)
-                t2 = perf_counter_ns()
                 endpoint.reply(Message(MessageKind.RUN_RETURN, payload=()))
-                t3 = perf_counter_ns()
                 slot.compute_ns += t1 - t0
-                slot.sort_ns += t2 - t1
-                slot.busy_ns += t3 - t0
+                slot.busy_ns += perf_counter_ns() - t0
                 slot.generated += len(batch.terms)
                 slot.processed += len(msg.payload)
             elif msg.kind is MessageKind.SHUTDOWN:
@@ -214,9 +210,11 @@ def execute_parallel(
     if cfg.nslaves < 1:
         raise ValueError("execute_parallel needs nslaves >= 1")
     if transport is None:
-        transport = make_transport(cfg.backend, cfg.nslaves, cfg.mailbox_bound)
+        transport = make_transport(cfg.backend, cfg.nslaves, nsymbols, cfg.mailbox_bound)
     elif transport.nslaves != cfg.nslaves:
         raise ValueError("transport slave count does not match config")
+    elif transport.nsymbols != nsymbols:
+        raise ValueError("transport symbol count does not match the program")
 
     t_start = perf_counter_ns()
     master = transport.master_endpoint()
@@ -238,7 +236,7 @@ def execute_parallel(
     master_sort_ns = 0
     master_generated = 0
     master_processed = 0
-    master_run: Expression = terms.ZERO
+    master_raw: list[terms.Term] = []
 
     def send_timed(worker: int, msg: Message) -> None:
         nonlocal t_distribute
@@ -294,13 +292,9 @@ def execute_parallel(
                         # Every slave is busy: the master takes a chunk itself.
                         c = pending.popleft()
                         t0 = perf_counter_ns()
-                        batch = rewrite.apply_module_to_chunk(c.terms, m, c.seq)
-                        t1 = perf_counter_ns()
-                        run = sortmerge.build_run(batch.terms, MASTER_WORKER_ID, nsymbols)
-                        master_run = terms.add_expressions(master_run, run.terms)
-                        t2 = perf_counter_ns()
-                        master_compute_ns += t1 - t0
-                        master_sort_ns += t2 - t1
+                        batch = rewrite.apply_module_to_chunk(c.terms, m, nsymbols, c.seq)
+                        master_raw.extend(batch.terms)
+                        master_compute_ns += perf_counter_ns() - t0
                         master_generated += len(batch.terms)
                         master_processed += len(c.terms)
                         continue
@@ -316,20 +310,23 @@ def execute_parallel(
                                Message(MessageKind.CHUNK_ASSIGNMENT, c.seq, c.terms))
                     outstanding += 1
 
-        # Sort boundary: collect one accumulated run per slave.
+        # Sort boundary: every worker, the master too if it computed, combines
+        # and sorts its raw terms once; collect one run per slave.
         for i in range(cfg.nslaves):
             send_timed(i, Message(MessageKind.MODULE_BEGIN))
         runs: list[SortedRun] = []
+        if cfg.master_computes:
+            t0 = perf_counter_ns()
+            runs.append(sortmerge.build_run(master_raw, MASTER_WORKER_ID))
+            master_sort_ns = perf_counter_ns() - t0
         for _ in range(cfg.nslaves):
             frm, msg = recv_checked()
             if msg.kind is not MessageKind.RUN_RETURN:
                 raise EngineError(f"expected run return, got {msg.kind}")
             runs.append(SortedRun(msg.payload, frm.worker))
-        if cfg.master_computes:
-            runs.append(SortedRun(master_run, MASTER_WORKER_ID))
 
         t0 = perf_counter_ns()
-        result = sortmerge.merge_runs(runs, nsymbols)
+        result = sortmerge.merge_runs(runs)
         t_final_merge = perf_counter_ns() - t0
         active_end = perf_counter_ns()
 
@@ -369,9 +366,9 @@ def _sequential_module(e: Expression, m: Module, nsymbols: int
     t_start = perf_counter_ns()
     raw: list[terms.Term] = []
     for t in e:
-        raw.extend(rewrite.apply_module_to_term(t, m))
+        raw.extend(rewrite.apply_module_to_term(t, m, nsymbols))
     t_rewrite = perf_counter_ns()
-    result = terms.normalize(raw, nsymbols)
+    result = terms.normalize(raw)
     t_end = perf_counter_ns()
     metrics = PhaseMetrics(
         t_compute_max=t_rewrite - t_start,

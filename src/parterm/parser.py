@@ -13,6 +13,11 @@ boundary; the program ends with ``.end``::
 Operator precedence is ``^`` above unary minus above ``*`` above binary
 ``+``/``-``; exponents must be positive integer literals.  A ``*`` in the
 first column starts a comment that runs to end of line.
+
+Expressions are built directly as packed terms (:mod:`parterm.terms`).  A
+``symbols`` statement after a ``local`` adds fields at the low end of the
+layout, so once the declarations end each local moves up by one field per
+symbol declared after it.
 """
 
 from __future__ import annotations
@@ -165,7 +170,8 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def program(self) -> Program:
-        initial: list[tuple[str, Expression]] = []
+        # (name, value, number of symbols declared when it was defined)
+        defined: list[tuple[str, Expression, int]] = []
         seen_locals: set[str] = set()
         while self.peek().kind == "NAME" and self.peek().text in ("symbols", "local"):
             tok = self.advance()
@@ -191,7 +197,10 @@ class _Parser:
                 self.expect("=", "'='")
                 value = self.expr()
                 self.expect(";", "';'")
-                initial.append((name.text, value))
+                defined.append((name.text, value, len(self.symtab)))
+
+        nsymbols = len(self.symtab)
+        initial = [(name, terms.extend_layout(value, nsymbols - n)) for name, value, n in defined]
 
         modules: list[Module] = []
         while True:
@@ -251,8 +260,12 @@ class _Parser:
     def term(self) -> Expression:
         value = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            value = terms.multiply_expressions(value, self.factor())
+            op = self.advance()
+            rhs = self.factor()
+            try:
+                value = terms.multiply_expressions(value, rhs)
+            except terms.ExponentOverflowError as exc:
+                raise ParseError(str(exc), op.line, op.col) from None
         return value
 
     def factor(self) -> Expression:
@@ -270,7 +283,10 @@ class _Parser:
             n = int(tok.text)
             if n <= 0:
                 raise ParseError(f"exponent must be positive, got {n}", tok.line, tok.col)
-            value = terms.pow_expression(value, n)
+            try:
+                value = terms.pow_expression(value, n)
+            except terms.ExponentOverflowError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
         return terms.negate_expression(value) if negate else value
 
     def base(self) -> Expression:
@@ -279,7 +295,7 @@ class _Parser:
             if tok.text in KEYWORDS:
                 raise ParseError(f"{tok.text!r} is a keyword", tok.line, tok.col)
             self.advance()
-            return terms.symbol(self.symbol_id(tok))
+            return terms.symbol(self.symbol_id(tok), len(self.symtab))
         if tok.kind == "INT":
             self.advance()
             return terms.constant(int(tok.text))
@@ -299,12 +315,13 @@ def format_expression(e: Expression, symtab: SymbolTable) -> str:
     """Deterministic text form in canonical term order; parses back to ``e``."""
     if not e:
         return "0"
+    nsymbols = len(symtab)
     parts: list[str] = []
     for i, (coeff, mono) in enumerate(e):
         sign = "-" if coeff < 0 else ("+" if i else "")
         mag = abs(coeff)
         factors = [f"{symtab.name_of(sid)}^{exp}" if exp > 1 else symtab.name_of(sid)
-                   for sid, exp in mono]
+                   for sid, exp in terms.unpack(mono, nsymbols)]
         if not factors:
             body = str(mag)
         elif mag == 1:

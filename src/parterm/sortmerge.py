@@ -1,8 +1,9 @@
 """Worker-local run building and the master's k-way merge of sorted runs.
 
 A run is a worker's locally sorted, like-term-combined output stream.  The
-final merge combines the run heads through a binary heap, draining all heads
-with equal monomials in one step and summing their coefficients, so the
+final merge combines the run heads through a binary heap keyed on the packed
+monomial int (negated, since the canonical order is descending), draining all
+heads with equal monomials in one step and summing their coefficients, so the
 result needs a single pass and never re-sorts from scratch.  The merge is the
 deliberate serial stage of the engine; its cost is what the phase metrics
 expose as the final-sort share of wall time.
@@ -51,7 +52,7 @@ class _CountedKey:
 
     __slots__ = ("key", "counter")
 
-    def __init__(self, key: tuple[int, ...], counter: ComparisonCounter):
+    def __init__(self, key: int, counter: ComparisonCounter):
         self.key = key
         self.counter = counter
 
@@ -67,12 +68,12 @@ class _CountedKey:
         return hash(self.key)
 
 
-def build_run(batch: Sequence[Term], worker: int, nsymbols: int) -> SortedRun:
-    """Locally sort and combine one raw batch into a run."""
-    return SortedRun(terms.normalize(batch, nsymbols), worker)
+def build_run(batch: Sequence[Term], worker: int) -> SortedRun:
+    """Combine and sort a worker's raw terms into its run."""
+    return SortedRun(terms.normalize(batch), worker)
 
 
-def merge_runs(runs: Sequence[SortedRun], nsymbols: int,
+def merge_runs(runs: Sequence[SortedRun],
                counter: ComparisonCounter | None = None) -> Expression:
     """Merge k sorted runs into one expression in a single heap pass.
 
@@ -88,9 +89,9 @@ def merge_runs(runs: Sequence[SortedRun], nsymbols: int,
     if k == 1:
         return filled[0]
 
+    # heapq is a min-heap; the canonical order is descending monomials.
     def make_key(mono: terms.Monomial):
-        key = terms.dense_key(mono, nsymbols)
-        return _CountedKey(key, counter) if counter is not None else key
+        return _CountedKey(-mono, counter) if counter is not None else -mono
 
     pos = [0] * k
     heap = []

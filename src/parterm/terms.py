@@ -1,39 +1,61 @@
-"""Canonical terms, monomial ordering, and integer-polynomial arithmetic.
+"""Canonical terms, monomial order, and integer-polynomial arithmetic.
 
-Data representation is deliberately plain: a monomial is a tuple of
-``(symbol_id, exponent)`` pairs sorted by symbol id with every exponent >= 1
-(the empty tuple is the unit monomial), a term is ``(coeff, monomial)`` with
-an arbitrary-precision int coefficient, and an expression is a tuple of terms
-sorted by the canonical monomial order with like terms combined and zero
-coefficients removed.  Plain tuples keep the rewrite and sort hot paths cheap
-and make structural equality a single ``==``.
+A monomial is one non-negative Python int: a packed exponent vector in the
+style of Monagan and Pearce.  Every declared symbol owns a fixed
+``FIELD_BITS``-bit field of 32 value bits, which hold exactly the wire
+format's u32 exponent, topped by one guard bit that is clear in every valid
+monomial.  Symbol 0 sits in the most significant field and symbol
+``nsymbols - 1`` in the least significant one, so the exponent of symbol
+``sid`` is ``(m >> field_shift(sid, nsymbols)) & EXP_MASK``, and the unit
+monomial is ``0``.  The layout depends only on the number of declared
+symbols; the field width is fixed by the wire contract.
 
-The canonical order compares the dense exponent vectors (index = symbol id,
-missing symbol = 0) lexicographically, with the greater vector sorting
-*earlier*: the highest power of the first declared symbol comes first.
+The packing makes the two hot operations single int operations:
+
+* Multiplying monomials is ``a + b``.  Fields never carry into each other,
+  because two 32-bit values sum to less than ``2**33``.  A sum of ``2**32``
+  or more sets its field's guard bit, and every multiply checks the guard
+  bits and raises :class:`ExponentOverflowError`; an exponent never wraps
+  into a neighbouring field.
+* The canonical order compares dense exponent vectors (index = symbol id)
+  lexicographically, the greater vector sorting *earlier*, so the highest
+  power of the first declared symbol comes first.  On packed monomials that
+  order is descending int order.
+
+A term is ``(coeff, monomial)`` with an arbitrary-precision int coefficient,
+and an expression is a tuple of terms in descending monomial order, with like
+terms combined and zero coefficients removed.  Plain tuples keep structural
+equality a single ``==``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Sequence
+import functools
+from typing import Iterable, Sequence
 
 Factor = tuple[int, int]            # (symbol_id, exponent >= 1)
-Monomial = tuple[Factor, ...]       # strictly increasing by symbol_id
+Monomial = int                      # packed exponent vector, see module docstring
 Term = tuple[int, Monomial]         # (coefficient, monomial)
-Expression = tuple[Term, ...]       # canonically sorted, combined, no zeros
+Expression = tuple[Term, ...]       # descending monomials, combined, no zeros
 
-UNIT: Monomial = ()
+FIELD_BITS = 33                     # 32 value bits + 1 guard bit per symbol
+EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
+
+UNIT: Monomial = 0
 ONE: Expression = ((1, UNIT),)
 ZERO: Expression = ()
-
-# Sparse sort keys terminate with a pseudo-factor whose id exceeds any real
-# symbol id so that a missing trailing factor (exponent 0) sorts later.
-_KEY_SENTINEL = (1 << 62, 0)
 
 
 class InvariantError(ValueError):
     """A term-level invariant was violated (e.g. a symbol id out of range)."""
+
+
+class ExponentOverflowError(InvariantError):
+    """A product's exponent does not fit the 32 value bits of its field."""
+
+    def __init__(self) -> None:
+        super().__init__(f"exponent overflow: a product's exponent exceeds {EXP_MASK}")
 
 
 class Ordering(enum.IntEnum):
@@ -79,112 +101,85 @@ class SymbolTable:
         return tuple(self._names)
 
 
-def monomial_cmp(a: Monomial, b: Monomial) -> int:
-    """Three-way canonical comparison on sparse monomials; no id validation.
+def field_shift(sid: int, nsymbols: int) -> int:
+    """Bit offset of symbol ``sid``'s field among ``nsymbols`` fields."""
+    return FIELD_BITS * (nsymbols - 1 - sid)
 
-    Returns -1 if ``a`` sorts earlier, 0 if equal, 1 if later.  Walks both
-    sparse factor lists in parallel: at the first symbol id where the dense
-    exponent vectors differ, the larger exponent wins (sorts earlier).
+
+@functools.lru_cache(maxsize=64)
+def guard_mask(nfields: int) -> int:
+    """The guard bit of each of the ``nfields`` low fields."""
+    guard = 1 << (FIELD_BITS - 1)
+    mask = 0
+    for _ in range(nfields):
+        mask = (mask << FIELD_BITS) | guard
+    return mask
+
+
+def unpack(mono: Monomial, nsymbols: int) -> tuple[Factor, ...]:
+    """The ``(symbol_id, exponent)`` factors of a monomial, by increasing id."""
+    out = []
+    for sid in range(nsymbols):
+        exp = (mono >> field_shift(sid, nsymbols)) & EXP_MASK
+        if exp:
+            out.append((sid, exp))
+    return tuple(out)
+
+
+def field_max(e: Expression) -> Monomial:
+    """The field-wise maximum of ``e``'s monomials, itself a monomial.
+
+    ``m + field_max(e)`` has a guard bit set exactly when ``m + mi`` does for
+    some monomial ``mi`` of ``e``, so one check covers a whole distribution.
     """
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ida, ea = a[i]
-        idb, eb = b[j]
-        if ida == idb:
-            if ea != eb:
-                return -1 if ea > eb else 1
-            i += 1
-            j += 1
-        elif ida < idb:
-            return -1  # a has a positive exponent where b has zero
-        else:
-            return 1
-    if i < na:
-        return -1
-    if j < nb:
-        return 1
-    return 0
+    rest = [m for _, m in e]
+    out = 0
+    shift = 0
+    while any(rest):
+        out |= max(r & EXP_MASK for r in rest) << shift
+        rest = [r >> FIELD_BITS for r in rest]
+        shift += FIELD_BITS
+    return out
+
+
+def extend_layout(e: Expression, added: int) -> Expression:
+    """``e`` after ``added`` more symbols are declared: they take the low
+    fields, so every monomial moves up by ``added`` fields."""
+    shift = FIELD_BITS * added
+    return tuple((c, m << shift) for c, m in e)
 
 
 def compare_monomials(a: Monomial, b: Monomial, nsymbols: int) -> Ordering:
-    """Canonical total order with symbol-id validation against ``nsymbols``."""
-    for sid, _ in a:
-        if sid >= nsymbols:
-            raise InvariantError(f"symbol id {sid} >= nsymbols {nsymbols}")
-    for sid, _ in b:
-        if sid >= nsymbols:
-            raise InvariantError(f"symbol id {sid} >= nsymbols {nsymbols}")
-    return Ordering(monomial_cmp(a, b))
+    """Canonical total order, validating both monomials against ``nsymbols``."""
+    limit = 1 << (FIELD_BITS * nsymbols)
+    for m in (a, b):
+        if not 0 <= m < limit:
+            raise InvariantError(f"monomial {m:#x} has a symbol id >= nsymbols {nsymbols}")
+        if m & guard_mask(nsymbols):
+            raise InvariantError(f"monomial {m:#x} has an exponent over {EXP_MASK}")
+    return Ordering((a < b) - (a > b))
 
 
-def dense_key(mono: Monomial, nsymbols: int) -> tuple[int, ...]:
-    """Sort key for the canonical order: the negated dense exponent vector."""
-    vec = [0] * nsymbols
-    for sid, exp in mono:
-        vec[sid] = -exp
-    return tuple(vec)
+def _sorted_terms(acc: dict[Monomial, int]) -> Expression:
+    """Combined coefficients by monomial -> canonical expression."""
+    return tuple([(c, m) for m, c in sorted(acc.items(), reverse=True) if c])
 
 
-def sparse_key(mono: Monomial) -> tuple[Factor, ...]:
-    """nsymbols-free sort key equivalent to :func:`dense_key` ordering."""
-    return tuple((sid, -exp) for sid, exp in mono) + (_KEY_SENTINEL,)
-
-
-def multiply_monomials(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent-wise sum, preserving the canonical sparse form."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[Factor] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ida, ea = a[i]
-        idb, eb = b[j]
-        if ida == idb:
-            out.append((ida, ea + eb))
-            i += 1
-            j += 1
-        elif ida < idb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def multiply_terms(a: Term, b: Term) -> Term:
-    return (a[0] * b[0], multiply_monomials(a[1], b[1]))
-
-
-def normalize(raw: Iterable[Term], nsymbols: int) -> Expression:
-    """Canonically sort raw terms, combine like monomials, drop zero sums."""
-    buf = sorted(raw, key=lambda t: dense_key(t[1], nsymbols))
-    out: list[Term] = []
-    i = 0
-    n = len(buf)
-    while i < n:
-        coeff, mono = buf[i]
-        i += 1
-        while i < n and buf[i][1] == mono:
-            coeff += buf[i][0]
-            i += 1
-        if coeff:
-            out.append((coeff, mono))
-    return tuple(out)
+def normalize(raw: Iterable[Term]) -> Expression:
+    """Combine like terms, drop zero sums, and sort the distinct monomials once."""
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for coeff, mono in raw:
+        acc[mono] = get(mono, 0) + coeff
+    return _sorted_terms(acc)
 
 
 def is_normalized(e: Sequence[Term]) -> bool:
-    """Check the expression invariants: strict canonical order, no zeros."""
-    for i, (coeff, _) in enumerate(e):
+    """Check the expression invariants: strictly descending monomials, no zeros."""
+    for i, (coeff, mono) in enumerate(e):
         if coeff == 0:
             return False
-        if i and monomial_cmp(e[i - 1][1], e[i][1]) != -1:
+        if i and e[i - 1][1] <= mono:
             return False
     return True
 
@@ -199,17 +194,17 @@ def add_expressions(a: Expression, b: Expression) -> Expression:
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        c = monomial_cmp(a[i][1], b[j][1])
-        if c < 0:
+        ma, mb = a[i][1], b[j][1]
+        if ma > mb:
             out.append(a[i])
             i += 1
-        elif c > 0:
+        elif ma < mb:
             out.append(b[j])
             j += 1
         else:
             s = a[i][0] + b[j][0]
             if s:
-                out.append((s, a[i][1]))
+                out.append((s, ma))
             i += 1
             j += 1
     out.extend(a[i:])
@@ -222,21 +217,44 @@ def negate_expression(a: Expression) -> Expression:
 
 
 def multiply_expressions(a: Expression, b: Expression) -> Expression:
-    """Distributive product; accumulates in a dict, then sorts canonically."""
+    """Distributive product; combines in a dict, then sorts canonically once.
+
+    Multiplying monomials is adding them.  Before each row of products one
+    guard-bit check of ``ma + field_max(b)`` covers the whole row.
+    """
+    if not a or not b:
+        return ZERO
+    # Guard bits for every field up to the largest product's top field.
+    guard = guard_mask(-(-(a[0][1] + b[0][1]).bit_length() // FIELD_BITS))
+    bound = field_max(b)
     acc: dict[Monomial, int] = {}
+    get = acc.get
     for ca, ma in a:
+        if (ma + bound) & guard:
+            raise ExponentOverflowError()
         for cb, mb in b:
-            m = multiply_monomials(ma, mb)
-            acc[m] = acc.get(m, 0) + ca * cb
-    items = [(c, m) for m, c in acc.items() if c]
-    items.sort(key=lambda t: sparse_key(t[1]))
-    return tuple(items)
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+    return _sorted_terms(acc)
 
 
 def pow_expression(a: Expression, n: int) -> Expression:
-    """a**n by repeated multiplication; a**0 is the constant 1."""
+    """a**n; a**0 is the constant 1.
+
+    A single-term base is raised directly.  Otherwise the result comes from
+    repeated multiplication by ``a``, which for the small bases of rewrite
+    rules and benchmarks costs less than squaring large intermediates.
+    """
     if n < 0:
         raise InvariantError(f"negative exponent {n}")
+    if len(a) == 1:
+        (coeff, mono), = a
+        rest = mono
+        while rest:
+            if (rest & EXP_MASK) * n > EXP_MASK:
+                raise ExponentOverflowError()
+            rest >>= FIELD_BITS
+        return ((coeff ** n, mono * n),)
     result = ONE
     for _ in range(n):
         result = multiply_expressions(result, a)
@@ -247,11 +265,8 @@ def constant(c: int) -> Expression:
     return ((c, UNIT),) if c else ZERO
 
 
-def symbol(sid: int, exp: int = 1) -> Expression:
-    if exp < 1:
-        raise InvariantError(f"exponent {exp} < 1")
-    return ((1, ((sid, exp),)),)
-
-
-def iter_factors(mono: Monomial) -> Iterator[Factor]:
-    return iter(mono)
+def symbol(sid: int, nsymbols: int) -> Expression:
+    """The expression ``1 * symbol`` for symbol ``sid`` of ``nsymbols``."""
+    if not 0 <= sid < nsymbols:
+        raise InvariantError(f"symbol id {sid} out of range for nsymbols {nsymbols}")
+    return ((1, 1 << field_shift(sid, nsymbols)),)

@@ -15,7 +15,15 @@ can be constructed.  They differ only in how a message's term payload moves:
 Wire format (little-endian): ``u32 term_count``, then per term ``u8 sign``
 (0 plus, 1 minus), ``u32 magnitude_byte_len``, the magnitude bytes
 (little-endian, minimal length), ``u16 factor_count``, then per factor
-``u32 symbol_id`` and ``u32 exponent``.
+``u32 symbol_id`` and ``u32 exponent``, by strictly increasing symbol id and
+with every exponent >= 1.
+
+The wire format is the external contract and does not know about packed
+monomials.  Encoding unpacks each monomial's nonzero fields into factors;
+decoding packs the factors back, so both need the program's ``nsymbols``, and
+decoding rejects a symbol id ``>= nsymbols``.  A field's 32 value bits hold
+exactly a u32 exponent, so every valid monomial encodes and every decoded
+exponent fits.
 
 Per-slave mailboxes are bounded (finite buffers); a send to a full mailbox
 blocks until the slave drains it.
@@ -24,20 +32,20 @@ blocks until the slave drains it.
 from __future__ import annotations
 
 import enum
+import functools
 import queue
 import struct
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .terms import Term
+from .terms import EXP_MASK, FIELD_BITS, Term, field_shift, guard_mask, unpack
 
 MAILBOX_BOUND = 16
 
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 _TERM_HDR = struct.Struct("<BI")
-_FACTOR = struct.Struct("<II")
 _U32_MAX = 0xFFFFFFFF
 _U16_MAX = 0xFFFF
 
@@ -107,9 +115,24 @@ class TransportStats:
         return self.messages_master_to_slave + self.messages_slave_to_master
 
 
-def serialize_terms(ts: Sequence[Term]) -> bytes:
+def _shifts(nsymbols: int) -> list[int]:
+    return [field_shift(sid, nsymbols) for sid in range(nsymbols)]
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_block(count: int) -> struct.Struct:
+    """``u16 factor_count`` then ``count`` (symbol id, exponent) u32 pairs."""
+    return struct.Struct(f"<H{2 * count}I")
+
+
+def serialize_terms(ts: Sequence[Term], nsymbols: int) -> bytes:
     if len(ts) > _U32_MAX:
         raise WireError(f"term count {len(ts)} exceeds u32", 0)
+    if nsymbols > _U16_MAX:  # a term could carry more factors than a u16 counts
+        raise WireError(f"{nsymbols} symbols exceed the u16 factor count", 0)
+    shifts = _shifts(nsymbols)
+    guard = guard_mask(nsymbols)
+    limit = 1 << (FIELD_BITS * nsymbols)
     parts = [_U32.pack(len(ts))]
     append = parts.append
     for coeff, mono in ts:
@@ -120,20 +143,23 @@ def serialize_terms(ts: Sequence[Term]) -> bytes:
         mag_bytes = mag.to_bytes((mag.bit_length() + 7) // 8, "little")
         if len(mag_bytes) > _U32_MAX:
             raise WireError("coefficient magnitude exceeds u32 byte length", 0)
-        if len(mono) > _U16_MAX:
-            raise WireError(f"factor count {len(mono)} exceeds u16", 0)
+        if mono & guard or mono >= limit:
+            raise WireError(f"monomial {mono:#x} has an exponent over u32 or a "
+                            f"symbol id >= nsymbols {nsymbols}", 0)
+        flat = []
+        for sid, shift in enumerate(shifts):
+            exp = (mono >> shift) & EXP_MASK
+            if exp:
+                flat += (sid, exp)
         append(_TERM_HDR.pack(sign, len(mag_bytes)))
         append(mag_bytes)
-        append(_U16.pack(len(mono)))
-        for sid, exp in mono:
-            if sid > _U32_MAX or exp > _U32_MAX:
-                raise WireError(f"factor ({sid}, {exp}) exceeds u32", 0)
-            append(_FACTOR.pack(sid, exp))
+        append(_factor_block(len(flat) >> 1).pack(len(flat) >> 1, *flat))
     return b"".join(parts)
 
 
-def deserialize_terms(data: bytes) -> tuple[Term, ...]:
+def deserialize_terms(data: bytes, nsymbols: int) -> tuple[Term, ...]:
     n = len(data)
+    shifts = _shifts(nsymbols)
 
     def need(offset: int, count: int) -> None:
         if offset + count > n:
@@ -159,41 +185,51 @@ def deserialize_terms(data: bytes) -> tuple[Term, ...]:
         offset += mag_len
         need(offset, 2)
         (factor_count,) = _U16.unpack_from(data, offset)
+        if offset + 2 + 8 * factor_count > n:  # name the first incomplete factor
+            need(offset + 2 + 8 * ((n - offset - 2) // 8), 8)
+        flat = _factor_block(factor_count).unpack_from(data, offset)
         offset += 2
-        factors: list[tuple[int, int]] = []
+        mono = 0
         prev_sid = -1
-        for _ in range(factor_count):
-            need(offset, 8)
-            sid, exp = _FACTOR.unpack_from(data, offset)
-            if sid <= prev_sid:
-                raise WireError(f"symbol ids not strictly increasing ({sid})", offset)
-            if exp == 0:
-                raise WireError("zero exponent", offset)
+        for i in range(1, 2 * factor_count, 2):
+            sid = flat[i]
+            exp = flat[i + 1]
+            if sid <= prev_sid or sid >= nsymbols or not exp:
+                _reject_factor(sid, exp, prev_sid, nsymbols, offset)
             prev_sid = sid
-            factors.append((sid, exp))
+            mono += exp << shifts[sid]
             offset += 8
-        out.append((-mag if sign else mag, tuple(factors)))
+        out.append((-mag if sign else mag, mono))
     if offset != n:
         raise WireError("overlong input (trailing bytes)", offset)
     return tuple(out)
 
 
-def wire_size(ts: Sequence[Term]) -> int:
+def _reject_factor(sid: int, exp: int, prev_sid: int, nsymbols: int, offset: int) -> None:
+    if sid <= prev_sid:
+        raise WireError(f"symbol ids not strictly increasing ({sid})", offset)
+    if sid >= nsymbols:
+        raise WireError(f"symbol id {sid} >= nsymbols {nsymbols}", offset)
+    raise WireError("zero exponent", offset)
+
+
+def wire_size(ts: Sequence[Term], nsymbols: int) -> int:
     """Exact encoded size of a payload, without building the bytes."""
     total = 4
     for coeff, mono in ts:
         mag = -coeff if coeff < 0 else coeff
-        total += 1 + 4 + (mag.bit_length() + 7) // 8 + 2 + 8 * len(mono)
+        total += 1 + 4 + (mag.bit_length() + 7) // 8 + 2 + 8 * len(unpack(mono, nsymbols))
     return total
 
 
 class _TransportBase:
     """Queue plumbing and accounting shared by both backends."""
 
-    def __init__(self, nslaves: int, mailbox_bound: int = MAILBOX_BOUND):
+    def __init__(self, nslaves: int, nsymbols: int, mailbox_bound: int = MAILBOX_BOUND):
         if nslaves < 1:
             raise ValueError("transport needs at least one slave")
         self.nslaves = nslaves
+        self.nsymbols = nsymbols
         self._outboxes = [queue.Queue(maxsize=mailbox_bound) for _ in range(nslaves)]
         self._inbox: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
@@ -302,12 +338,12 @@ class MessagePassingTransport(_TransportBase):
     name = "mp"
 
     def _pack(self, msg: Message):
-        wire = serialize_terms(msg.payload)
+        wire = serialize_terms(msg.payload, self.nsymbols)
         return (msg.kind, msg.chunk_seq, wire), len(wire), 0
 
     def _unpack(self, record) -> Message:
         kind, chunk_seq, wire = record
-        return Message(kind, chunk_seq, deserialize_terms(wire))
+        return Message(kind, chunk_seq, deserialize_terms(wire, self.nsymbols))
 
 
 class SharedBufferTransport(_TransportBase):
@@ -328,10 +364,10 @@ BACKENDS = {
 }
 
 
-def make_transport(backend: str, nslaves: int,
+def make_transport(backend: str, nslaves: int, nsymbols: int,
                    mailbox_bound: int = MAILBOX_BOUND) -> _TransportBase:
     try:
         cls = BACKENDS[backend]
     except KeyError:
         raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
-    return cls(nslaves, mailbox_bound)
+    return cls(nslaves, nsymbols, mailbox_bound)

@@ -36,17 +36,18 @@ def _random_expression(rng: random.Random, nsymbols: int, max_terms: int,
     while True:
         raw: list[terms.Term] = []
         for _ in range(rng.randint(2, max_terms)):
-            mono = tuple((sid, rng.randint(1, max_exp))
-                         for sid in range(nsymbols) if rng.random() < 0.5)
+            mono = sum(rng.randint(1, max_exp) << terms.field_shift(sid, nsymbols)
+                       for sid in range(nsymbols) if rng.random() < 0.5)
             raw.append((rng.choice(_NONZERO), mono))
-        e = terms.normalize(raw, nsymbols)
+        e = terms.normalize(raw)
         if e:
             return e
 
 
 def _linear_rhs(rng: random.Random, nsymbols: int) -> Expression:
     sid = rng.randrange(nsymbols)
-    e = terms.multiply_expressions(terms.constant(rng.choice(_NONZERO)), terms.symbol(sid))
+    e = terms.multiply_expressions(terms.constant(rng.choice(_NONZERO)),
+                                   terms.symbol(sid, nsymbols))
     return terms.add_expressions(e, terms.constant(rng.choice(_NONZERO)))
 
 
@@ -57,11 +58,11 @@ def _expand(scale: int, seed: int) -> str:
     base = terms.ZERO
     for sid in range(4):
         base = terms.add_expressions(
-            base, terms.multiply_expressions(terms.constant(c[sid]), terms.symbol(sid)))
+            base, terms.multiply_expressions(terms.constant(c[sid]), terms.symbol(sid, 4)))
     rhs = terms.constant(c[7])
     for k, sid in enumerate((1, 2, 3)):
         rhs = terms.add_expressions(
-            rhs, terms.multiply_expressions(terms.constant(c[4 + k]), terms.symbol(sid)))
+            rhs, terms.multiply_expressions(terms.constant(c[4 + k]), terms.symbol(sid, 4)))
     return (
         f"* workload: expand scale={scale} seed={seed}\n"
         "symbols x, y, z, w;\n"

@@ -1,8 +1,15 @@
 """Independent reference implementations the tests check production code against.
 
+The oracles work on *factor tuples*: a monomial is a tuple of
+``(symbol_id, exponent)`` pairs by increasing symbol id, every exponent >= 1,
+and the empty tuple is the unit.  Production code packs monomials into ints;
+the oracles reach production values only through the boundary pair
+:func:`pack` / :func:`unpack` (and their term-level wrappers), which encode
+the documented layout by hand, so nothing else here depends on the packing.
+
 Everything here deliberately avoids the production code paths it verifies:
-normalization sorts with the three-way comparison function instead of the
-production sort keys, expansion multiplies through a dict accumulator, wire
+normalization sorts with a three-way comparison of dense exponent vectors
+instead of int order, expansion multiplies through a dict accumulator, wire
 sizes come from a by-hand byte encoder, and module application works on whole
 expressions through term-core algebra rather than the per-term rewriter.
 """
@@ -16,15 +23,57 @@ from typing import Sequence
 
 from parterm import terms
 from parterm.parser import IdSubst, Module, Multiply
-from parterm.terms import Expression, Monomial, Term
+
+Factors = tuple[tuple[int, int], ...]   # an oracle monomial
+FTerm = tuple[int, Factors]
+FExpression = tuple[FTerm, ...]
+
+# The documented packed layout: one 33-bit field per symbol (32 value bits
+# and a guard bit), symbol 0 in the most significant field.
+_FIELD = 33
 
 
-def oracle_normalize(raw: Sequence[Term], nsymbols: int) -> Expression:
+def pack(mono: Factors, nsymbols: int) -> int:
+    """Factor tuple -> production (packed) monomial."""
+    assert all(0 <= sid < nsymbols and 1 <= e < 1 << 32 for sid, e in mono), mono
+    return sum(e << (_FIELD * (nsymbols - 1 - sid)) for sid, e in mono)
+
+
+def unpack(mono: int, nsymbols: int) -> Factors:
+    """Production (packed) monomial -> factor tuple."""
+    assert 0 <= mono < 1 << (_FIELD * nsymbols), mono
+    out = []
+    for sid in range(nsymbols):
+        field = (mono >> (_FIELD * (nsymbols - 1 - sid))) % (1 << _FIELD)
+        assert field < 1 << 32, f"guard bit set for symbol {sid}"
+        if field:
+            out.append((sid, field))
+    return tuple(out)
+
+
+def pack_terms(ts, nsymbols: int) -> tuple:
+    return tuple((c, pack(m, nsymbols)) for c, m in ts)
+
+
+def unpack_terms(ts, nsymbols: int) -> tuple:
+    return tuple((c, unpack(m, nsymbols)) for c, m in ts)
+
+
+def oracle_cmp(a: Factors, b: Factors, nsymbols: int) -> int:
+    """-1 if ``a`` sorts earlier: its dense exponent vector is greater."""
+    da, db = [0] * nsymbols, [0] * nsymbols
+    for sid, e in a:
+        da[sid] = e
+    for sid, e in b:
+        db[sid] = e
+    return (da < db) - (da > db)
+
+
+def oracle_normalize(raw: Sequence[FTerm], nsymbols: int) -> FExpression:
     """Comparison-sort on the declared order, then one combining pass."""
-    key = functools.cmp_to_key(
-        lambda a, b: int(terms.compare_monomials(a, b, nsymbols)))
+    key = functools.cmp_to_key(lambda a, b: oracle_cmp(a, b, nsymbols))
     ordered = sorted(raw, key=lambda t: key(t[1]))
-    out: list[Term] = []
+    out: list[FTerm] = []
     for coeff, mono in ordered:
         if out and out[-1][1] == mono:
             out[-1] = (out[-1][0] + coeff, mono)
@@ -33,9 +82,9 @@ def oracle_normalize(raw: Sequence[Term], nsymbols: int) -> Expression:
     return tuple((c, m) for c, m in out if c != 0)
 
 
-def brute_multiply(a: Expression, b: Expression, nsymbols: int) -> Expression:
+def brute_multiply(a: FExpression, b: FExpression, nsymbols: int) -> FExpression:
     """Naive distributive product through a dict accumulator."""
-    acc: dict[Monomial, int] = {}
+    acc: dict[Factors, int] = {}
     for ca, ma in a:
         for cb, mb in b:
             exps: dict[int, int] = {}
@@ -48,40 +97,41 @@ def brute_multiply(a: Expression, b: Expression, nsymbols: int) -> Expression:
     return oracle_normalize([(c, m) for m, c in acc.items()], nsymbols)
 
 
-def brute_power(a: Expression, n: int, nsymbols: int) -> Expression:
-    result: Expression = ((1, ()),)
+def brute_power(a: FExpression, n: int, nsymbols: int) -> FExpression:
+    result: FExpression = ((1, ()),)
     for _ in range(n):
         result = brute_multiply(result, a, nsymbols)
     return result
 
 
-def algebra_apply_module(e: Expression, m: Module, nsymbols: int) -> Expression:
-    """Apply a module to a whole expression with expression-level algebra."""
+def algebra_apply_module(e: terms.Expression, m: Module, nsymbols: int) -> terms.Expression:
+    """Apply a module to a whole (production) expression with expression-level
+    algebra; the substitution target is found on factor tuples."""
     for s in m.statements:
         if isinstance(s, Multiply):
             e = terms.multiply_expressions(e, s.factor)
         else:
             assert isinstance(s, IdSubst)
-            total: Expression = terms.ZERO
+            total: terms.Expression = terms.ZERO
             for coeff, mono in e:
                 k = 0
                 rest = []
-                for sid, exp in mono:
+                for sid, exp in unpack(mono, nsymbols):
                     if sid == s.target:
                         k = exp
                     else:
                         rest.append((sid, exp))
-                contrib: Expression = ((coeff, tuple(rest)),)
+                contrib: terms.Expression = ((coeff, pack(tuple(rest), nsymbols)),)
                 if k:
                     contrib = terms.multiply_expressions(
                         contrib, terms.pow_expression(s.rhs, k))
                 total = terms.add_expressions(total, contrib)
             e = total
-        e = terms.normalize(e, nsymbols)
+        e = terms.normalize(e)
     return e
 
 
-def hand_wire_bytes(ts: Sequence[Term]) -> bytes:
+def hand_wire_bytes(ts: Sequence[FTerm]) -> bytes:
     """By-hand encoder for the transport wire format."""
     out = bytearray(struct.pack("<I", len(ts)))
     for coeff, mono in ts:
@@ -99,20 +149,29 @@ def hand_wire_bytes(ts: Sequence[Term]) -> bytes:
     return bytes(out)
 
 
-def random_monomial(rng: random.Random, nsymbols: int, max_exp: int = 5) -> Monomial:
+def random_monomial(rng: random.Random, nsymbols: int, max_exp: int = 5) -> Factors:
     return tuple((sid, rng.randint(1, max_exp))
                  for sid in range(nsymbols) if rng.random() < 0.6)
 
 
 def random_terms(rng: random.Random, nsymbols: int, n: int,
-                 max_exp: int = 5, max_coeff: int = 9) -> list[Term]:
+                 max_exp: int = 5, max_coeff: int = 9) -> list[FTerm]:
+    """Raw oracle terms: duplicates and zero coefficients allowed."""
     return [(rng.randint(-max_coeff, max_coeff), random_monomial(rng, nsymbols, max_exp))
             for _ in range(n)]
 
 
+def random_packed_terms(rng: random.Random, nsymbols: int, n: int,
+                        max_exp: int = 5, max_coeff: int = 9) -> list[terms.Term]:
+    """:func:`random_terms`, packed for production code."""
+    return list(pack_terms(random_terms(rng, nsymbols, n, max_exp, max_coeff), nsymbols))
+
+
 def random_expression(rng: random.Random, nsymbols: int, n: int,
-                      max_exp: int = 5) -> Expression:
-    return terms.normalize(random_terms(rng, nsymbols, n, max_exp), nsymbols)
+                      max_exp: int = 5) -> terms.Expression:
+    """A production expression, normalized by the oracle."""
+    raw = random_terms(rng, nsymbols, n, max_exp)
+    return pack_terms(oracle_normalize(raw, nsymbols), nsymbols)
 
 
 def random_module(rng: random.Random, nsymbols: int) -> Module:

@@ -26,11 +26,19 @@ from parterm.sortmerge import (
     build_run,
     merge_runs,
 )
-from parterm.terms import SymbolTable, normalize
+from parterm.terms import SymbolTable
 from parterm.transport import deserialize_terms, serialize_terms
 from parterm.workloads import generate_workload
 
-from oracles import brute_power, hand_wire_bytes, oracle_normalize, random_terms
+from oracles import (
+    brute_multiply,
+    brute_power,
+    hand_wire_bytes,
+    oracle_normalize,
+    pack_terms,
+    random_terms,
+    unpack_terms,
+)
 
 CORES = os.cpu_count() or 1
 GRID_SLAVES = (1, 2, 4, 8)
@@ -76,10 +84,10 @@ def test_acceptance_2_merge_oracle_and_comparison_bound():
     for _ in range(1000):
         k = rng.randint(1, 8)
         raws = [random_terms(rng, nsym, rng.randint(0, 30)) for _ in range(k)]
-        runs = [build_run(raw, i, nsym) for i, raw in enumerate(raws)]
+        runs = [build_run(pack_terms(raw, nsym), i) for i, raw in enumerate(raws)]
         counter = ComparisonCounter()
-        merged = merge_runs(runs, nsym, counter)
-        assert merged == normalize([t for raw in raws for t in raw], nsym)
+        merged = merge_runs(runs, counter)
+        assert merged == pack_terms(oracle_normalize([t for raw in raws for t in raw], nsym), nsym)
         total = sum(len(r.terms) for r in runs)
         if total:
             assert counter.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
@@ -94,14 +102,14 @@ def _golden_expected_bytes(nslaves: int, chunk_size: int) -> tuple[int, int, int
     round-robin dispatch: (serialized_bytes, messages m->s, messages s->m)."""
     program = parse_program(GOLDEN_TEXT)
     (_, f_expr), = program.initial
-    factor = program.modules[0].statements[0].factor
+    f_expr = unpack_terms(f_expr, 2)
+    factor = unpack_terms(program.modules[0].statements[0].factor, 2)
     chunks = [f_expr[i:i + chunk_size] for i in range(0, len(f_expr), chunk_size)]
     # per-slave accumulated run, computed with oracle primitives only
     per_slave_raw = {s: [] for s in range(nslaves)}
     for seq, chunk in enumerate(chunks):
         for t in chunk:
-            for ft in factor:
-                per_slave_raw[seq % nslaves].append(terms.multiply_terms(t, ft))
+            per_slave_raw[seq % nslaves].extend(brute_multiply((t,), factor, 2))
     runs = [oracle_normalize(per_slave_raw[s], 2) for s in range(nslaves)]
     empty = len(hand_wire_bytes(()))
     total = 0
@@ -228,27 +236,27 @@ def test_acceptance_7_round_trips():
     rng = random.Random(777)
     tab = SymbolTable(["x", "y", "z", "w"])
     for _ in range(1000):
-        e = normalize(random_terms(rng, 4, rng.randint(0, 10),
-                                   max_coeff=10**rng.randint(1, 12)), 4)
+        e = pack_terms(oracle_normalize(random_terms(rng, 4, rng.randint(0, 10),
+                                                     max_coeff=10**rng.randint(1, 12)), 4), 4)
         text = f"symbols x,y,z,w; local F = {format_expression(e, tab)}; .sort .end"
         (_, parsed), = parse_program(text).initial
         assert parsed == e
-        assert deserialize_terms(serialize_terms(e)) == e
+        assert deserialize_terms(serialize_terms(e, 4), 4) == e
     _passed(7, "parser and wire-format round trips")
 
 
 def test_acceptance_8_combinatorial_counts():
     """Expansion term counts match closed forms via the brute-force oracle."""
-    x, y, z, w = (terms.symbol(i) for i in range(4))
+    x, y, z, w = (terms.symbol(i, 4) for i in range(4))
     trinomial = terms.add_expressions(terms.add_expressions(x, y), z)
-    brute = brute_power(trinomial, 8, 4)
+    brute = brute_power(unpack_terms(trinomial, 4), 8, 4)
     assert len(brute) == 45 == (8 + 1) * (8 + 2) // 2
-    assert terms.pow_expression(trinomial, 8) == brute
+    assert unpack_terms(terms.pow_expression(trinomial, 8), 4) == brute
 
     quad = terms.add_expressions(terms.add_expressions(x, y), terms.add_expressions(z, w))
-    brute2 = brute_power(quad, 2, 4)
+    brute2 = brute_power(unpack_terms(quad, 4), 2, 4)
     assert len(brute2) == 10 == math.comb(5, 3)
-    assert terms.pow_expression(quad, 2) == brute2
+    assert unpack_terms(terms.pow_expression(quad, 2), 4) == brute2
 
     # and through the engine: a bare module normalizes the expansion unchanged
     program = parse_program("symbols x,y,z,w; local F = (x+y+z+w)^2; .sort .end")

@@ -13,9 +13,17 @@ from parterm.engine import (
     run_program,
 )
 from parterm.parser import Module, Multiply, parse_program
-from parterm.terms import add_expressions, normalize, pow_expression, symbol
+from parterm.terms import add_expressions, pow_expression, symbol
 
-from oracles import algebra_apply_module, random_expression, random_module
+from oracles import (
+    algebra_apply_module,
+    oracle_normalize,
+    pack,
+    pack_terms,
+    random_expression,
+    random_module,
+    unpack_terms,
+)
 
 NSYM = 4
 
@@ -27,14 +35,14 @@ def _parse(text):
 # -- sequential executor -----------------------------------------------------
 
 def test_sequential_empty_module_is_identity():
-    e = normalize([(1, ((0, 1),)), (4, ())], NSYM)
+    e = pack_terms(oracle_normalize([(1, ((0, 1),)), (4, ())], NSYM), NSYM)
     assert execute_sequential(e, Module(()), NSYM) == e
 
 
 def test_sequential_difference_of_squares():
-    e = add_expressions(symbol(0), symbol(1))
-    m = Module((Multiply(add_expressions(symbol(0), terms.negate_expression(symbol(1)))),))
-    assert execute_sequential(e, m, 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
+    e = add_expressions(symbol(0, 2), symbol(1, 2))
+    m = Module((Multiply(add_expressions(symbol(0, 2), terms.negate_expression(symbol(1, 2)))),))
+    assert unpack_terms(execute_sequential(e, m, 2), 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
 
 
 def test_sequential_substitution_collapses_to_nine_terms():
@@ -48,8 +56,8 @@ def test_sequential_substitution_collapses_to_nine_terms():
     assert len(got) == 9
     assert got == pow_expression(
         add_expressions(
-            terms.multiply_expressions(terms.constant(2), symbol(1)),
-            terms.multiply_expressions(terms.constant(2), symbol(2))), 8)
+            terms.multiply_expressions(terms.constant(2), symbol(1, 3)),
+            terms.multiply_expressions(terms.constant(2), symbol(2, 3))), 8)
 
 
 # -- chunk partition ---------------------------------------------------------
@@ -124,7 +132,7 @@ def test_static_dispatch_gives_identical_results():
 
 
 def test_empty_expression_parallel():
-    m = Module((Multiply(symbol(0)),))
+    m = Module((Multiply(symbol(0, 1)),))
     result, metrics, _ = execute_parallel((), m, 1, RunConfig(nslaves=2))
     assert result == ()
     assert metrics.terms_in == metrics.terms_generated == metrics.terms_out == 0
@@ -148,12 +156,12 @@ def test_backend_equivalence_and_stats_exclusivity():
 
 
 def test_worker_failure_names_the_worker(monkeypatch):
-    def boom(chunk_terms, m, seq):
+    def boom(chunk_terms, m, nsymbols, seq):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(rewrite, "apply_module_to_chunk", boom)
-    e = normalize([(1, ((0, 1),)), (2, ((1, 1),))], 2)
-    m = Module((Multiply(symbol(0)),))
+    e = pack_terms(((1, ((0, 1),)), (2, ((1, 1),))), 2)
+    m = Module((Multiply(symbol(0, 2)),))
     with pytest.raises(WorkerError, match=r"worker \d+ failed"):
         execute_parallel(e, m, 2, RunConfig(nslaves=2, chunk_size=1))
 
@@ -196,13 +204,13 @@ def test_run_config_validation():
 def test_run_program_identity_module():
     program = _parse("symbols x,y; local F = x+y; .sort .end")
     result = run_program(program, RunConfig(nslaves=2))
-    assert result.expressions["F"] == ((1, ((0, 1),)), (1, ((1, 1),)))
+    assert unpack_terms(result.expressions["F"], 2) == ((1, ((0, 1),)), (1, ((1, 1),)))
 
 
 def test_run_program_two_module_composition():
     program = _parse("symbols x,y; local F = 1; multiply x+y; .sort multiply x-y; .sort .end")
     result = run_program(program, RunConfig(nslaves=2, chunk_size=1))
-    assert result.expressions["F"] == ((1, ((0, 2),)), (-1, ((1, 2),)))
+    assert unpack_terms(result.expressions["F"], 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
     assert len(result.module_metrics) == 2
     assert len(result.module_stats) == 2
     assert result.stats.messages == sum(s.messages for s in result.module_stats)
@@ -242,3 +250,41 @@ def test_config_grid_equality_over_programs():
                 master_computes=rng.choice([False, True]),
             )
             assert run_program(program, cfg).expressions == reference
+
+
+def test_transport_must_match_the_program_symbols():
+    from parterm.transport import make_transport
+    with pytest.raises(ValueError, match="symbol count"):
+        execute_parallel((), Module(()), 2, RunConfig(nslaves=1),
+                         transport=make_transport("mp", 1, 3))
+
+
+def test_exponent_overflow_in_a_worker_is_reported():
+    top = terms.EXP_MASK
+    e = ((1, pack(((0, top),), 1)),)
+    m = Module((Multiply(symbol(0, 1)),))
+    with pytest.raises(terms.ExponentOverflowError):
+        execute_sequential(e, m, 1)
+    with pytest.raises(WorkerError, match="ExponentOverflowError"):
+        execute_parallel(e, m, 1, RunConfig(nslaves=2, chunk_size=1))
+
+
+def test_symbols_after_a_local_run_like_symbols_up_front():
+    late = _parse("symbols x; local F = (x+1)^4; symbols y; id x = y - 1; .sort "
+                  "multiply x + y; .sort .end")
+    early = _parse("symbols x, y; local F = (x+1)^4; id x = y - 1; .sort "
+                   "multiply x + y; .sort .end")
+    for cfg in (RunConfig(nslaves=0), RunConfig(nslaves=2, chunk_size=2, backend="mp")):
+        assert run_program(late, cfg).expressions == run_program(early, cfg).expressions
+    assert unpack_terms(run_program(late, RunConfig(nslaves=0)).expressions["F"], 2) == \
+        ((1, ((0, 1), (1, 4))), (1, ((1, 5),)))
+
+
+def test_largest_exponent_crosses_the_mp_transport():
+    top = terms.EXP_MASK
+    program = _parse(f"symbols x, y; local F = x^{top} + 2*y^{top - 1}; multiply y; .sort .end")
+    seq = run_program(program, RunConfig(nslaves=0)).expressions
+    mp = run_program(program, RunConfig(nslaves=2, chunk_size=1, backend="mp"))
+    assert mp.expressions == seq
+    assert mp.stats.serialized_bytes > 0
+    assert unpack_terms(seq["F"], 2) == ((1, ((0, top), (1, 1))), (2, ((1, top),)))

@@ -11,9 +11,11 @@ from parterm.parser import (
     format_expression,
     parse_program,
 )
-from parterm.terms import SymbolTable, normalize
+from parterm import terms
+from parterm.terms import SymbolTable
+from parterm.transport import deserialize_terms, serialize_terms
 
-from oracles import random_expression
+from oracles import oracle_normalize, pack_terms, random_expression, unpack_terms
 
 
 def test_binomial_square_program():
@@ -24,7 +26,7 @@ def test_binomial_square_program():
     (name, value), = program.initial
     assert name == "F"
     # x^2 + 2xy + y^2
-    assert value == ((1, ((0, 2),)), (2, ((0, 1), (1, 1))), (1, ((1, 2),)))
+    assert unpack_terms(value, 2) == ((1, ((0, 2),)), (2, ((0, 1), (1, 1))), (1, ((1, 2),)))
 
 
 def test_id_statement_structure():
@@ -33,34 +35,35 @@ def test_id_statement_structure():
     stmt, = program.modules[0].statements
     assert isinstance(stmt, IdSubst)
     assert stmt.target == 0
-    assert stmt.rhs == ((1, ((0, 1),)), (1, ()))
+    assert unpack_terms(stmt.rhs, 1) == ((1, ((0, 1),)), (1, ()))
 
 
 def test_multiply_statement_structure():
     program = parse_program("symbols x,y; multiply -2*x*y; .sort .end")
     stmt, = program.modules[0].statements
     assert isinstance(stmt, Multiply)
-    assert stmt.factor == ((-2, ((0, 1), (1, 1))),)
+    assert unpack_terms(stmt.factor, 2) == ((-2, ((0, 1), (1, 1))),)
 
 
 def test_precedence_and_unary_minus():
     program = parse_program("symbols x,y; local F = -x^2 + 2*-3 - -y; .sort .end")
     (_, value), = program.initial
-    expected = normalize([(-1, ((0, 2),)), (1, ((1, 1),)), (-6, ())], 2)
-    assert value == expected
+    expected = oracle_normalize([(-1, ((0, 2),)), (1, ((1, 1),)), (-6, ())], 2)
+    assert unpack_terms(value, 2) == expected
 
 
 def test_power_of_parenthesized_and_integer_base():
     program = parse_program("symbols x; local F = (x+1)^2 + 2^3; .sort .end")
     (_, value), = program.initial
-    assert value == normalize([(1, ((0, 2),)), (2, ((0, 1),)), (9, ())], 1)
+    assert unpack_terms(value, 1) == oracle_normalize(
+        [(1, ((0, 2),)), (2, ((0, 1),)), (9, ())], 1)
 
 
 def test_comment_and_whitespace_insensitivity():
     text = "* leading comment\nsymbols   x ,y;\n* another\nlocal F=x \n + y;\n.sort\n.end\n"
     program = parse_program(text)
     (_, value), = program.initial
-    assert value == ((1, ((0, 1),)), (1, ((1, 1),)))
+    assert unpack_terms(value, 2) == ((1, ((0, 1),)), (1, ((1, 1),)))
 
 
 def test_multiple_modules_and_empty_module():
@@ -94,11 +97,15 @@ def test_errors_carry_position(text, fragment, line, col):
 
 def test_format_examples():
     tab = SymbolTable(["x", "y"])
-    assert format_expression(((2, ((0, 1), (1, 1))),), tab) == "2*x*y"
-    assert format_expression((), tab) == "0"
-    assert format_expression(((1, ()),), tab) == "1"
-    assert format_expression(((-1, ((0, 1),)), (-7, ())), tab) == "-x-7"
-    assert format_expression(((1, ((0, 2),)), (-3, ((1, 1),))), tab) == "x^2-3*y"
+
+    def fmt(e):
+        return format_expression(pack_terms(e, 2), tab)
+
+    assert fmt(((2, ((0, 1), (1, 1))),)) == "2*x*y"
+    assert fmt(()) == "0"
+    assert fmt(((1, ()),)) == "1"
+    assert fmt(((-1, ((0, 1),)), (-7, ()))) == "-x-7"
+    assert fmt(((1, ((0, 2),)), (-3, ((1, 1),)))) == "x^2-3*y"
 
 
 def test_parse_is_deterministic():
@@ -118,7 +125,7 @@ st_expression = st.lists(
               st.lists(st.integers(0, 5), min_size=NSYM, max_size=NSYM).map(
                   lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e))),
     max_size=8,
-).map(lambda raw: normalize(raw, NSYM))
+).map(lambda raw: pack_terms(oracle_normalize(raw, NSYM), NSYM))
 
 
 @given(st_expression)
@@ -140,3 +147,37 @@ def test_round_trip_on_big_random_coefficients():
         text = f"symbols {_NAMES}; local F = {format_expression(e, tab)}; .sort .end"
         (_, value), = parse_program(text).initial
         assert value == e
+
+
+def test_largest_exponent_parses_formats_and_crosses_the_wire():
+    top = terms.EXP_MASK  # 2**32 - 1, the wire format's largest u32 exponent
+    program = parse_program(f"symbols x, y; local F = 3*x^{top}*y + y^{top}; .sort .end")
+    (_, value), = program.initial
+    assert unpack_terms(value, 2) == ((3, ((0, top), (1, 1))), (1, ((1, top),)))
+    assert format_expression(value, program.symtab) == f"3*x^{top}*y+y^{top}"
+    assert deserialize_terms(serialize_terms(value, 2), 2) == value
+
+
+@pytest.mark.parametrize("text,col", [
+    ("symbols x; local F = x^4294967296; .sort .end", 24),
+    ("symbols x; local F = (x^2147483648 + 1)^2; .sort .end", 41),
+    ("symbols x; local F = x^4294967295*x; .sort .end", 34),
+])
+def test_exponent_overflow_is_a_parse_error(text, col):
+    with pytest.raises(ParseError, match="exponent overflow") as err:
+        parse_program(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_symbols_after_a_local_match_declaring_them_up_front():
+    late = parse_program(
+        "symbols x; local F = (x+2)^3; symbols y, z; local G = x*y - z;"
+        " symbols w; multiply x + w; .sort .end")
+    early = parse_program(
+        "symbols x, y, z, w; local F = (x+2)^3; local G = x*y - z;"
+        " multiply x + w; .sort .end")
+    assert late.symtab.names == early.symtab.names
+    assert late.initial == early.initial
+    assert late.modules == early.modules
+    assert unpack_terms(late.initial[0][1], 4) == (
+        (1, ((0, 3),)), (6, ((0, 2),)), (12, ((0, 1),)), (8, ()))

@@ -10,99 +10,100 @@ from parterm.sortmerge import (
 )
 from parterm.terms import add_expressions, is_normalized, normalize
 
-from oracles import random_terms
+from oracles import oracle_normalize, pack, pack_terms, random_packed_terms, random_terms
 
 NSYM = 4
 
 
-def _runs_from(raws, nsymbols=NSYM):
-    return [build_run(raw, i, nsymbols) for i, raw in enumerate(raws)]
+def _runs_from(raws):
+    return [build_run(raw, i) for i, raw in enumerate(raws)]
 
 
 def test_build_run_sorts_and_tags():
     batch = [(5, ((1, 2),)), (10, ((1, 1), (2, 1))), (5, ((2, 2),))]
-    run = build_run(batch, worker=3, nsymbols=3)
+    run = build_run(pack_terms(batch, 3), worker=3)
     assert run.producer == 3
-    assert run.terms == normalize(batch, 3)
+    assert run.terms == pack_terms(oracle_normalize(batch, 3), 3)
     assert len(run.terms) == 3
 
 
 def test_build_run_cancellation():
-    x = ((0, 1),)
-    assert build_run([(1, x), (-1, x)], 0, 1).terms == ()
+    x = pack(((0, 1),), 1)
+    assert build_run([(1, x), (-1, x)], 0).terms == ()
 
 
 def test_build_run_matches_normalize_on_random_batches():
     rng = random.Random(41)
     for _ in range(100):
         raw = random_terms(rng, NSYM, rng.randint(0, 25))
-        assert build_run(raw, 0, NSYM).terms == normalize(raw, NSYM)
+        assert build_run(pack_terms(raw, NSYM), 0).terms == \
+            pack_terms(oracle_normalize(raw, NSYM), NSYM)
 
 
 def test_merge_cross_run_cancellation():
-    x, y = ((0, 1),), ((1, 1),)
-    runs = _runs_from([[(1, x), (1, y)], [(1, x), (-1, y)]], 2)
-    assert merge_runs(runs, 2) == ((2, x),)
+    x, y = pack(((0, 1),), 2), pack(((1, 1),), 2)
+    runs = _runs_from([[(1, x), (1, y)], [(1, x), (-1, y)]])
+    assert merge_runs(runs) == ((2, x),)
 
 
 def test_merge_single_run_identity():
     rng = random.Random(43)
-    raw = random_terms(rng, NSYM, 12)
-    run = build_run(raw, 0, NSYM)
-    assert merge_runs([run], NSYM) == run.terms
+    raw = random_packed_terms(rng, NSYM, 12)
+    run = build_run(raw, 0)
+    assert merge_runs([run]) == run.terms
 
 
 def test_merge_empty_inputs():
-    assert merge_runs([], NSYM) == ()
-    assert merge_runs(_runs_from([[], []]), NSYM) == ()
+    assert merge_runs([]) == ()
+    assert merge_runs(_runs_from([[], []])) == ()
 
 
 def test_merge_equals_normalize_of_concatenation():
     rng = random.Random(47)
     for _ in range(100):
-        raws = [random_terms(rng, NSYM, rng.randint(0, 15)) for _ in range(8)]
+        raws = [random_packed_terms(rng, NSYM, rng.randint(0, 15)) for _ in range(8)]
         runs = _runs_from(raws)
-        merged = merge_runs(runs, NSYM)
-        assert merged == normalize([t for raw in raws for t in raw], NSYM)
+        merged = merge_runs(runs)
+        assert merged == normalize([t for raw in raws for t in raw])
         assert is_normalized(merged)
 
 
 def test_merge_permutation_invariant():
     rng = random.Random(53)
-    raws = [random_terms(rng, NSYM, 10) for _ in range(6)]
+    raws = [random_packed_terms(rng, NSYM, 10) for _ in range(6)]
     runs = _runs_from(raws)
-    reference = merge_runs(runs, NSYM)
+    reference = merge_runs(runs)
     for _ in range(10):
         shuffled = runs[:]
         rng.shuffle(shuffled)
-        assert merge_runs(shuffled, NSYM) == reference
+        assert merge_runs(shuffled) == reference
 
 
 def test_merge_two_runs_equals_add_expressions():
     rng = random.Random(59)
     for _ in range(50):
-        a = normalize(random_terms(rng, NSYM, 10), NSYM)
-        b = normalize(random_terms(rng, NSYM, 10), NSYM)
+        a = normalize(random_packed_terms(rng, NSYM, 10))
+        b = normalize(random_packed_terms(rng, NSYM, 10))
         runs = [SortedRun(a, 0), SortedRun(b, 1)]
-        assert merge_runs(runs, NSYM) == add_expressions(a, b)
+        assert merge_runs(runs) == add_expressions(a, b)
 
 
 def test_merge_associative_over_grouping():
     rng = random.Random(61)
-    raws = [random_terms(rng, NSYM, 8) for _ in range(7)]
+    raws = [random_packed_terms(rng, NSYM, 8) for _ in range(7)]
     runs = _runs_from(raws)
-    flat = merge_runs(runs, NSYM)
+    flat = merge_runs(runs)
     # left fold of pairwise merges
     acc = runs[0].terms
     for r in runs[1:]:
-        acc = merge_runs([SortedRun(acc, 0), r], NSYM)
+        acc = merge_runs([SortedRun(acc, 0), r])
     assert acc == flat
     # balanced tree of merges
     level = runs
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):
-            nxt.append(SortedRun(merge_runs(level[i:i + 2], NSYM), i))
+            nxt.append(SortedRun(merge_runs(level[i:i + 2]), i))
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
@@ -113,14 +114,14 @@ def test_comparison_count_stays_under_bound():
     rng = random.Random(67)
     for k in (1, 2, 3, 4, 8, 16):
         for n in (1, 20, 200):
-            raws = [random_terms(rng, NSYM, n) for _ in range(k)]
+            raws = [random_packed_terms(rng, NSYM, n) for _ in range(k)]
             runs = _runs_from(raws)
             total = sum(len(r.terms) for r in runs)
             if total == 0:
                 continue
             counter = ComparisonCounter()
-            instrumented = merge_runs(runs, NSYM, counter)
-            assert instrumented == merge_runs(runs, NSYM)
+            instrumented = merge_runs(runs, counter)
+            assert instrumented == merge_runs(runs)
             assert counter.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
 
 
@@ -129,11 +130,11 @@ def test_comparison_count_beats_sort_from_scratch_asymptotics():
     # from-scratch sort would need, so passing it rules that approach out.
     rng = random.Random(71)
     k, n = 8, 20000
-    raws = [[(1, ((0, rng.randint(1, 10**6)),)) for _ in range(n)] for _ in range(k)]
-    runs = _runs_from(raws, 1)
+    raws = [[(1, pack(((0, rng.randint(1, 10**6)),), 1)) for _ in range(n)] for _ in range(k)]
+    runs = _runs_from(raws)
     total = sum(len(r.terms) for r in runs)
     counter = ComparisonCounter()
-    merge_runs(runs, 1, counter)
+    merge_runs(runs, counter)
     bound = MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
     assert counter.count <= bound
     assert bound < total * math.log2(total)

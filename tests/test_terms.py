@@ -6,34 +6,43 @@ from hypothesis import strategies as st
 
 from parterm import terms
 from parterm.terms import (
+    EXP_MASK,
+    ExponentOverflowError,
     Ordering,
     SymbolTable,
     add_expressions,
     compare_monomials,
-    dense_key,
     is_normalized,
     multiply_expressions,
-    multiply_terms,
     normalize,
     pow_expression,
-    sparse_key,
 )
 
 from oracles import (
     brute_multiply,
     brute_power,
+    oracle_cmp,
     oracle_normalize,
+    pack,
+    pack_terms,
     random_expression,
     random_terms,
+    unpack,
 )
 
 NSYM = 4
 
-st_monomial = st.lists(st.integers(0, 5), min_size=0, max_size=NSYM).map(
+# Oracle-side (factor tuple) values; production values go through pack.
+st_factors = st.lists(st.integers(0, 5), min_size=0, max_size=NSYM).map(
     lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e >= 1))
-st_term = st.tuples(st.integers(-9, 9), st_monomial)
-st_raw = st.lists(st_term, max_size=10)
-st_expression = st_raw.map(lambda raw: normalize(raw, NSYM))
+st_monomial = st_factors.map(lambda f: pack(f, NSYM))
+st_raw_factors = st.lists(st.tuples(st.integers(-9, 9), st_factors), max_size=10)
+st_raw = st_raw_factors.map(lambda raw: list(pack_terms(raw, NSYM)))
+st_expression = st_raw.map(normalize)
+
+
+def _x(sid, nsym=NSYM):
+    return terms.symbol(sid, nsym)
 
 
 # -- symbol table ------------------------------------------------------------
@@ -54,23 +63,48 @@ def test_symbol_table_errors():
         tab.declare("x")
 
 
+# -- packed layout -------------------------------------------------------------
+
+def test_layout_puts_symbol_zero_in_the_top_field():
+    # x^2*y over (x, y): x's field sits 33 bits above y's
+    assert pack(((0, 2), (1, 1)), 2) == (2 << 33) | 1
+    assert terms.symbol(0, 2) == ((1, 1 << 33),)
+    assert terms.symbol(1, 2) == ((1, 1),)
+    assert terms.unpack((2 << 33) | 1, 2) == ((0, 2), (1, 1))
+    assert terms.unpack(terms.UNIT, 3) == ()
+
+
+@given(st_factors)
+def test_unpack_inverts_the_oracle_packing(f):
+    assert terms.unpack(pack(f, NSYM), NSYM) == f
+
+
+def test_symbol_rejects_out_of_range_ids():
+    with pytest.raises(terms.InvariantError, match="out of range"):
+        terms.symbol(2, 2)
+
+
 # -- monomial order ----------------------------------------------------------
 
 def test_compare_examples():
-    x2y = ((0, 2), (1, 1))
-    xy2 = ((0, 1), (1, 2))
+    x2y = pack(((0, 2), (1, 1)), 2)
+    xy2 = pack(((0, 1), (1, 2)), 2)
     assert compare_monomials(x2y, xy2, 2) is Ordering.EARLIER
     assert compare_monomials(xy2, xy2, 2) is Ordering.EQUAL
     # unit vs x: the greater dense vector (1,) sorts earlier
-    assert compare_monomials(((0, 1),), (), 1) is Ordering.EARLIER
-    assert compare_monomials((), ((0, 1),), 1) is Ordering.LATER
+    assert compare_monomials(pack(((0, 1),), 1), terms.UNIT, 1) is Ordering.EARLIER
+    assert compare_monomials(terms.UNIT, pack(((0, 1),), 1), 1) is Ordering.LATER
 
 
 def test_compare_rejects_out_of_range_ids():
+    # a field above symbol nsymbols - 1, i.e. symbol id 3 of 3 (or 7 of 3)
     with pytest.raises(terms.InvariantError, match="symbol id"):
-        compare_monomials(((3, 1),), (), 3)
+        compare_monomials(1 << (33 * 3), terms.UNIT, 3)
     with pytest.raises(terms.InvariantError, match="symbol id"):
-        compare_monomials((), ((7, 2),), 3)
+        compare_monomials(terms.UNIT, 2 << (33 * 7), 3)
+    # a set guard bit is an exponent no field can hold
+    with pytest.raises(terms.InvariantError, match="exponent"):
+        compare_monomials(1 << 32, terms.UNIT, 3)
 
 
 @given(st_monomial, st_monomial)
@@ -82,89 +116,140 @@ def test_compare_antisymmetric(a, b):
 
 @given(st_monomial, st_monomial, st_monomial)
 def test_compare_transitive(a, b, c):
-    ordered = sorted([a, b, c], key=lambda m: dense_key(m, NSYM))
+    ordered = sorted([a, b, c], reverse=True)
     for earlier, later in zip(ordered, ordered[1:]):
         assert compare_monomials(earlier, later, NSYM) in (Ordering.EARLIER, Ordering.EQUAL)
 
 
-@given(st_monomial, st_monomial)
+@given(st_factors, st_factors)
 def test_sort_keys_agree_with_comparison(a, b):
-    c = int(compare_monomials(a, b, NSYM))
-    dense = (dense_key(a, NSYM) > dense_key(b, NSYM)) - (dense_key(a, NSYM) < dense_key(b, NSYM))
-    sparse = (sparse_key(a) > sparse_key(b)) - (sparse_key(a) < sparse_key(b))
-    assert dense == c
-    assert sparse == c
+    # the packed int is the sort key: descending int order is the oracle's
+    # dense-vector order
+    c = oracle_cmp(a, b, NSYM)
+    pa, pb = pack(a, NSYM), pack(b, NSYM)
+    assert (pa < pb) - (pa > pb) == c
+    assert int(compare_monomials(pa, pb, NSYM)) == c
 
 
 # -- term arithmetic ---------------------------------------------------------
 
 def test_multiply_terms_examples():
-    x = ((0, 1),)
-    xy = ((0, 1), (1, 1))
-    assert multiply_terms((3, x), (2, xy)) == (6, ((0, 2), (1, 1)))
-    assert multiply_terms((7, xy), (1, ())) == (7, xy)
-    assert multiply_terms((-2, ((1, 2),)), (5, ((1, 1),))) == (-10, ((1, 3),))
+    x = pack(((0, 1),), 2)
+    xy = pack(((0, 1), (1, 1)), 2)
+
+    def times(a, b):
+        (t,) = multiply_expressions((a,), (b,))
+        return t
+
+    assert times((3, x), (2, xy)) == (6, pack(((0, 2), (1, 1)), 2))
+    assert times((7, xy), (1, terms.UNIT)) == (7, xy)
+    assert times((-2, pack(((1, 2),), 2)), (5, pack(((1, 1),), 2))) == (-10, pack(((1, 3),), 2))
+
+
+@given(st_factors, st_factors)
+def test_multiplying_monomials_adds_exponents(a, b):
+    exps = dict(a)
+    for sid, e in b:
+        exps[sid] = exps.get(sid, 0) + e
+    (product,) = multiply_expressions(((1, pack(a, NSYM)),), ((1, pack(b, NSYM)),))
+    assert unpack(product[1], NSYM) == tuple(sorted(exps.items()))
+
+
+def test_largest_exponent_survives_multiply():
+    top = EXP_MASK  # 2**32 - 1, the wire format's largest u32 exponent
+    for sid in range(3):  # top, middle and bottom field
+        near = pack(((sid, top - 1),), 3)
+        one = pack(((sid, 1),), 3)
+        got = pack(((sid, top),), 3)
+        assert multiply_expressions(((1, near), (2, one)), ((1, one),)) == \
+            ((1, got), (2, pack(((sid, 2),), 3)))
+        assert pow_expression(((1, one),), top) == ((1, got),)
+
+
+def test_exponent_two_to_the_32_raises_instead_of_wrapping():
+    for sid in range(3):
+        top = pack(((sid, EXP_MASK),), 3)
+        one = pack(((sid, 1),), 3)
+        with pytest.raises(ExponentOverflowError):
+            multiply_expressions(((1, top),), ((1, one),))
+        with pytest.raises(ExponentOverflowError):
+            multiply_expressions(((1, one), (1, terms.UNIT)), ((5, top),))
+        with pytest.raises(ExponentOverflowError):
+            pow_expression(((1, one),), EXP_MASK + 1)
+        with pytest.raises(ExponentOverflowError):
+            pow_expression(add_expressions(((1, pack(((sid, 1 << 31),), 3)),), terms.ONE), 2)
+    # the overflowing product y^(2**32) is not the largest one, x^3
+    a = pack_terms(((1, ((0, 2),)), (1, ((1, EXP_MASK),))), 2)
+    with pytest.raises(ExponentOverflowError):
+        multiply_expressions(a, add_expressions(_x(0, 2), _x(1, 2)))
+    assert issubclass(ExponentOverflowError, terms.InvariantError)
 
 
 # -- normalize ---------------------------------------------------------------
 
 def test_normalize_examples():
-    x = ((0, 1),)
-    y = ((1, 1),)
-    assert normalize([(3, x), (-3, x), (2, y)], 2) == ((2, y),)
-    assert normalize([], 2) == ()
-    raw = [(1, x), (1, y), (1, x)]
-    assert normalize(raw, 2) == oracle_normalize(raw, 2)
-    assert normalize(raw, 2) == ((2, x), (1, y))
+    x = pack(((0, 1),), 2)
+    y = pack(((1, 1),), 2)
+    assert normalize([(3, x), (-3, x), (2, y)]) == ((2, y),)
+    assert normalize([]) == ()
+    raw = [(1, ((0, 1),)), (1, ((1, 1),)), (1, ((0, 1),))]
+    assert normalize(pack_terms(raw, 2)) == pack_terms(oracle_normalize(raw, 2), 2)
+    assert normalize(pack_terms(raw, 2)) == ((2, x), (1, y))
 
 
 def test_normalize_matches_oracle_on_random_input():
     rng = random.Random(11)
     for _ in range(200):
         raw = random_terms(rng, NSYM, rng.randint(0, 20))
-        got = normalize(raw, NSYM)
-        assert got == oracle_normalize(raw, NSYM)
+        got = normalize(pack_terms(raw, NSYM))
+        assert got == pack_terms(oracle_normalize(raw, NSYM), NSYM)
         assert is_normalized(got)
+
+
+@given(st_raw_factors)
+def test_packed_normalize_agrees_with_oracle(raw):
+    assert normalize(pack_terms(raw, NSYM)) == pack_terms(oracle_normalize(raw, NSYM), NSYM)
 
 
 @given(st_raw)
 def test_normalize_idempotent(raw):
-    once = normalize(raw, NSYM)
-    assert normalize(once, NSYM) == once
+    once = normalize(raw)
+    assert normalize(once) == once
 
 
 @given(st_raw, st.randoms(use_true_random=False))
 def test_normalize_permutation_invariant(raw, rng):
     shuffled = list(raw)
     rng.shuffle(shuffled)
-    assert normalize(shuffled, NSYM) == normalize(raw, NSYM)
+    assert normalize(shuffled) == normalize(raw)
 
 
 # -- expression ring ---------------------------------------------------------
 
 def test_difference_of_squares():
-    x, y = terms.symbol(0), terms.symbol(1)
+    x, y = _x(0, 2), _x(1, 2)
     xpy = add_expressions(x, y)
     xmy = add_expressions(x, terms.negate_expression(y))
     got = multiply_expressions(xpy, xmy)
-    assert got == ((1, ((0, 2),)), (-1, ((1, 2),)))
+    assert got == pack_terms(((1, ((0, 2),)), (-1, ((1, 2),))), 2)
 
 
 def test_pow_zero_is_one():
-    e = add_expressions(terms.symbol(0), terms.symbol(1))
-    assert pow_expression(e, 0) == ((1, ()),)
+    e = add_expressions(_x(0), _x(1))
+    assert pow_expression(e, 0) == ((1, terms.UNIT),)
+    assert pow_expression(_x(0), 0) == ((1, terms.UNIT),)
 
 
 def test_pow_negative_rejected():
     with pytest.raises(terms.InvariantError):
-        pow_expression(terms.symbol(0), -1)
+        pow_expression(_x(0), -1)
 
 
 def test_trinomial_eighth_power_term_count():
-    e = add_expressions(add_expressions(terms.symbol(0), terms.symbol(1)), terms.symbol(2))
+    e = add_expressions(add_expressions(_x(0, 3), _x(1, 3)), _x(2, 3))
     got = pow_expression(e, 8)
-    expected = brute_power(e, 8, 3)
-    assert got == expected
+    f = ((1, ((0, 1),)), (1, ((1, 1),)), (1, ((2, 1),)))
+    assert got == pack_terms(brute_power(f, 8, 3), 3)
     # stars and bars: (n+1)(n+2)/2 monomials for a trinomial power
     assert len(got) == (8 + 1) * (8 + 2) // 2 == 45
 
@@ -173,7 +258,7 @@ def test_trinomial_eighth_power_term_count():
 @settings(max_examples=50)
 def test_add_commutes_and_matches_normalize_concat(a, b):
     assert add_expressions(a, b) == add_expressions(b, a)
-    assert add_expressions(a, b) == normalize(a + b, NSYM)
+    assert add_expressions(a, b) == normalize(a + b)
 
 
 @given(st_expression, st_expression, st_expression)
@@ -188,10 +273,12 @@ def test_ring_laws(a, b, c):
     assert left == right
 
 
-@given(st_expression, st_expression)
+@given(st_raw_factors, st_raw_factors)
 @settings(max_examples=50)
-def test_multiply_matches_brute_oracle(a, b):
-    assert multiply_expressions(a, b) == brute_multiply(a, b, NSYM)
+def test_multiply_matches_brute_oracle(raw_a, raw_b):
+    a, b = oracle_normalize(raw_a, NSYM), oracle_normalize(raw_b, NSYM)
+    got = multiply_expressions(pack_terms(a, NSYM), pack_terms(b, NSYM))
+    assert got == pack_terms(brute_multiply(a, b, NSYM), NSYM)
 
 
 def test_results_are_normalized_random():

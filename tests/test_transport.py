@@ -20,13 +20,17 @@ from parterm.transport import (
     wire_size,
 )
 
-from oracles import hand_wire_bytes, random_terms
+from parterm.terms import EXP_MASK
+
+from oracles import hand_wire_bytes, pack, pack_terms, random_terms
+
+NSYM = 4
 
 
 # -- wire format -------------------------------------------------------------
 
 def test_golden_minus_one_unit_term():
-    data = serialize_terms([(-1, ())])
+    data = serialize_terms([(-1, 0)], NSYM)
     assert data == (
         b"\x01\x00\x00\x00"  # term count 1
         b"\x01"              # sign: minus
@@ -34,19 +38,20 @@ def test_golden_minus_one_unit_term():
         b"\x01"              # magnitude 1
         b"\x00\x00"          # factor count 0
     )
-    assert deserialize_terms(data) == ((-1, ()),)
+    assert deserialize_terms(data, NSYM) == ((-1, 0),)
 
 
 def test_golden_empty_sequence_is_header_only():
-    assert serialize_terms([]) == b"\x00\x00\x00\x00"
-    assert deserialize_terms(b"\x00\x00\x00\x00") == ()
+    assert serialize_terms([], NSYM) == b"\x00\x00\x00\x00"
+    assert deserialize_terms(b"\x00\x00\x00\x00", NSYM) == ()
 
 
 def test_golden_zero_coefficient():
-    data = serialize_terms([(0, ((2, 1),))])
+    z = pack(((2, 1),), 3)
+    data = serialize_terms([(0, z)], 3)
     assert data == b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" b"\x01\x00" \
                    b"\x02\x00\x00\x00" b"\x01\x00\x00\x00"
-    assert deserialize_terms(data) == ((0, ((2, 1),)),)
+    assert deserialize_terms(data, 3) == ((0, z),)
 
 
 st_terms = st.lists(
@@ -60,15 +65,17 @@ st_terms = st.lists(
 @given(st_terms)
 @settings(max_examples=200)
 def test_round_trip_identity(ts):
-    assert deserialize_terms(serialize_terms(ts)) == tuple(ts)
+    packed = pack_terms(ts, NSYM)
+    assert deserialize_terms(serialize_terms(packed, NSYM), NSYM) == packed
 
 
 @given(st_terms)
 @settings(max_examples=100)
 def test_serialization_matches_hand_encoder(ts):
-    data = serialize_terms(ts)
+    packed = pack_terms(ts, NSYM)
+    data = serialize_terms(packed, NSYM)
     assert data == hand_wire_bytes(ts)
-    assert len(data) == wire_size(ts)
+    assert len(data) == wire_size(packed, NSYM)
 
 
 @pytest.mark.parametrize("data,fragment,offset", [
@@ -89,27 +96,51 @@ def test_serialization_matches_hand_encoder(ts):
 ])
 def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
     with pytest.raises(WireError) as err:
-        deserialize_terms(data)
+        deserialize_terms(data, NSYM)
     assert fragment in str(err.value)
     assert err.value.offset == offset
     assert f"offset {offset}" in str(err.value)
 
 
 def test_serialize_rejects_oversized_fields():
-    with pytest.raises(WireError, match="u32"):
-        serialize_terms([(1, ((0, 1 << 33),))])
+    # 2**32 in a field sets its guard bit: not a valid monomial, not a u32
+    for sid in range(NSYM):
+        with pytest.raises(WireError, match="u32"):
+            serialize_terms([(1, pack(((sid, EXP_MASK),), NSYM) + pack(((sid, 1),), NSYM))],
+                            NSYM)
+    with pytest.raises(WireError, match="nsymbols"):
+        serialize_terms([(1, 1 << (33 * NSYM))], NSYM)
+    many = 70000  # exponent 1 for every symbol: more factors than a u16 counts
+    ones = int(("0" * 32 + "1") * many, 2)
     with pytest.raises(WireError, match="u16"):
-        serialize_terms([(1, tuple((i, 1) for i in range(70000)))])
+        serialize_terms([(1, ones)], many)
+
+
+def test_largest_exponent_round_trips_in_every_field():
+    for sid in range(NSYM):
+        other = (sid + 1) % NSYM
+        ts = ((1, ((sid, EXP_MASK),)), (-2, tuple(sorted([(sid, EXP_MASK), (other, 7)]))))
+        data = serialize_terms(pack_terms(ts, NSYM), NSYM)
+        assert data == hand_wire_bytes(ts)
+        assert deserialize_terms(data, NSYM) == pack_terms(ts, NSYM)
+
+
+def test_decode_rejects_symbol_ids_beyond_the_program():
+    data = hand_wire_bytes([(1, ((1, 2),))])
+    assert deserialize_terms(data, 2) == ((1, pack(((1, 2),), 2)),)
+    with pytest.raises(WireError, match="symbol id 1 >= nsymbols 1") as err:
+        deserialize_terms(data, 1)
+    assert err.value.offset == 12
 
 
 # -- backends ----------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_loopback_fidelity(backend):
-    transport = make_transport(backend, nslaves=2)
+    transport = make_transport(backend, nslaves=2, nsymbols=NSYM)
     master = transport.master_endpoint()
     slave = transport.slave_endpoint(1)
-    payload = ((1, ((0, 1),)), (1, ((1, 1),)))
+    payload = pack_terms(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
     sent = Message(MessageKind.CHUNK_ASSIGNMENT, chunk_seq=0, payload=payload)
     master.send(Endpoint.slave(1), sent)
     got = slave.recv()
@@ -121,34 +152,35 @@ def test_loopback_fidelity(backend):
 
 
 def test_mp_copies_but_sm_transfers_ownership():
-    payload = ((5, ((0, 2),)),)
-    mp = make_transport("mp", 1)
+    payload = pack_terms(((5, ((0, 2),)),), NSYM)
+    mp = make_transport("mp", 1, NSYM)
     mp.master_endpoint().send(
         Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
     got = mp.slave_endpoint(0).recv()
     assert got.payload == payload and got.payload is not payload
 
-    sm = make_transport("sm", 1)
+    sm = make_transport("sm", 1, NSYM)
     sm.master_endpoint().send(
         Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
     assert sm.slave_endpoint(0).recv().payload is payload
 
 
 def test_mp_accounting_is_exact_per_message():
-    transport = make_transport("mp", 1)
+    transport = make_transport("mp", 1, NSYM)
     master = transport.master_endpoint()
-    payload = ((5, ((0, 2),)),)  # one term: 4 + (1+4+1+2+8) = 20 bytes
+    factors = ((5, ((0, 2),)),)  # one term: 4 + (1+4+1+2+8) = 20 bytes
+    payload = pack_terms(factors, NSYM)
     master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
     stats = transport.stats()
-    assert stats.serialized_bytes == len(hand_wire_bytes(payload)) == 20
+    assert stats.serialized_bytes == len(hand_wire_bytes(factors)) == 20
     assert stats.messages_master_to_slave == 1
     assert stats.handle_transfers == 0
 
 
 def test_sm_accounting_counts_handles_not_bytes():
-    transport = make_transport("sm", 1)
+    transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
-    payload = ((5, ((0, 2),)),)
+    payload = pack_terms(((5, ((0, 2),)),), NSYM)
     master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
     stats = transport.stats()
     assert stats.serialized_bytes == 0
@@ -158,36 +190,37 @@ def test_sm_accounting_counts_handles_not_bytes():
 
 def test_accounting_sums_both_directions():
     rng = random.Random(83)
-    transport = make_transport("mp", 2)
+    transport = make_transport("mp", 2, NSYM)
     master = transport.master_endpoint()
     slaves = [transport.slave_endpoint(i) for i in range(2)]
     expected = 0
     for i in range(6):
-        payload = tuple(random_terms(rng, 3, rng.randint(1, 5)))
+        payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
         expected += len(hand_wire_bytes(payload))
-        master.send(Endpoint.slave(i % 2), Message(MessageKind.CHUNK_ASSIGNMENT, i, payload))
+        master.send(Endpoint.slave(i % 2),
+                    Message(MessageKind.CHUNK_ASSIGNMENT, i, pack_terms(payload, NSYM)))
         got = slaves[i % 2].recv()
-        reply = tuple(random_terms(rng, 3, rng.randint(0, 4)))
+        reply = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
         expected += len(hand_wire_bytes(reply))
-        slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=reply))
+        slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=pack_terms(reply, NSYM)))
         master.recv_any()
     assert transport.stats().serialized_bytes == expected
     assert transport.stats().messages == 12
 
 
 def test_chunk_assignment_validation():
-    transport = make_transport("sm", 1)
+    transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
     with pytest.raises(ValueError, match="nonempty"):
         master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, ()))
     with pytest.raises(ValueError, match="chunk_seq"):
         master.send(Endpoint.slave(0),
-                    Message(MessageKind.CHUNK_ASSIGNMENT, None, ((1, ()),)))
+                    Message(MessageKind.CHUNK_ASSIGNMENT, None, ((1, 0),)))
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_channel_closed_after_shutdown(backend):
-    transport = make_transport(backend, 1)
+    transport = make_transport(backend, 1, NSYM)
     master = transport.master_endpoint()
     slave = transport.slave_endpoint(0)
     master.send(Endpoint.slave(0), Message(MessageKind.SHUTDOWN))
@@ -201,7 +234,7 @@ def test_channel_closed_after_shutdown(backend):
 
 
 def test_star_topology_has_no_slave_to_slave_api():
-    transport = make_transport("sm", 2)
+    transport = make_transport("sm", 2, NSYM)
     slave = transport.slave_endpoint(0)
     # The only transmit primitive a slave has is reply-to-master: it takes no
     # destination, and no send() exists on the slave side.
@@ -215,9 +248,9 @@ def test_star_topology_has_no_slave_to_slave_api():
 
 
 def test_bounded_mailbox_blocks_sender():
-    transport = make_transport("sm", 1, mailbox_bound=2)
+    transport = make_transport("sm", 1, NSYM, mailbox_bound=2)
     master = transport.master_endpoint()
-    payload = ((1, ()),)
+    payload = ((1, 0),)
     done = threading.Event()
 
     def sender():
@@ -236,7 +269,7 @@ def test_bounded_mailbox_blocks_sender():
 
 
 def test_recv_any_nonblocking_and_timeout():
-    transport = make_transport("sm", 1)
+    transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
     assert master.recv_any(block=False) is None
     assert master.recv_any(timeout=0.01) is None
@@ -244,7 +277,7 @@ def test_recv_any_nonblocking_and_timeout():
 
 def test_make_transport_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
-        make_transport("tcp", 1)
+        make_transport("tcp", 1, NSYM)
 
 
 def test_backend_classes_expose_names():
