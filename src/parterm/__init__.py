@@ -12,8 +12,6 @@ from .engine import (
     PhaseMetrics,
     ProgramRunResult,
     RunConfig,
-    execute_parallel,
-    execute_sequential,
     run_program,
 )
 from .parser import ParseError, Program, format_expression, parse_program
@@ -34,8 +32,6 @@ __all__ = [
     "SymbolTable",
     "Term",
     "TransportStats",
-    "execute_parallel",
-    "execute_sequential",
     "format_expression",
     "generate_workload",
     "parse_program",

@@ -43,6 +43,18 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _backend_list(text: str) -> list[str]:
     values = [part for part in text.split(",") if part]
     for v in values:
@@ -65,9 +77,9 @@ def _build_parser() -> _ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a program and print its expressions")
     p_run.add_argument("file")
-    p_run.add_argument("--slaves", type=int, default=_default_slaves())
+    p_run.add_argument("--slaves", type=_int_at_least(0), default=_default_slaves())
     p_run.add_argument("--backend", choices=sorted(BACKENDS), default="sm")
-    p_run.add_argument("--chunk", type=int, default=1000)
+    p_run.add_argument("--chunk", type=_int_at_least(1), default=1000)
     p_run.add_argument("--master-computes", action="store_true")
     p_run.add_argument("--out", default=None)
 
@@ -83,7 +95,7 @@ def _build_parser() -> _ArgumentParser:
     p_bench.add_argument("--quiet", action="store_true")
 
     p_verify = sub.add_parser("verify",
-                              help="check parallel results against the sequential executor")
+                              help="check parallel results against the zero-worker run")
     p_verify.add_argument("file")
     p_verify.add_argument("--slaves", type=_int_list, default=[1, 2, 4])
     p_verify.add_argument("--chunk", type=_int_list, default=[1, 7, 1000])
@@ -168,7 +180,7 @@ def _cmd_verify(args) -> int:
                         return EXIT_VERIFY
                     print(f"ok {label}")
                     checked += 1
-    print(f"verified {checked} configurations against the sequential executor")
+    print(f"verified {checked} configurations against the zero-worker run")
     return EXIT_OK
 
 

@@ -1,26 +1,33 @@
-"""Module execution: a sequential reference executor and the parallel engine.
+"""Program execution: one master and one session of workers per program run.
 
-The parallel engine runs one master and ``nslaves`` worker threads per module.
-Workers share nothing except their transport endpoint; all term data moves by
-message.  The session protocol, per module:
+A run starts ``nslaves`` worker threads once.  Every worker holds the
+program's module list and applies module *k* after it has seen *k* SORTs.
+Workers share nothing except their transport endpoint; all term data moves
+by message.  On each master-slave channel a run is, per module, CHUNK* then
+SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
 
-1. master sends ``ModuleBegin`` to every slave (the module opens);
-2. chunks are dispatched dynamically: one to each slave up front, then one
-   new chunk to a slave for each completion signal it returns (a completion
-   signal is a ``RunReturn`` with an empty payload);
-3. each slave rewrites every term of a chunk and keeps the raw output of all
-   its chunks together, unsorted;
-4. once every chunk is acknowledged the master sends ``ModuleBegin`` again,
-   the sort boundary; each slave combines and sorts its raw terms once into
-   its run and answers with one ``RunReturn`` carrying it;
-5. the master k-way-merges the collected runs (plus its own, if it joined the
-   computation) into the module's output, then sends ``Shutdown``; nothing
-   travels on a channel after its Shutdown.
+1. CHUNK*: the master splits every local expression of the module into
+   chunks tagged with their expression's index and deals them in one pass,
+   one outstanding chunk per worker; a worker rewrites each chunk, keeps the
+   raw output per expression, unsorted, and acknowledges it with an empty
+   ``RunReturn``;
+2. SORT: once every chunk is acknowledged the master sends ``Sort`` to each
+   worker; the worker combines and sorts its raw terms of each expression
+   once and answers with exactly one ``RunReturn`` per expression (an empty
+   run is allowed);
+3. the master k-way-merges the runs of each expression, one expression at a
+   time, into the module's output.
 
-With ``master_computes`` the master rewrites chunks itself whenever no
-completion signal is pending and unsent chunks remain.  A static round-robin
-dispatch mode exists purely for tests, to demonstrate that placement cannot
-change results.
+After the last module the master sends ``Shutdown`` to each worker once;
+nothing travels on a channel after its Shutdown.
+
+The dispatch loop hands an idle worker the next pending chunk, or with
+``static_dispatch`` (a test-only placement policy, to show that placement
+cannot change results) the next chunk whose ``seq % nslaves`` is that
+worker's id.  With ``master_computes`` the master rewrites a chunk itself
+whenever no acknowledgement is pending and chunks remain.  ``nslaves=0`` is
+the same loop with no workers and no transport: the master rewrites every
+chunk itself and merges its single run.
 """
 
 from __future__ import annotations
@@ -30,20 +37,17 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import rewrite, sortmerge, terms
 from .parser import Module, Program
-from .sortmerge import SortedRun
 from .terms import Expression
 from .transport import (
     BACKENDS,
-    MAILBOX_BOUND,
     Endpoint,
     Message,
     MessageKind,
     TransportStats,
-    _TransportBase,
     make_transport,
 )
 
@@ -62,13 +66,12 @@ class WorkerError(EngineError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one engine run; ``nslaves=0`` is the sequential sentinel."""
+    """Knobs for one engine run; with ``nslaves=0`` the master computes every chunk."""
 
     nslaves: int = 1
     chunk_size: int = 1000
     backend: str = "sm"
     master_computes: bool = False
-    mailbox_bound: int = MAILBOX_BOUND
     static_dispatch: bool = False  # test-only placement policy
 
     def __post_init__(self) -> None:
@@ -84,6 +87,21 @@ class RunConfig:
 class Chunk:
     seq: int
     terms: Expression
+    expr: int
+
+
+@dataclass
+class WorkerMetrics:
+    """One worker's (or the computing master's) share of one module.
+
+    Each worker writes only its own record.
+    """
+
+    compute_ns: int = 0
+    sort_ns: int = 0
+    busy_ns: int = 0
+    generated: int = 0
+    processed: int = 0
 
 
 @dataclass
@@ -92,40 +110,37 @@ class PhaseMetrics:
 
     ``t_distribute`` is the master's active partition/send time;
     ``master_busy`` is all master time not spent blocked waiting on slaves.
-    ``per_slave_busy``/``terms_processed`` are keyed by worker id, with
-    ``-1`` standing for a participating master.
+    ``workers`` is keyed by worker id, with ``-1`` standing for a computing
+    master; the derived figures are complete once the run has returned.
     """
 
     t_distribute: int = 0
-    t_compute_max: int = 0
-    t_local_sort_max: int = 0
     t_final_merge: int = 0
     t_wall: int = 0
     master_busy: int = 0
-    per_slave_busy: dict[int, int] = field(default_factory=dict)
-    terms_processed: dict[int, int] = field(default_factory=dict)
     terms_in: int = 0
-    terms_generated: int = 0
     terms_out: int = 0
+    workers: dict[int, WorkerMetrics] = field(default_factory=dict)
 
-    @staticmethod
-    def combine(parts: list["PhaseMetrics"]) -> "PhaseMetrics":
-        out = PhaseMetrics()
-        for p in parts:
-            out.t_distribute += p.t_distribute
-            out.t_compute_max = max(out.t_compute_max, p.t_compute_max)
-            out.t_local_sort_max = max(out.t_local_sort_max, p.t_local_sort_max)
-            out.t_final_merge += p.t_final_merge
-            out.t_wall += p.t_wall
-            out.master_busy += p.master_busy
-            for k, v in p.per_slave_busy.items():
-                out.per_slave_busy[k] = out.per_slave_busy.get(k, 0) + v
-            for k, v in p.terms_processed.items():
-                out.terms_processed[k] = out.terms_processed.get(k, 0) + v
-            out.terms_in += p.terms_in
-            out.terms_generated += p.terms_generated
-            out.terms_out += p.terms_out
-        return out
+    @property
+    def t_compute_max(self) -> int:
+        return max((w.compute_ns for w in self.workers.values()), default=0)
+
+    @property
+    def t_local_sort_max(self) -> int:
+        return max((w.sort_ns for w in self.workers.values()), default=0)
+
+    @property
+    def per_slave_busy(self) -> dict[int, int]:
+        return {i: w.busy_ns for i, w in self.workers.items() if i != MASTER_WORKER_ID}
+
+    @property
+    def terms_processed(self) -> dict[int, int]:
+        return {i: w.processed for i, w in self.workers.items()}
+
+    @property
+    def terms_generated(self) -> int:
+        return sum(w.generated for w in self.workers.values())
 
 
 @dataclass
@@ -136,277 +151,251 @@ class ProgramRunResult:
     stats: TransportStats
 
 
-def partition_chunks(e: Expression, chunk_size: int) -> list[Chunk]:
-    """Split an expression into contiguous chunks; concatenation restores it."""
-    return [Chunk(seq, e[i:i + chunk_size])
-            for seq, i in enumerate(range(0, len(e), chunk_size))]
+def partition_chunks(exprs: Sequence[Expression], chunk_size: int) -> list[Chunk]:
+    """Split every expression into contiguous chunks, numbered across all of
+    them; each expression's chunks, concatenated in order, restore it."""
+    chunks: list[Chunk] = []
+    for expr, e in enumerate(exprs):
+        for i in range(0, len(e), chunk_size):
+            chunks.append(Chunk(len(chunks), e[i:i + chunk_size], expr))
+    return chunks
 
 
-def execute_sequential(e: Expression, m: Module, nsymbols: int) -> Expression:
-    """Reference executor: rewrite every term, then one full normalize."""
-    return _sequential_module(e, m, nsymbols)[0]
+def _rewrite_chunk(chunk_terms: Expression, m: Module, nsymbols: int,
+                   raw: list[terms.Term], metrics: WorkerMetrics) -> None:
+    t0 = perf_counter_ns()
+    out = rewrite.apply_module_to_chunk(chunk_terms, m, nsymbols)
+    raw.extend(out)
+    metrics.compute_ns += perf_counter_ns() - t0
+    metrics.generated += len(out)
+    metrics.processed += len(chunk_terms)
 
 
-@dataclass
-class _WorkerSlot:
-    """Out-of-band per-worker metrics; each worker writes only its own slot."""
+def _sort_runs(raw: list[list[terms.Term]], metrics: WorkerMetrics) -> list[Expression]:
+    """Combine and sort the raw terms of each expression once: the runs.
 
-    compute_ns: int = 0
-    sort_ns: int = 0
-    busy_ns: int = 0
-    generated: int = 0
-    processed: int = 0
-    error: Optional[str] = None
+    Empties each raw list, so the raw terms are freed before the runs travel.
+    """
+    t0 = perf_counter_ns()
+    runs = []
+    for r in raw:
+        runs.append(terms.normalize(r))
+        r.clear()
+    metrics.sort_ns += perf_counter_ns() - t0
+    return runs
 
 
-def _slave_loop(endpoint, module: Module, nsymbols: int, slot: _WorkerSlot) -> None:
-    raw: list[terms.Term] = []
-    began = False
+def _return_runs(endpoint, raw: list[list[terms.Term]], metrics: WorkerMetrics) -> None:
+    """Answer a SORT with one run per expression; the worker keeps none of them."""
+    for expr, run in enumerate(_sort_runs(raw, metrics)):
+        endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run, expr=expr))
+
+
+def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
+                metrics: list[WorkerMetrics], errors: list[Optional[str]]) -> None:
+    k = 0
+    raw: list[list[terms.Term]] = [[] for _ in range(nexprs)]
     try:
         while True:
             msg = endpoint.recv()
-            if msg.kind is MessageKind.MODULE_BEGIN:
-                if began:  # sort boundary: combine and sort once, return the run
-                    t0 = perf_counter_ns()
-                    run = sortmerge.build_run(raw, endpoint.worker)
-                    raw = []
-                    t1 = perf_counter_ns()
-                    endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run.terms))
-                    slot.sort_ns += t1 - t0
-                    slot.busy_ns += perf_counter_ns() - t0
-                else:
-                    began = True
-            elif msg.kind is MessageKind.CHUNK_ASSIGNMENT:
-                t0 = perf_counter_ns()
-                batch = rewrite.apply_module_to_chunk(msg.payload, module, nsymbols,
-                                                      msg.chunk_seq)
-                raw.extend(batch.terms)
-                t1 = perf_counter_ns()
-                endpoint.reply(Message(MessageKind.RUN_RETURN, payload=()))
-                slot.compute_ns += t1 - t0
-                slot.busy_ns += perf_counter_ns() - t0
-                slot.generated += len(batch.terms)
-                slot.processed += len(msg.payload)
-            elif msg.kind is MessageKind.SHUTDOWN:
+            if msg.kind is MessageKind.SHUTDOWN:
                 break
+            t0 = perf_counter_ns()
+            mine = metrics[k]
+            if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
+                _rewrite_chunk(msg.payload, modules[k], nsymbols, raw[msg.expr], mine)
+                endpoint.reply(Message(MessageKind.RUN_RETURN, msg.chunk_seq))
+            elif msg.kind is MessageKind.SORT:
+                _return_runs(endpoint, raw, mine)
+                k += 1
             else:  # pragma: no cover - protocol violation
                 raise EngineError(f"unexpected message kind {msg.kind}")
+            mine.busy_ns += perf_counter_ns() - t0
     except Exception:
-        slot.error = traceback.format_exc()
+        errors[endpoint.worker] = traceback.format_exc()
 
 
-def execute_parallel(
-    e: Expression,
-    m: Module,
-    nsymbols: int,
-    cfg: RunConfig,
-    transport: Optional[_TransportBase] = None,
-) -> tuple[Expression, PhaseMetrics, TransportStats]:
-    """Run one module through the master/slave engine.
+class _Session:
+    """The workers and the transport of one run: started once, shut down once.
 
-    The result is structurally identical to :func:`execute_sequential` for
-    every configuration; only metrics and transport stats vary.
+    ``metrics[k]`` holds every participant's :class:`WorkerMetrics` for
+    module ``k``.
     """
-    if cfg.nslaves < 1:
-        raise ValueError("execute_parallel needs nslaves >= 1")
-    if transport is None:
-        transport = make_transport(cfg.backend, cfg.nslaves, nsymbols, cfg.mailbox_bound)
-    elif transport.nslaves != cfg.nslaves:
-        raise ValueError("transport slave count does not match config")
-    elif transport.nsymbols != nsymbols:
-        raise ValueError("transport symbol count does not match the program")
 
+    def __init__(self, program: Program, cfg: RunConfig):
+        self.cfg = cfg
+        self.modules = program.modules
+        self.nsymbols = len(program.symtab)
+        self.nexprs = len(program.initial)
+        first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
+        self.metrics = [{i: WorkerMetrics() for i in range(first, cfg.nslaves)}
+                        for _ in self.modules]
+        self.errors: list[Optional[str]] = [None] * cfg.nslaves
+        self.threads: list[threading.Thread] = []
+        self.transport = None
+        self.master = None
+        if cfg.nslaves:
+            self.transport = make_transport(cfg.backend, cfg.nslaves, self.nsymbols)
+            self.master = self.transport.master_endpoint()
+
+    def start(self) -> None:
+        for i in range(self.cfg.nslaves):
+            th = threading.Thread(
+                target=_slave_loop,
+                args=(self.transport.slave_endpoint(i), self.modules, self.nsymbols,
+                      self.nexprs, [row[i] for row in self.metrics], self.errors),
+                name=f"parterm-worker-{i}",
+                daemon=True,
+            )
+            th.start()
+            self.threads.append(th)
+
+    def recv(self) -> tuple[Endpoint, Message]:
+        """Block for the next worker message; raise if a worker has failed."""
+        while True:
+            got = self.master.recv_any(timeout=0.05)
+            if got is not None:
+                return got
+            for i, error in enumerate(self.errors):
+                if error is not None:
+                    raise WorkerError(i, error)
+
+    def stats(self) -> TransportStats:
+        return self.transport.stats() if self.transport else TransportStats()
+
+    def close(self) -> None:
+        for i in range(self.cfg.nslaves):
+            self.master.send(Endpoint.slave(i), Message(MessageKind.SHUTDOWN))
+        for th in self.threads:
+            th.join()
+
+    def abort(self) -> None:
+        for i in range(self.cfg.nslaves):
+            self.transport._force_shutdown(i)
+        for th in self.threads:
+            th.join(timeout=5.0)
+
+
+def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
+                     ) -> tuple[list[Expression], PhaseMetrics]:
+    """Run module ``k`` over every local expression in one dispatch pass.
+
+    Returns the new expressions, in the order of ``exprs``, and the module's
+    metrics.  The result is the same for every configuration; only metrics and
+    transport stats vary.
+    """
+    cfg = session.cfg
+    m = session.modules[k]
+    nsymbols = session.nsymbols
+    mine = session.metrics[k].get(MASTER_WORKER_ID)
     t_start = perf_counter_ns()
-    master = transport.master_endpoint()
-    slots = [_WorkerSlot() for _ in range(cfg.nslaves)]
-    threads = []
-    for i in range(cfg.nslaves):
-        th = threading.Thread(
-            target=_slave_loop,
-            args=(transport.slave_endpoint(i), m, nsymbols, slots[i]),
-            name=f"parterm-worker-{i}",
-            daemon=True,
-        )
-        th.start()
-        threads.append(th)
-
     t_distribute = 0
     wait_ns = 0
-    master_compute_ns = 0
-    master_sort_ns = 0
-    master_generated = 0
-    master_processed = 0
-    master_raw: list[terms.Term] = []
 
-    def send_timed(worker: int, msg: Message) -> None:
+    def send(worker: int, msg: Message) -> None:
         nonlocal t_distribute
         t0 = perf_counter_ns()
-        master.send(Endpoint.slave(worker), msg)
+        session.master.send(Endpoint.slave(worker), msg)
         t_distribute += perf_counter_ns() - t0
 
-    def recv_checked() -> tuple[Endpoint, Message]:
+    def recv() -> tuple[Endpoint, Message]:
         nonlocal wait_ns
         t0 = perf_counter_ns()
-        while True:
-            got = master.recv_any(timeout=0.05)
-            if got is not None:
-                wait_ns += perf_counter_ns() - t0
-                return got
-            for i, s in enumerate(slots):
-                if s.error is not None:
-                    raise WorkerError(i, s.error)
+        got = session.recv()
+        wait_ns += perf_counter_ns() - t0
+        return got
 
-    def expect_ack(msg: Message) -> None:
+    t0 = perf_counter_ns()
+    # One queue of pending chunks, or one per worker under static placement.
+    queues = [deque() for _ in range(max(1, cfg.nslaves) if cfg.static_dispatch else 1)]
+    for c in partition_chunks(exprs, cfg.chunk_size):
+        queues[c.seq % len(queues)].append(c)
+    t_distribute += perf_counter_ns() - t0
+
+    def take(worker: int) -> Optional[Chunk]:
+        if worker == MASTER_WORKER_ID:
+            q = next((q for q in queues if q), None)
+        else:
+            q = queues[worker % len(queues)]
+        return q.popleft() if q else None
+
+    master_raw: list[list[terms.Term]] = [[] for _ in exprs]
+    idle = list(range(cfg.nslaves))
+    outstanding = 0
+    while True:
+        waiting = []
+        for w in idle:
+            c = take(w)
+            if c is None:
+                waiting.append(w)
+            else:
+                send(w, Message(MessageKind.CHUNK_ASSIGNMENT, c.seq, c.terms, c.expr))
+                outstanding += 1
+        idle = waiting
+        pending = any(queues)
+        if not (pending or outstanding):
+            break
+        got = None
+        if pending and mine is not None:
+            got = session.master.recv_any(block=False) if outstanding else None
+            if got is None:
+                # Every worker is busy: the master takes a chunk itself.
+                c = take(MASTER_WORKER_ID)
+                _rewrite_chunk(c.terms, m, nsymbols, master_raw[c.expr], mine)
+                continue
+        frm, msg = got or recv()
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
             raise EngineError(f"expected completion signal, got {msg.kind}")
+        outstanding -= 1
+        idle.append(frm.worker)
 
-    try:
-        t0 = perf_counter_ns()
-        chunks = partition_chunks(e, cfg.chunk_size)
-        t_distribute += perf_counter_ns() - t0
+    # Sort boundary: every worker, the master too if it computes, combines and
+    # sorts its raw terms once per expression.
+    for w in range(cfg.nslaves):
+        send(w, Message(MessageKind.SORT))
+    runs: list[list[Expression]] = [[] for _ in exprs]
+    if mine is not None:
+        for expr, run in enumerate(_sort_runs(master_raw, mine)):
+            runs[expr].append(run)
+    for _ in range(cfg.nslaves * len(exprs)):
+        _, msg = recv()
+        if msg.kind is not MessageKind.RUN_RETURN:
+            raise EngineError(f"expected run return, got {msg.kind}")
+        runs[msg.expr].append(msg.payload)
 
-        for i in range(cfg.nslaves):
-            send_timed(i, Message(MessageKind.MODULE_BEGIN))
-
-        if cfg.static_dispatch:
-            for c in chunks:
-                send_timed(c.seq % cfg.nslaves,
-                           Message(MessageKind.CHUNK_ASSIGNMENT, c.seq, c.terms))
-            for _ in chunks:
-                _, msg = recv_checked()
-                expect_ack(msg)
-        else:
-            pending = deque(chunks)
-            outstanding = 0
-            for i in range(cfg.nslaves):
-                if not pending:
-                    break
-                c = pending.popleft()
-                send_timed(i, Message(MessageKind.CHUNK_ASSIGNMENT, c.seq, c.terms))
-                outstanding += 1
-            while pending or outstanding:
-                got = None
-                if pending and cfg.master_computes:
-                    got = master.recv_any(block=False)
-                    if got is None:
-                        # Every slave is busy: the master takes a chunk itself.
-                        c = pending.popleft()
-                        t0 = perf_counter_ns()
-                        batch = rewrite.apply_module_to_chunk(c.terms, m, nsymbols, c.seq)
-                        master_raw.extend(batch.terms)
-                        master_compute_ns += perf_counter_ns() - t0
-                        master_generated += len(batch.terms)
-                        master_processed += len(c.terms)
-                        continue
-                if got is None:
-                    frm, msg = recv_checked()
-                else:
-                    frm, msg = got
-                expect_ack(msg)
-                outstanding -= 1
-                if pending:
-                    c = pending.popleft()
-                    send_timed(frm.worker,
-                               Message(MessageKind.CHUNK_ASSIGNMENT, c.seq, c.terms))
-                    outstanding += 1
-
-        # Sort boundary: every worker, the master too if it computed, combines
-        # and sorts its raw terms once; collect one run per slave.
-        for i in range(cfg.nslaves):
-            send_timed(i, Message(MessageKind.MODULE_BEGIN))
-        runs: list[SortedRun] = []
-        if cfg.master_computes:
-            t0 = perf_counter_ns()
-            runs.append(sortmerge.build_run(master_raw, MASTER_WORKER_ID))
-            master_sort_ns = perf_counter_ns() - t0
-        for _ in range(cfg.nslaves):
-            frm, msg = recv_checked()
-            if msg.kind is not MessageKind.RUN_RETURN:
-                raise EngineError(f"expected run return, got {msg.kind}")
-            runs.append(SortedRun(msg.payload, frm.worker))
-
-        t0 = perf_counter_ns()
-        result = sortmerge.merge_runs(runs)
-        t_final_merge = perf_counter_ns() - t0
-        active_end = perf_counter_ns()
-
-        for i in range(cfg.nslaves):
-            send_timed(i, Message(MessageKind.SHUTDOWN))
-    except BaseException:
-        for i in range(cfg.nslaves):
-            transport._force_shutdown(i)
-        for th in threads:
-            th.join(timeout=5.0)
-        raise
-
-    for th in threads:
-        th.join()
-    t_wall = perf_counter_ns() - t_start
-
-    metrics = PhaseMetrics(
-        t_distribute=t_distribute,
-        t_compute_max=max([s.compute_ns for s in slots] + [master_compute_ns]),
-        t_local_sort_max=max([s.sort_ns for s in slots] + [master_sort_ns]),
-        t_final_merge=t_final_merge,
-        t_wall=t_wall,
-        master_busy=(active_end - t_start) - wait_ns,
-        per_slave_busy={i: s.busy_ns for i, s in enumerate(slots)},
-        terms_processed={i: s.processed for i, s in enumerate(slots)},
-        terms_in=len(e),
-        terms_generated=sum(s.generated for s in slots) + master_generated,
-        terms_out=len(result),
-    )
-    if cfg.master_computes:
-        metrics.terms_processed[MASTER_WORKER_ID] = master_processed
-    return result, metrics, transport.stats()
-
-
-def _sequential_module(e: Expression, m: Module, nsymbols: int
-                       ) -> tuple[Expression, PhaseMetrics]:
-    t_start = perf_counter_ns()
-    raw: list[terms.Term] = []
-    for t in e:
-        raw.extend(rewrite.apply_module_to_term(t, m, nsymbols))
-    t_rewrite = perf_counter_ns()
-    result = terms.normalize(raw)
+    t0 = perf_counter_ns()
+    results = [sortmerge.merge_runs(r) for r in runs]
     t_end = perf_counter_ns()
     metrics = PhaseMetrics(
-        t_compute_max=t_rewrite - t_start,
-        t_final_merge=t_end - t_rewrite,
+        t_distribute=t_distribute,
+        t_final_merge=t_end - t0,
         t_wall=t_end - t_start,
-        master_busy=t_end - t_start,
-        terms_processed={MASTER_WORKER_ID: len(e)},
-        terms_in=len(e),
-        terms_generated=len(raw),
-        terms_out=len(result),
+        master_busy=(t_end - t_start) - wait_ns,
+        terms_in=sum(len(e) for e in exprs),
+        terms_out=sum(len(e) for e in results),
+        workers=session.metrics[k],
     )
-    return result, metrics
+    return results, metrics
 
 
 def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     """Execute every module in order over every local expression."""
-    exprs: dict[str, Expression] = dict(program.initial)
-    nsymbols = len(program.symtab)
+    names = [name for name, _ in program.initial]
+    exprs = [e for _, e in program.initial]
     module_metrics: list[PhaseMetrics] = []
-    module_stats: list[TransportStats] = []
-    for m in program.modules:
-        parts: list[PhaseMetrics] = []
-        stats_parts: list[TransportStats] = []
-        for name in exprs:
-            if cfg.nslaves == 0:
-                result, metrics = _sequential_module(exprs[name], m, nsymbols)
-                stats = TransportStats()
-            else:
-                result, metrics, stats = execute_parallel(exprs[name], m, nsymbols, cfg)
-            exprs[name] = result
-            parts.append(metrics)
-            stats_parts.append(stats)
-        module_metrics.append(PhaseMetrics.combine(parts))
-        total = TransportStats()
-        for s in stats_parts:
-            total = total + s
-        module_stats.append(total)
-    grand = TransportStats()
-    for s in module_stats:
-        grand = grand + s
-    return ProgramRunResult(exprs, module_metrics, module_stats, grand)
+    marks: list[TransportStats] = []
+    session = _Session(program, cfg)
+    try:
+        session.start()
+        for k in range(len(program.modules)):
+            exprs, metrics = execute_parallel(session, k, exprs)
+            module_metrics.append(metrics)
+            marks.append(session.stats())
+        session.close()
+    except BaseException:
+        session.abort()
+        raise
+    marks[-1] = session.stats()  # the Shutdowns count towards the last module
+    module_stats = [b - a for a, b in zip([TransportStats()] + marks, marks)]
+    return ProgramRunResult(dict(zip(names, exprs)), module_metrics, module_stats,
+                            marks[-1])

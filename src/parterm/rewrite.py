@@ -15,20 +15,11 @@ covers every product of the term with that factor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import terms
 from .parser import Module, Multiply, Statement
 from .terms import Expression, Monomial, Term
-
-
-@dataclass(frozen=True)
-class GeneratedBatch:
-    """Raw output terms traceable to exactly one input chunk."""
-
-    terms: tuple[Term, ...]
-    source_chunk: int
 
 
 @functools.lru_cache(maxsize=256)
@@ -72,10 +63,9 @@ def apply_module_to_term(t: Term, m: Module, nsymbols: int) -> list[Term]:
     return current
 
 
-def apply_module_to_chunk(chunk_terms: Sequence[Term], m: Module, nsymbols: int,
-                          source_chunk: int) -> GeneratedBatch:
-    """Rewrite every term of one chunk, keeping chunk provenance."""
+def apply_module_to_chunk(chunk_terms: Sequence[Term], m: Module, nsymbols: int) -> list[Term]:
+    """Rewrite every term of one chunk; the result is a raw batch."""
     out: list[Term] = []
     for t in chunk_terms:
         out.extend(apply_module_to_term(t, m, nsymbols))
-    return GeneratedBatch(tuple(out), source_chunk)
+    return out

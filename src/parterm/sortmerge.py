@@ -1,10 +1,11 @@
-"""Worker-local run building and the master's k-way merge of sorted runs.
+"""The master's k-way merge of sorted runs.
 
-A run is a worker's locally sorted, like-term-combined output stream.  The
-final merge combines the run heads through a binary heap keyed on the packed
-monomial int (negated, since the canonical order is descending), draining all
-heads with equal monomials in one step and summing their coefficients, so the
-result needs a single pass and never re-sorts from scratch.  The merge is the
+A run is a worker's locally sorted, like-term-combined output stream: the
+``terms.normalize`` of its raw terms, itself an expression.  The final merge
+combines the run heads through a binary heap keyed on the packed monomial int
+(negated, since the canonical order is descending), draining all heads with
+equal monomials in one step and summing their coefficients, so the result
+needs a single pass and never re-sorts from scratch.  The merge is the
 deliberate serial stage of the engine; its cost is what the phase metrics
 expose as the final-sort share of wall time.
 """
@@ -12,7 +13,6 @@ expose as the final-sort share of wall time.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import terms
@@ -28,14 +28,6 @@ from .terms import Expression, Term
 # 4.5 covers the structural worst case and still sits below the N * log2(N)
 # cost a from-scratch sort would pay at bench sizes.
 MERGE_COMPARISON_BOUND = 4.5
-
-
-@dataclass(frozen=True)
-class SortedRun:
-    """A normalized expression with worker provenance."""
-
-    terms: Expression
-    producer: int
 
 
 class ComparisonCounter:
@@ -68,12 +60,7 @@ class _CountedKey:
         return hash(self.key)
 
 
-def build_run(batch: Sequence[Term], worker: int) -> SortedRun:
-    """Combine and sort a worker's raw terms into its run."""
-    return SortedRun(terms.normalize(batch), worker)
-
-
-def merge_runs(runs: Sequence[SortedRun],
+def merge_runs(runs: Sequence[Expression],
                counter: ComparisonCounter | None = None) -> Expression:
     """Merge k sorted runs into one expression in a single heap pass.
 
@@ -82,7 +69,7 @@ def merge_runs(runs: Sequence[SortedRun],
     runs with instrumented keys and reports how many monomial comparisons the
     heap and the equality drain performed.
     """
-    filled = [r.terms for r in runs if r.terms]
+    filled = [r for r in runs if r]
     k = len(filled)
     if k == 0:
         return terms.ZERO

@@ -30,9 +30,8 @@ equality a single ``==``.
 
 from __future__ import annotations
 
-import enum
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Factor = tuple[int, int]            # (symbol_id, exponent >= 1)
 Monomial = int                      # packed exponent vector, see module docstring
@@ -56,12 +55,6 @@ class ExponentOverflowError(InvariantError):
 
     def __init__(self) -> None:
         super().__init__(f"exponent overflow: a product's exponent exceeds {EXP_MASK}")
-
-
-class Ordering(enum.IntEnum):
-    EARLIER = -1
-    EQUAL = 0
-    LATER = 1
 
 
 class SymbolTable:
@@ -149,17 +142,6 @@ def extend_layout(e: Expression, added: int) -> Expression:
     return tuple((c, m << shift) for c, m in e)
 
 
-def compare_monomials(a: Monomial, b: Monomial, nsymbols: int) -> Ordering:
-    """Canonical total order, validating both monomials against ``nsymbols``."""
-    limit = 1 << (FIELD_BITS * nsymbols)
-    for m in (a, b):
-        if not 0 <= m < limit:
-            raise InvariantError(f"monomial {m:#x} has a symbol id >= nsymbols {nsymbols}")
-        if m & guard_mask(nsymbols):
-            raise InvariantError(f"monomial {m:#x} has an exponent over {EXP_MASK}")
-    return Ordering((a < b) - (a > b))
-
-
 def _sorted_terms(acc: dict[Monomial, int]) -> Expression:
     """Combined coefficients by monomial -> canonical expression."""
     return tuple([(c, m) for m, c in sorted(acc.items(), reverse=True) if c])
@@ -172,16 +154,6 @@ def normalize(raw: Iterable[Term]) -> Expression:
     for coeff, mono in raw:
         acc[mono] = get(mono, 0) + coeff
     return _sorted_terms(acc)
-
-
-def is_normalized(e: Sequence[Term]) -> bool:
-    """Check the expression invariants: strictly descending monomials, no zeros."""
-    for i, (coeff, mono) in enumerate(e):
-        if coeff == 0:
-            return False
-        if i and e[i - 1][1] <= mono:
-            return False
-    return True
 
 
 def add_expressions(a: Expression, b: Expression) -> Expression:

@@ -12,6 +12,18 @@ can be constructed.  They differ only in how a message's term payload moves:
   zero-copy ownership transfer; it accounts handle transfers instead of
   bytes.  After sending, the sending side must not touch the payload again.
 
+Messages (the session protocol that orders them is in :mod:`parterm.engine`):
+
+* ``CHUNK_ASSIGNMENT``, master to slave: a nonempty chunk of one local
+  expression, tagged with its sequence number and expression index;
+* ``RUN_RETURN``, slave to master: an empty acknowledgement of a chunk or,
+  after a ``SORT``, the sorted run of one expression, tagged with its index;
+* ``SORT``, master to slave: the module's sort boundary;
+* ``SHUTDOWN``, master to slave: the last message on a channel, once per run.
+
+Only the term payload goes through the wire format; kind, sequence number
+and expression index travel beside it.
+
 Wire format (little-endian): ``u32 term_count``, then per term ``u8 sign``
 (0 plus, 1 minus), ``u32 magnitude_byte_len``, the magnitude bytes
 (little-endian, minimal length), ``u16 factor_count``, then per factor
@@ -65,15 +77,19 @@ class ChannelClosedError(RuntimeError):
 class MessageKind(enum.Enum):
     CHUNK_ASSIGNMENT = "chunk"
     RUN_RETURN = "run"
-    MODULE_BEGIN = "module"
+    SORT = "sort"
     SHUTDOWN = "shutdown"
 
 
 @dataclass(frozen=True)
 class Message:
+    """One message; ``expr`` is the index of the local expression a chunk or
+    a run belongs to."""
+
     kind: MessageKind
     chunk_seq: Optional[int] = None
     payload: tuple[Term, ...] = ()
+    expr: int = 0
 
 
 @dataclass(frozen=True)
@@ -102,12 +118,12 @@ class TransportStats:
     serialized_bytes: int = 0
     handle_transfers: int = 0
 
-    def __add__(self, other: "TransportStats") -> "TransportStats":
+    def __sub__(self, other: "TransportStats") -> "TransportStats":
         return TransportStats(
-            self.messages_master_to_slave + other.messages_master_to_slave,
-            self.messages_slave_to_master + other.messages_slave_to_master,
-            self.serialized_bytes + other.serialized_bytes,
-            self.handle_transfers + other.handle_transfers,
+            self.messages_master_to_slave - other.messages_master_to_slave,
+            self.messages_slave_to_master - other.messages_slave_to_master,
+            self.serialized_bytes - other.serialized_bytes,
+            self.handle_transfers - other.handle_transfers,
         )
 
     @property
@@ -339,11 +355,11 @@ class MessagePassingTransport(_TransportBase):
 
     def _pack(self, msg: Message):
         wire = serialize_terms(msg.payload, self.nsymbols)
-        return (msg.kind, msg.chunk_seq, wire), len(wire), 0
+        return (msg.kind, msg.chunk_seq, msg.expr, wire), len(wire), 0
 
     def _unpack(self, record) -> Message:
-        kind, chunk_seq, wire = record
-        return Message(kind, chunk_seq, deserialize_terms(wire, self.nsymbols))
+        kind, chunk_seq, expr, wire = record
+        return Message(kind, chunk_seq, deserialize_terms(wire, self.nsymbols), expr)
 
 
 class SharedBufferTransport(_TransportBase):

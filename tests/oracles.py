@@ -82,6 +82,14 @@ def oracle_normalize(raw: Sequence[FTerm], nsymbols: int) -> FExpression:
     return tuple((c, m) for c, m in out if c != 0)
 
 
+def is_canonical(e, nsymbols: int) -> bool:
+    """The expression invariants, checked on factor tuples: no zero
+    coefficient, and monomials strictly descending in the oracle's order."""
+    fe = unpack_terms(e, nsymbols)
+    return (all(c != 0 for c, _ in fe)
+            and all(oracle_cmp(a, b, nsymbols) < 0 for (_, a), (_, b) in zip(fe, fe[1:])))
+
+
 def brute_multiply(a: FExpression, b: FExpression, nsymbols: int) -> FExpression:
     """Naive distributive product through a dict accumulator."""
     acc: dict[Factors, int] = {}
@@ -129,6 +137,18 @@ def algebra_apply_module(e: terms.Expression, m: Module, nsymbols: int) -> terms
             e = total
         e = terms.normalize(e)
     return e
+
+
+def oracle_run_program(program) -> dict[str, terms.Expression]:
+    """Every local expression after :func:`algebra_apply_module` of each
+    module in turn: the reference a whole-program run is checked against."""
+    nsymbols = len(program.symtab)
+    out = {}
+    for name, e in program.initial:
+        for m in program.modules:
+            e = algebra_apply_module(e, m, nsymbols)
+        out[name] = e
+    return out
 
 
 def hand_wire_bytes(ts: Sequence[FTerm]) -> bytes:

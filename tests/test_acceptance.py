@@ -20,13 +20,8 @@ from parterm import terms
 from parterm.bench import compute_speedups
 from parterm.engine import RunConfig, run_program
 from parterm.parser import format_expression, parse_program
-from parterm.sortmerge import (
-    MERGE_COMPARISON_BOUND,
-    ComparisonCounter,
-    build_run,
-    merge_runs,
-)
-from parterm.terms import SymbolTable
+from parterm.sortmerge import MERGE_COMPARISON_BOUND, ComparisonCounter, merge_runs
+from parterm.terms import SymbolTable, normalize
 from parterm.transport import deserialize_terms, serialize_terms
 from parterm.workloads import generate_workload
 
@@ -35,6 +30,7 @@ from oracles import (
     brute_power,
     hand_wire_bytes,
     oracle_normalize,
+    oracle_run_program,
     pack_terms,
     random_terms,
     unpack_terms,
@@ -59,10 +55,12 @@ def _grid_program(seed: int) -> str:
 
 def test_acceptance_1_determinism_grid():
     """100 generated programs give identical expressions across the whole
-    (slaves x chunk x backend x master) grid, equal to the sequential oracle."""
+    (slaves x chunk x backend x master) grid, equal to the expression-algebra
+    oracle applied module by module."""
     for seed in range(100):
         program = parse_program(_grid_program(seed))
-        reference = run_program(program, RunConfig(nslaves=0)).expressions
+        reference = oracle_run_program(program)
+        assert run_program(program, RunConfig(nslaves=0)).expressions == reference
         for nslaves in GRID_SLAVES:
             for chunk in GRID_CHUNKS:
                 for backend in GRID_BACKENDS:
@@ -84,11 +82,11 @@ def test_acceptance_2_merge_oracle_and_comparison_bound():
     for _ in range(1000):
         k = rng.randint(1, 8)
         raws = [random_terms(rng, nsym, rng.randint(0, 30)) for _ in range(k)]
-        runs = [build_run(pack_terms(raw, nsym), i) for i, raw in enumerate(raws)]
+        runs = [normalize(pack_terms(raw, nsym)) for raw in raws]
         counter = ComparisonCounter()
         merged = merge_runs(runs, counter)
         assert merged == pack_terms(oracle_normalize([t for raw in raws for t in raw], nsym), nsym)
-        total = sum(len(r.terms) for r in runs)
+        total = sum(len(r) for r in runs)
         if total:
             assert counter.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
     _passed(2, "merge oracle and comparison bound")
@@ -113,12 +111,12 @@ def _golden_expected_bytes(nslaves: int, chunk_size: int) -> tuple[int, int, int
     runs = [oracle_normalize(per_slave_raw[s], 2) for s in range(nslaves)]
     empty = len(hand_wire_bytes(()))
     total = 0
-    total += empty * nslaves * 2          # ModuleBegin open + boundary
+    total += empty * nslaves              # Sort
     total += empty * nslaves              # Shutdown
     total += sum(len(hand_wire_bytes(c)) for c in chunks)
     total += empty * len(chunks)          # per-chunk completion signals
     total += sum(len(hand_wire_bytes(r)) for r in runs)
-    m2s = nslaves * 3 + len(chunks)
+    m2s = nslaves * 2 + len(chunks)
     s2m = len(chunks) + nslaves
     return total, m2s, s2m
 
@@ -129,7 +127,7 @@ def test_acceptance_3_transport_accounting():
     program = parse_program(GOLDEN_TEXT)
 
     expected, m2s, s2m = _golden_expected_bytes(nslaves=1, chunk_size=2)
-    assert expected == 216  # frozen by-hand total for the single-slave run
+    assert expected == 212  # frozen by-hand total for the single-slave run
     res = run_program(program, RunConfig(nslaves=1, chunk_size=2, backend="mp"))
     assert res.stats.serialized_bytes == expected
     assert res.stats.handle_transfers == 0

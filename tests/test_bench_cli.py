@@ -5,8 +5,19 @@ import pytest
 
 from parterm import cli
 from parterm.bench import CSV_COLUMNS, compute_speedups, run_sweep, write_csv, write_dat
+from parterm.engine import RunConfig, run_program
+from parterm.parser import format_expression, parse_program
+
+from oracles import oracle_run_program
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "programs")
+
+
+def _oracle_output(path):
+    with open(path) as fh:
+        program = parse_program(fh.read())
+    return "".join(f"{name} = {format_expression(e, program.symtab)}\n"
+                   for name, e in oracle_run_program(program).items())
 
 
 # -- speedup arithmetic --------------------------------------------------------
@@ -110,22 +121,28 @@ def test_cli_run_sequential_sentinel(capsys):
 
 
 def test_cli_run_stress_sample_matches_sequential(capsys):
-    rc = cli.main(["run", os.path.join(PROGRAMS, "stress.pt"), "--slaves", "3",
-                   "--chunk", "7", "--backend", "mp", "--master-computes"])
+    path = os.path.join(PROGRAMS, "stress.pt")
+    rc = cli.main(["run", path, "--slaves", "3", "--chunk", "7", "--backend", "mp",
+                   "--master-computes"])
     assert rc == 0
-    parallel_out = capsys.readouterr().out
-    rc = cli.main(["run", os.path.join(PROGRAMS, "stress.pt"), "--slaves", "0"])
+    assert capsys.readouterr().out == _oracle_output(path)
+    rc = cli.main(["run", path, "--slaves", "0"])
     assert rc == 0
-    assert capsys.readouterr().out == parallel_out
+    assert capsys.readouterr().out == _oracle_output(path)
 
 
 def test_cli_verify_reports_grid(capsys):
-    rc = cli.main(["verify", os.path.join(PROGRAMS, "chain.pt"),
-                   "--slaves", "1,2", "--chunk", "1,100"])
+    path = os.path.join(PROGRAMS, "chain.pt")
+    rc = cli.main(["verify", path, "--slaves", "1,2", "--chunk", "1,100"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "verified 16 configurations" in out
     assert "ok nslaves=2 chunk=100 backend=sm master_computes=true" in out
+    # the zero-worker run verify compares against is itself right
+    with open(path) as fh:
+        program = parse_program(fh.read())
+    assert run_program(program, RunConfig(nslaves=0)).expressions == \
+        oracle_run_program(program)
 
 
 def test_cli_verify_detects_mismatch(capsys, monkeypatch):
@@ -164,6 +181,8 @@ def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
     (["bench", "--generate", "expand:2", "--slaves", "1", "--backend", "ftp",
       "--csv", "x.csv"], cli.EXIT_USAGE),
     (["verify", "no_such_file.pt"], cli.EXIT_RUNTIME),
+    (["run", os.path.join(PROGRAMS, "binomial.pt"), "--chunk", "0"], cli.EXIT_USAGE),
+    (["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves", "-1"], cli.EXIT_USAGE),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

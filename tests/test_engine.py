@@ -1,23 +1,18 @@
 import random
 import threading
+import time
 
 import pytest
 
 from parterm import rewrite, terms
-from parterm.engine import (
-    RunConfig,
-    WorkerError,
-    execute_parallel,
-    execute_sequential,
-    partition_chunks,
-    run_program,
-)
-from parterm.parser import Module, Multiply, parse_program
-from parterm.terms import add_expressions, pow_expression, symbol
+from parterm.engine import RunConfig, WorkerError, partition_chunks, run_program
+from parterm.parser import Module, Multiply, Program, parse_program
+from parterm.terms import SymbolTable, add_expressions, pow_expression, symbol
 
 from oracles import (
     algebra_apply_module,
     oracle_normalize,
+    oracle_run_program,
     pack,
     pack_terms,
     random_expression,
@@ -26,23 +21,31 @@ from oracles import (
 )
 
 NSYM = 4
+SEQ = RunConfig(nslaves=0)
 
 
 def _parse(text):
     return parse_program(text)
 
 
-# -- sequential executor -----------------------------------------------------
+def _run_module(e, m, nsymbols, cfg):
+    """Run one module over one local expression: (result, metrics, stats)."""
+    program = Program(SymbolTable(f"s{i}" for i in range(nsymbols)), [("F", e)], [m])
+    res = run_program(program, cfg)
+    return res.expressions["F"], res.module_metrics[0], res.stats
+
+
+# -- zero workers: the master computes every chunk ---------------------------
 
 def test_sequential_empty_module_is_identity():
     e = pack_terms(oracle_normalize([(1, ((0, 1),)), (4, ())], NSYM), NSYM)
-    assert execute_sequential(e, Module(()), NSYM) == e
+    assert _run_module(e, Module(()), NSYM, SEQ)[0] == e
 
 
 def test_sequential_difference_of_squares():
     e = add_expressions(symbol(0, 2), symbol(1, 2))
     m = Module((Multiply(add_expressions(symbol(0, 2), terms.negate_expression(symbol(1, 2)))),))
-    assert unpack_terms(execute_sequential(e, m, 2), 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
+    assert unpack_terms(_run_module(e, m, 2, SEQ)[0], 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
 
 
 def test_sequential_substitution_collapses_to_nine_terms():
@@ -50,7 +53,7 @@ def test_sequential_substitution_collapses_to_nine_terms():
     program = _parse("symbols x,y,z; local F = (x+y+z)^8; id x = y+z; .sort .end")
     (_, e), = program.initial
     assert len(e) == 45
-    got = execute_sequential(e, program.modules[0], 3)
+    got = _run_module(e, program.modules[0], 3, SEQ)[0]
     expected = algebra_apply_module(e, program.modules[0], 3)
     assert got == expected
     assert len(got) == 9
@@ -65,13 +68,16 @@ def test_sequential_substitution_collapses_to_nine_terms():
 def test_partition_reconstructs_input():
     rng = random.Random(97)
     for _ in range(30):
-        e = random_expression(rng, NSYM, rng.randint(0, 40))
+        exprs = [random_expression(rng, NSYM, rng.randint(0, 40))
+                 for _ in range(rng.randint(1, 3))]
         size = rng.choice([1, 2, 7, 1000])
-        chunks = partition_chunks(e, size)
+        chunks = partition_chunks(exprs, size)
         assert all(c.terms for c in chunks)
         assert [c.seq for c in chunks] == list(range(len(chunks)))
-        joined = tuple(t for c in chunks for t in c.terms)
-        assert joined == e
+        assert [c.expr for c in chunks] == sorted(c.expr for c in chunks)
+        for i, e in enumerate(exprs):
+            joined = tuple(t for c in chunks if c.expr == i for t in c.terms)
+            assert joined == e
 
 
 # -- parallel engine ---------------------------------------------------------
@@ -80,8 +86,8 @@ def test_single_slave_equals_sequential():
     program = _parse("symbols x,y; local F = (x+y)^3; id x = y+1; .sort .end")
     (_, e), = program.initial
     m = program.modules[0]
-    expected = execute_sequential(e, m, 2)
-    result, metrics, stats = execute_parallel(e, m, 2, RunConfig(nslaves=1, chunk_size=2))
+    expected = algebra_apply_module(e, m, 2)
+    result, metrics, stats = _run_module(e, m, 2, RunConfig(nslaves=1, chunk_size=2))
     assert result == expected
     assert metrics.terms_in == len(e)
     assert metrics.terms_out == len(result)
@@ -94,9 +100,8 @@ def test_five_chunks_over_four_slaves():
     (_, e), = program.initial
     assert len(e) == 5
     m = program.modules[0]
-    expected = execute_sequential(e, m, 2)
-    result, metrics, _ = execute_parallel(
-        e, m, 2, RunConfig(nslaves=4, chunk_size=1, backend="sm"))
+    expected = algebra_apply_module(e, m, 2)
+    result, metrics, _ = _run_module(e, m, 2, RunConfig(nslaves=4, chunk_size=1, backend="sm"))
     assert result == expected
     # priming hands every slave one of the five chunks
     assert all(metrics.terms_processed[i] >= 1 for i in range(4))
@@ -110,12 +115,12 @@ def test_grid_matches_sequential(backend, master_computes):
     for _ in range(10):
         e = random_expression(rng, NSYM, rng.randint(0, 30), max_exp=3)
         m = random_module(rng, NSYM)
-        expected = execute_sequential(e, m, NSYM)
+        expected = algebra_apply_module(e, m, NSYM)
         for nslaves in (1, 2, 4):
             for chunk in (1, 7, 1000):
                 cfg = RunConfig(nslaves=nslaves, chunk_size=chunk, backend=backend,
                                 master_computes=master_computes)
-                result, metrics, stats = execute_parallel(e, m, NSYM, cfg)
+                result, metrics, stats = _run_module(e, m, NSYM, cfg)
                 assert result == expected
                 assert sum(metrics.terms_processed.values()) == len(e)
 
@@ -125,15 +130,15 @@ def test_static_dispatch_gives_identical_results():
     for _ in range(10):
         e = random_expression(rng, NSYM, 25, max_exp=3)
         m = random_module(rng, NSYM)
-        expected = execute_sequential(e, m, NSYM)
+        expected = algebra_apply_module(e, m, NSYM)
         cfg = RunConfig(nslaves=3, chunk_size=2, backend="sm", static_dispatch=True)
-        result, _, _ = execute_parallel(e, m, NSYM, cfg)
+        result, _, _ = _run_module(e, m, NSYM, cfg)
         assert result == expected
 
 
 def test_empty_expression_parallel():
     m = Module((Multiply(symbol(0, 1)),))
-    result, metrics, _ = execute_parallel((), m, 1, RunConfig(nslaves=2))
+    result, metrics, _ = _run_module((), m, 1, RunConfig(nslaves=2))
     assert result == ()
     assert metrics.terms_in == metrics.terms_generated == metrics.terms_out == 0
 
@@ -144,7 +149,7 @@ def test_backend_equivalence_and_stats_exclusivity():
     m = program.modules[0]
     out = {}
     for backend in ("mp", "sm"):
-        result, _, stats = execute_parallel(
+        result, _, stats = _run_module(
             e, m, 3, RunConfig(nslaves=2, chunk_size=4, backend=backend))
         out[backend] = result
         if backend == "mp":
@@ -156,14 +161,47 @@ def test_backend_equivalence_and_stats_exclusivity():
 
 
 def test_worker_failure_names_the_worker(monkeypatch):
-    def boom(chunk_terms, m, nsymbols, seq):
+    def boom(chunk_terms, m, nsymbols):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(rewrite, "apply_module_to_chunk", boom)
     e = pack_terms(((1, ((0, 1),)), (2, ((1, 1),))), 2)
     m = Module((Multiply(symbol(0, 2)),))
     with pytest.raises(WorkerError, match=r"worker \d+ failed"):
-        execute_parallel(e, m, 2, RunConfig(nslaves=2, chunk_size=1))
+        _run_module(e, m, 2, RunConfig(nslaves=2, chunk_size=1))
+
+
+def test_static_dispatch_worker_failure_raises_instead_of_hanging(monkeypatch):
+    # 60 one-term chunks over 2 slaves: far more than a mailbox holds, so a
+    # master that queued every chunk up front would block once a worker died.
+    def boom(chunk_terms, m, nsymbols):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(rewrite, "apply_module_to_chunk", boom)
+    before = threading.active_count()
+    e = tuple((1, pack(((0, i),), 1)) for i in range(60, 0, -1))
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=1, static_dispatch=True)
+    raised = []
+
+    def run():
+        try:
+            _run_module(e, m, 1, cfg)
+        except WorkerError as exc:
+            raised.append(exc)
+
+    th = threading.Thread(target=run, daemon=True)
+    t0 = time.monotonic()
+    th.start()
+    th.join(timeout=10.0)
+    assert not th.is_alive(), "the master hung"
+    assert time.monotonic() - t0 < 10.0
+    assert len(raised) == 1 and "injected fault" in str(raised[0])
+    for _ in range(50):
+        if threading.active_count() == before:
+            break
+        time.sleep(0.02)
+    assert threading.active_count() == before
 
 
 def test_engine_quiesces_after_each_run():
@@ -180,14 +218,8 @@ def test_quiescence_after_worker_failure(monkeypatch):
     for _ in range(50):
         if threading.active_count() == before:
             break
-        import time
         time.sleep(0.02)
     assert threading.active_count() == before
-
-
-def test_execute_parallel_rejects_sequential_sentinel():
-    with pytest.raises(ValueError, match="nslaves >= 1"):
-        execute_parallel((), Module(()), 1, RunConfig(nslaves=0))
 
 
 def test_run_config_validation():
@@ -218,9 +250,9 @@ def test_run_program_two_module_composition():
 
 def test_run_program_sequential_sentinel():
     program = _parse("symbols x,y; local F = (x-y)^2; id x = y; .sort .end")
-    seq = run_program(program, RunConfig(nslaves=0))
+    seq = run_program(program, SEQ)
     par = run_program(program, RunConfig(nslaves=3, chunk_size=1))
-    assert seq.expressions == par.expressions
+    assert seq.expressions == par.expressions == oracle_run_program(program)
     assert seq.stats.messages == 0
 
 
@@ -228,8 +260,7 @@ def test_run_program_multiple_locals():
     program = _parse(
         "symbols a,b; local F = (a+b)^2; local G = a-b; multiply a; .sort .end")
     result = run_program(program, RunConfig(nslaves=2, chunk_size=1))
-    ref = run_program(program, RunConfig(nslaves=0))
-    assert result.expressions == ref.expressions
+    assert result.expressions == oracle_run_program(program)
     assert set(result.expressions) == {"F", "G"}
 
 
@@ -241,7 +272,7 @@ def test_config_grid_equality_over_programs():
     ]
     for text in texts:
         program = _parse(text)
-        reference = run_program(program, RunConfig(nslaves=0)).expressions
+        reference = oracle_run_program(program)
         for _ in range(6):
             cfg = RunConfig(
                 nslaves=rng.choice([1, 2, 4, 8]),
@@ -252,21 +283,14 @@ def test_config_grid_equality_over_programs():
             assert run_program(program, cfg).expressions == reference
 
 
-def test_transport_must_match_the_program_symbols():
-    from parterm.transport import make_transport
-    with pytest.raises(ValueError, match="symbol count"):
-        execute_parallel((), Module(()), 2, RunConfig(nslaves=1),
-                         transport=make_transport("mp", 1, 3))
-
-
 def test_exponent_overflow_in_a_worker_is_reported():
     top = terms.EXP_MASK
     e = ((1, pack(((0, top),), 1)),)
     m = Module((Multiply(symbol(0, 1)),))
     with pytest.raises(terms.ExponentOverflowError):
-        execute_sequential(e, m, 1)
+        _run_module(e, m, 1, SEQ)
     with pytest.raises(WorkerError, match="ExponentOverflowError"):
-        execute_parallel(e, m, 1, RunConfig(nslaves=2, chunk_size=1))
+        _run_module(e, m, 1, RunConfig(nslaves=2, chunk_size=1))
 
 
 def test_symbols_after_a_local_run_like_symbols_up_front():
@@ -283,8 +307,34 @@ def test_symbols_after_a_local_run_like_symbols_up_front():
 def test_largest_exponent_crosses_the_mp_transport():
     top = terms.EXP_MASK
     program = _parse(f"symbols x, y; local F = x^{top} + 2*y^{top - 1}; multiply y; .sort .end")
-    seq = run_program(program, RunConfig(nslaves=0)).expressions
+    seq = run_program(program, SEQ).expressions
     mp = run_program(program, RunConfig(nslaves=2, chunk_size=1, backend="mp"))
-    assert mp.expressions == seq
+    assert mp.expressions == seq == oracle_run_program(program)
     assert mp.stats.serialized_bytes > 0
     assert unpack_terms(seq["F"], 2) == ((1, ((0, top), (1, 1))), (2, ((1, top),)))
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+def test_one_run_starts_one_worker_per_slave(backend, monkeypatch):
+    # Two modules over two locals: the workers serve the whole program.
+    program = _parse("symbols x,y; local F = (x+y)^3; local G = x-y; multiply x+y; .sort "
+                     "id x = y+1; .sort .end")
+    starts = []
+    real_start = threading.Thread.start
+
+    def counted(self, *args, **kwargs):
+        starts.append(self.name)
+        return real_start(self, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for nslaves in (0, 1, 2, 4):
+        del starts[:]
+        cfg = RunConfig(nslaves=nslaves, chunk_size=1, backend=backend)
+        res = run_program(program, cfg)
+        assert len(starts) == nslaves
+        assert all(name.startswith("parterm-worker") for name in starts)
+        assert res.expressions == oracle_run_program(program)
+        # one Sort per slave per module, one Shutdown per slave per run
+        chunks = sum(m.terms_in for m in res.module_metrics) if nslaves else 0
+        assert res.stats.messages_master_to_slave == chunks + nslaves * (2 + 1)
+        assert res.stats.messages_slave_to_master == chunks + nslaves * 2 * 2

@@ -108,10 +108,9 @@ def test_linearity_in_the_coefficient():
         assert scaled == [(-7 * c, mm) for c, mm in base]
 
 
-def test_chunk_application_keeps_provenance():
+def test_chunk_application_matches_expression_algebra():
     m = Module((Multiply(_sym_expr(2, 0, 1)),))
     chunk = ((1, terms.UNIT), (2, pack(((0, 1),), 2)))
-    batch = apply_module_to_chunk(chunk, m, 2, source_chunk=17)
-    assert batch.source_chunk == 17
-    assert len(batch.terms) == 4
-    assert normalize(batch.terms) == algebra_apply_module(normalize(chunk), m, 2)
+    batch = apply_module_to_chunk(chunk, m, 2)
+    assert len(batch) == 4
+    assert normalize(batch) == algebra_apply_module(normalize(chunk), m, 2)

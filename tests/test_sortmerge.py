@@ -1,42 +1,43 @@
 import math
 import random
 
-from parterm.sortmerge import (
-    MERGE_COMPARISON_BOUND,
-    ComparisonCounter,
-    SortedRun,
-    build_run,
-    merge_runs,
-)
-from parterm.terms import add_expressions, is_normalized, normalize
+from parterm.sortmerge import MERGE_COMPARISON_BOUND, ComparisonCounter, merge_runs
+from parterm.terms import add_expressions, normalize
 
-from oracles import oracle_normalize, pack, pack_terms, random_packed_terms, random_terms
+from oracles import (
+    is_canonical,
+    oracle_normalize,
+    pack,
+    pack_terms,
+    random_packed_terms,
+    random_terms,
+)
 
 NSYM = 4
 
 
+# A worker builds its run by normalizing its raw terms once.
 def _runs_from(raws):
-    return [build_run(raw, i) for i, raw in enumerate(raws)]
+    return [normalize(raw) for raw in raws]
 
 
-def test_build_run_sorts_and_tags():
+def test_build_run_sorts():
     batch = [(5, ((1, 2),)), (10, ((1, 1), (2, 1))), (5, ((2, 2),))]
-    run = build_run(pack_terms(batch, 3), worker=3)
-    assert run.producer == 3
-    assert run.terms == pack_terms(oracle_normalize(batch, 3), 3)
-    assert len(run.terms) == 3
+    run = normalize(pack_terms(batch, 3))
+    assert run == pack_terms(oracle_normalize(batch, 3), 3)
+    assert len(run) == 3
 
 
 def test_build_run_cancellation():
     x = pack(((0, 1),), 1)
-    assert build_run([(1, x), (-1, x)], 0).terms == ()
+    assert normalize([(1, x), (-1, x)]) == ()
 
 
 def test_build_run_matches_normalize_on_random_batches():
     rng = random.Random(41)
     for _ in range(100):
         raw = random_terms(rng, NSYM, rng.randint(0, 25))
-        assert build_run(pack_terms(raw, NSYM), 0).terms == \
+        assert normalize(pack_terms(raw, NSYM)) == \
             pack_terms(oracle_normalize(raw, NSYM), NSYM)
 
 
@@ -49,8 +50,8 @@ def test_merge_cross_run_cancellation():
 def test_merge_single_run_identity():
     rng = random.Random(43)
     raw = random_packed_terms(rng, NSYM, 12)
-    run = build_run(raw, 0)
-    assert merge_runs([run]) == run.terms
+    run = normalize(raw)
+    assert merge_runs([run]) == run
 
 
 def test_merge_empty_inputs():
@@ -65,7 +66,7 @@ def test_merge_equals_normalize_of_concatenation():
         runs = _runs_from(raws)
         merged = merge_runs(runs)
         assert merged == normalize([t for raw in raws for t in raw])
-        assert is_normalized(merged)
+        assert is_canonical(merged, NSYM)
 
 
 def test_merge_permutation_invariant():
@@ -84,8 +85,7 @@ def test_merge_two_runs_equals_add_expressions():
     for _ in range(50):
         a = normalize(random_packed_terms(rng, NSYM, 10))
         b = normalize(random_packed_terms(rng, NSYM, 10))
-        runs = [SortedRun(a, 0), SortedRun(b, 1)]
-        assert merge_runs(runs) == add_expressions(a, b)
+        assert merge_runs([a, b]) == add_expressions(a, b)
 
 
 def test_merge_associative_over_grouping():
@@ -94,20 +94,20 @@ def test_merge_associative_over_grouping():
     runs = _runs_from(raws)
     flat = merge_runs(runs)
     # left fold of pairwise merges
-    acc = runs[0].terms
+    acc = runs[0]
     for r in runs[1:]:
-        acc = merge_runs([SortedRun(acc, 0), r])
+        acc = merge_runs([acc, r])
     assert acc == flat
     # balanced tree of merges
     level = runs
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):
-            nxt.append(SortedRun(merge_runs(level[i:i + 2]), i))
+            nxt.append(merge_runs(level[i:i + 2]))
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
-    assert level[0].terms == flat
+    assert level[0] == flat
 
 
 def test_comparison_count_stays_under_bound():
@@ -116,7 +116,7 @@ def test_comparison_count_stays_under_bound():
         for n in (1, 20, 200):
             raws = [random_packed_terms(rng, NSYM, n) for _ in range(k)]
             runs = _runs_from(raws)
-            total = sum(len(r.terms) for r in runs)
+            total = sum(len(r) for r in runs)
             if total == 0:
                 continue
             counter = ComparisonCounter()
@@ -132,7 +132,7 @@ def test_comparison_count_beats_sort_from_scratch_asymptotics():
     k, n = 8, 20000
     raws = [[(1, pack(((0, rng.randint(1, 10**6)),), 1)) for _ in range(n)] for _ in range(k)]
     runs = _runs_from(raws)
-    total = sum(len(r.terms) for r in runs)
+    total = sum(len(r) for r in runs)
     counter = ComparisonCounter()
     merge_runs(runs, counter)
     bound = MERGE_COMPARISON_BOUND * total * math.log2(k + 1)

@@ -1,0 +1,67 @@
+"""The benchmark's tracer patches parterm's layer functions by name.
+
+A renamed or bypassed hook would not fail the benchmark, it would only make
+its per-layer numbers wrong, so this test installs the tracer the way
+``perfbench/child.py`` does and checks what the trace sees.  It runs in a
+subprocess so the patched module attributes cannot leak into other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+SCRIPT = r"""
+import json
+import sys
+from time import perf_counter
+
+sys.path.insert(0, sys.argv[1])
+import parterm
+from tracing import Tracer, layer_metrics
+
+TEXT = ("symbols x, y; local F = (x+y)^6; local G = x-y; "
+        "multiply x+y; .sort id x = y+1; .sort .end")
+program = parterm.parse_program(TEXT)
+configs = [(n, b) for n in (0, 1, 2) for b in ("sm", "mp")]
+
+def run(n, backend):
+    cfg = parterm.RunConfig(nslaves=n, chunk_size=3, backend=backend)
+    return parterm.run_program(program, cfg).expressions
+
+untraced = {c: run(*c) for c in configs}
+tracer = Tracer()
+tracer.install(parterm)
+report = []
+for c in configs:
+    tracer.spans.clear()
+    t0 = perf_counter()
+    got = run(*c)
+    layers = layer_metrics(tracer.spans, tracer.thread_names, perf_counter() - t0)
+    report.append({"nslaves": c[0], "backend": c[1], "same": got == untraced[c],
+                   "module_runs": layers["engine.module_runs"],
+                   "worker_busy_s": layers["engine.worker_busy_s"],
+                   "rewrite_calls": sum(1 for s in tracer.spans if s[1] == "rewrite")})
+print(json.dumps({"modules": len(program.modules), "report": report}))
+"""
+
+
+def test_benchmark_trace_hooks_still_see_every_layer():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert len(out["report"]) == 6
+    for row in out["report"]:
+        label = f"nslaves={row['nslaves']} backend={row['backend']}"
+        assert row["same"], label
+        assert row["module_runs"] == out["modules"], label
+        assert row["rewrite_calls"] > 0, label
+        if row["nslaves"]:
+            assert row["worker_busy_s"] > 0, label

@@ -225,7 +225,7 @@ def test_channel_closed_after_shutdown(backend):
     slave = transport.slave_endpoint(0)
     master.send(Endpoint.slave(0), Message(MessageKind.SHUTDOWN))
     with pytest.raises(ChannelClosedError):
-        master.send(Endpoint.slave(0), Message(MessageKind.MODULE_BEGIN))
+        master.send(Endpoint.slave(0), Message(MessageKind.SORT))
     assert slave.recv().kind is MessageKind.SHUTDOWN
     with pytest.raises(ChannelClosedError):
         slave.recv()
@@ -244,7 +244,7 @@ def test_star_topology_has_no_slave_to_slave_api():
     params = list(inspect.signature(slave.reply).parameters)
     assert params == ["msg"]
     with pytest.raises(ValueError, match="master cannot send to itself"):
-        transport.master_endpoint().send(Endpoint.master(), Message(MessageKind.MODULE_BEGIN))
+        transport.master_endpoint().send(Endpoint.master(), Message(MessageKind.SORT))
 
 
 def test_bounded_mailbox_blocks_sender():

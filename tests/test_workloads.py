@@ -6,6 +6,8 @@ from parterm.engine import RunConfig, run_program
 from parterm.parser import parse_program
 from parterm.workloads import generate_workload
 
+from oracles import oracle_run_program
+
 
 def test_generation_is_byte_identical():
     for kind in ("expand", "substitute-chain"):
@@ -48,7 +50,7 @@ def test_substitute_chain_parses_and_runs():
         assert len(program.modules) == 1
         seq = run_program(program, RunConfig(nslaves=0)).expressions
         par = run_program(program, RunConfig(nslaves=2, chunk_size=1)).expressions
-        assert seq == par
+        assert seq == par == oracle_run_program(program)
 
 
 def test_generator_validation():
