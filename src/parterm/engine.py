@@ -8,13 +8,14 @@ SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
 
 1. CHUNK*: the master splits every local expression of the module into
    chunks tagged with their expression's index and deals them in one pass,
-   one outstanding chunk per worker; a worker rewrites each chunk, keeps the
-   raw output per expression, unsorted, and acknowledges it with an empty
-   ``RunReturn``;
+   one outstanding chunk per worker; a worker rewrites each chunk, adds its
+   products into one accumulator (monomial -> coefficient) per expression,
+   so like terms combine as they are generated, and acknowledges the chunk
+   with an empty ``RunReturn``;
 2. SORT: once every chunk is acknowledged the master sends ``Sort`` to each
-   worker; the worker combines and sorts its raw terms of each expression
-   once and answers with exactly one ``RunReturn`` per expression (an empty
-   run is allowed);
+   worker; the worker sorts the distinct monomials of each expression's
+   accumulator once, dropping zero sums, and answers with exactly one
+   ``RunReturn`` per expression (an empty run is allowed);
 3. the master k-way-merges the runs of each expression, one expression at a
    time, into the module's output.
 
@@ -162,39 +163,38 @@ def partition_chunks(exprs: Sequence[Expression], chunk_size: int) -> list[Chunk
 
 
 def _rewrite_chunk(chunk_terms: Expression, m: Module, nsymbols: int,
-                   raw: list[terms.Term], metrics: WorkerMetrics) -> None:
+                   acc: terms.Accumulator, metrics: WorkerMetrics) -> None:
     t0 = perf_counter_ns()
-    out = rewrite.apply_module_to_chunk(chunk_terms, m, nsymbols)
-    raw.extend(out)
+    generated = rewrite.apply_module_to_chunk(chunk_terms, m, nsymbols, acc)
     metrics.compute_ns += perf_counter_ns() - t0
-    metrics.generated += len(out)
+    metrics.generated += generated
     metrics.processed += len(chunk_terms)
 
 
-def _sort_runs(raw: list[list[terms.Term]], metrics: WorkerMetrics) -> list[Expression]:
-    """Combine and sort the raw terms of each expression once: the runs.
+def _sort_runs(accs: list[terms.Accumulator], metrics: WorkerMetrics) -> list[Expression]:
+    """Sort the distinct monomials of each expression's accumulator once: the runs.
 
-    Empties each raw list, so the raw terms are freed before the runs travel.
+    Empties each accumulator, so its terms are freed before the runs travel.
     """
     t0 = perf_counter_ns()
     runs = []
-    for r in raw:
-        runs.append(terms.normalize(r))
-        r.clear()
+    for acc in accs:
+        runs.append(terms.sorted_terms(acc))
+        acc.clear()
     metrics.sort_ns += perf_counter_ns() - t0
     return runs
 
 
-def _return_runs(endpoint, raw: list[list[terms.Term]], metrics: WorkerMetrics) -> None:
+def _return_runs(endpoint, accs: list[terms.Accumulator], metrics: WorkerMetrics) -> None:
     """Answer a SORT with one run per expression; the worker keeps none of them."""
-    for expr, run in enumerate(_sort_runs(raw, metrics)):
+    for expr, run in enumerate(_sort_runs(accs, metrics)):
         endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run, expr=expr))
 
 
 def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
                 metrics: list[WorkerMetrics], errors: list[Optional[str]]) -> None:
     k = 0
-    raw: list[list[terms.Term]] = [[] for _ in range(nexprs)]
+    accs: list[terms.Accumulator] = [{} for _ in range(nexprs)]
     try:
         while True:
             msg = endpoint.recv()
@@ -203,10 +203,10 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
             t0 = perf_counter_ns()
             mine = metrics[k]
             if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
-                _rewrite_chunk(msg.payload, modules[k], nsymbols, raw[msg.expr], mine)
+                _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr], mine)
                 endpoint.reply(Message(MessageKind.RUN_RETURN, msg.chunk_seq))
             elif msg.kind is MessageKind.SORT:
-                _return_runs(endpoint, raw, mine)
+                _return_runs(endpoint, accs, mine)
                 k += 1
             else:  # pragma: no cover - protocol violation
                 raise EngineError(f"unexpected message kind {msg.kind}")
@@ -319,7 +319,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
             q = queues[worker % len(queues)]
         return q.popleft() if q else None
 
-    master_raw: list[list[terms.Term]] = [[] for _ in exprs]
+    master_accs: list[terms.Accumulator] = [{} for _ in exprs]
     idle = list(range(cfg.nslaves))
     outstanding = 0
     while True:
@@ -341,7 +341,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
                 c = take(MASTER_WORKER_ID)
-                _rewrite_chunk(c.terms, m, nsymbols, master_raw[c.expr], mine)
+                _rewrite_chunk(c.terms, m, nsymbols, master_accs[c.expr], mine)
                 continue
         frm, msg = got or recv()
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
@@ -349,13 +349,13 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         outstanding -= 1
         idle.append(frm.worker)
 
-    # Sort boundary: every worker, the master too if it computes, combines and
-    # sorts its raw terms once per expression.
+    # Sort boundary: every worker, the master too if it computes, sorts the
+    # distinct monomials it accumulated once per expression.
     for w in range(cfg.nslaves):
         send(w, Message(MessageKind.SORT))
     runs: list[list[Expression]] = [[] for _ in exprs]
     if mine is not None:
-        for expr, run in enumerate(_sort_runs(master_raw, mine)):
+        for expr, run in enumerate(_sort_runs(master_accs, mine)):
             runs[expr].append(run)
     for _ in range(cfg.nslaves * len(exprs)):
         _, msg = recv()

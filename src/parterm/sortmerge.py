@@ -1,7 +1,7 @@
 """The master's k-way merge of sorted runs.
 
 A run is a worker's locally sorted, like-term-combined output stream: the
-``terms.normalize`` of its raw terms, itself an expression.  The final merge
+``terms.sorted_terms`` of its accumulator, itself an expression.  The final merge
 combines the run heads through a binary heap keyed on the packed monomial int
 (negated, since the canonical order is descending), draining all heads with
 equal monomials in one step and summing their coefficients, so the result

@@ -37,6 +37,7 @@ Factor = tuple[int, int]            # (symbol_id, exponent >= 1)
 Monomial = int                      # packed exponent vector, see module docstring
 Term = tuple[int, Monomial]         # (coefficient, monomial)
 Expression = tuple[Term, ...]       # descending monomials, combined, no zeros
+Accumulator = dict[Monomial, int]   # monomial -> coefficient sum, unsorted
 
 FIELD_BITS = 33                     # 32 value bits + 1 guard bit per symbol
 EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
@@ -142,18 +143,24 @@ def extend_layout(e: Expression, added: int) -> Expression:
     return tuple((c, m << shift) for c, m in e)
 
 
-def _sorted_terms(acc: dict[Monomial, int]) -> Expression:
-    """Combined coefficients by monomial -> canonical expression."""
+def sorted_terms(acc: Accumulator) -> Expression:
+    """Combined coefficients by monomial -> canonical expression.
+
+    Drops zero sums and sorts only the distinct monomials.  The engine's sort
+    boundary calls this on the accumulators the rewriter fills (see
+    :mod:`parterm.rewrite`); :func:`normalize` is the same step for a raw
+    term list.
+    """
     return tuple([(c, m) for m, c in sorted(acc.items(), reverse=True) if c])
 
 
 def normalize(raw: Iterable[Term]) -> Expression:
     """Combine like terms, drop zero sums, and sort the distinct monomials once."""
-    acc: dict[Monomial, int] = {}
+    acc: Accumulator = {}
     get = acc.get
     for coeff, mono in raw:
         acc[mono] = get(mono, 0) + coeff
-    return _sorted_terms(acc)
+    return sorted_terms(acc)
 
 
 def add_expressions(a: Expression, b: Expression) -> Expression:
@@ -207,7 +214,7 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
         for cb, mb in b:
             m = ma + mb
             acc[m] = get(m, 0) + ca * cb
-    return _sorted_terms(acc)
+    return sorted_terms(acc)
 
 
 def pow_expression(a: Expression, n: int) -> Expression:

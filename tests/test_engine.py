@@ -1,16 +1,20 @@
 import random
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parterm import rewrite, terms
+from parterm import rewrite, sortmerge, terms
 from parterm.engine import RunConfig, WorkerError, partition_chunks, run_program
-from parterm.parser import Module, Multiply, Program, parse_program
+from parterm.parser import IdSubst, Module, Multiply, Program, parse_program
 from parterm.terms import SymbolTable, add_expressions, pow_expression, symbol
 
 from oracles import (
     algebra_apply_module,
+    brute_multiply,
     oracle_normalize,
     oracle_run_program,
     pack,
@@ -161,7 +165,7 @@ def test_backend_equivalence_and_stats_exclusivity():
 
 
 def test_worker_failure_names_the_worker(monkeypatch):
-    def boom(chunk_terms, m, nsymbols):
+    def boom(chunk_terms, m, nsymbols, acc):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(rewrite, "apply_module_to_chunk", boom)
@@ -174,7 +178,7 @@ def test_worker_failure_names_the_worker(monkeypatch):
 def test_static_dispatch_worker_failure_raises_instead_of_hanging(monkeypatch):
     # 60 one-term chunks over 2 slaves: far more than a mailbox holds, so a
     # master that queued every chunk up front would block once a worker died.
-    def boom(chunk_terms, m, nsymbols):
+    def boom(chunk_terms, m, nsymbols, acc):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(rewrite, "apply_module_to_chunk", boom)
@@ -338,3 +342,101 @@ def test_one_run_starts_one_worker_per_slave(backend, monkeypatch):
         chunks = sum(m.terms_in for m in res.module_metrics) if nslaves else 0
         assert res.stats.messages_master_to_slave == chunks + nslaves * (2 + 1)
         assert res.stats.messages_slave_to_master == chunks + nslaves * 2 * 2
+
+
+# -- the accumulator: like terms combine as they are generated ---------------
+
+ACC_GRID = [RunConfig(nslaves=n, chunk_size=c, backend=b)
+            for n in (0, 1, 2) for c in (1, 2, 1000) for b in ("sm", "mp")]
+
+_XYZ = 3
+_st_coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+_st_mono = st.tuples(*[st.integers(0, 2)] * _XYZ).map(
+    lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e))
+_st_poly = st.lists(st.tuples(_st_coeff, _st_mono), min_size=1, max_size=4).map(
+    lambda ts: oracle_normalize(ts, _XYZ))
+_st_linear = st.lists(st.tuples(st.sampled_from((-1, 1)), st.sampled_from(
+    ((), ((0, 1),), ((1, 1),), ((2, 1),)))), min_size=1, max_size=3).map(
+    lambda ts: oracle_normalize(ts, _XYZ)).filter(bool)
+_st_statement = st.one_of(
+    st.builds(IdSubst, st.integers(0, _XYZ - 1), _st_linear.map(lambda e: pack_terms(e, _XYZ))),
+    st.builds(Multiply, _st_linear.map(lambda e: pack_terms(e, _XYZ))))
+
+_X_MINUS_Y = ((1, ((0, 1),)), (-1, ((1, 1),)))
+_X_PLUS_Y = ((1, ((0, 1),)), (1, ((1, 1),)))
+# A leading statement and an input factor whose products cancel between
+# terms that sit in different chunks: Q*(x-y) under x -> y is zero, and
+# Q*(x+y) times x-y loses every x*y product.
+_CANCELLERS = [
+    (IdSubst(0, pack_terms(((1, ((1, 1),)),), _XYZ)), _X_MINUS_Y),
+    (Multiply(pack_terms(_X_MINUS_Y, _XYZ)), _X_PLUS_Y),
+]
+
+
+@st.composite
+def _cancelling_programs(draw):
+    q = draw(_st_poly)
+    lead = draw(st.sampled_from([None] + _CANCELLERS))
+    if lead is None:
+        statements = draw(st.lists(_st_statement, min_size=1, max_size=3))
+        f = q
+    else:
+        statements = [lead[0]] + draw(st.lists(_st_statement, max_size=2))
+        f = brute_multiply(q, lead[1], _XYZ)
+    initial = [("F", pack_terms(f, _XYZ)), ("G", pack_terms(q, _XYZ))]
+    return Program(SymbolTable(("x", "y", "z")), initial,
+                   [Module(tuple(statements)), Module(())])
+
+
+@given(_cancelling_programs())
+@settings(max_examples=40, deadline=None)
+def test_accumulator_grid_matches_the_oracle(program):
+    expected = oracle_run_program(program)
+    generated = set()
+    for cfg in ACC_GRID:
+        res = run_program(program, cfg)
+        assert res.expressions == expected, cfg
+        generated.add(tuple(m.terms_generated for m in res.module_metrics))
+    assert len(generated) == 1
+
+
+def test_products_that_all_cancel_leave_no_zero_term(monkeypatch):
+    # Under x -> y, x*z and -y*z cancel completely (each in its own chunk at
+    # chunk size 1), and all of H cancels; no run may carry a zero sum.
+    program = _parse("symbols x,y,z; local F = x*z - y*z + z^2; local H = x - y; "
+                     "id x = y; .sort .end")
+    runs = []
+    real_merge = sortmerge.merge_runs
+
+    def recording(rs, *args, **kwargs):
+        runs.extend(rs)
+        return real_merge(rs, *args, **kwargs)
+
+    monkeypatch.setattr(sortmerge, "merge_runs", recording)
+    for cfg in ACC_GRID:
+        del runs[:]
+        res = run_program(program, cfg)
+        assert unpack_terms(res.expressions["F"], 3) == ((1, ((2, 2),)),), cfg
+        assert res.expressions["H"] == (), cfg
+        assert res.module_metrics[0].terms_generated == 5
+        assert runs and all(c for run in runs for c, _ in run), cfg
+
+
+def test_peak_memory_stays_far_below_one_raw_term_per_generated_term():
+    # 39,440 generated terms combine to 680 as they are generated.  A raw
+    # term list costs well over 100 bytes per generated term; the bound
+    # leaves room for the accumulators, the runs and the chunk slices.
+    program = _parse("symbols x,y,z,w; local F = (x+2*y-z+w)^14; .sort "
+                     "id x = y-3*z+w+2; .sort .end")
+    for nslaves in (0, 1):
+        cfg = RunConfig(nslaves=nslaves)
+        run_program(program, cfg)  # warm the rewriter's rhs-power cache
+        tracemalloc.start()
+        try:
+            res = run_program(program, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        generated = sum(m.terms_generated for m in res.module_metrics)
+        assert generated == 39440
+        assert peak < 32 * generated, (nslaves, peak / generated)
