@@ -74,7 +74,6 @@ def run_sweep(
     backends: Sequence[str],
     chunks: Sequence[int] = (1000,),
     repeats: int = 5,
-    master_computes: bool = False,
     progress: Optional[TextIO] = None,
 ) -> BenchResult:
     """Measure every (backend, nslaves, chunk_size) cell plus the sequential
@@ -104,8 +103,7 @@ def run_sweep(
         bytes_medians: dict[int, int] = {}
         for p in slaves:
             for chunk in chunks:
-                cfg = RunConfig(nslaves=p, chunk_size=chunk, backend=backend,
-                                master_computes=master_computes)
+                cfg = RunConfig(nslaves=p, chunk_size=chunk, backend=backend)
                 results: list[ProgramRunResult] = []
                 for r in range(repeats + 1):
                     res = run_program(program, cfg)
@@ -122,7 +120,7 @@ def run_sweep(
                         "nslaves": p,
                         "backend": backend,
                         "chunk_size": chunk,
-                        "master_computes": str(master_computes).lower(),
+                        "master_computes": "false",
                         "repeat": repeats,
                         "t_wall_ns": median_low(m.t_wall for m in mrows),
                         "t_distribute_ns": median_low(m.t_distribute for m in mrows),

@@ -20,15 +20,16 @@ SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
    time, into the module's output.
 
 After the last module the master sends ``Shutdown`` to each worker once;
-nothing travels on a channel after its Shutdown.
+nothing travels on a channel after its Shutdown.  A worker that raises
+answers ``FAILED`` with the traceback and stops; the master raises
+:class:`WorkerError` on receiving it, and still shuts down and joins every
+worker on its way out.
 
-The dispatch loop hands an idle worker the next pending chunk, or with
-``static_dispatch`` (a test-only placement policy, to show that placement
-cannot change results) the next chunk whose ``seq % nslaves`` is that
-worker's id.  With ``master_computes`` the master rewrites a chunk itself
-whenever no acknowledgement is pending and chunks remain.  ``nslaves=0`` is
-the same loop with no workers and no transport: the master rewrites every
-chunk itself and merges its single run.
+The dispatch loop hands each idle worker, in order, the next pending chunk.
+With ``master_computes`` the master rewrites the next chunk itself whenever
+no acknowledgement is waiting and chunks remain.  ``nslaves=0`` is the same
+loop with no workers and no transport: the master rewrites every chunk
+itself and merges its single run.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import rewrite, sortmerge, terms
 from .parser import Module, Program
 from .terms import Expression
 from .transport import (
     BACKENDS,
-    Endpoint,
     Message,
     MessageKind,
     TransportStats,
@@ -73,7 +73,6 @@ class RunConfig:
     chunk_size: int = 1000
     backend: str = "sm"
     master_computes: bool = False
-    static_dispatch: bool = False  # test-only placement policy
 
     def __post_init__(self) -> None:
         if self.nslaves < 0:
@@ -84,11 +83,12 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
-@dataclass(frozen=True)
-class Chunk:
-    seq: int
-    terms: Expression
+class Chunk(NamedTuple):
+    """Terms ``start:stop`` of local expression ``expr``."""
+
     expr: int
+    start: int
+    stop: int
 
 
 @dataclass
@@ -153,13 +153,11 @@ class ProgramRunResult:
 
 
 def partition_chunks(exprs: Sequence[Expression], chunk_size: int) -> list[Chunk]:
-    """Split every expression into contiguous chunks, numbered across all of
-    them; each expression's chunks, concatenated in order, restore it."""
-    chunks: list[Chunk] = []
-    for expr, e in enumerate(exprs):
-        for i in range(0, len(e), chunk_size):
-            chunks.append(Chunk(len(chunks), e[i:i + chunk_size], expr))
-    return chunks
+    """Split every expression into contiguous nonempty ranges, expression by
+    expression; each expression's ranges, in order, cover it exactly."""
+    return [Chunk(expr, i, min(i + chunk_size, len(e)))
+            for expr, e in enumerate(exprs)
+            for i in range(0, len(e), chunk_size)]
 
 
 def _rewrite_chunk(chunk_terms: Expression, m: Module, nsymbols: int,
@@ -192,7 +190,7 @@ def _return_runs(endpoint, accs: list[terms.Accumulator], metrics: WorkerMetrics
 
 
 def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
-                metrics: list[WorkerMetrics], errors: list[Optional[str]]) -> None:
+                metrics: list[WorkerMetrics]) -> None:
     k = 0
     accs: list[terms.Accumulator] = [{} for _ in range(nexprs)]
     try:
@@ -204,7 +202,7 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
             mine = metrics[k]
             if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
                 _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr], mine)
-                endpoint.reply(Message(MessageKind.RUN_RETURN, msg.chunk_seq))
+                endpoint.reply(Message(MessageKind.RUN_RETURN))
             elif msg.kind is MessageKind.SORT:
                 _return_runs(endpoint, accs, mine)
                 k += 1
@@ -212,7 +210,7 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
                 raise EngineError(f"unexpected message kind {msg.kind}")
             mine.busy_ns += perf_counter_ns() - t0
     except Exception:
-        errors[endpoint.worker] = traceback.format_exc()
+        endpoint.reply(Message(MessageKind.FAILED, detail=traceback.format_exc()))
 
 
 class _Session:
@@ -230,7 +228,6 @@ class _Session:
         first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
         self.metrics = [{i: WorkerMetrics() for i in range(first, cfg.nslaves)}
                         for _ in self.modules]
-        self.errors: list[Optional[str]] = [None] * cfg.nslaves
         self.threads: list[threading.Thread] = []
         self.transport = None
         self.master = None
@@ -243,37 +240,35 @@ class _Session:
             th = threading.Thread(
                 target=_slave_loop,
                 args=(self.transport.slave_endpoint(i), self.modules, self.nsymbols,
-                      self.nexprs, [row[i] for row in self.metrics], self.errors),
+                      self.nexprs, [row[i] for row in self.metrics]),
                 name=f"parterm-worker-{i}",
                 daemon=True,
             )
             th.start()
             self.threads.append(th)
 
-    def recv(self) -> tuple[Endpoint, Message]:
-        """Block for the next worker message; raise if a worker has failed."""
-        while True:
-            got = self.master.recv_any(timeout=0.05)
-            if got is not None:
-                return got
-            for i, error in enumerate(self.errors):
-                if error is not None:
-                    raise WorkerError(i, error)
+    def recv(self, block: bool = True) -> Optional[tuple[int, Message]]:
+        """The next worker message, or None if ``block`` is false and none is
+        waiting; a ``FAILED`` message raises :class:`WorkerError`."""
+        got = self.master.recv_any(block)
+        if got is not None and got[1].kind is MessageKind.FAILED:
+            raise WorkerError(got[0], got[1].detail)
+        return got
 
     def stats(self) -> TransportStats:
         return self.transport.stats() if self.transport else TransportStats()
 
     def close(self) -> None:
-        for i in range(self.cfg.nslaves):
-            self.master.send(Endpoint.slave(i), Message(MessageKind.SHUTDOWN))
+        """Send ``Shutdown`` to every started worker and join it.
+
+        The protocol never leaves more than one message outstanding on a
+        channel, so the Shutdown fits the mailbox and the send cannot block,
+        also after a failure; a failed worker has stopped and never reads it.
+        """
+        for i in range(len(self.threads)):
+            self.master.send(i, Message(MessageKind.SHUTDOWN))
         for th in self.threads:
             th.join()
-
-    def abort(self) -> None:
-        for i in range(self.cfg.nslaves):
-            self.transport._force_shutdown(i)
-        for th in self.threads:
-            th.join(timeout=5.0)
 
 
 def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
@@ -292,67 +287,52 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
     t_distribute = 0
     wait_ns = 0
 
-    def send(worker: int, msg: Message) -> None:
-        nonlocal t_distribute
-        t0 = perf_counter_ns()
-        session.master.send(Endpoint.slave(worker), msg)
-        t_distribute += perf_counter_ns() - t0
-
-    def recv() -> tuple[Endpoint, Message]:
+    def recv() -> tuple[int, Message]:
         nonlocal wait_ns
         t0 = perf_counter_ns()
         got = session.recv()
         wait_ns += perf_counter_ns() - t0
         return got
 
+    def chunk_terms(c: Chunk) -> Expression:
+        # Sliced only when sent or computed, so only outstanding chunks are copies.
+        return exprs[c.expr][c.start:c.stop]
+
     t0 = perf_counter_ns()
-    # One queue of pending chunks, or one per worker under static placement.
-    queues = [deque() for _ in range(max(1, cfg.nslaves) if cfg.static_dispatch else 1)]
-    for c in partition_chunks(exprs, cfg.chunk_size):
-        queues[c.seq % len(queues)].append(c)
+    pending = deque(partition_chunks(exprs, cfg.chunk_size))
     t_distribute += perf_counter_ns() - t0
 
-    def take(worker: int) -> Optional[Chunk]:
-        if worker == MASTER_WORKER_ID:
-            q = next((q for q in queues if q), None)
-        else:
-            q = queues[worker % len(queues)]
-        return q.popleft() if q else None
-
     master_accs: list[terms.Accumulator] = [{} for _ in exprs]
-    idle = list(range(cfg.nslaves))
+    idle = deque(range(cfg.nslaves))
     outstanding = 0
-    while True:
-        waiting = []
-        for w in idle:
-            c = take(w)
-            if c is None:
-                waiting.append(w)
-            else:
-                send(w, Message(MessageKind.CHUNK_ASSIGNMENT, c.seq, c.terms, c.expr))
-                outstanding += 1
-        idle = waiting
-        pending = any(queues)
-        if not (pending or outstanding):
-            break
+    while pending or outstanding:
+        t0 = perf_counter_ns()
+        while idle and pending:
+            c = pending.popleft()
+            session.master.send(idle.popleft(), Message(
+                MessageKind.CHUNK_ASSIGNMENT, chunk_terms(c), c.expr))
+            outstanding += 1
+        t_distribute += perf_counter_ns() - t0
         got = None
         if pending and mine is not None:
-            got = session.master.recv_any(block=False) if outstanding else None
+            got = session.recv(block=False) if outstanding else None
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
-                c = take(MASTER_WORKER_ID)
-                _rewrite_chunk(c.terms, m, nsymbols, master_accs[c.expr], mine)
+                c = pending.popleft()
+                _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr], mine)
                 continue
-        frm, msg = got or recv()
+        worker, msg = got or recv()
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
             raise EngineError(f"expected completion signal, got {msg.kind}")
         outstanding -= 1
-        idle.append(frm.worker)
+        idle.append(worker)
 
     # Sort boundary: every worker, the master too if it computes, sorts the
     # distinct monomials it accumulated once per expression.
+    t0 = perf_counter_ns()
     for w in range(cfg.nslaves):
-        send(w, Message(MessageKind.SORT))
+        session.master.send(w, Message(MessageKind.SORT))
+    t_distribute += perf_counter_ns() - t0
     runs: list[list[Expression]] = [[] for _ in exprs]
     if mine is not None:
         for expr, run in enumerate(_sort_runs(master_accs, mine)):
@@ -391,10 +371,8 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
             exprs, metrics = execute_parallel(session, k, exprs)
             module_metrics.append(metrics)
             marks.append(session.stats())
+    finally:
         session.close()
-    except BaseException:
-        session.abort()
-        raise
     marks[-1] = session.stats()  # the Shutdowns count towards the last module
     module_stats = [b - a for a, b in zip([TransportStats()] + marks, marks)]
     return ProgramRunResult(dict(zip(names, exprs)), module_metrics, module_stats,

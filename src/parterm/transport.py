@@ -15,14 +15,17 @@ can be constructed.  They differ only in how a message's term payload moves:
 Messages (the session protocol that orders them is in :mod:`parterm.engine`):
 
 * ``CHUNK_ASSIGNMENT``, master to slave: a nonempty chunk of one local
-  expression, tagged with its sequence number and expression index;
+  expression, tagged with its expression index;
 * ``RUN_RETURN``, slave to master: an empty acknowledgement of a chunk or,
   after a ``SORT``, the sorted run of one expression, tagged with its index;
+* ``FAILED``, slave to master: the slave's last message, carrying the
+  traceback of the exception that stopped it as its detail;
 * ``SORT``, master to slave: the module's sort boundary;
 * ``SHUTDOWN``, master to slave: the last message on a channel, once per run.
 
-Only the term payload goes through the wire format; kind, sequence number
-and expression index travel beside it.
+The master addresses a slave by its id, ``0 <= id < nslaves``.  Only the term
+payload goes through the wire format; kind, expression index and detail
+travel beside it.
 
 Wire format (little-endian): ``u32 term_count``, then per term ``u8 sign``
 (0 plus, 1 minus), ``u32 magnitude_byte_len``, the magnitude bytes
@@ -37,8 +40,8 @@ decoding rejects a symbol id ``>= nsymbols``.  A field's 32 value bits hold
 exactly a u32 exponent, so every valid monomial encodes and every decoded
 exponent fits.
 
-Per-slave mailboxes are bounded (finite buffers); a send to a full mailbox
-blocks until the slave drains it.
+Per-slave mailboxes hold at most ``MAILBOX_BOUND`` messages; a send to a full
+mailbox blocks until the slave drains it.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ class ChannelClosedError(RuntimeError):
 class MessageKind(enum.Enum):
     CHUNK_ASSIGNMENT = "chunk"
     RUN_RETURN = "run"
+    FAILED = "failed"
     SORT = "sort"
     SHUTDOWN = "shutdown"
 
@@ -84,31 +88,12 @@ class MessageKind(enum.Enum):
 @dataclass(frozen=True)
 class Message:
     """One message; ``expr`` is the index of the local expression a chunk or
-    a run belongs to."""
+    a run belongs to, ``detail`` the traceback a ``FAILED`` carries."""
 
     kind: MessageKind
-    chunk_seq: Optional[int] = None
     payload: tuple[Term, ...] = ()
     expr: int = 0
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """Master (worker is None) or a specific slave."""
-
-    worker: Optional[int] = None
-
-    @property
-    def is_master(self) -> bool:
-        return self.worker is None
-
-    @staticmethod
-    def master() -> "Endpoint":
-        return Endpoint(None)
-
-    @staticmethod
-    def slave(worker: int) -> "Endpoint":
-        return Endpoint(worker)
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -241,12 +226,12 @@ def wire_size(ts: Sequence[Term], nsymbols: int) -> int:
 class _TransportBase:
     """Queue plumbing and accounting shared by both backends."""
 
-    def __init__(self, nslaves: int, nsymbols: int, mailbox_bound: int = MAILBOX_BOUND):
+    def __init__(self, nslaves: int, nsymbols: int):
         if nslaves < 1:
             raise ValueError("transport needs at least one slave")
         self.nslaves = nslaves
         self.nsymbols = nsymbols
-        self._outboxes = [queue.Queue(maxsize=mailbox_bound) for _ in range(nslaves)]
+        self._outboxes = [queue.Queue(maxsize=MAILBOX_BOUND) for _ in range(nslaves)]
         self._inbox: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._m2s = 0
@@ -272,17 +257,6 @@ class _TransportBase:
             self._bytes += byte_delta
             self._handles += handle_delta
 
-    def _force_shutdown(self, worker: int) -> None:
-        # Error-path cleanup: best-effort Shutdown that never blocks.
-        if self._closed[worker]:
-            return
-        record, _, _ = self._pack(Message(MessageKind.SHUTDOWN))
-        try:
-            self._outboxes[worker].put_nowait(record)
-        except queue.Full:
-            pass
-        self._closed[worker] = True
-
     def master_endpoint(self) -> "MasterEndpoint":
         return MasterEndpoint(self)
 
@@ -298,30 +272,28 @@ class MasterEndpoint:
     def __init__(self, transport: _TransportBase):
         self._t = transport
 
-    def send(self, to: Endpoint, msg: Message) -> None:
-        if to.is_master:
-            raise ValueError("master cannot send to itself")
+    def send(self, worker: int, msg: Message) -> None:
         t = self._t
-        if t._closed[to.worker]:
-            raise ChannelClosedError(f"channel to slave {to.worker} is shut down")
-        if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
-            if not msg.payload:
-                raise ValueError("ChunkAssignment payload must be nonempty")
-            if msg.chunk_seq is None:
-                raise ValueError("ChunkAssignment needs a chunk_seq")
+        if not 0 <= worker < t.nslaves:
+            raise ValueError(f"no slave {worker}; slave ids are 0..{t.nslaves - 1}")
+        if t._closed[worker]:
+            raise ChannelClosedError(f"channel to slave {worker} is shut down")
+        if msg.kind is MessageKind.CHUNK_ASSIGNMENT and not msg.payload:
+            raise ValueError("ChunkAssignment payload must be nonempty")
         record, byte_delta, handle_delta = t._pack(msg)
-        t._outboxes[to.worker].put(record)
+        t._outboxes[worker].put(record)
         t._account(True, byte_delta, handle_delta)
         if msg.kind is MessageKind.SHUTDOWN:
-            t._closed[to.worker] = True
+            t._closed[worker] = True
 
-    def recv_any(self, block: bool = True,
-                 timeout: Optional[float] = None) -> Optional[tuple[Endpoint, Message]]:
+    def recv_any(self, block: bool = True) -> Optional[tuple[int, Message]]:
+        """The next ``(slave id, message)``, or None if ``block`` is false and
+        nothing is waiting."""
         try:
-            worker, record = self._t._inbox.get(block=block, timeout=timeout)
+            worker, record = self._t._inbox.get(block=block)
         except queue.Empty:
             return None
-        return Endpoint.slave(worker), self._t._unpack(record)
+        return worker, self._t._unpack(record)
 
 
 class SlaveEndpoint:
@@ -355,11 +327,11 @@ class MessagePassingTransport(_TransportBase):
 
     def _pack(self, msg: Message):
         wire = serialize_terms(msg.payload, self.nsymbols)
-        return (msg.kind, msg.chunk_seq, msg.expr, wire), len(wire), 0
+        return (msg.kind, msg.expr, msg.detail, wire), len(wire), 0
 
     def _unpack(self, record) -> Message:
-        kind, chunk_seq, expr, wire = record
-        return Message(kind, chunk_seq, deserialize_terms(wire, self.nsymbols), expr)
+        kind, expr, detail, wire = record
+        return Message(kind, deserialize_terms(wire, self.nsymbols), expr, detail)
 
 
 class SharedBufferTransport(_TransportBase):
@@ -380,10 +352,9 @@ BACKENDS = {
 }
 
 
-def make_transport(backend: str, nslaves: int, nsymbols: int,
-                   mailbox_bound: int = MAILBOX_BOUND) -> _TransportBase:
+def make_transport(backend: str, nslaves: int, nsymbols: int) -> _TransportBase:
     try:
         cls = BACKENDS[backend]
     except KeyError:
         raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
-    return cls(nslaves, nsymbols, mailbox_bound)
+    return cls(nslaves, nsymbols)

@@ -96,8 +96,11 @@ GOLDEN_TEXT = "symbols x, y;\nlocal F = (x+y)^3;\nmultiply x+y;\n.sort\n.end\n"
 
 
 def _golden_expected_bytes(nslaves: int, chunk_size: int) -> tuple[int, int, int]:
-    """Hand-compute the mp wire traffic for the golden workload under static
-    round-robin dispatch: (serialized_bytes, messages m->s, messages s->m)."""
+    """Hand-compute the mp wire traffic for the golden workload when chunk i
+    goes to slave i % nslaves: (serialized_bytes, messages m->s, messages s->m).
+
+    Dispatch deals the first pass in slave order, so this holds for runs with
+    at most one chunk per slave."""
     program = parse_program(GOLDEN_TEXT)
     (_, f_expr), = program.initial
     f_expr = unpack_terms(f_expr, 2)
@@ -134,10 +137,12 @@ def test_acceptance_3_transport_accounting():
     assert (res.stats.messages_master_to_slave, res.stats.messages_slave_to_master) \
         == (m2s, s2m)
 
-    expected2, _, _ = _golden_expected_bytes(nslaves=2, chunk_size=1)
-    res2 = run_program(program, RunConfig(nslaves=2, chunk_size=1, backend="mp",
-                                          static_dispatch=True))
+    # Four terms in two chunks for two slaves: one chunk each, chunk i to slave i.
+    expected2, m2s2, s2m2 = _golden_expected_bytes(nslaves=2, chunk_size=2)
+    res2 = run_program(program, RunConfig(nslaves=2, chunk_size=2, backend="mp"))
     assert res2.stats.serialized_bytes == expected2
+    assert (res2.stats.messages_master_to_slave, res2.stats.messages_slave_to_master) \
+        == (m2s2, s2m2)
 
     sm = run_program(program, RunConfig(nslaves=2, chunk_size=1, backend="sm"))
     assert sm.stats.serialized_bytes == 0

@@ -59,6 +59,7 @@ def test_sweep_row_count_matches_flag_grid(tmp_path):
     by_name = list(csv.DictReader(open(path)))
     for row in by_name:
         assert row["repeat"] == "5"
+        assert row["master_computes"] == "false"
         assert int(row["t_wall_ns"]) > 0
         assert int(row["terms_in"]) == 5
         if row["backend"] == "sm":

@@ -76,12 +76,15 @@ def test_partition_reconstructs_input():
                  for _ in range(rng.randint(1, 3))]
         size = rng.choice([1, 2, 7, 1000])
         chunks = partition_chunks(exprs, size)
-        assert all(c.terms for c in chunks)
-        assert [c.seq for c in chunks] == list(range(len(chunks)))
         assert [c.expr for c in chunks] == sorted(c.expr for c in chunks)
         for i, e in enumerate(exprs):
-            joined = tuple(t for c in chunks if c.expr == i for t in c.terms)
-            assert joined == e
+            ranges = [(c.start, c.stop) for c in chunks if c.expr == i]
+            # in bounds, nonempty, at most chunk_size long
+            assert all(0 <= a < b <= len(e) and b - a <= size for a, b in ranges)
+            # consecutive from 0 to len(e): the ranges cover e in order
+            assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+            assert (ranges[-1][1] if ranges else 0) == len(e)
+            assert tuple(t for a, b in ranges for t in e[a:b]) == e
 
 
 # -- parallel engine ---------------------------------------------------------
@@ -129,17 +132,6 @@ def test_grid_matches_sequential(backend, master_computes):
                 assert sum(metrics.terms_processed.values()) == len(e)
 
 
-def test_static_dispatch_gives_identical_results():
-    rng = random.Random(103)
-    for _ in range(10):
-        e = random_expression(rng, NSYM, 25, max_exp=3)
-        m = random_module(rng, NSYM)
-        expected = algebra_apply_module(e, m, NSYM)
-        cfg = RunConfig(nslaves=3, chunk_size=2, backend="sm", static_dispatch=True)
-        result, _, _ = _run_module(e, m, NSYM, cfg)
-        assert result == expected
-
-
 def test_empty_expression_parallel():
     m = Module((Multiply(symbol(0, 1)),))
     result, metrics, _ = _run_module((), m, 1, RunConfig(nslaves=2))
@@ -175,37 +167,97 @@ def test_worker_failure_names_the_worker(monkeypatch):
         _run_module(e, m, 2, RunConfig(nslaves=2, chunk_size=1))
 
 
-def test_static_dispatch_worker_failure_raises_instead_of_hanging(monkeypatch):
-    # 60 one-term chunks over 2 slaves: far more than a mailbox holds, so a
-    # master that queued every chunk up front would block once a worker died.
-    def boom(chunk_terms, m, nsymbols, acc):
-        raise RuntimeError("injected fault")
-
-    monkeypatch.setattr(rewrite, "apply_module_to_chunk", boom)
+def _raised_within(seconds, fn):
+    """Run ``fn`` as the master on its own thread; it must finish within
+    ``seconds`` and leave no thread behind.  Returns what it raised, or None."""
     before = threading.active_count()
-    e = tuple((1, pack(((0, i),), 1)) for i in range(60, 0, -1))
-    m = Module((Multiply(symbol(0, 1)),))
-    cfg = RunConfig(nslaves=2, chunk_size=1, static_dispatch=True)
     raised = []
 
     def run():
         try:
-            _run_module(e, m, 1, cfg)
-        except WorkerError as exc:
+            fn()
+        except Exception as exc:
             raised.append(exc)
 
-    th = threading.Thread(target=run, daemon=True)
+    th = threading.Thread(target=run, name="test-master", daemon=True)
     t0 = time.monotonic()
     th.start()
-    th.join(timeout=10.0)
+    th.join(timeout=seconds)
     assert not th.is_alive(), "the master hung"
-    assert time.monotonic() - t0 < 10.0
-    assert len(raised) == 1 and "injected fault" in str(raised[0])
-    for _ in range(50):
-        if threading.active_count() == before:
-            break
-        time.sleep(0.02)
+    assert time.monotonic() - t0 < seconds
     assert threading.active_count() == before
+    return raised[0] if raised else None
+
+
+def _injected_fault(chunk_terms, m, nsymbols, acc):
+    raise RuntimeError("injected fault")
+
+
+# 60 one-term chunks over 2 slaves: far more than a mailbox holds.
+_SIXTY = tuple((1, pack(((0, i),), 1)) for i in range(60, 0, -1))
+
+
+def test_worker_failure_raises_instead_of_hanging(monkeypatch):
+    # A master that queued every chunk up front would block once a worker died.
+    monkeypatch.setattr(rewrite, "apply_module_to_chunk", _injected_fault)
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=1)
+    exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
+    assert isinstance(exc, WorkerError) and "injected fault" in str(exc)
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+def test_worker_fault_detail_crosses_the_backend(backend, monkeypatch):
+    monkeypatch.setattr(rewrite, "apply_module_to_chunk", _injected_fault)
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=7, backend=backend)
+    exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
+    assert isinstance(exc, WorkerError)
+    assert exc.worker in (0, 1)
+    assert str(exc).startswith(f"worker {exc.worker} failed")
+    assert "injected fault" in str(exc)
+
+
+def test_computing_master_raises_when_every_worker_faults(monkeypatch):
+    # The master's own chunks take a few ms each, so the FAILED replies reach
+    # it while chunks remain: on its non-blocking check, not the final wait.
+    real = rewrite.apply_module_to_chunk
+    computed_by_master = []
+
+    def workers_fail(chunk_terms, m, nsymbols, acc):
+        if threading.current_thread().name.startswith("parterm-worker"):
+            raise RuntimeError("injected fault")
+        computed_by_master.append(len(chunk_terms))
+        time.sleep(0.002)
+        return real(chunk_terms, m, nsymbols, acc)
+
+    monkeypatch.setattr(rewrite, "apply_module_to_chunk", workers_fail)
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=1, master_computes=True)
+    exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
+    assert isinstance(exc, WorkerError) and "injected fault" in str(exc)
+    assert len(computed_by_master) < len(_SIXTY) - 2
+
+
+def test_master_fault_shuts_down_live_workers(monkeypatch):
+    # Only the master's own thread faults; the workers are alive and busy
+    # (each chunk takes them a few ms), so the master computes a chunk early.
+    real = rewrite.apply_module_to_chunk
+    worker_chunks = []
+
+    def master_fails(chunk_terms, m, nsymbols, acc):
+        if threading.current_thread().name == "test-master":
+            raise RuntimeError("master fault")
+        worker_chunks.append(len(chunk_terms))
+        time.sleep(0.005)
+        return real(chunk_terms, m, nsymbols, acc)
+
+    monkeypatch.setattr(rewrite, "apply_module_to_chunk", master_fails)
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=1, master_computes=True)
+    exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
+    assert type(exc) is RuntimeError and str(exc) == "master fault"
+    assert worker_chunks  # the workers were serving chunks when the master failed
 
 
 def test_engine_quiesces_after_each_run():

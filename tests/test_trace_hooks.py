@@ -47,16 +47,56 @@ for c in configs:
 print(json.dumps({"modules": len(program.modules), "report": report}))
 """
 
+# A traced run whose workers fault: the wrapped send/recv_any and slave
+# endpoints must carry the FAILED reply to the master, which raises.
+FAULT_SCRIPT = r"""
+import json
+import sys
+import threading
 
-def test_benchmark_trace_hooks_still_see_every_layer():
+sys.path.insert(0, sys.argv[1])
+import parterm
+from parterm.engine import WorkerError
+from tracing import Tracer
+
+program = parterm.parse_program("symbols x, y; local F = (x+y)^6; multiply x+y; .sort .end")
+tracer = Tracer()
+tracer.install(parterm)
+
+def boom(*args):
+    raise RuntimeError("injected fault")
+
+parterm.rewrite.apply_module_to_chunk = tracer.wrap("rewrite", boom)
+before = threading.active_count()
+report = []
+for backend in ("sm", "mp"):
+    tracer.spans.clear()
+    cfg = parterm.RunConfig(nslaves=2, chunk_size=2, backend=backend)
+    try:
+        parterm.run_program(program, cfg)
+        error = None
+    except WorkerError as exc:
+        error = str(exc)
+    report.append({"backend": backend, "error": error,
+                   "threads_left": threading.active_count() - before,
+                   "spans": sorted({s[1] for s in tracer.spans})})
+print(json.dumps(report))
+"""
+
+
+def _run_traced(script: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench")],
+        [sys.executable, "-c", script, os.path.join(ROOT, "perfbench")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_benchmark_trace_hooks_still_see_every_layer():
+    out = _run_traced(SCRIPT)
     assert len(out["report"]) == 6
     for row in out["report"]:
         label = f"nslaves={row['nslaves']} backend={row['backend']}"
@@ -65,3 +105,15 @@ def test_benchmark_trace_hooks_still_see_every_layer():
         assert row["rewrite_calls"] > 0, label
         if row["nslaves"]:
             assert row["worker_busy_s"] > 0, label
+
+
+def test_traced_worker_fault_raises_and_leaves_no_thread():
+    report = _run_traced(FAULT_SCRIPT)
+    assert [row["backend"] for row in report] == ["sm", "mp"]
+    for row in report:
+        assert row["error"] and row["error"].startswith("worker "), row
+        assert "injected fault" in row["error"], row
+        assert row["threads_left"] == 0, row
+        # spans record calls that returned: not the raising rewrite
+        for span in ("master_send", "master_recv", "slave_recv", "slave_reply"):
+            assert span in row["spans"], (span, row)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parterm.transport import (
+    MAILBOX_BOUND,
     ChannelClosedError,
-    Endpoint,
     Message,
     MessageKind,
     MessagePassingTransport,
@@ -141,27 +141,35 @@ def test_loopback_fidelity(backend):
     master = transport.master_endpoint()
     slave = transport.slave_endpoint(1)
     payload = pack_terms(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
-    sent = Message(MessageKind.CHUNK_ASSIGNMENT, chunk_seq=0, payload=payload)
-    master.send(Endpoint.slave(1), sent)
+    sent = Message(MessageKind.CHUNK_ASSIGNMENT, payload=payload, expr=1)
+    master.send(1, sent)
     got = slave.recv()
     assert got == sent
     slave.reply(Message(MessageKind.RUN_RETURN, payload=payload))
     frm, echoed = master.recv_any()
-    assert frm == Endpoint.slave(1)
+    assert frm == 1
     assert echoed.payload == payload
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+def test_failed_detail_travels_beside_the_payload(backend):
+    transport = make_transport(backend, nslaves=2, nsymbols=NSYM)
+    failed = Message(MessageKind.FAILED, detail="Traceback ...\nRuntimeError: x")
+    transport.slave_endpoint(1).reply(failed)
+    assert transport.master_endpoint().recv_any() == (1, failed)
+    # the detail is not part of the wire payload: an empty run's 4 bytes
+    assert transport.stats().serialized_bytes == (4 if backend == "mp" else 0)
 
 
 def test_mp_copies_but_sm_transfers_ownership():
     payload = pack_terms(((5, ((0, 2),)),), NSYM)
     mp = make_transport("mp", 1, NSYM)
-    mp.master_endpoint().send(
-        Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
+    mp.master_endpoint().send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     got = mp.slave_endpoint(0).recv()
     assert got.payload == payload and got.payload is not payload
 
     sm = make_transport("sm", 1, NSYM)
-    sm.master_endpoint().send(
-        Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
+    sm.master_endpoint().send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     assert sm.slave_endpoint(0).recv().payload is payload
 
 
@@ -170,7 +178,7 @@ def test_mp_accounting_is_exact_per_message():
     master = transport.master_endpoint()
     factors = ((5, ((0, 2),)),)  # one term: 4 + (1+4+1+2+8) = 20 bytes
     payload = pack_terms(factors, NSYM)
-    master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
+    master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = transport.stats()
     assert stats.serialized_bytes == len(hand_wire_bytes(factors)) == 20
     assert stats.messages_master_to_slave == 1
@@ -181,7 +189,7 @@ def test_sm_accounting_counts_handles_not_bytes():
     transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
     payload = pack_terms(((5, ((0, 2),)),), NSYM)
-    master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, payload))
+    master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = transport.stats()
     assert stats.serialized_bytes == 0
     assert stats.handle_transfers == 1
@@ -197,8 +205,7 @@ def test_accounting_sums_both_directions():
     for i in range(6):
         payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
         expected += len(hand_wire_bytes(payload))
-        master.send(Endpoint.slave(i % 2),
-                    Message(MessageKind.CHUNK_ASSIGNMENT, i, pack_terms(payload, NSYM)))
+        master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_terms(payload, NSYM)))
         got = slaves[i % 2].recv()
         reply = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
         expected += len(hand_wire_bytes(reply))
@@ -212,10 +219,7 @@ def test_chunk_assignment_validation():
     transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
     with pytest.raises(ValueError, match="nonempty"):
-        master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, 0, ()))
-    with pytest.raises(ValueError, match="chunk_seq"):
-        master.send(Endpoint.slave(0),
-                    Message(MessageKind.CHUNK_ASSIGNMENT, None, ((1, 0),)))
+        master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, ()))
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
@@ -223,9 +227,9 @@ def test_channel_closed_after_shutdown(backend):
     transport = make_transport(backend, 1, NSYM)
     master = transport.master_endpoint()
     slave = transport.slave_endpoint(0)
-    master.send(Endpoint.slave(0), Message(MessageKind.SHUTDOWN))
+    master.send(0, Message(MessageKind.SHUTDOWN))
     with pytest.raises(ChannelClosedError):
-        master.send(Endpoint.slave(0), Message(MessageKind.SORT))
+        master.send(0, Message(MessageKind.SORT))
     assert slave.recv().kind is MessageKind.SHUTDOWN
     with pytest.raises(ChannelClosedError):
         slave.recv()
@@ -243,36 +247,43 @@ def test_star_topology_has_no_slave_to_slave_api():
     import inspect
     params = list(inspect.signature(slave.reply).parameters)
     assert params == ["msg"]
-    with pytest.raises(ValueError, match="master cannot send to itself"):
-        transport.master_endpoint().send(Endpoint.master(), Message(MessageKind.SORT))
+    # The master addresses slaves by id only; -1 (the computing master's
+    # metrics key) and nslaves are no slave, not the last or the first one.
+    master = transport.master_endpoint()
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"no slave {bad}"):
+            master.send(bad, Message(MessageKind.SORT))
+    assert transport.stats().messages == 0
 
 
 def test_bounded_mailbox_blocks_sender():
-    transport = make_transport("sm", 1, NSYM, mailbox_bound=2)
+    transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
-    payload = ((1, 0),)
     done = threading.Event()
 
     def sender():
-        for seq in range(3):
-            master.send(Endpoint.slave(0), Message(MessageKind.CHUNK_ASSIGNMENT, seq, payload))
+        for i in range(MAILBOX_BOUND + 1):
+            master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, ((1, 0),), expr=i))
         done.set()
 
     th = threading.Thread(target=sender, daemon=True)
     th.start()
     time.sleep(0.2)
-    assert not done.is_set()  # third send is blocked on the full mailbox
+    assert not done.is_set()  # the last send is blocked on the full mailbox
+    assert transport.stats().messages_master_to_slave == MAILBOX_BOUND
     slave = transport.slave_endpoint(0)
-    assert slave.recv().chunk_seq == 0
+    assert slave.recv().expr == 0
     th.join(timeout=2.0)
     assert done.is_set()
+    assert [slave.recv().expr for _ in range(MAILBOX_BOUND)] == list(range(1, MAILBOX_BOUND + 1))
 
 
-def test_recv_any_nonblocking_and_timeout():
+def test_recv_any_nonblocking():
     transport = make_transport("sm", 1, NSYM)
     master = transport.master_endpoint()
     assert master.recv_any(block=False) is None
-    assert master.recv_any(timeout=0.01) is None
+    transport.slave_endpoint(0).reply(Message(MessageKind.RUN_RETURN))
+    assert master.recv_any(block=False) == (0, Message(MessageKind.RUN_RETURN))
 
 
 def test_make_transport_rejects_unknown_backend():
