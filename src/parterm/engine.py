@@ -2,8 +2,9 @@
 
 A run starts ``nslaves`` worker threads once.  Every worker holds the
 program's module list and applies module *k* after it has seen *k* SORTs.
-Workers share nothing except their transport endpoint; all term data moves
-by message.  On each master-slave channel a run is, per module, CHUNK* then
+Workers share nothing except their transport endpoint: all term data and
+every per-module record moves by message, and a worker writes no object the
+master reads.  On each master-slave channel a run is, per module, CHUNK* then
 SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
 
 1. CHUNK*: the master splits every local expression of the module into
@@ -15,7 +16,9 @@ SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
 2. SORT: once every chunk is acknowledged the master sends ``Sort`` to each
    worker; the worker sorts the distinct monomials of each expression's
    accumulator once, dropping zero sums, and answers with exactly one
-   ``RunReturn`` per expression (an empty run is allowed);
+   ``RunReturn`` per expression (an empty run is allowed); the last one also
+   carries the worker's :class:`WorkerMetrics` for the module, and the
+   worker starts a fresh record for the next;
 3. the master k-way-merges the runs of each expression, one expression at a
    time, into the module's output.
 
@@ -95,7 +98,9 @@ class Chunk(NamedTuple):
 class WorkerMetrics:
     """One worker's (or the computing master's) share of one module.
 
-    Each worker writes only its own record.
+    ``busy_ns`` is the time from a message's arrival until its answer is
+    ready; encoding and sending the answer is transport time.  A worker
+    writes only its own record and sends it with the module's last run.
     """
 
     compute_ns: int = 0
@@ -111,8 +116,7 @@ class PhaseMetrics:
 
     ``t_distribute`` is the master's active partition/send time;
     ``master_busy`` is all master time not spent blocked waiting on slaves.
-    ``workers`` is keyed by worker id, with ``-1`` standing for a computing
-    master; the derived figures are complete once the run has returned.
+    ``workers`` is keyed by worker id, ``-1`` standing for a computing master.
     """
 
     t_distribute: int = 0
@@ -183,51 +187,50 @@ def _sort_runs(accs: list[terms.Accumulator], metrics: WorkerMetrics) -> list[Ex
     return runs
 
 
-def _return_runs(endpoint, accs: list[terms.Accumulator], metrics: WorkerMetrics) -> None:
-    """Answer a SORT with one run per expression; the worker keeps none of them."""
-    for expr, run in enumerate(_sort_runs(accs, metrics)):
-        endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run, expr=expr))
+def _return_runs(endpoint, accs: list[terms.Accumulator], mine: WorkerMetrics,
+                 t0: int) -> None:
+    """Answer a SORT that arrived at ``t0`` with one run per expression, the
+    last carrying ``mine``; the worker keeps none of them."""
+    runs = _sort_runs(accs, mine)
+    mine.busy_ns += perf_counter_ns() - t0
+    last = len(runs) - 1
+    for expr, run in enumerate(runs):
+        endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run, expr=expr,
+                               metrics=mine if expr == last else None))
 
 
-def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int,
-                metrics: list[WorkerMetrics]) -> None:
+def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int) -> None:
     k = 0
     accs: list[terms.Accumulator] = [{} for _ in range(nexprs)]
+    mine = WorkerMetrics()
     try:
         while True:
             msg = endpoint.recv()
             if msg.kind is MessageKind.SHUTDOWN:
                 break
             t0 = perf_counter_ns()
-            mine = metrics[k]
             if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
                 _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr], mine)
+                mine.busy_ns += perf_counter_ns() - t0
                 endpoint.reply(Message(MessageKind.RUN_RETURN))
             elif msg.kind is MessageKind.SORT:
-                _return_runs(endpoint, accs, mine)
+                _return_runs(endpoint, accs, mine, t0)
+                mine = WorkerMetrics()  # the sent record now belongs to the master
                 k += 1
             else:  # pragma: no cover - protocol violation
                 raise EngineError(f"unexpected message kind {msg.kind}")
-            mine.busy_ns += perf_counter_ns() - t0
     except Exception:
         endpoint.reply(Message(MessageKind.FAILED, detail=traceback.format_exc()))
 
 
 class _Session:
-    """The workers and the transport of one run: started once, shut down once.
-
-    ``metrics[k]`` holds every participant's :class:`WorkerMetrics` for
-    module ``k``.
-    """
+    """The workers and the transport of one run: started once, shut down once."""
 
     def __init__(self, program: Program, cfg: RunConfig):
         self.cfg = cfg
         self.modules = program.modules
         self.nsymbols = len(program.symtab)
         self.nexprs = len(program.initial)
-        first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
-        self.metrics = [{i: WorkerMetrics() for i in range(first, cfg.nslaves)}
-                        for _ in self.modules]
         self.threads: list[threading.Thread] = []
         self.transport = None
         self.master = None
@@ -239,8 +242,8 @@ class _Session:
         for i in range(self.cfg.nslaves):
             th = threading.Thread(
                 target=_slave_loop,
-                args=(self.transport.slave_endpoint(i), self.modules, self.nsymbols,
-                      self.nexprs, [row[i] for row in self.metrics]),
+                args=(self.transport.slave_endpoint(i), self.modules,
+                      self.nsymbols, self.nexprs),
                 name=f"parterm-worker-{i}",
                 daemon=True,
             )
@@ -276,13 +279,15 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
     """Run module ``k`` over every local expression in one dispatch pass.
 
     Returns the new expressions, in the order of ``exprs``, and the module's
-    metrics.  The result is the same for every configuration; only metrics and
-    transport stats vary.
+    metrics, each slave's record as its last run delivered it.  The result is
+    the same for every configuration; only metrics and transport stats vary.
     """
     cfg = session.cfg
     m = session.modules[k]
     nsymbols = session.nsymbols
-    mine = session.metrics[k].get(MASTER_WORKER_ID)
+    first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
+    workers = {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
+    mine = workers.get(MASTER_WORKER_ID)
     t_start = perf_counter_ns()
     t_distribute = 0
     wait_ns = 0
@@ -338,10 +343,12 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         for expr, run in enumerate(_sort_runs(master_accs, mine)):
             runs[expr].append(run)
     for _ in range(cfg.nslaves * len(exprs)):
-        _, msg = recv()
+        worker, msg = recv()
         if msg.kind is not MessageKind.RUN_RETURN:
             raise EngineError(f"expected run return, got {msg.kind}")
         runs[msg.expr].append(msg.payload)
+        if msg.metrics is not None:
+            workers[worker] = msg.metrics
 
     t0 = perf_counter_ns()
     results = [sortmerge.merge_runs(r) for r in runs]
@@ -353,7 +360,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         master_busy=(t_end - t_start) - wait_ns,
         terms_in=sum(len(e) for e in exprs),
         terms_out=sum(len(e) for e in results),
-        workers=session.metrics[k],
+        workers=workers,
     )
     return results, metrics
 

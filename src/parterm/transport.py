@@ -18,14 +18,20 @@ Messages (the session protocol that orders them is in :mod:`parterm.engine`):
   expression, tagged with its expression index;
 * ``RUN_RETURN``, slave to master: an empty acknowledgement of a chunk or,
   after a ``SORT``, the sorted run of one expression, tagged with its index;
+  the module's last run also carries the slave's record for the module as
+  its ``metrics``;
 * ``FAILED``, slave to master: the slave's last message, carrying the
   traceback of the exception that stopped it as its detail;
 * ``SORT``, master to slave: the module's sort boundary;
 * ``SHUTDOWN``, master to slave: the last message on a channel, once per run.
 
 The master addresses a slave by its id, ``0 <= id < nslaves``.  Only the term
-payload goes through the wire format; kind, expression index and detail
-travel beside it.
+payload goes through the wire format; kind, expression index, detail and
+metrics travel beside it, and the transport never looks inside ``metrics``.
+
+Every message starts or ends at the master, so only the master counts: a
+send is counted when the master sends it, a reply when the master takes it
+from its inbox.
 
 Wire format (little-endian): ``u32 term_count``, then per term ``u8 sign``
 (0 plus, 1 minus), ``u32 magnitude_byte_len``, the magnitude bytes
@@ -50,11 +56,10 @@ import enum
 import functools
 import queue
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .terms import EXP_MASK, FIELD_BITS, Term, field_shift, guard_mask, unpack
+from .terms import EXP_MASK, FIELD_BITS, Term, field_shift, guard_mask
 
 MAILBOX_BOUND = 16
 
@@ -88,12 +93,14 @@ class MessageKind(enum.Enum):
 @dataclass(frozen=True)
 class Message:
     """One message; ``expr`` is the index of the local expression a chunk or
-    a run belongs to, ``detail`` the traceback a ``FAILED`` carries."""
+    a run belongs to, ``detail`` the traceback a ``FAILED`` carries, and
+    ``metrics`` the per-module record a module's last ``RUN_RETURN`` carries."""
 
     kind: MessageKind
     payload: tuple[Term, ...] = ()
     expr: int = 0
     detail: str = ""
+    metrics: object = None
 
 
 @dataclass(frozen=True)
@@ -214,17 +221,9 @@ def _reject_factor(sid: int, exp: int, prev_sid: int, nsymbols: int, offset: int
     raise WireError("zero exponent", offset)
 
 
-def wire_size(ts: Sequence[Term], nsymbols: int) -> int:
-    """Exact encoded size of a payload, without building the bytes."""
-    total = 4
-    for coeff, mono in ts:
-        mag = -coeff if coeff < 0 else coeff
-        total += 1 + 4 + (mag.bit_length() + 7) // 8 + 2 + 8 * len(unpack(mono, nsymbols))
-    return total
-
-
 class _TransportBase:
-    """Queue plumbing and accounting shared by both backends."""
+    """Queue plumbing and accounting shared by both backends; only the
+    master's endpoint counts, so the counters need no lock."""
 
     def __init__(self, nslaves: int, nsymbols: int):
         if nslaves < 1:
@@ -233,7 +232,6 @@ class _TransportBase:
         self.nsymbols = nsymbols
         self._outboxes = [queue.Queue(maxsize=MAILBOX_BOUND) for _ in range(nslaves)]
         self._inbox: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
         self._m2s = 0
         self._s2m = 0
         self._bytes = 0
@@ -249,13 +247,12 @@ class _TransportBase:
         raise NotImplementedError
 
     def _account(self, to_slave: bool, byte_delta: int, handle_delta: int) -> None:
-        with self._lock:
-            if to_slave:
-                self._m2s += 1
-            else:
-                self._s2m += 1
-            self._bytes += byte_delta
-            self._handles += handle_delta
+        if to_slave:
+            self._m2s += 1
+        else:
+            self._s2m += 1
+        self._bytes += byte_delta
+        self._handles += handle_delta
 
     def master_endpoint(self) -> "MasterEndpoint":
         return MasterEndpoint(self)
@@ -264,8 +261,7 @@ class _TransportBase:
         return SlaveEndpoint(self, worker)
 
     def stats(self) -> TransportStats:
-        with self._lock:
-            return TransportStats(self._m2s, self._s2m, self._bytes, self._handles)
+        return TransportStats(self._m2s, self._s2m, self._bytes, self._handles)
 
 
 class MasterEndpoint:
@@ -288,11 +284,12 @@ class MasterEndpoint:
 
     def recv_any(self, block: bool = True) -> Optional[tuple[int, Message]]:
         """The next ``(slave id, message)``, or None if ``block`` is false and
-        nothing is waiting."""
+        nothing is waiting; the message counts once it is taken."""
         try:
-            worker, record = self._t._inbox.get(block=block)
+            worker, record, byte_delta, handle_delta = self._t._inbox.get(block=block)
         except queue.Empty:
             return None
+        self._t._account(False, byte_delta, handle_delta)
         return worker, self._t._unpack(record)
 
 
@@ -316,28 +313,23 @@ class SlaveEndpoint:
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")
         record, byte_delta, handle_delta = self._t._pack(msg)
-        self._t._inbox.put((self.worker, record))
-        self._t._account(False, byte_delta, handle_delta)
+        self._t._inbox.put((self.worker, record, byte_delta, handle_delta))
 
 
 class MessagePassingTransport(_TransportBase):
     """Marshals every payload through the wire format (copying backend)."""
 
-    name = "mp"
-
     def _pack(self, msg: Message):
         wire = serialize_terms(msg.payload, self.nsymbols)
-        return (msg.kind, msg.expr, msg.detail, wire), len(wire), 0
+        return (msg.kind, msg.expr, msg.detail, msg.metrics, wire), len(wire), 0
 
     def _unpack(self, record) -> Message:
-        kind, expr, detail, wire = record
-        return Message(kind, deserialize_terms(wire, self.nsymbols), expr, detail)
+        kind, expr, detail, metrics, wire = record
+        return Message(kind, deserialize_terms(wire, self.nsymbols), expr, detail, metrics)
 
 
 class SharedBufferTransport(_TransportBase):
     """Transfers payload ownership by reference (zero-copy backend)."""
-
-    name = "sm"
 
     def _pack(self, msg: Message):
         return msg, 0, 1

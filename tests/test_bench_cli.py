@@ -56,7 +56,8 @@ def test_sweep_row_count_matches_flag_grid(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 9  # one header row
-    by_name = list(csv.DictReader(open(path)))
+    with open(path) as fh:
+        by_name = list(csv.DictReader(fh))
     for row in by_name:
         assert row["repeat"] == "5"
         assert row["master_computes"] == "false"

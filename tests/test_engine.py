@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parterm import rewrite, sortmerge, terms
-from parterm.engine import RunConfig, WorkerError, partition_chunks, run_program
+from parterm.engine import (
+    RunConfig, WorkerError, WorkerMetrics, partition_chunks, run_program)
 from parterm.parser import IdSubst, Module, Multiply, Program, parse_program
 from parterm.terms import SymbolTable, add_expressions, pow_expression, symbol
 
@@ -297,11 +298,23 @@ def test_run_program_identity_module():
 
 def test_run_program_two_module_composition():
     program = _parse("symbols x,y; local F = 1; multiply x+y; .sort multiply x-y; .sort .end")
-    result = run_program(program, RunConfig(nslaves=2, chunk_size=1))
-    assert unpack_terms(result.expressions["F"], 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
-    assert len(result.module_metrics) == 2
-    assert len(result.module_stats) == 2
-    assert result.stats.messages == sum(s.messages for s in result.module_stats)
+    for backend in ("mp", "sm"):
+        result = run_program(program, RunConfig(nslaves=2, chunk_size=1, backend=backend))
+        assert unpack_terms(result.expressions["F"], 2) == ((1, ((0, 2),)), (-1, ((1, 2),)))
+        assert len(result.module_metrics) == 2
+        assert len(result.module_stats) == 2
+        assert result.stats.messages == sum(s.messages for s in result.module_stats)
+        # every slave's record arrived with its last run of each module
+        for m in result.module_metrics:
+            assert set(m.workers) == {0, 1}
+            assert sum(m.terms_processed.values()) == m.terms_in
+
+
+def test_program_without_locals_keeps_zero_records():
+    program = _parse("symbols x; multiply x; .sort .end")
+    result = run_program(program, RunConfig(nslaves=2))
+    assert result.expressions == {}
+    assert result.module_metrics[0].workers == {0: WorkerMetrics(), 1: WorkerMetrics()}
 
 
 def test_run_program_sequential_sentinel():

@@ -11,13 +11,11 @@ from parterm.transport import (
     ChannelClosedError,
     Message,
     MessageKind,
-    MessagePassingTransport,
-    SharedBufferTransport,
+    TransportStats,
     WireError,
     deserialize_terms,
     make_transport,
     serialize_terms,
-    wire_size,
 )
 
 from parterm.terms import EXP_MASK
@@ -75,7 +73,6 @@ def test_serialization_matches_hand_encoder(ts):
     packed = pack_terms(ts, NSYM)
     data = serialize_terms(packed, NSYM)
     assert data == hand_wire_bytes(ts)
-    assert len(data) == wire_size(packed, NSYM)
 
 
 @pytest.mark.parametrize("data,fragment,offset", [
@@ -155,10 +152,20 @@ def test_loopback_fidelity(backend):
 def test_failed_detail_travels_beside_the_payload(backend):
     transport = make_transport(backend, nslaves=2, nsymbols=NSYM)
     failed = Message(MessageKind.FAILED, detail="Traceback ...\nRuntimeError: x")
-    transport.slave_endpoint(1).reply(failed)
-    assert transport.master_endpoint().recv_any() == (1, failed)
+    record = object()  # opaque to the transport, like the engine's WorkerMetrics
+    last_run = Message(MessageKind.RUN_RETURN, payload=((3, 0),), metrics=record)
+    slave = transport.slave_endpoint(1)
+    master = transport.master_endpoint()
+    slave.reply(failed)
+    assert master.recv_any() == (1, failed)
     # the detail is not part of the wire payload: an empty run's 4 bytes
     assert transport.stats().serialized_bytes == (4 if backend == "mp" else 0)
+    slave.reply(last_run)
+    frm, got = master.recv_any()
+    assert frm == 1 and got == last_run and got.metrics is record
+    # nor are the metrics: only the one-term run's bytes come on top
+    run_bytes = len(hand_wire_bytes([(3, ())]))
+    assert transport.stats().serialized_bytes == (4 + run_bytes if backend == "mp" else 0)
 
 
 def test_mp_copies_but_sm_transfers_ownership():
@@ -194,6 +201,18 @@ def test_sm_accounting_counts_handles_not_bytes():
     assert stats.serialized_bytes == 0
     assert stats.handle_transfers == 1
     assert stats.messages_master_to_slave == 1
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+def test_reply_counts_once_the_master_takes_it(backend):
+    transport = make_transport(backend, 2, NSYM)
+    factors = ((5, ((0, 2),)),)  # one term: 20 bytes on the wire
+    transport.slave_endpoint(1).reply(
+        Message(MessageKind.RUN_RETURN, payload=pack_terms(factors, NSYM)))
+    assert transport.stats() == TransportStats()  # the slave counts nothing
+    transport.master_endpoint().recv_any()
+    assert transport.stats() == (TransportStats(0, 1, 20, 0) if backend == "mp"
+                                 else TransportStats(0, 1, 0, 1))
 
 
 def test_accounting_sums_both_directions():
@@ -290,7 +309,3 @@ def test_make_transport_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         make_transport("tcp", 1, NSYM)
 
-
-def test_backend_classes_expose_names():
-    assert MessagePassingTransport.name == "mp"
-    assert SharedBufferTransport.name == "sm"
