@@ -89,7 +89,7 @@ def _build_parser() -> _ArgumentParser:
     p_bench.add_argument("--slaves", type=_int_list, required=True)
     p_bench.add_argument("--backend", type=_backend_list, required=True)
     p_bench.add_argument("--chunk", type=_int_list, default=[1000])
-    p_bench.add_argument("--repeat", type=int, default=5)
+    p_bench.add_argument("--repeat", type=_int_at_least(1), default=5)
     p_bench.add_argument("--normalize", choices=bench.NORMALIZATIONS, default="two-proc")
     p_bench.add_argument("--csv", required=True)
     p_bench.add_argument("--quiet", action="store_true")
@@ -143,8 +143,9 @@ def _workload_from_spec(spec: str) -> tuple[str, str]:
 def _cmd_bench(args) -> int:
     if (args.file is None) == (args.generate is None):
         raise _UsageError("bench needs exactly one of <file> or --generate")
-    if args.repeat < 1:
-        raise _UsageError("--repeat must be >= 1")
+    if 1 not in args.slaves:
+        raise _UsageError("--slaves must include 1: speedups are normalized "
+                          "to the one-slave timing")
     if args.generate:
         text, name = _workload_from_spec(args.generate)
     else:

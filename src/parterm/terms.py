@@ -164,31 +164,8 @@ def normalize(raw: Iterable[Term]) -> Expression:
 
 
 def add_expressions(a: Expression, b: Expression) -> Expression:
-    """Sum of two normalized expressions via a linear two-way merge."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[Term] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ma, mb = a[i][1], b[j][1]
-        if ma > mb:
-            out.append(a[i])
-            i += 1
-        elif ma < mb:
-            out.append(b[j])
-            j += 1
-        else:
-            s = a[i][0] + b[j][0]
-            if s:
-                out.append((s, ma))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    """Sum of two normalized expressions: :func:`normalize` of their concatenation."""
+    return normalize(a + b)
 
 
 def negate_expression(a: Expression) -> Expression:

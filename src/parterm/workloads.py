@@ -8,7 +8,11 @@ Two families:
   scale 28 already clears a million generated terms.
 * ``substitute-chain``: a small random expression pushed through ``scale``
   modules of mixed substitution/multiply statements with degree-1 right-hand
-  sides, keeping term counts modest; useful for correctness sweeps.
+  sides.  Every module raises the degree and widens the coefficients, so the
+  work grows much faster than the scale.  With seed 1, scale 40 generates
+  10,657 raw terms and ends with coefficients of 165 bits; scale 80 generates
+  419,087 (626 bits) and scale 200 8.3 M (2,418 bits).  Small scales suit
+  correctness sweeps.
 
 The emitted text is a pure function of (kind, scale, seed).
 """

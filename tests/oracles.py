@@ -12,6 +12,8 @@ normalization sorts with a three-way comparison of dense exponent vectors
 instead of int order, expansion multiplies through a dict accumulator, wire
 sizes come from a by-hand byte encoder, and module application works on whole
 expressions through term-core algebra rather than the per-term rewriter.
+One helper is an instrument, not an oracle: :class:`ComparisonCount` wraps
+monomials so that the production merge itself reports its comparisons.
 """
 
 from __future__ import annotations
@@ -80,6 +82,45 @@ def oracle_normalize(raw: Sequence[FTerm], nsymbols: int) -> FExpression:
         else:
             out.append((coeff, mono))
     return tuple((c, m) for c, m in out if c != 0)
+
+
+class ComparisonCount:
+    """Counts the monomial comparisons a merge makes on runs it has wrapped.
+
+    :meth:`wrap` replaces each run's monomials by :class:`CountedMonomial`
+    wrappers sharing this count, so merging the wrapped runs with the
+    production merge counts exactly its comparisons; :func:`unwrap` restores
+    the plain monomials of the result.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def wrap(self, runs):
+        return [tuple((c, CountedMonomial(m, self)) for c, m in run) for run in runs]
+
+
+class CountedMonomial:
+    """A packed monomial whose ``<`` and ``==`` tick a shared count."""
+
+    __slots__ = ("mono", "counter")
+
+    def __init__(self, mono: int, counter: ComparisonCount):
+        self.mono = mono
+        self.counter = counter
+
+    def __lt__(self, other: "CountedMonomial") -> bool:
+        self.counter.count += 1
+        return self.mono < other.mono
+
+    def __eq__(self, other: object) -> bool:
+        self.counter.count += 1
+        return self.mono == other.mono  # type: ignore[attr-defined]
+
+
+def unwrap(e) -> tuple:
+    """An expression over :class:`CountedMonomial` -> plain monomials."""
+    return tuple((c, m.mono) for c, m in e)
 
 
 def is_canonical(e, nsymbols: int) -> bool:

@@ -20,12 +20,13 @@ from parterm import terms
 from parterm.bench import compute_speedups
 from parterm.engine import RunConfig, run_program
 from parterm.parser import format_expression, parse_program
-from parterm.sortmerge import MERGE_COMPARISON_BOUND, ComparisonCounter, merge_runs
+from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
 from parterm.terms import SymbolTable, normalize
 from parterm.transport import deserialize_terms, serialize_terms
 from parterm.workloads import generate_workload
 
 from oracles import (
+    ComparisonCount,
     brute_multiply,
     brute_power,
     hand_wire_bytes,
@@ -34,6 +35,7 @@ from oracles import (
     pack_terms,
     random_terms,
     unpack_terms,
+    unwrap,
 )
 
 CORES = os.cpu_count() or 1
@@ -83,12 +85,12 @@ def test_acceptance_2_merge_oracle_and_comparison_bound():
         k = rng.randint(1, 8)
         raws = [random_terms(rng, nsym, rng.randint(0, 30)) for _ in range(k)]
         runs = [normalize(pack_terms(raw, nsym)) for raw in raws]
-        counter = ComparisonCounter()
-        merged = merge_runs(runs, counter)
+        counted = ComparisonCount()
+        merged = unwrap(merge_runs(counted.wrap(runs)))
         assert merged == pack_terms(oracle_normalize([t for raw in raws for t in raw], nsym), nsym)
         total = sum(len(r) for r in runs)
         if total:
-            assert counter.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
+            assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
     _passed(2, "merge oracle and comparison bound")
 
 

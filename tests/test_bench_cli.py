@@ -185,6 +185,10 @@ def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
     (["verify", "no_such_file.pt"], cli.EXIT_RUNTIME),
     (["run", os.path.join(PROGRAMS, "binomial.pt"), "--chunk", "0"], cli.EXIT_USAGE),
     (["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves", "-1"], cli.EXIT_USAGE),
+    (["bench", "--generate", "expand:2", "--slaves", "2", "--backend", "sm",
+      "--csv", "x.csv"], cli.EXIT_USAGE),
+    (["bench", "--generate", "expand:2", "--slaves", "1", "--backend", "sm",
+      "--repeat", "0", "--csv", "x.csv"], cli.EXIT_USAGE),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -1,16 +1,18 @@
 import math
 import random
 
-from parterm.sortmerge import MERGE_COMPARISON_BOUND, ComparisonCounter, merge_runs
+from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
 from parterm.terms import add_expressions, normalize
 
 from oracles import (
+    ComparisonCount,
     is_canonical,
     oracle_normalize,
     pack,
     pack_terms,
     random_packed_terms,
     random_terms,
+    unwrap,
 )
 
 NSYM = 4
@@ -60,13 +62,18 @@ def test_merge_empty_inputs():
 
 
 def test_merge_equals_normalize_of_concatenation():
+    # Runs of up to 15 terms sit below timsort's minrun; runs of about 200 and
+    # 1,000 terms are longer, so the sort merges them as natural runs.
     rng = random.Random(47)
-    for _ in range(100):
-        raws = [random_packed_terms(rng, NSYM, rng.randint(0, 15)) for _ in range(8)]
-        runs = _runs_from(raws)
-        merged = merge_runs(runs)
-        assert merged == normalize([t for raw in raws for t in raw])
-        assert is_canonical(merged, NSYM)
+    shapes = [(100, (0, 15), 5), (5, (180, 220), 9), (3, (900, 1100), 9)]
+    for sets, (shortest, longest), max_exp in shapes:
+        for _ in range(sets):
+            raws = [random_packed_terms(rng, NSYM, rng.randint(shortest, longest), max_exp)
+                    for _ in range(8)]
+            runs = _runs_from(raws)
+            merged = merge_runs(runs)
+            assert merged == normalize([t for raw in raws for t in raw])
+            assert is_canonical(merged, NSYM)
 
 
 def test_merge_permutation_invariant():
@@ -112,29 +119,33 @@ def test_merge_associative_over_grouping():
 
 def test_comparison_count_stays_under_bound():
     rng = random.Random(67)
-    for k in (1, 2, 3, 4, 8, 16):
-        for n in (1, 20, 200):
-            raws = [random_packed_terms(rng, NSYM, n) for _ in range(k)]
-            runs = _runs_from(raws)
-            total = sum(len(r) for r in runs)
-            if total == 0:
-                continue
-            counter = ComparisonCounter()
-            instrumented = merge_runs(runs, counter)
-            assert instrumented == merge_runs(runs)
-            assert counter.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
+    inputs = [_runs_from([random_packed_terms(rng, NSYM, n) for _ in range(k)])
+              for k in (1, 2, 3, 4, 8, 16) for n in (1, 20, 200)]
+    # The measured worst case: the sort reads the concatenated runs reversed,
+    # meets the 2-term run first, and places the other 61 terms by binary
+    # insertion.
+    inputs.append([tuple((1, m) for m in range(61, 0, -1)), ((1, 101), (1, 100))])
+    for runs in inputs:
+        k = len(runs)
+        total = sum(len(r) for r in runs)
+        if total == 0:
+            continue
+        counted = ComparisonCount()
+        merged = unwrap(merge_runs(counted.wrap(runs)))
+        assert merged == normalize([t for r in runs for t in r])
+        assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
 
 
 def test_comparison_count_beats_sort_from_scratch_asymptotics():
-    # At bench sizes the bound itself sits below the N*log2(N) comparisons a
-    # from-scratch sort would need, so passing it rules that approach out.
+    # At bench sizes the bound sits below the N*log2(N) comparisons of a sort
+    # that ignores the runs, so passing it rules such a sort out.
     rng = random.Random(71)
     k, n = 8, 20000
     raws = [[(1, pack(((0, rng.randint(1, 10**6)),), 1)) for _ in range(n)] for _ in range(k)]
     runs = _runs_from(raws)
     total = sum(len(r) for r in runs)
-    counter = ComparisonCounter()
-    merge_runs(runs, counter)
+    counted = ComparisonCount()
+    merge_runs(counted.wrap(runs))
     bound = MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
-    assert counter.count <= bound
+    assert counted.count <= bound
     assert bound < total * math.log2(total)
