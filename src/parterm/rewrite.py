@@ -33,8 +33,10 @@ def _bounded(factor: Expression) -> tuple[Expression, Monomial]:
 
 @functools.lru_cache(maxsize=256)
 def _rhs_power(rhs: Expression, n: int) -> tuple[Expression, Monomial]:
-    # Substitution hits the same rhs^n for every input term with x-degree n;
-    # memoizing keeps substitution workloads near-linear in generated terms.
+    # Every input term with x-degree n needs the same rhs^n, so each power is
+    # built once and memoized.  pow_expression builds it in one pass over its
+    # multinomial compositions and one sort, so building the powers costs
+    # little beside the products the substitution then generates.
     power = terms.pow_expression(rhs, n)
     return power, terms.field_max(power)
 

@@ -31,6 +31,7 @@ equality a single ``==``.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable
 
 Factor = tuple[int, int]            # (symbol_id, exponent >= 1)
@@ -197,24 +198,73 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
 def pow_expression(a: Expression, n: int) -> Expression:
     """a**n; a**0 is the constant 1.
 
-    A single-term base is raised directly.  Otherwise the result comes from
-    repeated multiplication by ``a``, which for the small bases of rewrite
-    rules and benchmarks costs less than squaring large intermediates.
+    One check before any work: the power holds a monomial whose field is
+    ``n`` times the largest exponent of that field in ``a`` (the ``n``-th
+    power of the terms that reach it is not zero), so the power overflows
+    exactly when ``n * field_max(a)`` does in some field.
+
+    A single-term base is raised directly.  Otherwise the multinomial theorem
+    gives each term of the power once per composition ``i_1+...+i_k = n``:
+    coefficient ``n!/(i_1!...i_k!) * prod(c_j**i_j)``, monomial
+    ``sum(i_j*m_j)``.  The products go into one dict, which is sorted once.
+    When the compositions outnumber ``k*n`` times the distinct monomials the
+    power can have (a bound on repeated multiplication's products), the
+    base's monomials collide heavily, as in ``(1+x+...+x^10)^20``, and
+    repeated multiplication by ``a`` is cheaper.
     """
     if n < 0:
         raise InvariantError(f"negative exponent {n}")
-    if len(a) == 1:
+    if n == 0:
+        return ONE
+    if not a:
+        return ZERO
+    outputs = 1  # the distinct monomials the power can have, at most
+    rest = field_max(a)
+    while rest:
+        e = (rest & EXP_MASK) * n
+        if e > EXP_MASK:
+            raise ExponentOverflowError()
+        outputs *= e + 1
+        rest >>= FIELD_BITS
+    k = len(a)
+    if k == 1:
         (coeff, mono), = a
-        rest = mono
-        while rest:
-            if (rest & EXP_MASK) * n > EXP_MASK:
-                raise ExponentOverflowError()
-            rest >>= FIELD_BITS
         return ((coeff ** n, mono * n),)
-    result = ONE
-    for _ in range(n):
-        result = multiply_expressions(result, a)
-    return result
+    if math.comb(n + k - 1, k - 1) > k * n * outputs:
+        result = ONE
+        for _ in range(n):
+            result = multiply_expressions(result, a)
+        return result
+    # Per term: c**i and i*m for i = 0..n.  The fields cannot carry, as above.
+    coeff_pows, mono_pows = [], []
+    for c, m in a:
+        row = [1]
+        for _ in range(n):
+            row.append(row[-1] * c)
+        coeff_pows.append(row)
+        mono_pows.append([i * m for i in range(n + 1)])
+    # Partial compositions of all but the last two terms: (the part of n
+    # left, coefficient so far, monomial so far).  The coefficient carries
+    # the binomial C(r, i), stepped as C(r, i+1) = C(r, i) * (r-i) / (i+1).
+    partial = [(n, 1, UNIT)]
+    for cs, ms in zip(coeff_pows[:-2], mono_pows[:-2]):
+        step = []
+        for r, c, m in partial:
+            for i in range(r + 1):
+                step.append((r - i, c * cs[i], m + ms[i]))
+                c = c * (r - i) // (i + 1)
+        partial = step
+    # The last two terms share what is left: i and r - i.
+    c1, c2 = coeff_pows[-2:]
+    m1, m2 = mono_pows[-2:]
+    acc: Accumulator = {}
+    get = acc.get
+    for r, c, m in partial:
+        for i in range(r + 1):
+            mm = m + m1[i] + m2[r - i]
+            acc[mm] = get(mm, 0) + c * c1[i] * c2[r - i]
+            c = c * (r - i) // (i + 1)
+    return sorted_terms(acc)
 
 
 def constant(c: int) -> Expression:

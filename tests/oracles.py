@@ -172,8 +172,8 @@ def algebra_apply_module(e: terms.Expression, m: Module, nsymbols: int) -> terms
                         rest.append((sid, exp))
                 contrib: terms.Expression = ((coeff, pack(tuple(rest), nsymbols)),)
                 if k:
-                    contrib = terms.multiply_expressions(
-                        contrib, terms.pow_expression(s.rhs, k))
+                    power = brute_power(unpack_terms(s.rhs, nsymbols), k, nsymbols)
+                    contrib = terms.multiply_expressions(contrib, pack_terms(power, nsymbols))
                 total = terms.add_expressions(total, contrib)
             e = total
         e = terms.normalize(e)

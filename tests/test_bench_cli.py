@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from parterm.parser import format_expression, parse_program
 from oracles import oracle_run_program
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "programs")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _oracle_output(path):
@@ -200,3 +203,16 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     rc = cli.main(["run", str(bad)])
     assert rc == cli.EXIT_PARSE
     assert "undeclared symbol 'y'" in capsys.readouterr().err
+
+
+def test_cli_overflowing_power_of_a_sum_exits_at_once(tmp_path):
+    # 2 * 2**31 overflows x's field, but only the last of 2**31 repeated
+    # products would reach it: the check has to come before any work.  A
+    # child process, so that a regression times out instead of hanging.
+    bad = tmp_path / "overflow.pt"
+    bad.write_text("symbols x, y; local F = (x^2+y)^2147483648; id x = y; .sort .end")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "parterm.cli", "run", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert "exponent overflow" in proc.stderr and "line 1, column 33" in proc.stderr

@@ -26,6 +26,7 @@ from oracles import (
     random_expression,
     random_terms,
     unpack,
+    unpack_terms,
 )
 
 NSYM = 4
@@ -37,6 +38,14 @@ st_monomial = st_factors.map(lambda f: pack(f, NSYM))
 st_raw_factors = st.lists(st.tuples(st.integers(-9, 9), st_factors), max_size=10)
 st_raw = st_raw_factors.map(lambda raw: list(pack_terms(raw, NSYM)))
 st_expression = st_raw.map(normalize)
+# Powering bases: 1-5 distinct monomials, often drawn from the constant and
+# the colliding x, x^2, x*y, y, with nonzero coefficients of either sign.
+st_pow_base = st.lists(
+    st.tuples(st.integers(-5, 5).filter(bool),
+              st.one_of(st.sampled_from(((), ((0, 1),), ((0, 2),), ((0, 1), (1, 1)), ((1, 1),))),
+                        st_factors)),
+    min_size=1, max_size=5, unique_by=lambda t: t[1]).map(
+    lambda raw: pack_terms(oracle_normalize(raw, NSYM), NSYM))
 
 
 def _x(sid, nsym=NSYM):
@@ -227,6 +236,12 @@ def test_pow_zero_is_one():
     e = add_expressions(_x(0), _x(1))
     assert pow_expression(e, 0) == ((1, terms.UNIT),)
     assert pow_expression(_x(0), 0) == ((1, terms.UNIT),)
+    assert pow_expression(terms.ZERO, 0) == ((1, terms.UNIT),)
+
+
+def test_pow_of_zero_is_zero():
+    for n in (1, 2, 7):
+        assert pow_expression(terms.ZERO, n) == terms.ZERO
 
 
 def test_pow_negative_rejected():
@@ -241,6 +256,46 @@ def test_trinomial_eighth_power_term_count():
     assert got == pack_terms(brute_power(f, 8, 3), 3)
     # stars and bars: (n+1)(n+2)/2 monomials for a trinomial power
     assert len(got) == (8 + 1) * (8 + 2) // 2 == 45
+
+
+@given(st_pow_base, st.integers(0, 8))
+def test_pow_matches_brute_power(a, n):
+    assert pow_expression(a, n) == pack_terms(brute_power(unpack_terms(a, NSYM), n, NSYM), NSYM)
+
+
+def _count_multiplies(monkeypatch):
+    calls = []
+    real = terms.multiply_expressions
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(terms, "multiply_expressions", counting)
+    return calls
+
+
+def test_pow_of_a_heavily_colliding_base_multiplies_repeatedly(monkeypatch):
+    # (1+x+...+x^10)^20: about 30 M compositions for 201 output terms.
+    f = tuple((1, ((0, i),) if i else ()) for i in range(11))
+    a = normalize(pack_terms(f, 1))
+    expected = pack_terms(brute_power(f, 20, 1), 1)
+    calls = _count_multiplies(monkeypatch)
+    got = pow_expression(a, 20)
+    assert len(calls) == 20
+    assert got == expected and len(got) == 201
+    assert sum(c for c, _ in got) == 11 ** 20
+
+
+def test_pow_of_a_linear_form_expands_by_the_multinomial_theorem(monkeypatch):
+    # The product-chain workload's shape: a dense 4-symbol linear form ^ 24.
+    a = pack_terms(((2, ((0, 1),)), (2, ((1, 1),)), (-3, ((2, 1),)), (3, ((3, 1),))), 4)
+    expected = terms.ONE
+    for _ in range(24):
+        expected = multiply_expressions(expected, a)
+    calls = _count_multiplies(monkeypatch)
+    got = pow_expression(a, 24)
+    assert calls == []
+    assert got == expected and len(got) == 2925  # C(27, 3) monomials
 
 
 @given(st_expression, st_expression)
