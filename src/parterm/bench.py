@@ -18,10 +18,9 @@ from .engine import ProgramRunResult, RunConfig, run_program
 from .parser import Program, parse_program
 
 CSV_COLUMNS = [
-    "program", "module_index", "nslaves", "backend", "chunk_size",
-    "master_computes", "repeat", "t_wall_ns", "t_distribute_ns",
-    "t_compute_max_ns", "t_local_sort_max_ns", "t_final_merge_ns",
-    "terms_in", "terms_generated", "terms_out", "messages",
+    "program", "module_index", "nslaves", "backend", "chunk_size", "repeat",
+    "t_wall_ns", "t_distribute_ns", "t_compute_max_ns", "t_local_sort_max_ns",
+    "t_final_merge_ns", "terms_in", "terms_generated", "terms_out", "messages",
     "serialized_bytes", "handle_transfers",
 ]
 
@@ -120,7 +119,6 @@ def run_sweep(
                         "nslaves": p,
                         "backend": backend,
                         "chunk_size": chunk,
-                        "master_computes": "false",
                         "repeat": repeats,
                         "t_wall_ns": median_low(m.t_wall for m in mrows),
                         "t_distribute_ns": median_low(m.t_distribute for m in mrows),

@@ -60,7 +60,7 @@ def _backend_list(text: str) -> list[str]:
     for v in values:
         if v not in BACKENDS:
             raise argparse.ArgumentTypeError(
-                f"unknown backend {v!r}; expected from {sorted(BACKENDS)}")
+                f"unknown backend {v!r}; expected from {BACKENDS}")
     if not values:
         raise argparse.ArgumentTypeError("backend list is empty")
     return values
@@ -78,7 +78,7 @@ def _build_parser() -> _ArgumentParser:
     p_run = sub.add_parser("run", help="execute a program and print its expressions")
     p_run.add_argument("file")
     p_run.add_argument("--slaves", type=_int_at_least(0), default=_default_slaves())
-    p_run.add_argument("--backend", choices=sorted(BACKENDS), default="sm")
+    p_run.add_argument("--backend", choices=BACKENDS, default="sm")
     p_run.add_argument("--chunk", type=_int_at_least(1), default=1000)
     p_run.add_argument("--master-computes", action="store_true")
     p_run.add_argument("--out", default=None)
@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
     checked = 0
     for p in args.slaves:
         for chunk in args.chunk:
-            for backend in sorted(BACKENDS):
+            for backend in BACKENDS:
                 for master_computes in (False, True):
                     cfg = RunConfig(nslaves=p, chunk_size=chunk, backend=backend,
                                     master_computes=master_computes)

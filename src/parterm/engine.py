@@ -47,13 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import rewrite, sortmerge, terms
 from .parser import Module, Program
 from .terms import Expression
-from .transport import (
-    BACKENDS,
-    Message,
-    MessageKind,
-    TransportStats,
-    make_transport,
-)
+from .transport import BACKENDS, MasterEndpoint, Message, MessageKind, TransportStats
 
 MASTER_WORKER_ID = -1
 
@@ -134,10 +128,6 @@ class PhaseMetrics:
     @property
     def t_local_sort_max(self) -> int:
         return max((w.sort_ns for w in self.workers.values()), default=0)
-
-    @property
-    def per_slave_busy(self) -> dict[int, int]:
-        return {i: w.busy_ns for i, w in self.workers.items() if i != MASTER_WORKER_ID}
 
     @property
     def terms_processed(self) -> dict[int, int]:
@@ -224,7 +214,7 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
 
 
 class _Session:
-    """The workers and the transport of one run: started once, shut down once."""
+    """The workers and the master endpoint of one run: started once, shut down once."""
 
     def __init__(self, program: Program, cfg: RunConfig):
         self.cfg = cfg
@@ -232,18 +222,14 @@ class _Session:
         self.nsymbols = len(program.symtab)
         self.nexprs = len(program.initial)
         self.threads: list[threading.Thread] = []
-        self.transport = None
-        self.master = None
-        if cfg.nslaves:
-            self.transport = make_transport(cfg.backend, cfg.nslaves, self.nsymbols)
-            self.master = self.transport.master_endpoint()
+        self.master = (MasterEndpoint(cfg.backend, cfg.nslaves, self.nsymbols)
+                       if cfg.nslaves else None)
 
     def start(self) -> None:
         for i in range(self.cfg.nslaves):
             th = threading.Thread(
                 target=_slave_loop,
-                args=(self.transport.slave_endpoint(i), self.modules,
-                      self.nsymbols, self.nexprs),
+                args=(self.master.slave(i), self.modules, self.nsymbols, self.nexprs),
                 name=f"parterm-worker-{i}",
                 daemon=True,
             )
@@ -259,7 +245,7 @@ class _Session:
         return got
 
     def stats(self) -> TransportStats:
-        return self.transport.stats() if self.transport else TransportStats()
+        return self.master.stats() if self.master else TransportStats()
 
     def close(self) -> None:
         """Send ``Shutdown`` to every started worker and join it.
@@ -380,7 +366,8 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
             marks.append(session.stats())
     finally:
         session.close()
-    marks[-1] = session.stats()  # the Shutdowns count towards the last module
+    stats = session.stats()
+    if marks:
+        marks[-1] = stats  # the Shutdowns count towards the last module
     module_stats = [b - a for a, b in zip([TransportStats()] + marks, marks)]
-    return ProgramRunResult(dict(zip(names, exprs)), module_metrics, module_stats,
-                            marks[-1])
+    return ProgramRunResult(dict(zip(names, exprs)), module_metrics, module_stats, stats)

@@ -308,7 +308,11 @@ class _Parser:
 
 
 def parse_program(text: str) -> Program:
-    return _Parser(text).program()
+    parser = _Parser(text)
+    try:
+        return parser.program()
+    except RecursionError:
+        raise parser.fail("expression nested too deeply") from None
 
 
 def format_expression(e: Expression, symtab: SymbolTable) -> str:

@@ -2,15 +2,17 @@
 
 Both backends live in one process and expose the same star topology: every
 slave holds exactly one channel, to the master, and no slave-to-slave channel
-can be constructed.  They differ only in how a message's term payload moves:
+can be constructed.  :class:`MasterEndpoint` owns every channel and hands
+each slave its :class:`SlaveEndpoint`.  The backend chooses only the codec,
+that is, how a message's term payload moves:
 
-* ``MessagePassingTransport`` marshals the payload through the binary wire
-  format below, ships the bytes, and rebuilds fresh terms on receipt: the
-  full serialize/copy/deserialize cost of a message-passing library, with
-  every payload byte accounted.
-* ``SharedBufferTransport`` hands the payload tuple over by reference, a
-  zero-copy ownership transfer; it accounts handle transfers instead of
-  bytes.  After sending, the sending side must not touch the payload again.
+* ``mp`` marshals the payload through the binary wire format below, ships
+  the bytes, and rebuilds fresh terms on receipt: the full
+  serialize/copy/deserialize cost of a message-passing library, with every
+  payload byte accounted.
+* ``sm`` hands the message over by reference, a zero-copy ownership
+  transfer; it accounts one handle transfer per message instead of bytes.
+  After sending, the sending side must not touch the payload again.
 
 Messages (the session protocol that orders them is in :mod:`parterm.engine`):
 
@@ -221,90 +223,91 @@ def _reject_factor(sid: int, exp: int, prev_sid: int, nsymbols: int, offset: int
     raise WireError("zero exponent", offset)
 
 
-class _TransportBase:
-    """Queue plumbing and accounting shared by both backends; only the
-    master's endpoint counts, so the counters need no lock."""
+BACKENDS = ("mp", "sm")
 
-    def __init__(self, nslaves: int, nsymbols: int):
+
+class MasterEndpoint:
+    """The master's side of every channel: the slaves' mailboxes, its own
+    inbox, the closed flags and the counters, which need no lock because
+    only the master counts.  A queue record is the message itself under
+    ``sm``, and its fields with the payload as wire bytes under ``mp``."""
+
+    def __init__(self, backend: str, nslaves: int, nsymbols: int):
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         if nslaves < 1:
             raise ValueError("transport needs at least one slave")
         self.nslaves = nslaves
         self.nsymbols = nsymbols
+        self._copy = backend == "mp"
         self._outboxes = [queue.Queue(maxsize=MAILBOX_BOUND) for _ in range(nslaves)]
         self._inbox: queue.Queue = queue.Queue()
+        self._closed = [False] * nslaves
         self._m2s = 0
         self._s2m = 0
         self._bytes = 0
-        self._handles = 0
-        self._closed = [False] * nslaves
 
-    # Backends override: turn a Message into a queue record and back,
-    # returning the accounting delta for that transfer.
-    def _pack(self, msg: Message):
-        raise NotImplementedError
+    def _encode(self, msg: Message):
+        if not self._copy:
+            return msg
+        return (msg.kind, msg.expr, msg.detail, msg.metrics,
+                serialize_terms(msg.payload, self.nsymbols))
 
-    def _unpack(self, record) -> Message:
-        raise NotImplementedError
+    def _decode(self, record) -> Message:
+        if not self._copy:
+            return record
+        kind, expr, detail, metrics, wire = record
+        return Message(kind, deserialize_terms(wire, self.nsymbols), expr, detail, metrics)
 
-    def _account(self, to_slave: bool, byte_delta: int, handle_delta: int) -> None:
-        if to_slave:
-            self._m2s += 1
-        else:
-            self._s2m += 1
-        self._bytes += byte_delta
-        self._handles += handle_delta
-
-    def master_endpoint(self) -> "MasterEndpoint":
-        return MasterEndpoint(self)
-
-    def slave_endpoint(self, worker: int) -> "SlaveEndpoint":
+    def slave(self, worker: int) -> "SlaveEndpoint":
         return SlaveEndpoint(self, worker)
 
-    def stats(self) -> TransportStats:
-        return TransportStats(self._m2s, self._s2m, self._bytes, self._handles)
-
-
-class MasterEndpoint:
-    def __init__(self, transport: _TransportBase):
-        self._t = transport
-
     def send(self, worker: int, msg: Message) -> None:
-        t = self._t
-        if not 0 <= worker < t.nslaves:
-            raise ValueError(f"no slave {worker}; slave ids are 0..{t.nslaves - 1}")
-        if t._closed[worker]:
+        if not 0 <= worker < self.nslaves:
+            raise ValueError(f"no slave {worker}; slave ids are 0..{self.nslaves - 1}")
+        if self._closed[worker]:
             raise ChannelClosedError(f"channel to slave {worker} is shut down")
         if msg.kind is MessageKind.CHUNK_ASSIGNMENT and not msg.payload:
             raise ValueError("ChunkAssignment payload must be nonempty")
-        record, byte_delta, handle_delta = t._pack(msg)
-        t._outboxes[worker].put(record)
-        t._account(True, byte_delta, handle_delta)
+        record = self._encode(msg)
+        self._outboxes[worker].put(record)
+        self._m2s += 1
+        if self._copy:
+            self._bytes += len(record[-1])
         if msg.kind is MessageKind.SHUTDOWN:
-            t._closed[worker] = True
+            self._closed[worker] = True
 
     def recv_any(self, block: bool = True) -> Optional[tuple[int, Message]]:
         """The next ``(slave id, message)``, or None if ``block`` is false and
         nothing is waiting; the message counts once it is taken."""
         try:
-            worker, record, byte_delta, handle_delta = self._t._inbox.get(block=block)
+            worker, record = self._inbox.get(block=block)
         except queue.Empty:
             return None
-        self._t._account(False, byte_delta, handle_delta)
-        return worker, self._t._unpack(record)
+        self._s2m += 1
+        if self._copy:
+            self._bytes += len(record[-1])
+        return worker, self._decode(record)
+
+    def stats(self) -> TransportStats:
+        """Wire bytes under ``mp``; under ``sm`` one handle per message."""
+        handles = 0 if self._copy else self._m2s + self._s2m
+        return TransportStats(self._m2s, self._s2m, self._bytes, handles)
 
 
 class SlaveEndpoint:
     """A slave's single channel, to the master; no slave-addressing API exists."""
 
-    def __init__(self, transport: _TransportBase, worker: int):
-        self._t = transport
+    def __init__(self, master: MasterEndpoint, worker: int):
+        self._master = master
         self.worker = worker
         self._closed = False
 
     def recv(self) -> Message:
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")
-        msg = self._t._unpack(self._t._outboxes[self.worker].get())
+        master = self._master
+        msg = master._decode(master._outboxes[self.worker].get())
         if msg.kind is MessageKind.SHUTDOWN:
             self._closed = True
         return msg
@@ -312,41 +315,4 @@ class SlaveEndpoint:
     def reply(self, msg: Message) -> None:
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")
-        record, byte_delta, handle_delta = self._t._pack(msg)
-        self._t._inbox.put((self.worker, record, byte_delta, handle_delta))
-
-
-class MessagePassingTransport(_TransportBase):
-    """Marshals every payload through the wire format (copying backend)."""
-
-    def _pack(self, msg: Message):
-        wire = serialize_terms(msg.payload, self.nsymbols)
-        return (msg.kind, msg.expr, msg.detail, msg.metrics, wire), len(wire), 0
-
-    def _unpack(self, record) -> Message:
-        kind, expr, detail, metrics, wire = record
-        return Message(kind, deserialize_terms(wire, self.nsymbols), expr, detail, metrics)
-
-
-class SharedBufferTransport(_TransportBase):
-    """Transfers payload ownership by reference (zero-copy backend)."""
-
-    def _pack(self, msg: Message):
-        return msg, 0, 1
-
-    def _unpack(self, record) -> Message:
-        return record
-
-
-BACKENDS = {
-    "mp": MessagePassingTransport,
-    "sm": SharedBufferTransport,
-}
-
-
-def make_transport(backend: str, nslaves: int, nsymbols: int) -> _TransportBase:
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
-    return cls(nslaves, nsymbols)
+        self._master._inbox.put((self.worker, self._master._encode(msg)))

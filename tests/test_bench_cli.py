@@ -63,7 +63,6 @@ def test_sweep_row_count_matches_flag_grid(tmp_path):
         by_name = list(csv.DictReader(fh))
     for row in by_name:
         assert row["repeat"] == "5"
-        assert row["master_computes"] == "false"
         assert int(row["t_wall_ns"]) > 0
         assert int(row["terms_in"]) == 5
         if row["backend"] == "sm":
@@ -203,6 +202,20 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     rc = cli.main(["run", str(bad)])
     assert rc == cli.EXIT_PARSE
     assert "undeclared symbol 'y'" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_parentheses_exit_parse(tmp_path, capsys):
+    def nested(depth):
+        path = tmp_path / f"nested{depth}.pt"
+        path.write_text(f"symbols x; local F = {'(' * depth}x{')' * depth}; .sort .end")
+        return str(path)
+
+    assert cli.main(["run", "--slaves", "0", nested(50)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "F = x\n"
+    assert cli.main(["run", "--slaves", "0", nested(3000)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error: expression nested too deeply at line 1" in err
+    assert "Traceback" not in err
 
 
 def test_cli_overflowing_power_of_a_sum_exits_at_once(tmp_path):

@@ -317,6 +317,19 @@ def test_program_without_locals_keeps_zero_records():
     assert result.module_metrics[0].workers == {0: WorkerMetrics(), 1: WorkerMetrics()}
 
 
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+@pytest.mark.parametrize("nslaves", [0, 2])
+def test_program_without_modules_returns_its_locals(nslaves, backend):
+    before = threading.active_count()
+    program = Program(SymbolTable(["x"]), [("F", ((1, 0),))], [])
+    result = run_program(program, RunConfig(nslaves=nslaves, backend=backend))
+    assert result.expressions == {"F": ((1, 0),)}
+    assert result.module_metrics == result.module_stats == []
+    # only the Shutdowns travel, one per slave
+    assert result.stats.messages == result.stats.messages_master_to_slave == nslaves
+    assert threading.active_count() == before
+
+
 def test_run_program_sequential_sentinel():
     program = _parse("symbols x,y; local F = (x-y)^2; id x = y; .sort .end")
     seq = run_program(program, SEQ)

@@ -29,9 +29,9 @@ configs = [(n, b) for n in (0, 1, 2) for b in ("sm", "mp")]
 
 def run(n, backend):
     cfg = parterm.RunConfig(nslaves=n, chunk_size=3, backend=backend)
-    return parterm.run_program(program, cfg).expressions
+    return parterm.run_program(program, cfg)
 
-untraced = {c: run(*c) for c in configs}
+untraced = {c: run(*c).expressions for c in configs}
 tracer = Tracer()
 tracer.install(parterm)
 report = []
@@ -40,10 +40,15 @@ for c in configs:
     t0 = perf_counter()
     got = run(*c)
     layers = layer_metrics(tracer.spans, tracer.thread_names, perf_counter() - t0)
-    report.append({"nslaves": c[0], "backend": c[1], "same": got == untraced[c],
+    report.append({"nslaves": c[0], "backend": c[1], "same": got.expressions == untraced[c],
                    "module_runs": layers["engine.module_runs"],
                    "worker_busy_s": layers["engine.worker_busy_s"],
-                   "rewrite_calls": sum(1 for s in tracer.spans if s[1] == "rewrite")})
+                   "rewrite_calls": sum(1 for s in tracer.spans if s[1] == "rewrite"),
+                   "traced_messages": layers["transport.messages"],
+                   "traced_bytes": layers["transport.serialized_bytes"],
+                   "messages": got.stats.messages,
+                   "bytes": got.stats.serialized_bytes,
+                   "spans": sorted({s[1] for s in tracer.spans})})
 print(json.dumps({"modules": len(program.modules), "report": report}))
 """
 
@@ -105,6 +110,17 @@ def test_benchmark_trace_hooks_still_see_every_layer():
         assert row["rewrite_calls"] > 0, label
         if row["nslaves"]:
             assert row["worker_busy_s"] > 0, label
+        # The tracer sees every message and every wire byte the run counts:
+        # a bypassed endpoint or a codec bound at import would read 0 here.
+        assert row["traced_messages"] == row["messages"], label
+        assert row["traced_bytes"] == row["bytes"], label
+        assert row["messages"] == {0: 0, 1: 23, 2: 30}[row["nslaves"]], label
+        if row["backend"] == "sm":
+            assert row["bytes"] == 0, label
+        elif row["nslaves"]:
+            assert {"encode", "decode"} <= set(row["spans"]), label
+        if (row["nslaves"], row["backend"]) == (1, "mp"):
+            assert row["bytes"] == 840, label
 
 
 def test_traced_worker_fault_raises_and_leaves_no_thread():

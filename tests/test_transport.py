@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from parterm.transport import (
     MAILBOX_BOUND,
     ChannelClosedError,
+    MasterEndpoint,
     Message,
     MessageKind,
     TransportStats,
     WireError,
     deserialize_terms,
-    make_transport,
     serialize_terms,
 )
 
@@ -134,9 +134,8 @@ def test_decode_rejects_symbol_ids_beyond_the_program():
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_loopback_fidelity(backend):
-    transport = make_transport(backend, nslaves=2, nsymbols=NSYM)
-    master = transport.master_endpoint()
-    slave = transport.slave_endpoint(1)
+    master = MasterEndpoint(backend, nslaves=2, nsymbols=NSYM)
+    slave = master.slave(1)
     payload = pack_terms(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
     sent = Message(MessageKind.CHUNK_ASSIGNMENT, payload=payload, expr=1)
     master.send(1, sent)
@@ -150,54 +149,51 @@ def test_loopback_fidelity(backend):
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_failed_detail_travels_beside_the_payload(backend):
-    transport = make_transport(backend, nslaves=2, nsymbols=NSYM)
+    master = MasterEndpoint(backend, nslaves=2, nsymbols=NSYM)
     failed = Message(MessageKind.FAILED, detail="Traceback ...\nRuntimeError: x")
     record = object()  # opaque to the transport, like the engine's WorkerMetrics
     last_run = Message(MessageKind.RUN_RETURN, payload=((3, 0),), metrics=record)
-    slave = transport.slave_endpoint(1)
-    master = transport.master_endpoint()
+    slave = master.slave(1)
     slave.reply(failed)
     assert master.recv_any() == (1, failed)
     # the detail is not part of the wire payload: an empty run's 4 bytes
-    assert transport.stats().serialized_bytes == (4 if backend == "mp" else 0)
+    assert master.stats().serialized_bytes == (4 if backend == "mp" else 0)
     slave.reply(last_run)
     frm, got = master.recv_any()
     assert frm == 1 and got == last_run and got.metrics is record
     # nor are the metrics: only the one-term run's bytes come on top
     run_bytes = len(hand_wire_bytes([(3, ())]))
-    assert transport.stats().serialized_bytes == (4 + run_bytes if backend == "mp" else 0)
+    assert master.stats().serialized_bytes == (4 + run_bytes if backend == "mp" else 0)
 
 
 def test_mp_copies_but_sm_transfers_ownership():
     payload = pack_terms(((5, ((0, 2),)),), NSYM)
-    mp = make_transport("mp", 1, NSYM)
-    mp.master_endpoint().send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
-    got = mp.slave_endpoint(0).recv()
+    mp = MasterEndpoint("mp", 1, NSYM)
+    mp.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
+    got = mp.slave(0).recv()
     assert got.payload == payload and got.payload is not payload
 
-    sm = make_transport("sm", 1, NSYM)
-    sm.master_endpoint().send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
-    assert sm.slave_endpoint(0).recv().payload is payload
+    sm = MasterEndpoint("sm", 1, NSYM)
+    sm.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
+    assert sm.slave(0).recv().payload is payload
 
 
 def test_mp_accounting_is_exact_per_message():
-    transport = make_transport("mp", 1, NSYM)
-    master = transport.master_endpoint()
+    master = MasterEndpoint("mp", 1, NSYM)
     factors = ((5, ((0, 2),)),)  # one term: 4 + (1+4+1+2+8) = 20 bytes
     payload = pack_terms(factors, NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
-    stats = transport.stats()
+    stats = master.stats()
     assert stats.serialized_bytes == len(hand_wire_bytes(factors)) == 20
     assert stats.messages_master_to_slave == 1
     assert stats.handle_transfers == 0
 
 
 def test_sm_accounting_counts_handles_not_bytes():
-    transport = make_transport("sm", 1, NSYM)
-    master = transport.master_endpoint()
+    master = MasterEndpoint("sm", 1, NSYM)
     payload = pack_terms(((5, ((0, 2),)),), NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
-    stats = transport.stats()
+    stats = master.stats()
     assert stats.serialized_bytes == 0
     assert stats.handle_transfers == 1
     assert stats.messages_master_to_slave == 1
@@ -205,21 +201,20 @@ def test_sm_accounting_counts_handles_not_bytes():
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_reply_counts_once_the_master_takes_it(backend):
-    transport = make_transport(backend, 2, NSYM)
+    master = MasterEndpoint(backend, 2, NSYM)
     factors = ((5, ((0, 2),)),)  # one term: 20 bytes on the wire
-    transport.slave_endpoint(1).reply(
+    master.slave(1).reply(
         Message(MessageKind.RUN_RETURN, payload=pack_terms(factors, NSYM)))
-    assert transport.stats() == TransportStats()  # the slave counts nothing
-    transport.master_endpoint().recv_any()
-    assert transport.stats() == (TransportStats(0, 1, 20, 0) if backend == "mp"
-                                 else TransportStats(0, 1, 0, 1))
+    assert master.stats() == TransportStats()  # the slave counts nothing
+    master.recv_any()
+    assert master.stats() == (TransportStats(0, 1, 20, 0) if backend == "mp"
+                              else TransportStats(0, 1, 0, 1))
 
 
 def test_accounting_sums_both_directions():
     rng = random.Random(83)
-    transport = make_transport("mp", 2, NSYM)
-    master = transport.master_endpoint()
-    slaves = [transport.slave_endpoint(i) for i in range(2)]
+    master = MasterEndpoint("mp", 2, NSYM)
+    slaves = [master.slave(i) for i in range(2)]
     expected = 0
     for i in range(6):
         payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
@@ -230,22 +225,20 @@ def test_accounting_sums_both_directions():
         expected += len(hand_wire_bytes(reply))
         slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=pack_terms(reply, NSYM)))
         master.recv_any()
-    assert transport.stats().serialized_bytes == expected
-    assert transport.stats().messages == 12
+    assert master.stats().serialized_bytes == expected
+    assert master.stats().messages == 12
 
 
 def test_chunk_assignment_validation():
-    transport = make_transport("sm", 1, NSYM)
-    master = transport.master_endpoint()
+    master = MasterEndpoint("sm", 1, NSYM)
     with pytest.raises(ValueError, match="nonempty"):
         master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, ()))
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_channel_closed_after_shutdown(backend):
-    transport = make_transport(backend, 1, NSYM)
-    master = transport.master_endpoint()
-    slave = transport.slave_endpoint(0)
+    master = MasterEndpoint(backend, 1, NSYM)
+    slave = master.slave(0)
     master.send(0, Message(MessageKind.SHUTDOWN))
     with pytest.raises(ChannelClosedError):
         master.send(0, Message(MessageKind.SORT))
@@ -257,8 +250,8 @@ def test_channel_closed_after_shutdown(backend):
 
 
 def test_star_topology_has_no_slave_to_slave_api():
-    transport = make_transport("sm", 2, NSYM)
-    slave = transport.slave_endpoint(0)
+    master = MasterEndpoint("sm", 2, NSYM)
+    slave = master.slave(0)
     # The only transmit primitive a slave has is reply-to-master: it takes no
     # destination, and no send() exists on the slave side.
     assert not hasattr(slave, "send")
@@ -268,16 +261,14 @@ def test_star_topology_has_no_slave_to_slave_api():
     assert params == ["msg"]
     # The master addresses slaves by id only; -1 (the computing master's
     # metrics key) and nslaves are no slave, not the last or the first one.
-    master = transport.master_endpoint()
     for bad in (-1, 2):
         with pytest.raises(ValueError, match=f"no slave {bad}"):
             master.send(bad, Message(MessageKind.SORT))
-    assert transport.stats().messages == 0
+    assert master.stats().messages == 0
 
 
 def test_bounded_mailbox_blocks_sender():
-    transport = make_transport("sm", 1, NSYM)
-    master = transport.master_endpoint()
+    master = MasterEndpoint("sm", 1, NSYM)
     done = threading.Event()
 
     def sender():
@@ -289,8 +280,8 @@ def test_bounded_mailbox_blocks_sender():
     th.start()
     time.sleep(0.2)
     assert not done.is_set()  # the last send is blocked on the full mailbox
-    assert transport.stats().messages_master_to_slave == MAILBOX_BOUND
-    slave = transport.slave_endpoint(0)
+    assert master.stats().messages_master_to_slave == MAILBOX_BOUND
+    slave = master.slave(0)
     assert slave.recv().expr == 0
     th.join(timeout=2.0)
     assert done.is_set()
@@ -298,14 +289,13 @@ def test_bounded_mailbox_blocks_sender():
 
 
 def test_recv_any_nonblocking():
-    transport = make_transport("sm", 1, NSYM)
-    master = transport.master_endpoint()
+    master = MasterEndpoint("sm", 1, NSYM)
     assert master.recv_any(block=False) is None
-    transport.slave_endpoint(0).reply(Message(MessageKind.RUN_RETURN))
+    master.slave(0).reply(Message(MessageKind.RUN_RETURN))
     assert master.recv_any(block=False) == (0, Message(MessageKind.RUN_RETURN))
 
 
-def test_make_transport_rejects_unknown_backend():
+def test_master_endpoint_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
-        make_transport("tcp", 1, NSYM)
+        MasterEndpoint("tcp", 1, NSYM)
 
