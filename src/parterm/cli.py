@@ -1,7 +1,7 @@
 """Command-line front end: run programs, sweep benchmarks, verify equivalence.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 verification mismatch,
-4 runtime error.
+Exit codes: 0 success, 1 usage (a slave count over the engine's cap too),
+2 parse error, 3 verification mismatch, 4 runtime error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench, workloads
-from .engine import EngineError, RunConfig, run_program
+from .engine import EngineError, RunConfig, SlaveCountError, run_program
 from .parser import ParseError, format_expression, parse_program
 from .transport import BACKENDS
 
@@ -146,6 +146,7 @@ def _cmd_bench(args) -> int:
     if 1 not in args.slaves:
         raise _UsageError("--slaves must include 1: speedups are normalized "
                           "to the one-slave timing")
+    RunConfig(nslaves=max(args.slaves))  # reject an over-cap count before any run
     if args.generate:
         text, name = _workload_from_spec(args.generate)
     else:
@@ -163,6 +164,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    RunConfig(nslaves=max(args.slaves))  # reject an over-cap count before any run
     text = _read_program(args.file)
     program = parse_program(text)
     reference = run_program(program, RunConfig(nslaves=0)).expressions
@@ -194,7 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_verify(args)
-    except _UsageError as exc:
+    except (_UsageError, SlaveCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -37,6 +37,7 @@ itself and merges its single run.
 
 from __future__ import annotations
 
+import os
 import threading
 import traceback
 from collections import deque
@@ -51,8 +52,16 @@ from .transport import BACKENDS, MasterEndpoint, Message, MessageKind, Transport
 
 MASTER_WORKER_ID = -1
 
+# Each slave is an OS thread, started before any work; a count above this is
+# a typo, not a machine.  Never below the CLI default or a test's sweep.
+MAX_SLAVES = max(64, 4 * (os.cpu_count() or 1))
+
 
 class EngineError(RuntimeError):
+    pass
+
+
+class SlaveCountError(ValueError):
     pass
 
 
@@ -74,6 +83,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.nslaves < 0:
             raise ValueError(f"nslaves must be >= 0, got {self.nslaves}")
+        if self.nslaves > MAX_SLAVES:
+            raise SlaveCountError(f"nslaves {self.nslaves} exceeds the cap of {MAX_SLAVES} "
+                                  f"(4 per CPU, at least 64)")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.backend not in BACKENDS:
@@ -247,6 +259,10 @@ class _Session:
     def stats(self) -> TransportStats:
         return self.master.stats() if self.master else TransportStats()
 
+    def wait_ns(self) -> int:
+        """The master's time blocked on worker messages so far."""
+        return self.master.wait_ns if self.master else 0
+
     def close(self) -> None:
         """Send ``Shutdown`` to every started worker and join it.
 
@@ -274,16 +290,9 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
     first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
     workers = {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
     mine = workers.get(MASTER_WORKER_ID)
+    wait_start = session.wait_ns()
     t_start = perf_counter_ns()
     t_distribute = 0
-    wait_ns = 0
-
-    def recv() -> tuple[int, Message]:
-        nonlocal wait_ns
-        t0 = perf_counter_ns()
-        got = session.recv()
-        wait_ns += perf_counter_ns() - t0
-        return got
 
     def chunk_terms(c: Chunk) -> Expression:
         # Sliced only when sent or computed, so only outstanding chunks are copies.
@@ -312,7 +321,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
                 c = pending.popleft()
                 _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr], mine)
                 continue
-        worker, msg = got or recv()
+        worker, msg = got or session.recv()
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
             raise EngineError(f"expected completion signal, got {msg.kind}")
         outstanding -= 1
@@ -329,7 +338,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         for expr, run in enumerate(_sort_runs(master_accs, mine)):
             runs[expr].append(run)
     for _ in range(cfg.nslaves * len(exprs)):
-        worker, msg = recv()
+        worker, msg = session.recv()
         if msg.kind is not MessageKind.RUN_RETURN:
             raise EngineError(f"expected run return, got {msg.kind}")
         runs[msg.expr].append(msg.payload)
@@ -343,7 +352,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         t_distribute=t_distribute,
         t_final_merge=t_end - t0,
         t_wall=t_end - t_start,
-        master_busy=(t_end - t_start) - wait_ns,
+        master_busy=(t_end - t_start) - (session.wait_ns() - wait_start),
         terms_in=sum(len(e) for e in exprs),
         terms_out=sum(len(e) for e in results),
         workers=workers,

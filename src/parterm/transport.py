@@ -7,9 +7,10 @@ each slave its :class:`SlaveEndpoint`.  The backend chooses only the codec,
 that is, how a message's term payload moves:
 
 * ``mp`` marshals the payload through the binary wire format below, ships
-  the bytes, and rebuilds fresh terms on receipt: the full
+  the bytes, and rebuilds fresh term tuples on receipt: the
   serialize/copy/deserialize cost of a message-passing library, with every
-  payload byte accounted.
+  payload byte accounted.  The monomial ints in those tuples may be shared:
+  see the codec memo below.
 * ``sm`` hands the message over by reference, a zero-copy ownership
   transfer; it accounts one handle transfer per message instead of bytes.
   After sending, the sending side must not touch the payload again.
@@ -48,6 +49,18 @@ decoding rejects a symbol id ``>= nsymbols``.  A field's 32 value bits hold
 exactly a u32 exponent, so every valid monomial encodes and every decoded
 exponent fits.
 
+Unpacking and packing factors is most of the codec's cost, and the same
+monomials cross again and again: module *k*'s output is module *k+1*'s
+input, and the master decodes each run right after a worker encodes it.  So
+each ``MasterEndpoint`` keeps one :class:`CodecMemo` for every channel of
+the run: monomial -> factor-block bytes and factor-block bytes -> monomial.
+Encoding and decoding both consult and fill it.  The wire bytes are the same
+with or without it, every coefficient and header is still coded and checked,
+and a block is remembered only once validated.  A decode hit returns the
+memo's monomial int, the same immutable object the encoder saw.  The memo
+holds at most ``MEMO_BOUND`` blocks a direction and empties itself when
+full.
+
 Per-slave mailboxes hold at most ``MAILBOX_BOUND`` messages; a send to a full
 mailbox blocks until the slave drains it.
 """
@@ -58,12 +71,17 @@ import enum
 import functools
 import queue
 import struct
+import threading
 from dataclasses import dataclass
+from time import perf_counter_ns
 from typing import Optional, Sequence
 
 from .terms import EXP_MASK, FIELD_BITS, Term, field_shift, guard_mask
 
 MAILBOX_BOUND = 16
+# Pairs a CodecMemo holds: above product-chain's 29k distinct monomials, and
+# about 10-13 MB when full on a 4-symbol program.
+MEMO_BOUND = 1 << 16
 
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
@@ -135,11 +153,55 @@ def _factor_block(count: int) -> struct.Struct:
     return struct.Struct(f"<H{2 * count}I")
 
 
-def serialize_terms(ts: Sequence[Term], nsymbols: int) -> bytes:
+class CodecMemo:
+    """An exact two-way memo of one program's factor blocks: monomial ->
+    block bytes (``u16 factor_count`` and its pairs) and block bytes ->
+    monomial.
+
+    Every entry comes from a validated monomial or from validated bytes, so a
+    hit needs no check.  The layout of a block depends only on ``nsymbols``,
+    so a memo serves one program.  Threads may share a memo: inserts take a
+    lock, so the bound holds exactly, and lookups need none, because each
+    pair is right on its own and a lookup racing an insert or a reset can
+    only miss.
+    """
+
+    def __init__(self, nsymbols: int):
+        self.nsymbols = nsymbols
+        self.blocks: dict[int, bytes] = {}
+        self.monos: dict[bytes, int] = {}
+        self._lock = threading.Lock()
+
+    def remember(self, mono: int, block: bytes) -> None:
+        """Add one pair; a memo holding ``MEMO_BOUND`` pairs is emptied first."""
+        with self._lock:
+            if len(self.blocks) >= MEMO_BOUND:
+                self.blocks.clear()
+                self.monos.clear()
+            self.blocks[mono] = block
+            self.monos[block] = mono
+
+
+def _memo_for(memo: Optional[CodecMemo], nsymbols: int) -> CodecMemo:
+    if memo is None:
+        return CodecMemo(nsymbols)
+    if memo.nsymbols != nsymbols:
+        raise ValueError(f"memo is for {memo.nsymbols} symbols, not {nsymbols}")
+    return memo
+
+
+def serialize_terms(ts: Sequence[Term], nsymbols: int,
+                    memo: Optional[CodecMemo] = None) -> bytes:
+    """Encode ``ts``; ``memo`` supplies and keeps factor blocks (a fresh one
+    if None)."""
     if len(ts) > _U32_MAX:
         raise WireError(f"term count {len(ts)} exceeds u32", 0)
     if nsymbols > _U16_MAX:  # a term could carry more factors than a u16 counts
         raise WireError(f"{nsymbols} symbols exceed the u16 factor count", 0)
+    memo = _memo_for(memo, nsymbols)
+    known = memo.blocks.get
+    remember = memo.remember
+    header = _TERM_HDR.pack
     shifts = _shifts(nsymbols)
     guard = guard_mask(nsymbols)
     limit = 1 << (FIELD_BITS * nsymbols)
@@ -150,66 +212,90 @@ def serialize_terms(ts: Sequence[Term], nsymbols: int) -> bytes:
             sign, mag = 1, -coeff
         else:
             sign, mag = 0, coeff
-        mag_bytes = mag.to_bytes((mag.bit_length() + 7) // 8, "little")
-        if len(mag_bytes) > _U32_MAX:
+        mag_len = (mag.bit_length() + 7) >> 3
+        if mag_len > _U32_MAX:
             raise WireError("coefficient magnitude exceeds u32 byte length", 0)
-        if mono & guard or mono >= limit:
-            raise WireError(f"monomial {mono:#x} has an exponent over u32 or a "
-                            f"symbol id >= nsymbols {nsymbols}", 0)
-        flat = []
-        for sid, shift in enumerate(shifts):
-            exp = (mono >> shift) & EXP_MASK
-            if exp:
-                flat += (sid, exp)
-        append(_TERM_HDR.pack(sign, len(mag_bytes)))
-        append(mag_bytes)
-        append(_factor_block(len(flat) >> 1).pack(len(flat) >> 1, *flat))
+        block = known(mono)
+        if block is None:
+            if mono & guard or mono >= limit:
+                raise WireError(f"monomial {mono:#x} has an exponent over u32 or a "
+                                f"symbol id >= nsymbols {nsymbols}", 0)
+            flat = []
+            for sid, shift in enumerate(shifts):
+                exp = (mono >> shift) & EXP_MASK
+                if exp:
+                    flat += (sid, exp)
+            block = _factor_block(len(flat) >> 1).pack(len(flat) >> 1, *flat)
+            remember(mono, block)
+        append(header(sign, mag_len))
+        append(mag.to_bytes(mag_len, "little"))
+        append(block)
     return b"".join(parts)
 
 
-def deserialize_terms(data: bytes, nsymbols: int) -> tuple[Term, ...]:
+def deserialize_terms(data: bytes, nsymbols: int,
+                      memo: Optional[CodecMemo] = None) -> tuple[Term, ...]:
+    """Decode and validate ``data``; ``memo`` as for :func:`serialize_terms`.
+    A block is validated before it is remembered, so a malformed one never
+    matches."""
     n = len(data)
+    memo = _memo_for(memo, nsymbols)
+    known = memo.monos.get
+    remember = memo.remember
+    header = _TERM_HDR.unpack_from
+    u16 = _U16.unpack_from
+    from_bytes = int.from_bytes
     shifts = _shifts(nsymbols)
 
-    def need(offset: int, count: int) -> None:
-        if offset + count > n:
-            raise WireError("truncated input", offset)
-
-    need(0, 4)
+    if n < 4:
+        raise WireError("truncated input", 0)
     (term_count,) = _U32.unpack_from(data, 0)
     offset = 4
     out: list[Term] = []
+    append = out.append
     for _ in range(term_count):
-        need(offset, 5)
-        sign, mag_len = _TERM_HDR.unpack_from(data, offset)
-        if sign not in (0, 1):
+        if offset + 5 > n:
+            raise WireError("truncated input", offset)
+        sign, mag_len = header(data, offset)
+        if sign > 1:
             raise WireError(f"invalid sign byte {sign}", offset)
         offset += 5
-        need(offset, mag_len)
-        mag_bytes = data[offset:offset + mag_len]
-        if mag_len and mag_bytes[-1] == 0:
-            raise WireError("non-minimal coefficient magnitude", offset)
-        mag = int.from_bytes(mag_bytes, "little")
-        if sign and mag == 0:
+        end = offset + mag_len
+        if end > n:
+            raise WireError("truncated input", offset)
+        if mag_len:
+            if not data[end - 1]:
+                raise WireError("non-minimal coefficient magnitude", offset)
+            mag = from_bytes(data[offset:end], "little")
+        elif sign:
             raise WireError("negative zero coefficient", offset)
-        offset += mag_len
-        need(offset, 2)
-        (factor_count,) = _U16.unpack_from(data, offset)
-        if offset + 2 + 8 * factor_count > n:  # name the first incomplete factor
-            need(offset + 2 + 8 * ((n - offset - 2) // 8), 8)
-        flat = _factor_block(factor_count).unpack_from(data, offset)
-        offset += 2
-        mono = 0
-        prev_sid = -1
-        for i in range(1, 2 * factor_count, 2):
-            sid = flat[i]
-            exp = flat[i + 1]
-            if sid <= prev_sid or sid >= nsymbols or not exp:
-                _reject_factor(sid, exp, prev_sid, nsymbols, offset)
-            prev_sid = sid
-            mono += exp << shifts[sid]
-            offset += 8
-        out.append((-mag if sign else mag, mono))
+        else:
+            mag = 0
+        offset = end
+        if offset + 2 > n:
+            raise WireError("truncated input", offset)
+        (factor_count,) = u16(data, offset)
+        end = offset + 2 + 8 * factor_count
+        if end > n:  # name the first incomplete factor
+            raise WireError("truncated input", offset + 2 + 8 * ((n - offset - 2) // 8))
+        block = data[offset:end]
+        mono = known(block)
+        if mono is None:
+            flat = _factor_block(factor_count).unpack_from(data, offset)
+            offset += 2
+            mono = 0
+            prev_sid = -1
+            for i in range(1, 2 * factor_count, 2):
+                sid = flat[i]
+                exp = flat[i + 1]
+                if sid <= prev_sid or sid >= nsymbols or not exp:
+                    _reject_factor(sid, exp, prev_sid, nsymbols, offset)
+                prev_sid = sid
+                mono += exp << shifts[sid]
+                offset += 8
+            remember(mono, block)
+        offset = end
+        append((-mag if sign else mag, mono))
     if offset != n:
         raise WireError("overlong input (trailing bytes)", offset)
     return tuple(out)
@@ -230,7 +316,9 @@ class MasterEndpoint:
     """The master's side of every channel: the slaves' mailboxes, its own
     inbox, the closed flags and the counters, which need no lock because
     only the master counts.  A queue record is the message itself under
-    ``sm``, and its fields with the payload as wire bytes under ``mp``."""
+    ``sm``, and its fields with the payload as wire bytes under ``mp``,
+    where one :class:`CodecMemo` serves every channel's encode and decode.
+    ``wait_ns`` is the time the master has spent waiting on its inbox."""
 
     def __init__(self, backend: str, nslaves: int, nsymbols: int):
         if backend not in BACKENDS:
@@ -243,21 +331,24 @@ class MasterEndpoint:
         self._outboxes = [queue.Queue(maxsize=MAILBOX_BOUND) for _ in range(nslaves)]
         self._inbox: queue.Queue = queue.Queue()
         self._closed = [False] * nslaves
+        self._memo = CodecMemo(nsymbols) if self._copy else None
         self._m2s = 0
         self._s2m = 0
         self._bytes = 0
+        self.wait_ns = 0
 
     def _encode(self, msg: Message):
         if not self._copy:
             return msg
         return (msg.kind, msg.expr, msg.detail, msg.metrics,
-                serialize_terms(msg.payload, self.nsymbols))
+                serialize_terms(msg.payload, self.nsymbols, self._memo))
 
     def _decode(self, record) -> Message:
         if not self._copy:
             return record
         kind, expr, detail, metrics, wire = record
-        return Message(kind, deserialize_terms(wire, self.nsymbols), expr, detail, metrics)
+        payload = deserialize_terms(wire, self.nsymbols, self._memo)
+        return Message(kind, payload, expr, detail, metrics)
 
     def slave(self, worker: int) -> "SlaveEndpoint":
         return SlaveEndpoint(self, worker)
@@ -279,11 +370,15 @@ class MasterEndpoint:
 
     def recv_any(self, block: bool = True) -> Optional[tuple[int, Message]]:
         """The next ``(slave id, message)``, or None if ``block`` is false and
-        nothing is waiting; the message counts once it is taken."""
+        nothing is waiting; the message counts once it is taken.  Only the
+        wait for it adds to ``wait_ns``: decoding it is the master's work."""
+        t0 = perf_counter_ns()
         try:
             worker, record = self._inbox.get(block=block)
         except queue.Empty:
             return None
+        finally:
+            self.wait_ns += perf_counter_ns() - t0
         self._s2m += 1
         if self._copy:
             self._bytes += len(record[-1])

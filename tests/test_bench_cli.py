@@ -2,12 +2,13 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from parterm import cli
 from parterm.bench import CSV_COLUMNS, compute_speedups, run_sweep, write_csv, write_dat
-from parterm.engine import RunConfig, run_program
+from parterm.engine import MAX_SLAVES, RunConfig, run_program
 from parterm.parser import format_expression, parse_program
 
 from oracles import oracle_run_program
@@ -194,6 +195,21 @@ def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
 ])
 def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("command", [
+    ["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves"],
+    ["verify", os.path.join(PROGRAMS, "binomial.pt"), "--slaves"],
+    ["bench", "--generate", "expand:2", "--backend", "sm", "--csv", "x.csv", "--slaves"],
+])
+def test_cli_rejects_a_slave_count_over_the_cap_without_starting_threads(command, capsys):
+    before = threading.active_count()
+    slaves = str(MAX_SLAVES + 1) if command[0] == "run" else f"1,{MAX_SLAVES + 1}"
+    assert cli.main(command + [slaves]) == cli.EXIT_USAGE
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert f"nslaves {MAX_SLAVES + 1} exceeds the cap of {MAX_SLAVES}" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parterm import rewrite, sortmerge, terms
+from parterm import rewrite, sortmerge, terms, transport
 from parterm.engine import (
-    RunConfig, WorkerError, WorkerMetrics, partition_chunks, run_program)
+    MAX_SLAVES, RunConfig, SlaveCountError, WorkerError, WorkerMetrics, partition_chunks,
+    run_program)
 from parterm.parser import IdSubst, Module, Multiply, Program, parse_program
 from parterm.terms import SymbolTable, add_expressions, pow_expression, symbol
 
@@ -286,6 +287,46 @@ def test_run_config_validation():
         RunConfig(chunk_size=0)
     with pytest.raises(ValueError):
         RunConfig(backend="tcp")
+
+
+def test_slave_count_above_the_cap_is_rejected_before_any_thread_starts():
+    assert MAX_SLAVES >= 64  # above the CLI default and every sweep here
+    before = threading.active_count()
+    RunConfig(nslaves=MAX_SLAVES)
+    with pytest.raises(SlaveCountError, match=f"nslaves {MAX_SLAVES + 1} exceeds the cap"):
+        RunConfig(nslaves=MAX_SLAVES + 1)
+    with pytest.raises(ValueError):  # a SlaveCountError is a ValueError
+        RunConfig(nslaves=10**9)
+    assert threading.active_count() == before
+
+
+def test_master_busy_counts_the_decode_of_returned_runs(monkeypatch):
+    # Decoding a run is the master's work, not waiting: each decode on the
+    # master's thread sleeps 20 ms, and every such sleep is busy time.  Each
+    # chunk takes a worker 30 ms, and the master waits for that.
+    real = transport.deserialize_terms
+    real_rewrite = rewrite.apply_module_to_chunk
+    slept = []
+
+    def slow_rewrite(chunk_terms, m, nsymbols, acc):
+        time.sleep(0.03)
+        return real_rewrite(chunk_terms, m, nsymbols, acc)
+
+    def slow_decode(data, nsymbols, memo=None):
+        if threading.current_thread() is threading.main_thread():
+            t0 = time.perf_counter_ns()
+            time.sleep(0.02)
+            slept.append(time.perf_counter_ns() - t0)
+        return real(data, nsymbols, memo)
+
+    monkeypatch.setattr(transport, "deserialize_terms", slow_decode)
+    monkeypatch.setattr(rewrite, "apply_module_to_chunk", slow_rewrite)
+    program = _parse("symbols x, y; local F = (x+y)^4; multiply x+y; .sort .end")
+    res = run_program(program, RunConfig(nslaves=2, chunk_size=2, backend="mp"))
+    metrics = res.module_metrics[0]
+    assert len(slept) == res.stats.messages_slave_to_master
+    assert metrics.master_busy >= sum(slept)
+    assert metrics.t_wall - metrics.master_busy >= 30_000_000
 
 
 # -- whole programs ----------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 import threading
 import time
 
@@ -6,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parterm import transport
 from parterm.transport import (
     MAILBOX_BOUND,
     ChannelClosedError,
+    CodecMemo,
     MasterEndpoint,
     Message,
     MessageKind,
@@ -75,7 +79,7 @@ def test_serialization_matches_hand_encoder(ts):
     assert data == hand_wire_bytes(ts)
 
 
-@pytest.mark.parametrize("data,fragment,offset", [
+MALFORMED = [
     (b"\x01\x00", "truncated", 0),
     (b"\x02\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
      "truncated", 11),
@@ -90,13 +94,125 @@ def test_serialization_matches_hand_encoder(ts):
     (b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" b"\x02\x00"
      b"\x03\x00\x00\x00" b"\x01\x00\x00\x00" b"\x02\x00\x00\x00" b"\x01\x00\x00\x00",
      "strictly increasing", 19),
-])
+]
+
+
+@pytest.mark.parametrize("data,fragment,offset", MALFORMED)
 def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
     with pytest.raises(WireError) as err:
         deserialize_terms(data, NSYM)
     assert fragment in str(err.value)
     assert err.value.offset == offset
     assert f"offset {offset}" in str(err.value)
+
+
+# -- the codec memo ------------------------------------------------------------
+
+def _warm_memo():
+    """A memo holding the blocks of every monomial with exponents 0..3: the
+    valid neighbours of each malformed block below, and x0*x1^2's."""
+    memo = CodecMemo(NSYM)
+    monos = [pack(tuple((sid, e) for sid, e in enumerate(exps) if e), NSYM)
+             for exps in itertools.product(range(4), repeat=NSYM)]
+    data = serialize_terms([(1, m) for m in monos], NSYM, memo)
+    deserialize_terms(data, NSYM, memo)
+    return memo
+
+
+# One term, 1*x0*x1^2, cut inside its second factor: the memo holds the
+# whole block, and the truncation still names the factor that is cut.
+_TRUNCATED_KNOWN_BLOCK = (hand_wire_bytes([(1, ((0, 1), (1, 2)))])[:25], "truncated", 20)
+
+
+@pytest.mark.parametrize("data,fragment,offset", MALFORMED + [_TRUNCATED_KNOWN_BLOCK])
+def test_malformed_wire_bytes_name_the_same_offset_through_a_warm_memo(data, fragment, offset):
+    memo = _warm_memo()
+    size = len(memo.blocks)
+    with pytest.raises(WireError) as cold:
+        deserialize_terms(data, NSYM)
+    with pytest.raises(WireError) as warm:
+        deserialize_terms(data, NSYM, memo)
+    assert str(warm.value) == str(cold.value)
+    assert fragment in str(warm.value)
+    assert warm.value.offset == offset
+    assert len(memo.blocks) == len(memo.monos) == size  # nothing malformed was kept
+
+
+@given(st.lists(st_terms, min_size=1, max_size=6), st.booleans())
+@settings(max_examples=100)
+def test_a_warm_memo_gives_the_bytes_and_terms_of_a_cold_codec(payloads, decode_first):
+    memo = CodecMemo(NSYM)
+    packed = [pack_terms(ts, NSYM) for ts in payloads]
+    cold = [serialize_terms(p, NSYM) for p in packed]
+    if decode_first:  # fill the memo from the bytes side
+        for data in cold:
+            deserialize_terms(data, NSYM, memo)
+    for _ in range(2):  # the second pass hits on every monomial
+        for p, data in zip(packed, cold):
+            assert serialize_terms(p, NSYM, memo) == data
+            assert deserialize_terms(data, NSYM, memo) == deserialize_terms(data, NSYM) == p
+    assert set(memo.blocks) == {m for p in packed for _, m in p}
+
+
+def test_a_full_memo_starts_over_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(transport, "MEMO_BOUND", 5)
+    rng = random.Random(7)
+    memo = CodecMemo(NSYM)
+    for _ in range(60):
+        factors = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
+        data = serialize_terms(pack_terms(factors, NSYM), NSYM, memo)
+        assert data == hand_wire_bytes(factors)
+        assert len(memo.blocks) <= 5 and len(memo.monos) <= 5
+        assert deserialize_terms(data, NSYM, memo) == pack_terms(factors, NSYM)
+        assert len(memo.blocks) <= 5 and len(memo.monos) <= 5
+
+
+def test_threads_sharing_a_memo_keep_it_exact_and_bounded(monkeypatch):
+    # Six threads, more than the cores, code through one memo of 8 pairs with
+    # a short switch interval, so inserts and resets interleave.
+    monkeypatch.setattr(transport, "MEMO_BOUND", 8)
+    rng = random.Random(29)
+    payloads = []
+    for _ in range(20):
+        factors = tuple(random_terms(rng, NSYM, rng.randint(1, 6)))
+        payloads.append((pack_terms(factors, NSYM), hand_wire_bytes(factors)))
+    memo = CodecMemo(NSYM)
+    errors = []
+
+    def code(seed):
+        pick = random.Random(seed)
+        try:
+            for _ in range(300):
+                packed, data = pick.choice(payloads)
+                assert serialize_terms(packed, NSYM, memo) == data
+                assert deserialize_terms(data, NSYM, memo) == packed
+                assert len(memo.blocks) <= 8 and len(memo.monos) <= 8
+        except Exception as exc:  # reported below: a thread's assert is not the test's
+            errors.append(exc)
+
+    threads = [threading.Thread(target=code, args=(i,), daemon=True) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert memo.monos == {block: mono for mono, block in memo.blocks.items()}
+    for mono, block in memo.blocks.items():  # the block after a 10-byte unit term header
+        assert serialize_terms([(1, mono)], NSYM)[10:] == block
+
+
+def test_a_memo_serves_one_symbol_count():
+    memo = CodecMemo(NSYM)
+    with pytest.raises(ValueError, match="memo is for 4 symbols, not 3"):
+        serialize_terms([(1, 0)], 3, memo)
+    with pytest.raises(ValueError, match="memo is for 4 symbols, not 3"):
+        deserialize_terms(b"\x00\x00\x00\x00", 3, memo)
 
 
 def test_serialize_rejects_oversized_fields():
@@ -167,11 +283,13 @@ def test_failed_detail_travels_beside_the_payload(backend):
 
 
 def test_mp_copies_but_sm_transfers_ownership():
-    payload = pack_terms(((5, ((0, 2),)),), NSYM)
+    payload = pack_terms(((5, ((0, 2),)), (7, ((3, 5),))), NSYM)
     mp = MasterEndpoint("mp", 1, NSYM)
     mp.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     got = mp.slave(0).recv()
     assert got.payload == payload and got.payload is not payload
+    # Fresh term tuples; the (immutable) monomial ints come from the memo.
+    assert all(g is not p and g[1] is p[1] for g, p in zip(got.payload, payload))
 
     sm = MasterEndpoint("sm", 1, NSYM)
     sm.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
