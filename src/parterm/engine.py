@@ -210,7 +210,7 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
             msg = endpoint.recv()
             if msg.kind is MessageKind.SHUTDOWN:
                 break
-            t0 = perf_counter_ns()
+            t0 = endpoint.received_ns  # before the decode
             if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
                 _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr], mine)
                 mine.busy_ns += perf_counter_ns() - t0

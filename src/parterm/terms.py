@@ -2,13 +2,15 @@
 
 A monomial is one non-negative Python int: a packed exponent vector in the
 style of Monagan and Pearce.  Every declared symbol owns a fixed
-``FIELD_BITS``-bit field of 32 value bits, which hold exactly the wire
-format's u32 exponent, topped by one guard bit that is clear in every valid
-monomial.  Symbol 0 sits in the most significant field and symbol
+``FIELD_BITS``-bit field of 32 value bits, which hold exactly a u32
+exponent, topped by one guard bit that is clear in every valid monomial.
+Symbol 0 sits in the most significant field and symbol
 ``nsymbols - 1`` in the least significant one, so the exponent of symbol
 ``sid`` is ``(m >> field_shift(sid, nsymbols)) & EXP_MASK``, and the unit
 monomial is ``0``.  The layout depends only on the number of declared
-symbols; the field width is fixed by the wire contract.
+symbols.  It is also the wire layout: :mod:`parterm.transport` sends a
+monomial as this int's big-endian bytes, so the field width is part of the
+wire contract.
 
 The packing makes the two hot operations single int operations:
 

@@ -9,8 +9,7 @@ that is, how a message's term payload moves:
 * ``mp`` marshals the payload through the binary wire format below, ships
   the bytes, and rebuilds fresh term tuples on receipt: the
   serialize/copy/deserialize cost of a message-passing library, with every
-  payload byte accounted.  The monomial ints in those tuples may be shared:
-  see the codec memo below.
+  payload byte accounted.
 * ``sm`` hands the message over by reference, a zero-copy ownership
   transfer; it accounts one handle transfer per message instead of bytes.
   After sending, the sending side must not touch the payload again.
@@ -36,30 +35,32 @@ Every message starts or ends at the master, so only the master counts: a
 send is counted when the master sends it, a reply when the master takes it
 from its inbox.
 
-Wire format (little-endian): ``u32 term_count``, then per term ``u8 sign``
-(0 plus, 1 minus), ``u32 magnitude_byte_len``, the magnitude bytes
-(little-endian, minimal length), ``u16 factor_count``, then per factor
-``u32 symbol_id`` and ``u32 exponent``, by strictly increasing symbol id and
-with every exponent >= 1.
+Wire format: ``u32 term_count``, then per term ``u8 sign`` (0 plus, 1
+minus), ``u32 magnitude_byte_len``, the magnitude bytes (little-endian,
+minimal length), then the packed monomial itself as ``W`` big-endian bytes,
+``W = ceil(FIELD_BITS * nsymbols / 8)``.  The u32s are little-endian.  The
+monomial's bytes are the field layout of :mod:`parterm.terms`, left-padded
+with zero bits to whole bytes: symbol 0's field comes first, and every field
+is its guard bit and its 32 value bits, so a valid monomial always encodes
+and every decoded exponent is a u32.
 
-The wire format is the external contract and does not know about packed
-monomials.  Encoding unpacks each monomial's nonzero fields into factors;
-decoding packs the factors back, so both need the program's ``nsymbols``, and
-decoding rejects a symbol id ``>= nsymbols``.  A field's 32 value bits hold
-exactly a u32 exponent, so every valid monomial encodes and every decoded
-exponent fits.
+Both directions take the program's ``nsymbols``, which fixes ``W``, and both
+reject a monomial with a guard bit set or with a bit at or above ``1 <<
+(FIELD_BITS * nsymbols)``: a :class:`WireError` names the monomial's offset.
+Every header, coefficient, truncation and trailing-byte check names its
+offset too.  Because every monomial of a message has the same width, its
+bytes compare in the same order as the ints: the wire keeps the canonical
+order.
 
-Unpacking and packing factors is most of the codec's cost, and the same
-monomials cross again and again: module *k*'s output is module *k+1*'s
-input, and the master decodes each run right after a worker encodes it.  So
-each ``MasterEndpoint`` keeps one :class:`CodecMemo` for every channel of
-the run: monomial -> factor-block bytes and factor-block bytes -> monomial.
-Encoding and decoding both consult and fill it.  The wire bytes are the same
-with or without it, every coefficient and header is still coded and checked,
-and a block is remembered only once validated.  A decode hit returns the
-memo's monomial int, the same immutable object the encoder saw.  The memo
-holds at most ``MEMO_BOUND`` blocks a direction and empties itself when
-full.
+A monomial is one ``int.to_bytes`` on the way out and one ``int.from_bytes``
+on the way in.  That is why the codec keeps no memo of monomials it has
+seen: on a 5,456-term, 4-symbol payload its round trip costs about what a
+per-field codec (``(symbol id, exponent)`` pairs) cost with every monomial
+already memoized, and a quarter of that codec's cold round trip (2-core
+host, CPython 3.11).  Without state, the same call works in any process and
+nothing grows with a run.  ``mp`` therefore copies everything:
+the receiver's term tuples, coefficients and monomials are all new objects
+built from the bytes.
 
 Per-slave mailboxes hold at most ``MAILBOX_BOUND`` messages; a send to a full
 mailbox blocks until the slave drains it.
@@ -68,26 +69,19 @@ mailbox blocks until the slave drains it.
 from __future__ import annotations
 
 import enum
-import functools
 import queue
 import struct
-import threading
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Optional, Sequence
 
-from .terms import EXP_MASK, FIELD_BITS, Term, field_shift, guard_mask
+from .terms import FIELD_BITS, Term, guard_mask
 
 MAILBOX_BOUND = 16
-# Pairs a CodecMemo holds: above product-chain's 29k distinct monomials, and
-# about 10-13 MB when full on a 4-symbol program.
-MEMO_BOUND = 1 << 16
 
 _U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
 _TERM_HDR = struct.Struct("<BI")
 _U32_MAX = 0xFFFFFFFF
-_U16_MAX = 0xFFFF
 
 
 class WireError(ValueError):
@@ -143,68 +137,32 @@ class TransportStats:
         return self.messages_master_to_slave + self.messages_slave_to_master
 
 
-def _shifts(nsymbols: int) -> list[int]:
-    return [field_shift(sid, nsymbols) for sid in range(nsymbols)]
+def _width(nsymbols: int) -> int:
+    """Bytes of one monomial on the wire: its ``FIELD_BITS * nsymbols`` bits,
+    rounded up to whole bytes."""
+    return (FIELD_BITS * nsymbols + 7) >> 3
 
 
-@functools.lru_cache(maxsize=256)
-def _factor_block(count: int) -> struct.Struct:
-    """``u16 factor_count`` then ``count`` (symbol id, exponent) u32 pairs."""
-    return struct.Struct(f"<H{2 * count}I")
+def _invalid_bits(nsymbols: int) -> int:
+    """The bits a valid monomial leaves clear: its guard bits and every bit
+    from ``FIELD_BITS * nsymbols`` up.  The mask is negative, so a negative
+    int meets it too."""
+    return guard_mask(nsymbols) | -(1 << (FIELD_BITS * nsymbols))
 
 
-class CodecMemo:
-    """An exact two-way memo of one program's factor blocks: monomial ->
-    block bytes (``u16 factor_count`` and its pairs) and block bytes ->
-    monomial.
-
-    Every entry comes from a validated monomial or from validated bytes, so a
-    hit needs no check.  The layout of a block depends only on ``nsymbols``,
-    so a memo serves one program.  Threads may share a memo: inserts take a
-    lock, so the bound holds exactly, and lookups need none, because each
-    pair is right on its own and a lookup racing an insert or a reset can
-    only miss.
-    """
-
-    def __init__(self, nsymbols: int):
-        self.nsymbols = nsymbols
-        self.blocks: dict[int, bytes] = {}
-        self.monos: dict[bytes, int] = {}
-        self._lock = threading.Lock()
-
-    def remember(self, mono: int, block: bytes) -> None:
-        """Add one pair; a memo holding ``MEMO_BOUND`` pairs is emptied first."""
-        with self._lock:
-            if len(self.blocks) >= MEMO_BOUND:
-                self.blocks.clear()
-                self.monos.clear()
-            self.blocks[mono] = block
-            self.monos[block] = mono
+def _bad_monomial(nsymbols: int, offset: int) -> WireError:
+    return WireError(f"monomial has a guard bit set (an exponent over u32) or a "
+                     f"bit beyond the fields of nsymbols {nsymbols}", offset)
 
 
-def _memo_for(memo: Optional[CodecMemo], nsymbols: int) -> CodecMemo:
-    if memo is None:
-        return CodecMemo(nsymbols)
-    if memo.nsymbols != nsymbols:
-        raise ValueError(f"memo is for {memo.nsymbols} symbols, not {nsymbols}")
-    return memo
-
-
-def serialize_terms(ts: Sequence[Term], nsymbols: int,
-                    memo: Optional[CodecMemo] = None) -> bytes:
-    """Encode ``ts``; ``memo`` supplies and keeps factor blocks (a fresh one
-    if None)."""
+def serialize_terms(ts: Sequence[Term], nsymbols: int) -> bytes:
+    """Encode ``ts``; a monomial that is not valid for ``nsymbols`` symbols
+    raises :class:`WireError` naming the offset it would have had."""
     if len(ts) > _U32_MAX:
         raise WireError(f"term count {len(ts)} exceeds u32", 0)
-    if nsymbols > _U16_MAX:  # a term could carry more factors than a u16 counts
-        raise WireError(f"{nsymbols} symbols exceed the u16 factor count", 0)
-    memo = _memo_for(memo, nsymbols)
-    known = memo.blocks.get
-    remember = memo.remember
+    width = _width(nsymbols)
+    invalid = _invalid_bits(nsymbols)
     header = _TERM_HDR.pack
-    shifts = _shifts(nsymbols)
-    guard = guard_mask(nsymbols)
-    limit = 1 << (FIELD_BITS * nsymbols)
     parts = [_U32.pack(len(ts))]
     append = parts.append
     for coeff, mono in ts:
@@ -215,37 +173,21 @@ def serialize_terms(ts: Sequence[Term], nsymbols: int,
         mag_len = (mag.bit_length() + 7) >> 3
         if mag_len > _U32_MAX:
             raise WireError("coefficient magnitude exceeds u32 byte length", 0)
-        block = known(mono)
-        if block is None:
-            if mono & guard or mono >= limit:
-                raise WireError(f"monomial {mono:#x} has an exponent over u32 or a "
-                                f"symbol id >= nsymbols {nsymbols}", 0)
-            flat = []
-            for sid, shift in enumerate(shifts):
-                exp = (mono >> shift) & EXP_MASK
-                if exp:
-                    flat += (sid, exp)
-            block = _factor_block(len(flat) >> 1).pack(len(flat) >> 1, *flat)
-            remember(mono, block)
         append(header(sign, mag_len))
         append(mag.to_bytes(mag_len, "little"))
-        append(block)
+        if mono & invalid:
+            raise _bad_monomial(nsymbols, sum(map(len, parts)))
+        append(mono.to_bytes(width, "big"))
     return b"".join(parts)
 
 
-def deserialize_terms(data: bytes, nsymbols: int,
-                      memo: Optional[CodecMemo] = None) -> tuple[Term, ...]:
-    """Decode and validate ``data``; ``memo`` as for :func:`serialize_terms`.
-    A block is validated before it is remembered, so a malformed one never
-    matches."""
+def deserialize_terms(data: bytes, nsymbols: int) -> tuple[Term, ...]:
+    """Decode and validate ``data``; each monomial is one ``int.from_bytes``."""
     n = len(data)
-    memo = _memo_for(memo, nsymbols)
-    known = memo.monos.get
-    remember = memo.remember
+    width = _width(nsymbols)
+    invalid = _invalid_bits(nsymbols)
     header = _TERM_HDR.unpack_from
-    u16 = _U16.unpack_from
     from_bytes = int.from_bytes
-    shifts = _shifts(nsymbols)
 
     if n < 4:
         raise WireError("truncated input", 0)
@@ -272,41 +214,17 @@ def deserialize_terms(data: bytes, nsymbols: int,
         else:
             mag = 0
         offset = end
-        if offset + 2 > n:
+        end = offset + width
+        if end > n:
             raise WireError("truncated input", offset)
-        (factor_count,) = u16(data, offset)
-        end = offset + 2 + 8 * factor_count
-        if end > n:  # name the first incomplete factor
-            raise WireError("truncated input", offset + 2 + 8 * ((n - offset - 2) // 8))
-        block = data[offset:end]
-        mono = known(block)
-        if mono is None:
-            flat = _factor_block(factor_count).unpack_from(data, offset)
-            offset += 2
-            mono = 0
-            prev_sid = -1
-            for i in range(1, 2 * factor_count, 2):
-                sid = flat[i]
-                exp = flat[i + 1]
-                if sid <= prev_sid or sid >= nsymbols or not exp:
-                    _reject_factor(sid, exp, prev_sid, nsymbols, offset)
-                prev_sid = sid
-                mono += exp << shifts[sid]
-                offset += 8
-            remember(mono, block)
+        mono = from_bytes(data[offset:end], "big")
+        if mono & invalid:
+            raise _bad_monomial(nsymbols, offset)
         offset = end
         append((-mag if sign else mag, mono))
     if offset != n:
         raise WireError("overlong input (trailing bytes)", offset)
     return tuple(out)
-
-
-def _reject_factor(sid: int, exp: int, prev_sid: int, nsymbols: int, offset: int) -> None:
-    if sid <= prev_sid:
-        raise WireError(f"symbol ids not strictly increasing ({sid})", offset)
-    if sid >= nsymbols:
-        raise WireError(f"symbol id {sid} >= nsymbols {nsymbols}", offset)
-    raise WireError("zero exponent", offset)
 
 
 BACKENDS = ("mp", "sm")
@@ -316,8 +234,7 @@ class MasterEndpoint:
     """The master's side of every channel: the slaves' mailboxes, its own
     inbox, the closed flags and the counters, which need no lock because
     only the master counts.  A queue record is the message itself under
-    ``sm``, and its fields with the payload as wire bytes under ``mp``,
-    where one :class:`CodecMemo` serves every channel's encode and decode.
+    ``sm``, and its fields with the payload as wire bytes under ``mp``.
     ``wait_ns`` is the time the master has spent waiting on its inbox."""
 
     def __init__(self, backend: str, nslaves: int, nsymbols: int):
@@ -331,7 +248,6 @@ class MasterEndpoint:
         self._outboxes = [queue.Queue(maxsize=MAILBOX_BOUND) for _ in range(nslaves)]
         self._inbox: queue.Queue = queue.Queue()
         self._closed = [False] * nslaves
-        self._memo = CodecMemo(nsymbols) if self._copy else None
         self._m2s = 0
         self._s2m = 0
         self._bytes = 0
@@ -341,13 +257,13 @@ class MasterEndpoint:
         if not self._copy:
             return msg
         return (msg.kind, msg.expr, msg.detail, msg.metrics,
-                serialize_terms(msg.payload, self.nsymbols, self._memo))
+                serialize_terms(msg.payload, self.nsymbols))
 
     def _decode(self, record) -> Message:
         if not self._copy:
             return record
         kind, expr, detail, metrics, wire = record
-        payload = deserialize_terms(wire, self.nsymbols, self._memo)
+        payload = deserialize_terms(wire, self.nsymbols)
         return Message(kind, payload, expr, detail, metrics)
 
     def slave(self, worker: int) -> "SlaveEndpoint":
@@ -397,12 +313,17 @@ class SlaveEndpoint:
         self._master = master
         self.worker = worker
         self._closed = False
+        self.received_ns = 0
 
     def recv(self) -> Message:
+        """The next message; ``received_ns`` is when it left the mailbox, so
+        its decode counts as the slave's work, not as waiting."""
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")
         master = self._master
-        msg = master._decode(master._outboxes[self.worker].get())
+        record = master._outboxes[self.worker].get()
+        self.received_ns = perf_counter_ns()
+        msg = master._decode(record)
         if msg.kind is MessageKind.SHUTDOWN:
             self._closed = True
         return msg

@@ -192,8 +192,12 @@ def oracle_run_program(program) -> dict[str, terms.Expression]:
     return out
 
 
-def hand_wire_bytes(ts: Sequence[FTerm]) -> bytes:
-    """By-hand encoder for the transport wire format."""
+def hand_wire_bytes(ts: Sequence[FTerm], nsymbols: int) -> bytes:
+    """By-hand encoder for the transport wire format.  Each monomial is
+    written out field by field as bit strings, symbol 0 first, each field a
+    clear guard bit and its 32-bit exponent, left-padded with zero bits to
+    whole bytes and cut into bytes eight bits at a time."""
+    width = -(-_FIELD * nsymbols // 8)
     out = bytearray(struct.pack("<I", len(ts)))
     for coeff, mono in ts:
         mag = abs(coeff)
@@ -204,9 +208,10 @@ def hand_wire_bytes(ts: Sequence[FTerm]) -> bytes:
         out += struct.pack("<B", 1 if coeff < 0 else 0)
         out += struct.pack("<I", len(mag_bytes))
         out += mag_bytes
-        out += struct.pack("<H", len(mono))
-        for sid, exp in mono:
-            out += struct.pack("<I", sid) + struct.pack("<I", exp)
+        exps = dict(mono)
+        bits = "".join(format(exps.get(sid, 0), "033b") for sid in range(nsymbols))
+        bits = bits.rjust(8 * width, "0")
+        out += bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
     return bytes(out)
 
 

@@ -114,13 +114,13 @@ def _golden_expected_bytes(nslaves: int, chunk_size: int) -> tuple[int, int, int
         for t in chunk:
             per_slave_raw[seq % nslaves].extend(brute_multiply((t,), factor, 2))
     runs = [oracle_normalize(per_slave_raw[s], 2) for s in range(nslaves)]
-    empty = len(hand_wire_bytes(()))
+    empty = len(hand_wire_bytes((), 2))
     total = 0
     total += empty * nslaves              # Sort
     total += empty * nslaves              # Shutdown
-    total += sum(len(hand_wire_bytes(c)) for c in chunks)
+    total += sum(len(hand_wire_bytes(c, 2)) for c in chunks)
     total += empty * len(chunks)          # per-chunk completion signals
-    total += sum(len(hand_wire_bytes(r)) for r in runs)
+    total += sum(len(hand_wire_bytes(r, 2)) for r in runs)
     m2s = nslaves * 2 + len(chunks)
     s2m = len(chunks) + nslaves
     return total, m2s, s2m
@@ -131,8 +131,14 @@ def test_acceptance_3_transport_accounting():
     hand-computed wire-size sum; sm moves handles, not bytes."""
     program = parse_program(GOLDEN_TEXT)
 
+    # Frozen by-hand totals.  With 2 symbols a monomial is W = ceil(66 / 8) =
+    # 9 bytes, and every coefficient here fits one byte, so a term is
+    # 5 + 1 + 9 = 15 bytes and a payload of n terms is 4 + 15 n.
+    # One slave: 4 empty payloads (Sort, Shutdown, 2 chunk acknowledgements)
+    # 4 * 4 = 16, 2 chunks of 2 terms 2 * (4 + 2 * 15) = 68, and one run of
+    # (x+y)^4's 5 terms 4 + 5 * 15 = 79: 16 + 68 + 79 = 163.
     expected, m2s, s2m = _golden_expected_bytes(nslaves=1, chunk_size=2)
-    assert expected == 212  # frozen by-hand total for the single-slave run
+    assert expected == 163
     res = run_program(program, RunConfig(nslaves=1, chunk_size=2, backend="mp"))
     assert res.stats.serialized_bytes == expected
     assert res.stats.handle_transfers == 0
@@ -140,7 +146,11 @@ def test_acceptance_3_transport_accounting():
         == (m2s, s2m)
 
     # Four terms in two chunks for two slaves: one chunk each, chunk i to slave i.
+    # 6 empty payloads 6 * 4 = 24, the same chunks 68, and two runs of 3
+    # terms (x^4+4x^3y+3x^2y^2 and 3x^2y^2+4xy^3+y^4) 2 * (4 + 3 * 15) = 98:
+    # 24 + 68 + 98 = 190.
     expected2, m2s2, s2m2 = _golden_expected_bytes(nslaves=2, chunk_size=2)
+    assert expected2 == 190
     res2 = run_program(program, RunConfig(nslaves=2, chunk_size=2, backend="mp"))
     assert res2.stats.serialized_bytes == expected2
     assert (res2.stats.messages_master_to_slave, res2.stats.messages_slave_to_master) \
@@ -155,8 +165,9 @@ def test_acceptance_3_transport_accounting():
 # Heavy workload for criteria 4-6: nine degree-1 product modules over a
 # 23k-term base generate 1.06 million raw terms while pushing tens of
 # thousands of terms through the transport every module, so backend cost is
-# a structural share of wall time (the marshalling backend measures tens of
-# percent slower, far beyond paired-run noise).
+# a structural share of wall time: even with each monomial crossing as one
+# to_bytes/from_bytes, 2 marshalling slaves take about twice the wall time
+# of 2 shared-buffer slaves on a 2-core host, far beyond paired-run noise.
 HEAVY_TEXT = (
     "symbols x, y, z, w;\n"
     "local F = (x+y+z+w)^50;\n"

@@ -312,12 +312,12 @@ def test_master_busy_counts_the_decode_of_returned_runs(monkeypatch):
         time.sleep(0.03)
         return real_rewrite(chunk_terms, m, nsymbols, acc)
 
-    def slow_decode(data, nsymbols, memo=None):
+    def slow_decode(data, nsymbols):
         if threading.current_thread() is threading.main_thread():
             t0 = time.perf_counter_ns()
             time.sleep(0.02)
             slept.append(time.perf_counter_ns() - t0)
-        return real(data, nsymbols, memo)
+        return real(data, nsymbols)
 
     monkeypatch.setattr(transport, "deserialize_terms", slow_decode)
     monkeypatch.setattr(rewrite, "apply_module_to_chunk", slow_rewrite)
@@ -327,6 +327,34 @@ def test_master_busy_counts_the_decode_of_returned_runs(monkeypatch):
     assert len(slept) == res.stats.messages_slave_to_master
     assert metrics.master_busy >= sum(slept)
     assert metrics.t_wall - metrics.master_busy >= 30_000_000
+
+
+def test_worker_busy_counts_the_decode_of_its_chunks(monkeypatch):
+    # A worker's busy time starts when a message leaves its mailbox, so the
+    # decode of a chunk (or of a Sort) is its work, not waiting: each decode
+    # on a worker thread sleeps 20 ms, and every such sleep is busy time.
+    real = transport.deserialize_terms
+    slept = {}
+
+    def slow_decode(data, nsymbols):
+        name = threading.current_thread().name
+        if name.startswith("parterm-worker-"):
+            t0 = time.perf_counter_ns()
+            time.sleep(0.02)
+            slept.setdefault(int(name.rsplit("-", 1)[1]), []).append(
+                time.perf_counter_ns() - t0)
+        return real(data, nsymbols)
+
+    monkeypatch.setattr(transport, "deserialize_terms", slow_decode)
+    program = _parse("symbols x, y; local F = (x+y)^4; multiply x+y; .sort .end")
+    res = run_program(program, RunConfig(nslaves=2, chunk_size=2, backend="mp"))
+    workers = res.module_metrics[0].workers
+    assert sorted(slept) == [0, 1]
+    # Each worker decodes one or more chunks and the Sort; its Shutdown comes
+    # after the module and is decoded by no module's clock.
+    assert sum(len(s) for s in slept.values()) == res.stats.messages_master_to_slave
+    for worker, sleeps in slept.items():
+        assert workers[worker].busy_ns >= sum(sleeps[:-1])
 
 
 # -- whole programs ----------------------------------------------------------

@@ -5,6 +5,7 @@ engine (an idle master, cheaper zero-copy transport) that hold on healthy
 builds but depend on machine load, so they are not part of the default gate.
 """
 
+import marshal
 from statistics import median_low
 from time import perf_counter
 
@@ -12,7 +13,7 @@ import pytest
 
 from parterm.engine import RunConfig, run_program
 from parterm.parser import parse_program
-from parterm.transport import CodecMemo, deserialize_terms, serialize_terms
+from parterm.transport import deserialize_terms, serialize_terms
 from parterm.workloads import generate_workload
 
 pytestmark = pytest.mark.perf
@@ -57,26 +58,26 @@ def test_power_of_a_linear_form_parses_in_time_proportional_to_its_output():
     assert best < 0.2, f"(3x-2y+z+2w)^50 parsed in {best:.3f} s"
 
 
-def test_a_warm_codec_memo_round_trips_at_least_twice_as_fast_as_a_cold_one():
-    # 5,456 terms.  A warm memo skips every factor block's unpack and pack:
-    # 3.3-4.0x on a 2-core host.  Best of five each.
+def test_mp_round_trip_costs_at_most_twelve_marshal_round_trips():
+    # 5,456 terms.  Each monomial crosses as one int.to_bytes and one
+    # int.from_bytes: about 4-7x marshal's round trip on a 2-core host, where
+    # unpacking and packing (symbol id, exponent) factors cost 17-28x.
+    # Interleaved best of five each, so a change of host speed hits both alike.
     program = parse_program("symbols x,y,z,w;\nlocal F = (3*x-2*y+z+2*w)^30;\n.sort\n.end\n")
     payload = program.initial[0][1]
     nsymbols = len(program.symtab)
     assert len(payload) == 5456
-    warm = CodecMemo(nsymbols)
-    deserialize_terms(serialize_terms(payload, nsymbols, warm), nsymbols, warm)
 
-    def round_trip(memo):
+    def timed(round_trip):
         start = perf_counter()
-        got = deserialize_terms(serialize_terms(payload, nsymbols, memo), nsymbols, memo)
+        got = round_trip()
         elapsed = perf_counter() - start
         assert got == payload
         return elapsed
 
-    # Interleaved, so a change of host speed hits both alike.
-    cold_s = warm_s = float("inf")
+    mp_s = marshal_s = float("inf")
     for _ in range(5):
-        cold_s = min(cold_s, round_trip(None))
-        warm_s = min(warm_s, round_trip(warm))
-    assert cold_s >= 2 * warm_s, f"cold {cold_s:.4f} s, warm {warm_s:.4f} s"
+        mp_s = min(mp_s, timed(
+            lambda: deserialize_terms(serialize_terms(payload, nsymbols), nsymbols)))
+        marshal_s = min(marshal_s, timed(lambda: marshal.loads(marshal.dumps(payload))))
+    assert mp_s <= 12 * marshal_s, f"mp {mp_s:.4f} s, marshal {marshal_s:.4f} s"

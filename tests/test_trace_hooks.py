@@ -120,7 +120,15 @@ def test_benchmark_trace_hooks_still_see_every_layer():
         elif row["nslaves"]:
             assert {"encode", "decode"} <= set(row["spans"]), label
         if (row["nslaves"], row["backend"]) == (1, "mp"):
-            assert row["bytes"] == 840, label
+            # A 2-symbol monomial is 9 bytes, so a term with an n-byte
+            # coefficient is 5 + n + 9 and a payload adds a 4-byte count.
+            # 11 empty payloads (8 acks, 2 sorts, 1 shutdown): 44.  Module 1
+            # chunks (x+y)^6 as 3+3+1 and x-y as 2: 4 * 4 + 9 * 15 = 151;
+            # runs (x+y)^7 and x^2-y^2: 2 * 4 + 10 * 15 = 158.  Module 2
+            # chunks (x+y)^7 as 3+3+2 and x^2-y^2: 4 * 4 + 10 * 15 = 166;
+            # runs (2y+1)^7, four of whose coefficients take 2 bytes, and
+            # 2y+1: 2 * 4 + 10 * 15 + 4 = 162.  44+151+158+166+162 = 681.
+            assert row["bytes"] == 681, label
 
 
 def test_traced_worker_fault_raises_and_leaves_no_thread():

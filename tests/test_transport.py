@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 import threading
 import time
 
@@ -8,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parterm import transport
 from parterm.transport import (
     MAILBOX_BOUND,
     ChannelClosedError,
-    CodecMemo,
     MasterEndpoint,
     Message,
     MessageKind,
@@ -31,6 +28,11 @@ NSYM = 4
 
 # -- wire format -------------------------------------------------------------
 
+# Monomial widths: 33 bits a symbol, rounded up to bytes.
+W4 = 17  # 4 symbols: 132 bits, 4 padding bits on top
+W3 = 13  # 3 symbols: 99 bits
+
+
 def test_golden_minus_one_unit_term():
     data = serialize_terms([(-1, 0)], NSYM)
     assert data == (
@@ -38,7 +40,7 @@ def test_golden_minus_one_unit_term():
         b"\x01"              # sign: minus
         b"\x01\x00\x00\x00"  # magnitude length 1
         b"\x01"              # magnitude 1
-        b"\x00\x00"          # factor count 0
+        + b"\x00" * W4       # the unit monomial
     )
     assert deserialize_terms(data, NSYM) == ((-1, 0),)
 
@@ -49,11 +51,20 @@ def test_golden_empty_sequence_is_header_only():
 
 
 def test_golden_zero_coefficient():
+    # x2 of 3 symbols: exponent 1 in the lowest field, so only bit 0 is set.
     z = pack(((2, 1),), 3)
     data = serialize_terms([(0, z)], 3)
-    assert data == b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" b"\x01\x00" \
-                   b"\x02\x00\x00\x00" b"\x01\x00\x00\x00"
+    assert data == b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" \
+                   + b"\x00" * (W3 - 1) + b"\x01"
     assert deserialize_terms(data, 3) == ((0, z),)
+
+
+def test_golden_monomial_bytes_are_the_fields_big_endian():
+    # x0^2 * x3 of 4 symbols: x3's exponent is bit 0 and x0's field starts
+    # at bit 99, so 2 sets bit 100: bit 4 of the byte 100 // 8 = 12 from the
+    # end, that is, of byte 4 of 17.
+    data = serialize_terms([(1, pack(((0, 2), (3, 1)), NSYM))], NSYM)
+    assert data[10:] == b"\x00" * 4 + b"\x10" + b"\x00" * 11 + b"\x01"
 
 
 st_terms = st.lists(
@@ -76,24 +87,70 @@ def test_round_trip_identity(ts):
 def test_serialization_matches_hand_encoder(ts):
     packed = pack_terms(ts, NSYM)
     data = serialize_terms(packed, NSYM)
-    assert data == hand_wire_bytes(ts)
+    assert data == hand_wire_bytes(ts, NSYM)
+
+
+@pytest.mark.parametrize("nsymbols", [1, 2, 3, 5, 8])
+@given(data=st.data())
+@settings(max_examples=50)
+def test_every_width_matches_the_hand_encoder_and_round_trips(nsymbols, data):
+    # Widths 5, 9, 13, 21 and 33 bytes: 7, 6, 5, 3 and 0 padding bits.
+    exps = st.lists(st.integers(0, EXP_MASK), min_size=nsymbols, max_size=nsymbols)
+    ts = data.draw(st.lists(st.tuples(
+        st.integers(-(10**20), 10**20),
+        exps.map(lambda es: tuple((sid, e) for sid, e in enumerate(es) if e))), max_size=6))
+    wire = serialize_terms(pack_terms(ts, nsymbols), nsymbols)
+    assert wire == hand_wire_bytes(ts, nsymbols)
+    assert deserialize_terms(wire, nsymbols) == pack_terms(ts, nsymbols)
+
+
+st_monomial = st.lists(st.integers(0, EXP_MASK), min_size=NSYM, max_size=NSYM).map(
+    lambda exps: pack(tuple((sid, e) for sid, e in enumerate(exps) if e), NSYM))
+
+
+@given(st.lists(st_monomial, min_size=2, max_size=12))
+@settings(max_examples=200)
+def test_monomial_blocks_compare_as_bytes_in_int_order(monos):
+    data = serialize_terms([(0, m) for m in monos], NSYM)
+    # Each zero-coefficient term is 5 header bytes, then its W4 monomial bytes.
+    blocks = [data[4 + 5 + i * (5 + W4):4 + (i + 1) * (5 + W4)] for i in range(len(monos))]
+    assert all(len(b) == W4 for b in blocks)
+    assert sorted(range(len(monos)), key=blocks.__getitem__) \
+        == sorted(range(len(monos)), key=monos.__getitem__)
+    for (a, ba), (b, bb) in itertools.combinations(zip(monos, blocks), 2):
+        assert (a < b) == (ba < bb) and (a == b) == (ba == bb)
+
+
+# One term of coefficient 1 (header b"\x00\x01\x00\x00\x00\x01" at offsets 4-9),
+# then a 4-symbol monomial from offset 10.
+_ONE_TERM = b"\x01\x00\x00\x00" b"\x00" b"\x01\x00\x00\x00" b"\x01"
+
+
+def _with_bit(bit):
+    """The 17 monomial bytes with only ``bit`` set (bit 0 is the last byte's lowest)."""
+    return (1 << bit).to_bytes(W4, "big")
 
 
 MALFORMED = [
     (b"\x01\x00", "truncated", 0),
-    (b"\x02\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
-     "truncated", 11),
+    # two terms: a zero-coefficient unit term fills offsets 4-25, the
+    # second's 5-byte header is cut at 26
+    (b"\x02\x00\x00\x00" + b"\x00" * (5 + W4) + b"\x00\x00", "truncated", 26),
+    # the monomial starts at 10 and has 16 of its 17 bytes
+    (_ONE_TERM + b"\x00" * (W4 - 1), "truncated", 10),
     (b"\x01\x00\x00\x00" b"\x00" b"\xff\xff\xff\x0f" b"\x01", "truncated", 9),
     (b"\x00\x00\x00\x00" b"\xaa", "overlong", 4),
-    (b"\x01\x00\x00\x00" b"\x02" b"\x00\x00\x00\x00" b"\x00\x00", "invalid sign", 4),
-    (b"\x01\x00\x00\x00" b"\x00" b"\x02\x00\x00\x00" b"\x01\x00" b"\x00\x00",
+    (_ONE_TERM + b"\x00" * W4 + b"\x00", "overlong", 10 + W4),
+    (b"\x01\x00\x00\x00" b"\x02" b"\x00\x00\x00\x00" + b"\x00" * W4, "invalid sign", 4),
+    (b"\x01\x00\x00\x00" b"\x00" b"\x02\x00\x00\x00" b"\x01\x00" + b"\x00" * W4,
      "non-minimal", 9),
-    (b"\x01\x00\x00\x00" b"\x01" b"\x00\x00\x00\x00" b"\x00\x00", "negative zero", 9),
-    (b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" b"\x01\x00"
-     b"\x03\x00\x00\x00" b"\x00\x00\x00\x00", "zero exponent", 11),
-    (b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" b"\x02\x00"
-     b"\x03\x00\x00\x00" b"\x01\x00\x00\x00" b"\x02\x00\x00\x00" b"\x01\x00\x00\x00",
-     "strictly increasing", 19),
+    (b"\x01\x00\x00\x00" b"\x01" b"\x00\x00\x00\x00" + b"\x00" * W4, "negative zero", 9),
+    # x3's guard bit, bit 32: byte 12 of the monomial is 0x01
+    (_ONE_TERM + _with_bit(32), "guard bit", 10),
+    # x0's guard bit, bit 3 * 33 + 32 = 131: the first byte is 0x08
+    (_ONE_TERM + _with_bit(131), "guard bit", 10),
+    # bit 132, the lowest padding bit above x0's field: the first byte is 0x10
+    (_ONE_TERM + _with_bit(132), "beyond the fields of nsymbols 4", 10),
 ]
 
 
@@ -106,127 +163,43 @@ def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
     assert f"offset {offset}" in str(err.value)
 
 
-# -- the codec memo ------------------------------------------------------------
-
-def _warm_memo():
-    """A memo holding the blocks of every monomial with exponents 0..3: the
-    valid neighbours of each malformed block below, and x0*x1^2's."""
-    memo = CodecMemo(NSYM)
-    monos = [pack(tuple((sid, e) for sid, e in enumerate(exps) if e), NSYM)
-             for exps in itertools.product(range(4), repeat=NSYM)]
-    data = serialize_terms([(1, m) for m in monos], NSYM, memo)
-    deserialize_terms(data, NSYM, memo)
-    return memo
+def test_malformed_rows_are_the_bytes_they_claim():
+    assert _with_bit(32)[12] == 0x01 and _with_bit(131)[0] == 0x08
+    assert _with_bit(132)[0] == 0x10
+    good = _ONE_TERM + b"\x00" * W4
+    assert deserialize_terms(good, NSYM) == ((1, 0),)
 
 
-# One term, 1*x0*x1^2, cut inside its second factor: the memo holds the
-# whole block, and the truncation still names the factor that is cut.
-_TRUNCATED_KNOWN_BLOCK = (hand_wire_bytes([(1, ((0, 1), (1, 2)))])[:25], "truncated", 20)
+@pytest.mark.parametrize("nsymbols", [1, 4, 8])
+def test_every_guard_and_padding_bit_is_rejected_both_ways(nsymbols):
+    width = (33 * nsymbols + 7) // 8
+    invalid = [b for b in range(8 * width) if b % 33 == 32 or b >= 33 * nsymbols]
+    assert len(invalid) == nsymbols + 8 * width - 33 * nsymbols
+    for bit in invalid:
+        with pytest.raises(WireError) as err:
+            deserialize_terms(_ONE_TERM + (1 << bit).to_bytes(width, "big"), nsymbols)
+        assert err.value.offset == 10, bit
+        with pytest.raises(WireError) as err:
+            serialize_terms([(1, 1 << bit)], nsymbols)
+        assert err.value.offset == 10, bit
+    # the first bit past the last byte exists only on the encoding side
+    with pytest.raises(WireError):
+        serialize_terms([(1, 1 << (8 * width))], nsymbols)
 
 
-@pytest.mark.parametrize("data,fragment,offset", MALFORMED + [_TRUNCATED_KNOWN_BLOCK])
-def test_malformed_wire_bytes_name_the_same_offset_through_a_warm_memo(data, fragment, offset):
-    memo = _warm_memo()
-    size = len(memo.blocks)
-    with pytest.raises(WireError) as cold:
-        deserialize_terms(data, NSYM)
-    with pytest.raises(WireError) as warm:
-        deserialize_terms(data, NSYM, memo)
-    assert str(warm.value) == str(cold.value)
-    assert fragment in str(warm.value)
-    assert warm.value.offset == offset
-    assert len(memo.blocks) == len(memo.monos) == size  # nothing malformed was kept
-
-
-@given(st.lists(st_terms, min_size=1, max_size=6), st.booleans())
-@settings(max_examples=100)
-def test_a_warm_memo_gives_the_bytes_and_terms_of_a_cold_codec(payloads, decode_first):
-    memo = CodecMemo(NSYM)
-    packed = [pack_terms(ts, NSYM) for ts in payloads]
-    cold = [serialize_terms(p, NSYM) for p in packed]
-    if decode_first:  # fill the memo from the bytes side
-        for data in cold:
-            deserialize_terms(data, NSYM, memo)
-    for _ in range(2):  # the second pass hits on every monomial
-        for p, data in zip(packed, cold):
-            assert serialize_terms(p, NSYM, memo) == data
-            assert deserialize_terms(data, NSYM, memo) == deserialize_terms(data, NSYM) == p
-    assert set(memo.blocks) == {m for p in packed for _, m in p}
-
-
-def test_a_full_memo_starts_over_and_stays_exact(monkeypatch):
-    monkeypatch.setattr(transport, "MEMO_BOUND", 5)
-    rng = random.Random(7)
-    memo = CodecMemo(NSYM)
-    for _ in range(60):
-        factors = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
-        data = serialize_terms(pack_terms(factors, NSYM), NSYM, memo)
-        assert data == hand_wire_bytes(factors)
-        assert len(memo.blocks) <= 5 and len(memo.monos) <= 5
-        assert deserialize_terms(data, NSYM, memo) == pack_terms(factors, NSYM)
-        assert len(memo.blocks) <= 5 and len(memo.monos) <= 5
-
-
-def test_threads_sharing_a_memo_keep_it_exact_and_bounded(monkeypatch):
-    # Six threads, more than the cores, code through one memo of 8 pairs with
-    # a short switch interval, so inserts and resets interleave.
-    monkeypatch.setattr(transport, "MEMO_BOUND", 8)
-    rng = random.Random(29)
-    payloads = []
-    for _ in range(20):
-        factors = tuple(random_terms(rng, NSYM, rng.randint(1, 6)))
-        payloads.append((pack_terms(factors, NSYM), hand_wire_bytes(factors)))
-    memo = CodecMemo(NSYM)
-    errors = []
-
-    def code(seed):
-        pick = random.Random(seed)
-        try:
-            for _ in range(300):
-                packed, data = pick.choice(payloads)
-                assert serialize_terms(packed, NSYM, memo) == data
-                assert deserialize_terms(data, NSYM, memo) == packed
-                assert len(memo.blocks) <= 8 and len(memo.monos) <= 8
-        except Exception as exc:  # reported below: a thread's assert is not the test's
-            errors.append(exc)
-
-    threads = [threading.Thread(target=code, args=(i,), daemon=True) for i in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-    assert memo.monos == {block: mono for mono, block in memo.blocks.items()}
-    for mono, block in memo.blocks.items():  # the block after a 10-byte unit term header
-        assert serialize_terms([(1, mono)], NSYM)[10:] == block
-
-
-def test_a_memo_serves_one_symbol_count():
-    memo = CodecMemo(NSYM)
-    with pytest.raises(ValueError, match="memo is for 4 symbols, not 3"):
-        serialize_terms([(1, 0)], 3, memo)
-    with pytest.raises(ValueError, match="memo is for 4 symbols, not 3"):
-        deserialize_terms(b"\x00\x00\x00\x00", 3, memo)
-
-
-def test_serialize_rejects_oversized_fields():
+def test_serialize_rejects_oversized_fields_at_the_monomial_offset():
     # 2**32 in a field sets its guard bit: not a valid monomial, not a u32
     for sid in range(NSYM):
-        with pytest.raises(WireError, match="u32"):
-            serialize_terms([(1, pack(((sid, EXP_MASK),), NSYM) + pack(((sid, 1),), NSYM))],
-                            NSYM)
-    with pytest.raises(WireError, match="nsymbols"):
-        serialize_terms([(1, 1 << (33 * NSYM))], NSYM)
-    many = 70000  # exponent 1 for every symbol: more factors than a u16 counts
-    ones = int(("0" * 32 + "1") * many, 2)
-    with pytest.raises(WireError, match="u16"):
-        serialize_terms([(1, ones)], many)
+        over = pack(((sid, EXP_MASK),), NSYM) + pack(((sid, 1),), NSYM)
+        with pytest.raises(WireError, match="u32") as err:
+            serialize_terms([(1, over)], NSYM)
+        assert err.value.offset == 10
+    # the second term's monomial: after 4 + (6 + W4) bytes and its own 5 + 2
+    with pytest.raises(WireError, match="nsymbols 4") as err:
+        serialize_terms([(1, 0), (-300, 1 << (33 * NSYM))], NSYM)
+    assert err.value.offset == 4 + (6 + W4) + 7
+    with pytest.raises(WireError, match="nsymbols 4"):
+        serialize_terms([(1, -1)], NSYM)
 
 
 def test_largest_exponent_round_trips_in_every_field():
@@ -234,16 +207,23 @@ def test_largest_exponent_round_trips_in_every_field():
         other = (sid + 1) % NSYM
         ts = ((1, ((sid, EXP_MASK),)), (-2, tuple(sorted([(sid, EXP_MASK), (other, 7)]))))
         data = serialize_terms(pack_terms(ts, NSYM), NSYM)
-        assert data == hand_wire_bytes(ts)
+        assert data == hand_wire_bytes(ts, NSYM)
         assert deserialize_terms(data, NSYM) == pack_terms(ts, NSYM)
 
 
-def test_decode_rejects_symbol_ids_beyond_the_program():
-    data = hand_wire_bytes([(1, ((1, 2),))])
+def test_decode_rejects_bytes_encoded_for_more_symbols():
+    # Encoded for 2 symbols a monomial is 9 bytes; read for 1 it is 5.
+    data = hand_wire_bytes([(1, ((1, 2),))], 2)
     assert deserialize_terms(data, 2) == ((1, pack(((1, 2),), 2)),)
-    with pytest.raises(WireError, match="symbol id 1 >= nsymbols 1") as err:
+    with pytest.raises(WireError, match="overlong") as err:
         deserialize_terms(data, 1)
-    assert err.value.offset == 12
+    assert err.value.offset == 15  # 4 + 6 header bytes, then 5 monomial bytes
+    # x0^(2**31) sets bit 64 of 72, which read as 1 symbol's 40 bits is bit
+    # 32: that symbol's guard bit
+    data = hand_wire_bytes([(1, ((0, 1 << 31),))], 2)
+    with pytest.raises(WireError, match="guard bit") as err:
+        deserialize_terms(data, 1)
+    assert err.value.offset == 10
 
 
 # -- backends ----------------------------------------------------------------
@@ -278,7 +258,7 @@ def test_failed_detail_travels_beside_the_payload(backend):
     frm, got = master.recv_any()
     assert frm == 1 and got == last_run and got.metrics is record
     # nor are the metrics: only the one-term run's bytes come on top
-    run_bytes = len(hand_wire_bytes([(3, ())]))
+    run_bytes = len(hand_wire_bytes([(3, ())], NSYM))
     assert master.stats().serialized_bytes == (4 + run_bytes if backend == "mp" else 0)
 
 
@@ -288,8 +268,10 @@ def test_mp_copies_but_sm_transfers_ownership():
     mp.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     got = mp.slave(0).recv()
     assert got.payload == payload and got.payload is not payload
-    # Fresh term tuples; the (immutable) monomial ints come from the memo.
-    assert all(g is not p and g[1] is p[1] for g, p in zip(got.payload, payload))
+    # Fresh term tuples, and monomials rebuilt from their bytes: x0^2 is a
+    # 101-bit int, so an equal one is a new object.
+    assert all(g is not p for g, p in zip(got.payload, payload))
+    assert got.payload[0][1] == payload[0][1] and got.payload[0][1] is not payload[0][1]
 
     sm = MasterEndpoint("sm", 1, NSYM)
     sm.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
@@ -298,11 +280,11 @@ def test_mp_copies_but_sm_transfers_ownership():
 
 def test_mp_accounting_is_exact_per_message():
     master = MasterEndpoint("mp", 1, NSYM)
-    factors = ((5, ((0, 2),)),)  # one term: 4 + (1+4+1+2+8) = 20 bytes
+    factors = ((5, ((0, 2),)),)  # one term: 4 + (1+4) + 1 + W4 = 27 bytes
     payload = pack_terms(factors, NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = master.stats()
-    assert stats.serialized_bytes == len(hand_wire_bytes(factors)) == 20
+    assert stats.serialized_bytes == len(hand_wire_bytes(factors, NSYM)) == 27
     assert stats.messages_master_to_slave == 1
     assert stats.handle_transfers == 0
 
@@ -320,12 +302,12 @@ def test_sm_accounting_counts_handles_not_bytes():
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_reply_counts_once_the_master_takes_it(backend):
     master = MasterEndpoint(backend, 2, NSYM)
-    factors = ((5, ((0, 2),)),)  # one term: 20 bytes on the wire
+    factors = ((5, ((0, 2),)),)  # one term: 27 bytes on the wire
     master.slave(1).reply(
         Message(MessageKind.RUN_RETURN, payload=pack_terms(factors, NSYM)))
     assert master.stats() == TransportStats()  # the slave counts nothing
     master.recv_any()
-    assert master.stats() == (TransportStats(0, 1, 20, 0) if backend == "mp"
+    assert master.stats() == (TransportStats(0, 1, 27, 0) if backend == "mp"
                               else TransportStats(0, 1, 0, 1))
 
 
@@ -336,11 +318,11 @@ def test_accounting_sums_both_directions():
     expected = 0
     for i in range(6):
         payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
-        expected += len(hand_wire_bytes(payload))
+        expected += len(hand_wire_bytes(payload, NSYM))
         master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_terms(payload, NSYM)))
         got = slaves[i % 2].recv()
         reply = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
-        expected += len(hand_wire_bytes(reply))
+        expected += len(hand_wire_bytes(reply, NSYM))
         slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=pack_terms(reply, NSYM)))
         master.recv_any()
     assert master.stats().serialized_bytes == expected
