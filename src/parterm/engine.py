@@ -104,9 +104,9 @@ class Chunk(NamedTuple):
 class WorkerMetrics:
     """One worker's (or the computing master's) share of one module.
 
-    ``busy_ns`` is the time from a message's arrival until its answer is
-    ready; encoding and sending the answer is transport time.  A worker
-    writes only its own record and sends it with the module's last run.
+    ``busy_ns`` runs from a message's arrival, before its decode, until its
+    answers are encoded; sending them is transport time.  A worker writes
+    only its own record and sends it with the module's last encoded run.
     """
 
     compute_ns: int = 0
@@ -194,11 +194,13 @@ def _return_runs(endpoint, accs: list[terms.Accumulator], mine: WorkerMetrics,
     """Answer a SORT that arrived at ``t0`` with one run per expression, the
     last carrying ``mine``; the worker keeps none of them."""
     runs = _sort_runs(accs, mine)
-    mine.busy_ns += perf_counter_ns() - t0
     last = len(runs) - 1
-    for expr, run in enumerate(runs):
-        endpoint.reply(Message(MessageKind.RUN_RETURN, payload=run, expr=expr,
-                               metrics=mine if expr == last else None))
+    records = [endpoint.encode(Message(MessageKind.RUN_RETURN, payload=run, expr=expr,
+                                       metrics=mine if expr == last else None))
+               for expr, run in enumerate(runs)]
+    mine.busy_ns += perf_counter_ns() - t0
+    for record in records:
+        endpoint.reply(record)
 
 
 def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int) -> None:
@@ -213,8 +215,9 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
             t0 = endpoint.received_ns  # before the decode
             if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
                 _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr], mine)
+                ack = endpoint.encode(Message(MessageKind.RUN_RETURN))
                 mine.busy_ns += perf_counter_ns() - t0
-                endpoint.reply(Message(MessageKind.RUN_RETURN))
+                endpoint.reply(ack)
             elif msg.kind is MessageKind.SORT:
                 _return_runs(endpoint, accs, mine, t0)
                 mine = WorkerMetrics()  # the sent record now belongs to the master

@@ -1,20 +1,22 @@
 """Chunk rewriting: apply one module's statement pipeline to a chunk of terms.
 
-This is the unit of work a worker performs.  Statements apply left to right;
-each statement maps the chunk's whole intermediate term list in one loop, with
-no sorting in between (FORM semantics: no sort inside a module).  The last
-statement adds its products straight into the caller's accumulator, one
+This is the unit of work a worker performs.  Statements apply left to right,
+with no sorting in between (FORM semantics: no sort inside a module).  The
+last statement adds its products straight into the caller's accumulator, one
 ``dict`` (monomial -> coefficient) per expression, so like terms combine as
 they are generated and a sort boundary only has to order the distinct
 monomials (see :func:`parterm.terms.sorted_terms`).  An accumulator may hold
 zero sums until then.
 
 On packed monomials (see :mod:`parterm.terms`) ``id x = rhs`` reads the
-exponent ``n`` of ``x`` with one shift and mask and subtracts that field;
-inside a module it multiplies the rest by ``rhs^n``, and ``multiply f``
-multiplies by ``f``.  Either way one guard check per term, against the
-field-wise maximum of the factor's monomials, covers every product of the
-term with that factor.
+exponent ``n`` of ``x`` with one shift and mask, subtracts that field and
+multiplies the rest by ``rhs^n``; ``multiply f`` multiplies by ``f``.  Each
+statement first makes one guard pass over the chunk's intermediate terms:
+one check per term, against the field-wise maximum of its factor's
+monomials, covers every product of the term with that factor.  Then it makes
+one loop over the terms per term of the factor.  No product is made before
+every check has passed, so a chunk that overflows leaves the accumulator
+untouched.
 
 As a module's last statement ``id x = rhs`` groups the chunk by x-degree
 into polynomials ``P_n`` without ``x`` and evaluates ``sum P_n * rhs^n`` by
@@ -33,16 +35,14 @@ computed twice.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import terms
-from .parser import IdSubst, Module, Multiply, Statement
+from .parser import IdSubst, Module, Multiply
 from .terms import Accumulator, Expression, Monomial, Term
 
 
-@functools.lru_cache(maxsize=256)
-def _bounded(factor: Expression) -> tuple[Expression, Monomial]:
-    return factor, terms.field_max(factor)
+_field_max = functools.lru_cache(maxsize=256)(terms.field_max)
 
 
 @functools.lru_cache(maxsize=256)
@@ -56,60 +56,43 @@ def _rhs_power(rhs: Expression, n: int) -> tuple[Expression, Monomial]:
     return power, n * terms.field_max(rhs)
 
 
-def _factors(current: Sequence[Term], s: Statement, nsymbols: int
-             ) -> Iterator[tuple[int, Monomial, Expression]]:
-    """Per term of ``current``: its coefficient, its monomial without the
-    statement's pattern, and the factor to distribute over them, after the
-    term's guard check."""
+def _check(current: Sequence[Term], bound: Monomial, nsymbols: int) -> None:
+    """Raise unless every term of ``current`` times ``bound`` fits its fields."""
     guard = terms.guard_mask(nsymbols)
-    if isinstance(s, Multiply):
-        factor, bound = _bounded(s.factor)
-        for coeff, mono in current:
-            if (mono + bound) & guard:
-                raise terms.ExponentOverflowError()
-            yield coeff, mono, factor
-        return
-    shift = terms.field_shift(s.target, nsymbols)
-    rhs = s.rhs
-    for coeff, mono in current:
-        exp = (mono >> shift) & terms.EXP_MASK
-        if not exp:
-            yield coeff, mono, terms.ONE
-            continue
-        mono -= exp << shift
-        factor, bound = _rhs_power(rhs, exp)
+    for _, mono in current:
         if (mono + bound) & guard:
             raise terms.ExponentOverflowError()
-        yield coeff, mono, factor
+
+
+def _degrees(current: Sequence[Term], s: IdSubst, nsymbols: int) -> dict[int, list[Term]]:
+    """The terms of ``current`` by the exponent ``n`` of ``s``'s target, which
+    each loses, after every term's guard check against ``rhs^n``."""
+    shift = terms.field_shift(s.target, nsymbols)
+    parts: dict[int, list[Term]] = {}
+    for coeff, mono in current:
+        n = (mono >> shift) & terms.EXP_MASK
+        parts.setdefault(n, []).append((coeff, mono - (n << shift)))
+    for n, part in parts.items():
+        _check(part, _rhs_power(s.rhs, n)[1], nsymbols)
+    return parts
 
 
 def _times(h: Accumulator, power: Expression, out: Accumulator) -> None:
-    """Add ``h * power`` into ``out``: every product of a partial sum."""
+    """Add ``h * power`` into ``out``, one pass over ``h`` per term of ``power``."""
     get = out.get
-    for mono, coeff in h.items():
-        for c, m in power:
-            m += mono
-            out[m] = get(m, 0) + coeff * c
+    for c, m in power:
+        for mono, coeff in h.items():
+            mono += m
+            out[mono] = get(mono, 0) + coeff * c
 
 
 def _substitute(current: Sequence[Term], s: IdSubst, nsymbols: int,
                 acc: Accumulator) -> int:
     """``id x = rhs`` on every term of ``current``, by Horner's rule, into
     ``acc``; returns the direct expansion's count ``sum |P_n| * |rhs^n|``."""
-    guard = terms.guard_mask(nsymbols)
-    shift = terms.field_shift(s.target, nsymbols)
     rhs = s.rhs
-    parts: dict[int, list[Term]] = {}
-    for coeff, mono in current:
-        n = (mono >> shift) & terms.EXP_MASK
-        parts.setdefault(n, []).append((coeff, mono - (n << shift)))
-    direct = 0
-    for n, part in parts.items():
-        power, bound = _rhs_power(rhs, n)
-        for _, mono in part:
-            if (mono + bound) & guard:
-                raise terms.ExponentOverflowError()
-        direct += len(part) * len(power)
+    parts = _degrees(current, s, nsymbols)
+    direct = sum(len(part) * len(_rhs_power(rhs, n)[0]) for n, part in parts.items())
     # made: products so far; left: the direct count of the degrees not yet
     # in h; total = made + |h| * |rhs^e| + left, the chunk's products if h
     # takes no further step.  Steps stop for the chunk once one raises
@@ -156,23 +139,26 @@ def apply_module_to_chunk(chunk_terms: Sequence[Term], m: Module, nsymbols: int,
     statements = m.statements
     current = chunk_terms
     for s in statements[:-1]:
-        current = [(coeff * c, mono + mm)
-                   for coeff, mono, factor in _factors(current, s, nsymbols)
-                   for c, mm in factor]
-    if statements and isinstance(statements[-1], IdSubst):
+        if isinstance(s, Multiply):
+            _check(current, _field_max(s.factor), nsymbols)
+            current = [(coeff * c, mono + mm) for c, mm in s.factor for coeff, mono in current]
+        else:
+            current = [(coeff * c, mono + mm)
+                       for n, part in _degrees(current, s, nsymbols).items()
+                       for c, mm in _rhs_power(s.rhs, n)[0] for coeff, mono in part]
+    if not statements:
+        factor = terms.ONE
+    elif isinstance(statements[-1], IdSubst):
         return _substitute(current, statements[-1], nsymbols, acc)
-    if statements:
-        factored = _factors(current, statements[-1], nsymbols)
     else:
-        factored = ((coeff, mono, terms.ONE) for coeff, mono in current)
+        factor = statements[-1].factor
+        _check(current, _field_max(factor), nsymbols)
     get = acc.get
-    generated = 0
-    for coeff, mono, factor in factored:
-        generated += len(factor)
-        for c, mm in factor:
-            mm += mono
-            acc[mm] = get(mm, 0) + coeff * c
-    return generated
+    for c, mm in factor:
+        for coeff, mono in current:
+            mono += mm
+            acc[mono] = get(mono, 0) + coeff * c
+    return len(current) * len(factor)
 
 
 def apply_module_to_term(t: Term, m: Module, nsymbols: int) -> list[Term]:

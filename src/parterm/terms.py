@@ -178,22 +178,26 @@ def negate_expression(a: Expression) -> Expression:
 def multiply_expressions(a: Expression, b: Expression) -> Expression:
     """Distributive product; combines in a dict, then sorts canonically once.
 
-    Multiplying monomials is adding them.  Before each row of products one
-    guard-bit check of ``ma + field_max(b)`` covers the whole row.
+    Multiplying monomials is adding them.  One guard pass checks the longer
+    operand against the shorter one's field-wise maximum, then one pass over
+    the longer operand per term of the shorter one makes every product.
     """
     if not a or not b:
         return ZERO
+    if len(a) < len(b):
+        a, b = b, a
     # Guard bits for every field up to the largest product's top field.
     guard = guard_mask(-(-(a[0][1] + b[0][1]).bit_length() // FIELD_BITS))
     bound = field_max(b)
-    acc: dict[Monomial, int] = {}
-    get = acc.get
-    for ca, ma in a:
+    for _, ma in a:
         if (ma + bound) & guard:
             raise ExponentOverflowError()
-        for cb, mb in b:
-            m = ma + mb
-            acc[m] = get(m, 0) + ca * cb
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for cb, mb in b:
+        for ca, ma in a:
+            ma += mb
+            acc[ma] = get(ma, 0) + ca * cb
     return sorted_terms(acc)
 
 

@@ -328,7 +328,13 @@ class SlaveEndpoint:
             self._closed = True
         return msg
 
-    def reply(self, msg: Message) -> None:
+    def encode(self, msg: Message):
+        """``msg`` as the record :meth:`reply` sends: encoded now, sent later."""
+        return self._master._encode(msg)
+
+    def reply(self, msg) -> None:
+        """Send a :class:`Message`, or a record :meth:`encode` made of one."""
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")
-        self._master._inbox.put((self.worker, self._master._encode(msg)))
+        record = self.encode(msg) if isinstance(msg, Message) else msg
+        self._master._inbox.put((self.worker, record))

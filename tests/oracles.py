@@ -11,7 +11,8 @@ Everything here deliberately avoids the production code paths it verifies:
 normalization sorts with a three-way comparison of dense exponent vectors
 instead of int order, expansion multiplies through a dict accumulator, wire
 sizes come from a by-hand byte encoder, and module application works on whole
-expressions through term-core algebra rather than the per-term rewriter.
+expressions of factor tuples through :func:`brute_multiply` and
+:func:`brute_power` rather than the rewriter or the production product.
 One helper is an instrument, not an oracle: :class:`ComparisonCount` wraps
 monomials so that the production merge itself reports its comparisons.
 """
@@ -155,29 +156,27 @@ def brute_power(a: FExpression, n: int, nsymbols: int) -> FExpression:
 
 def algebra_apply_module(e: terms.Expression, m: Module, nsymbols: int) -> terms.Expression:
     """Apply a module to a whole (production) expression with expression-level
-    algebra; the substitution target is found on factor tuples."""
+    algebra on factor tuples: :func:`brute_multiply` for ``multiply``, and for
+    ``id x = rhs`` each term without ``x`` times the :func:`brute_power` of
+    ``rhs`` to its x-degree, the contributions summed in a dict."""
+    fe = unpack_terms(e, nsymbols)
     for s in m.statements:
         if isinstance(s, Multiply):
-            e = terms.multiply_expressions(e, s.factor)
-        else:
-            assert isinstance(s, IdSubst)
-            total: terms.Expression = terms.ZERO
-            for coeff, mono in e:
-                k = 0
-                rest = []
-                for sid, exp in unpack(mono, nsymbols):
-                    if sid == s.target:
-                        k = exp
-                    else:
-                        rest.append((sid, exp))
-                contrib: terms.Expression = ((coeff, pack(tuple(rest), nsymbols)),)
-                if k:
-                    power = brute_power(unpack_terms(s.rhs, nsymbols), k, nsymbols)
-                    contrib = terms.multiply_expressions(contrib, pack_terms(power, nsymbols))
-                total = terms.add_expressions(total, contrib)
-            e = total
-        e = terms.normalize(e)
-    return e
+            fe = brute_multiply(fe, unpack_terms(s.factor, nsymbols), nsymbols)
+            continue
+        assert isinstance(s, IdSubst)
+        rhs = unpack_terms(s.rhs, nsymbols)
+        powers: dict[int, FExpression] = {}
+        acc: dict[Factors, int] = {}
+        for coeff, mono in fe:
+            k = dict(mono).get(s.target, 0)
+            if k not in powers:
+                powers[k] = brute_power(rhs, k, nsymbols)
+            rest = tuple(f for f in mono if f[0] != s.target)
+            for c, m in brute_multiply(((coeff, rest),), powers[k], nsymbols):
+                acc[m] = acc.get(m, 0) + c
+        fe = oracle_normalize([(c, m) for m, c in acc.items()], nsymbols)
+    return pack_terms(fe, nsymbols)
 
 
 def oracle_run_program(program) -> dict[str, terms.Expression]:

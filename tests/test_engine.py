@@ -357,6 +357,33 @@ def test_worker_busy_counts_the_decode_of_its_chunks(monkeypatch):
         assert workers[worker].busy_ns >= sum(sleeps[:-1])
 
 
+def test_worker_busy_counts_the_encode_of_its_replies(monkeypatch):
+    # A worker's answers are encoded before its busy time is stamped, so
+    # the encode of an acknowledgement or of a run is its work: each encode
+    # on a worker thread sleeps 20 ms, and every such sleep is busy time.
+    real = transport.serialize_terms
+    slept = {}
+
+    def slow_encode(ts, nsymbols):
+        name = threading.current_thread().name
+        if name.startswith("parterm-worker-"):
+            t0 = time.perf_counter_ns()
+            time.sleep(0.02)
+            slept.setdefault(int(name.rsplit("-", 1)[1]), []).append(
+                time.perf_counter_ns() - t0)
+        return real(ts, nsymbols)
+
+    monkeypatch.setattr(transport, "serialize_terms", slow_encode)
+    program = _parse("symbols x, y; local F = (x+y)^4; multiply x+y; .sort .end")
+    res = run_program(program, RunConfig(nslaves=2, chunk_size=2, backend="mp"))
+    workers = res.module_metrics[0].workers
+    assert sorted(slept) == [0, 1]
+    # Each worker encodes an acknowledgement per chunk and its one run.
+    assert sum(len(s) for s in slept.values()) == res.stats.messages_slave_to_master
+    for worker, sleeps in slept.items():
+        assert workers[worker].busy_ns >= sum(sleeps)
+
+
 # -- whole programs ----------------------------------------------------------
 
 def test_run_program_identity_module():

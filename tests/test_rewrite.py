@@ -10,11 +10,13 @@ from parterm.terms import add_expressions, normalize, pow_expression, sorted_ter
 
 from oracles import (
     algebra_apply_module,
+    brute_power,
     oracle_normalize,
     pack,
     pack_terms,
     random_expression,
     random_module,
+    unpack_terms,
 )
 
 NSYM = 4
@@ -193,6 +195,49 @@ def test_overflow_in_an_intermediate_or_the_final_statement_raises():
     for chunk, m in cases:
         with pytest.raises(terms.ExponentOverflowError):
             apply_module_to_chunk(chunk, m, 2, {})
+
+
+def test_a_chunk_that_overflows_adds_nothing():
+    # Over symbols (x, y), the last term of a canonical chunk,
+    # x * y^(2**32 - 1), overflows against y + 1, whether y + 1 multiplies it
+    # or replaces its x, in a module's last statement or before another one.
+    # Every guard check runs before the first product, so the accumulator
+    # keeps exactly what it held.
+    top = terms.EXP_MASK
+    y_plus_1 = add_expressions(terms.symbol(1, 2), terms.ONE)
+    harmless = Multiply(add_expressions(terms.symbol(0, 2), terms.ONE))
+    chunk = pack_terms(((3, ((0, 3),)), (2, ((0, 2), (1, 1))), (1, ((0, 2),)),
+                        (-1, ((0, 1), (1, top)))), 2)
+    for s in (Multiply(y_plus_1), IdSubst(0, y_plus_1)):
+        for m in (Module((s,)), Module((s, harmless))):
+            acc = {pack(((0, 2),), 2): 5, terms.UNIT: -3}
+            before = dict(acc)
+            with pytest.raises(terms.ExponentOverflowError):
+                apply_module_to_chunk(chunk, m, 2, acc)
+            assert acc == before
+
+
+def test_substitution_inside_a_module_matches_the_oracle():
+    # id x = y + z + 1 between two products, on a chunk holding x-degrees
+    # 0..5: the terms of each degree go through one power of rhs together.
+    rhs = _sym_expr(4, 1, 2) + terms.ONE
+    first, last = Multiply(_sym_expr(4, 1, 3)), Multiply(_sym_expr(4, 0, 2))
+    module = Module((first, IdSubst(0, rhs), last))
+
+    def factors(n, j):
+        return (((0, n),) if n else ()) + ((1, j), (3, 1 + n % 2))
+
+    chunk = pack_terms(oracle_normalize(
+        [(n + j, factors(n, j)) for n in range(6) for j in range(1, 4)], 4), 4)
+    acc = {}
+    generated = apply_module_to_chunk(chunk, module, 4, acc)
+    assert sorted_terms(acc) == algebra_apply_module(chunk, module, 4)
+    # Per term: |first| products, each of x-degree n replaced by rhs^n's
+    # terms, each multiplied by |last|.
+    rhs_f = unpack_terms(rhs, 4)
+    per_degree = [len(brute_power(rhs_f, n, 4)) for n in range(6)]
+    assert generated == sum(2 * per_degree[dict(mono).get(0, 0)] * 2
+                            for _, mono in unpack_terms(chunk, 4))
 
 
 def test_empty_module_is_identity():
