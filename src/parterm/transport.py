@@ -35,32 +35,28 @@ Every message starts or ends at the master, so only the master counts: a
 send is counted when the master sends it, a reply when the master takes it
 from its inbox.
 
-Wire format: ``u32 term_count``, then per term ``u8 sign`` (0 plus, 1
-minus), ``u32 magnitude_byte_len``, the magnitude bytes (little-endian,
-minimal length), then the packed monomial itself as ``W`` big-endian bytes,
-``W = ceil(FIELD_BITS * nsymbols / 8)``.  The u32s are little-endian.  The
-monomial's bytes are the field layout of :mod:`parterm.terms`, left-padded
-with zero bits to whole bytes: symbol 0's field comes first, and every field
-is its guard bit and its 32 value bits, so a valid monomial always encodes
-and every decoded exponent is a u32.
+Wire format: the payload ``((c0, m0), (c1, m1), ...)`` crosses as
+``marshal.dumps((c0, m0, c1, m1, ...), 2)`` and the CRC-32 of those bytes,
+a little-endian u32: one C call encodes it and one decodes it, with no
+per-term work in the interpreter, as ParFORM hands FORM's term buffers to
+MPI.  Version 2 writes every int by value, ``i`` and an i32 if it fits,
+else ``l``, its signed digit count and its 15-bit digits; versions 3 and up
+write back-references, so the bytes would depend on which ints happen to be
+one object.  The checksum comes first because marshal trusts a header: it
+allocates what a count announces before it finds the bytes short.  So a
+changed byte never reaches marshal.  A forged message with a valid checksum
+still does, and a nested tuple in it is allocated at its announced size.
 
-Both directions take the program's ``nsymbols``, which fixes ``W``, and both
-reject a monomial with a guard bit set or with a bit at or above ``1 <<
-(FIELD_BITS * nsymbols)``: a :class:`WireError` names the monomial's offset.
-Every header, coefficient, truncation and trailing-byte check names its
-offset too.  Because every monomial of a message has the same width, its
-bytes compare in the same order as the ints: the wire keeps the canonical
-order.
-
-A monomial is one ``int.to_bytes`` on the way out and one ``int.from_bytes``
-on the way in.  That is why the codec keeps no memo of monomials it has
-seen: on a 5,456-term, 4-symbol payload its round trip costs about what a
-per-field codec (``(symbol id, exponent)`` pairs) cost with every monomial
-already memoized, and a quarter of that codec's cold round trip (2-core
-host, CPython 3.11).  Without state, the same call works in any process and
-nothing grows with a run.  ``mp`` therefore copies everything:
-the receiver's term tuples, coefficients and monomials are all new objects
-built from the bytes.
+:func:`deserialize_terms` checks, in order: the checksum; the header, a
+tuple of an even count of elements that the bytes can hold, at 5 bytes an
+int at least; marshal's decode; that every element is an ``int``, not a
+bool, a float or a tuple; that no monomial has a guard bit set or a bit at
+or above ``1 << (FIELD_BITS * nsymbols)``; and that re-encoding gives back
+the very bytes, which rejects trailing bytes and non-canonical encodings.
+:func:`serialize_terms` runs the monomial check first.  Every
+:class:`WireError` names an offset, found only once a check has failed.
+``mp`` copies everything: the receiver's term tuples, coefficients and
+monomials are new objects built from the bytes.
 
 Per-slave mailboxes hold at most ``MAILBOX_BOUND`` messages; a send to a full
 mailbox blocks until the slave drains it.
@@ -69,9 +65,14 @@ mailbox blocks until the slave drains it.
 from __future__ import annotations
 
 import enum
+import io
+import marshal
 import queue
-import struct
+import zlib
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import countOf, or_
 from time import perf_counter_ns
 from typing import Optional, Sequence
 
@@ -79,9 +80,10 @@ from .terms import FIELD_BITS, Term, guard_mask
 
 MAILBOX_BOUND = 16
 
-_U32 = struct.Struct("<I")
-_TERM_HDR = struct.Struct("<BI")
-_U32_MAX = 0xFFFFFFFF
+_VERSION = 2
+_HEADER = 5    # "(" and the u32 element count
+_CRC = 4
+_MIN_INT = 5   # "i" and an i32: the shortest encoding of an int
 
 
 class WireError(ValueError):
@@ -137,12 +139,6 @@ class TransportStats:
         return self.messages_master_to_slave + self.messages_slave_to_master
 
 
-def _width(nsymbols: int) -> int:
-    """Bytes of one monomial on the wire: its ``FIELD_BITS * nsymbols`` bits,
-    rounded up to whole bytes."""
-    return (FIELD_BITS * nsymbols + 7) >> 3
-
-
 def _invalid_bits(nsymbols: int) -> int:
     """The bits a valid monomial leaves clear: its guard bits and every bit
     from ``FIELD_BITS * nsymbols`` up.  The mask is negative, so a negative
@@ -150,81 +146,80 @@ def _invalid_bits(nsymbols: int) -> int:
     return guard_mask(nsymbols) | -(1 << (FIELD_BITS * nsymbols))
 
 
-def _bad_monomial(nsymbols: int, offset: int) -> WireError:
-    return WireError(f"monomial has a guard bit set (an exponent over u32) or a "
-                     f"bit beyond the fields of nsymbols {nsymbols}", offset)
+def _first_difference(a: bytes, b: bytes) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _element_error(body: bytes, flat: tuple, j: int, message: str) -> WireError:
+    """``message`` at element ``j``: the length of the canonical encoding of
+    the elements before it, unless they differ from it in ``body`` first."""
+    prefix = marshal.dumps(flat[:j], _VERSION)
+    at = _HEADER + _first_difference(body[_HEADER:len(prefix)], prefix[_HEADER:])
+    return WireError("non-canonical encoding" if at < len(prefix) else message, at)
+
+
+def _monomial_error(flat: tuple, nsymbols: int, body: bytes) -> WireError:
+    """The error for the first monomial of ``flat`` that meets the invalid bits."""
+    invalid = _invalid_bits(nsymbols)
+    j = next(j for j in range(1, len(flat), 2) if flat[j] & invalid)
+    return _element_error(body, flat, j, f"monomial has a guard bit set (an exponent over "
+                                         f"u32) or a bit beyond the fields of nsymbols {nsymbols}")
+
+
+def _unreadable(body: bytes, exc: Exception) -> WireError:
+    """Where marshal gave up on ``body``: the end of a truncated body, else
+    the last byte that a reread from a file consumed before it raised."""
+    if isinstance(exc, EOFError):
+        return WireError("truncated input", len(body))
+    f = io.BytesIO(body)
+    try:
+        marshal.load(f)
+    except (ValueError, TypeError):
+        pass
+    return WireError(f"unreadable element: {exc}", f.tell() - 1)
 
 
 def serialize_terms(ts: Sequence[Term], nsymbols: int) -> bytes:
     """Encode ``ts``; a monomial that is not valid for ``nsymbols`` symbols
     raises :class:`WireError` naming the offset it would have had."""
-    if len(ts) > _U32_MAX:
-        raise WireError(f"term count {len(ts)} exceeds u32", 0)
-    width = _width(nsymbols)
-    invalid = _invalid_bits(nsymbols)
-    header = _TERM_HDR.pack
-    parts = [_U32.pack(len(ts))]
-    append = parts.append
-    for coeff, mono in ts:
-        if coeff < 0:
-            sign, mag = 1, -coeff
-        else:
-            sign, mag = 0, coeff
-        mag_len = (mag.bit_length() + 7) >> 3
-        if mag_len > _U32_MAX:
-            raise WireError("coefficient magnitude exceeds u32 byte length", 0)
-        append(header(sign, mag_len))
-        append(mag.to_bytes(mag_len, "little"))
-        if mono & invalid:
-            raise _bad_monomial(nsymbols, sum(map(len, parts)))
-        append(mono.to_bytes(width, "big"))
-    return b"".join(parts)
+    flat = tuple(chain.from_iterable(ts))
+    if reduce(or_, flat[1::2], 0) & _invalid_bits(nsymbols):
+        raise _monomial_error(flat, nsymbols, marshal.dumps(flat, _VERSION))
+    body = marshal.dumps(flat, _VERSION)
+    return body + zlib.crc32(body).to_bytes(_CRC, "little")
 
 
 def deserialize_terms(data: bytes, nsymbols: int) -> tuple[Term, ...]:
-    """Decode and validate ``data``; each monomial is one ``int.from_bytes``."""
-    n = len(data)
-    width = _width(nsymbols)
-    invalid = _invalid_bits(nsymbols)
-    header = _TERM_HDR.unpack_from
-    from_bytes = int.from_bytes
-
-    if n < 4:
-        raise WireError("truncated input", 0)
-    (term_count,) = _U32.unpack_from(data, 0)
-    offset = 4
-    out: list[Term] = []
-    append = out.append
-    for _ in range(term_count):
-        if offset + 5 > n:
-            raise WireError("truncated input", offset)
-        sign, mag_len = header(data, offset)
-        if sign > 1:
-            raise WireError(f"invalid sign byte {sign}", offset)
-        offset += 5
-        end = offset + mag_len
-        if end > n:
-            raise WireError("truncated input", offset)
-        if mag_len:
-            if not data[end - 1]:
-                raise WireError("non-minimal coefficient magnitude", offset)
-            mag = from_bytes(data[offset:end], "little")
-        elif sign:
-            raise WireError("negative zero coefficient", offset)
-        else:
-            mag = 0
-        offset = end
-        end = offset + width
-        if end > n:
-            raise WireError("truncated input", offset)
-        mono = from_bytes(data[offset:end], "big")
-        if mono & invalid:
-            raise _bad_monomial(nsymbols, offset)
-        offset = end
-        append((-mag if sign else mag, mono))
-    if offset != n:
-        raise WireError("overlong input (trailing bytes)", offset)
-    return tuple(out)
+    """Check and decode ``data``, in the order the module docstring gives."""
+    n = len(data) - _CRC
+    if n < _HEADER:
+        raise WireError("truncated input", len(data))
+    body = data[:n]
+    if zlib.crc32(body) != int.from_bytes(data[n:], "little"):
+        raise WireError("checksum mismatch", n)
+    if body[0] != ord("("):
+        raise WireError("payload is not a tuple", 0)
+    count = int.from_bytes(body[1:_HEADER], "little")
+    if count & 1:
+        raise WireError(f"odd element count {count}", 1)
+    if count > (n - _HEADER) // _MIN_INT:
+        raise WireError(f"element count {count} is more than {n} bytes can hold", 1)
+    try:
+        flat = marshal.loads(body)
+    except (EOFError, ValueError, TypeError) as exc:
+        raise _unreadable(body, exc) from None
+    if countOf(map(type, flat), int) != len(flat):
+        j = next(j for j, x in enumerate(flat) if type(x) is not int)
+        raise _element_error(body, flat, j, f"element is a {type(flat[j]).__name__}")
+    if reduce(or_, flat[1::2], 0) & _invalid_bits(nsymbols):
+        raise _monomial_error(flat, nsymbols, body)
+    canonical = marshal.dumps(flat, _VERSION)
+    if canonical != body:
+        at = _first_difference(body, canonical)
+        raise WireError("trailing bytes" if at == len(canonical) else
+                        "non-canonical encoding", at)
+    pairs = iter(flat)
+    return tuple(zip(pairs, pairs))
 
 
 BACKENDS = ("mp", "sm")

@@ -10,9 +10,9 @@ the documented layout by hand, so nothing else here depends on the packing.
 Everything here deliberately avoids the production code paths it verifies:
 normalization sorts with a three-way comparison of dense exponent vectors
 instead of int order, expansion multiplies through a dict accumulator, wire
-sizes come from a by-hand byte encoder, and module application works on whole
-expressions of factor tuples through :func:`brute_multiply` and
-:func:`brute_power` rather than the rewriter or the production product.
+sizes come from a by-hand byte encoder and checksum, and module application
+works on whole expressions of factor tuples through :func:`brute_multiply`
+and :func:`brute_power` rather than the rewriter or the production product.
 One helper is an instrument, not an oracle: :class:`ComparisonCount` wraps
 monomials so that the production merge itself reports its comparisons.
 """
@@ -191,27 +191,45 @@ def oracle_run_program(program) -> dict[str, terms.Expression]:
     return out
 
 
+def hand_crc32(data: bytes) -> int:
+    """CRC-32 (IEEE 802.3) bit by bit: the reflected polynomial 0xEDB88320,
+    with 0xFFFFFFFF as initial value and final XOR."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+
+def _hand_marshal_int(bits: str, negative: bool) -> bytes:
+    """One int of magnitude ``bits`` (a binary string) as marshal version 2
+    writes it: ``i`` and an i32 if it fits, else ``l``, the i32 count of its
+    15-bit digits (negated for a negative int) and the digits as u16s, cut
+    from the least significant end."""
+    bits = bits.lstrip("0")
+    value = -int(bits or "0", 2) if negative else int(bits or "0", 2)
+    if -(1 << 31) <= value < 1 << 31:
+        return b"i" + struct.pack("<i", value)
+    digits = [int(bits[max(0, end - 15):end], 2) for end in range(len(bits), 0, -15)]
+    count = -len(digits) if negative else len(digits)
+    return b"l" + struct.pack("<i", count) + b"".join(struct.pack("<H", d) for d in digits)
+
+
 def hand_wire_bytes(ts: Sequence[FTerm], nsymbols: int) -> bytes:
-    """By-hand encoder for the transport wire format.  Each monomial is
-    written out field by field as bit strings, symbol 0 first, each field a
-    clear guard bit and its 32-bit exponent, left-padded with zero bits to
-    whole bytes and cut into bytes eight bits at a time."""
-    width = -(-_FIELD * nsymbols // 8)
-    out = bytearray(struct.pack("<I", len(ts)))
+    """By-hand encoder for the transport wire format, from the marshal
+    version 2 spec and without marshal: ``(`` and the u32 count of the flat
+    elements ``c0, m0, c1, m1, ...``, each element as :func:`_hand_marshal_int`
+    writes it, then the CRC-32 of those bytes, little-endian.  A monomial's
+    magnitude is its fields written out as bit strings, symbol 0 first, each
+    a clear guard bit and its 32-bit exponent."""
+    out = bytearray(b"(" + struct.pack("<I", 2 * len(ts)))
     for coeff, mono in ts:
-        mag = abs(coeff)
-        mag_bytes = b""
-        while mag:
-            mag_bytes += bytes([mag & 0xFF])
-            mag >>= 8
-        out += struct.pack("<B", 1 if coeff < 0 else 0)
-        out += struct.pack("<I", len(mag_bytes))
-        out += mag_bytes
+        out += _hand_marshal_int(format(abs(coeff), "b"), coeff < 0)
         exps = dict(mono)
-        bits = "".join(format(exps.get(sid, 0), "033b") for sid in range(nsymbols))
-        bits = bits.rjust(8 * width, "0")
-        out += bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
-    return bytes(out)
+        out += _hand_marshal_int(
+            "".join(format(exps.get(sid, 0), "033b") for sid in range(nsymbols)), False)
+    return bytes(out) + struct.pack("<I", hand_crc32(out))
 
 
 def random_monomial(rng: random.Random, nsymbols: int, max_exp: int = 5) -> Factors:

@@ -131,14 +131,18 @@ def test_acceptance_3_transport_accounting():
     hand-computed wire-size sum; sm moves handles, not bytes."""
     program = parse_program(GOLDEN_TEXT)
 
-    # Frozen by-hand totals.  With 2 symbols a monomial is W = ceil(66 / 8) =
-    # 9 bytes, and every coefficient here fits one byte, so a term is
-    # 5 + 1 + 9 = 15 bytes and a payload of n terms is 4 + 15 n.
+    # Frozen by-hand totals.  A payload is "(" and a u32 count, its
+    # elements and a 4-byte CRC: 9 bytes on top of them.  Every coefficient
+    # here and y^n (the ints n) fit an i32: "i" and 4 bytes, 5.  A monomial
+    # with x is x's exponent shifted by 33 plus y's, a 34- to 36-bit int:
+    # "l", a 4-byte digit count and 3 15-bit digits, 11.  So a term is 10
+    # bytes if it has no x and 16 if it has.
     # One slave: 4 empty payloads (Sort, Shutdown, 2 chunk acknowledgements)
-    # 4 * 4 = 16, 2 chunks of 2 terms 2 * (4 + 2 * 15) = 68, and one run of
-    # (x+y)^4's 5 terms 4 + 5 * 15 = 79: 16 + 68 + 79 = 163.
+    # 4 * 9 = 36, chunks x^3+3x^2y and 3xy^2+y^3 (9 + 32) + (9 + 26) = 76,
+    # and one run of (x+y)^4's 5 terms 9 + 4 * 16 + 10 = 83: 36 + 76 + 83 =
+    # 195.
     expected, m2s, s2m = _golden_expected_bytes(nslaves=1, chunk_size=2)
-    assert expected == 163
+    assert expected == 195
     res = run_program(program, RunConfig(nslaves=1, chunk_size=2, backend="mp"))
     assert res.stats.serialized_bytes == expected
     assert res.stats.handle_transfers == 0
@@ -146,11 +150,11 @@ def test_acceptance_3_transport_accounting():
         == (m2s, s2m)
 
     # Four terms in two chunks for two slaves: one chunk each, chunk i to slave i.
-    # 6 empty payloads 6 * 4 = 24, the same chunks 68, and two runs of 3
-    # terms (x^4+4x^3y+3x^2y^2 and 3x^2y^2+4xy^3+y^4) 2 * (4 + 3 * 15) = 98:
-    # 24 + 68 + 98 = 190.
+    # 6 empty payloads 6 * 9 = 54, the same chunks 76, and two runs of 3
+    # terms, x^4+4x^3y+3x^2y^2 9 + 3 * 16 = 57 and 3x^2y^2+4xy^3+y^4
+    # 9 + 2 * 16 + 10 = 51: 54 + 76 + 108 = 238.
     expected2, m2s2, s2m2 = _golden_expected_bytes(nslaves=2, chunk_size=2)
-    assert expected2 == 190
+    assert expected2 == 238
     res2 = run_program(program, RunConfig(nslaves=2, chunk_size=2, backend="mp"))
     assert res2.stats.serialized_bytes == expected2
     assert (res2.stats.messages_master_to_slave, res2.stats.messages_slave_to_master) \

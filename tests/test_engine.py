@@ -262,6 +262,54 @@ def test_master_fault_shuts_down_live_workers(monkeypatch):
     assert worker_chunks  # the workers were serving chunks when the master failed
 
 
+def _corrupt_first(monkeypatch, on_worker):
+    """Flip one byte of the first nonempty payload encoded on a worker
+    thread (a run) or on the master's (a chunk)."""
+    real = transport.serialize_terms
+    corrupted = []
+
+    def corrupting_encode(ts, nsymbols):
+        data = real(ts, nsymbols)
+        worker = threading.current_thread().name.startswith("parterm-worker-")
+        if ts and worker == on_worker and not corrupted:
+            corrupted.append(threading.current_thread().name)
+            data = data[:6] + bytes([data[6] ^ 0x40]) + data[7:]
+        return data
+
+    monkeypatch.setattr(transport, "serialize_terms", corrupting_encode)
+    return corrupted
+
+
+def _no_worker_thread_left():
+    for th in threading.enumerate():
+        if th.name.startswith("parterm-worker-"):
+            th.join(timeout=5.0)
+            assert not th.is_alive(), th.name
+
+
+def test_corrupted_chunk_bytes_fail_the_worker_that_decodes_them(monkeypatch):
+    corrupted = _corrupt_first(monkeypatch, on_worker=False)
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=7, backend="mp")
+    exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
+    assert corrupted == ["test-master"]
+    # The first chunk goes to worker 0.  Its 7 terms take 5 + 5 bytes each
+    # after the 5-byte header, so its checksum sits at 75.
+    assert isinstance(exc, WorkerError) and exc.worker == 0
+    assert "WireError: checksum mismatch (offset 75)" in str(exc)
+    _no_worker_thread_left()
+
+
+def test_corrupted_run_bytes_fail_the_master_that_decodes_them(monkeypatch):
+    corrupted = _corrupt_first(monkeypatch, on_worker=True)
+    m = Module((Multiply(symbol(0, 1)),))
+    cfg = RunConfig(nslaves=2, chunk_size=7, backend="mp")
+    exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
+    assert len(corrupted) == 1
+    assert isinstance(exc, transport.WireError) and "checksum mismatch" in str(exc)
+    _no_worker_thread_left()
+
+
 def test_engine_quiesces_after_each_run():
     before = threading.active_count()
     program = _parse("symbols x; local F = (x+1)^4; multiply x; .sort .end")

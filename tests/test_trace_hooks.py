@@ -120,15 +120,17 @@ def test_benchmark_trace_hooks_still_see_every_layer():
         elif row["nslaves"]:
             assert {"encode", "decode"} <= set(row["spans"]), label
         if (row["nslaves"], row["backend"]) == (1, "mp"):
-            # A 2-symbol monomial is 9 bytes, so a term with an n-byte
-            # coefficient is 5 + n + 9 and a payload adds a 4-byte count.
-            # 11 empty payloads (8 acks, 2 sorts, 1 shutdown): 44.  Module 1
-            # chunks (x+y)^6 as 3+3+1 and x-y as 2: 4 * 4 + 9 * 15 = 151;
-            # runs (x+y)^7 and x^2-y^2: 2 * 4 + 10 * 15 = 158.  Module 2
-            # chunks (x+y)^7 as 3+3+2 and x^2-y^2: 4 * 4 + 10 * 15 = 166;
-            # runs (2y+1)^7, four of whose coefficients take 2 bytes, and
-            # 2y+1: 2 * 4 + 10 * 15 + 4 = 162.  44+151+158+166+162 = 681.
-            assert row["bytes"] == 681, label
+            # A payload adds 9 bytes: "(", a u32 count and a 4-byte CRC.
+            # Every coefficient here fits an i32, 5 bytes, and so does a
+            # monomial without x.  One with x is a 34- to 36-bit int: 3
+            # 15-bit digits, 11 bytes.  So a term is 16 bytes with x, 10
+            # without.  11 empty payloads (8 acks, 2 sorts, 1 shutdown): 99.
+            # Module 1 chunks (x+y)^6 as 3+3+1 and x-y as 2: 57 + 57 + 19 +
+            # 35 = 168; runs (x+y)^7, 7 terms with x and y^7, and x^2-y^2:
+            # 131 + 35 = 166.  Module 2 chunks (x+y)^7 as 3+3+2 and x^2-y^2:
+            # 57 + 57 + 35 + 35 = 184; runs (2y+1)^7, 8 terms without x, and
+            # 2y+1: 89 + 29 = 118.  99+168+166+184+118 = 735.
+            assert row["bytes"] == 735, label
 
 
 def test_traced_worker_fault_raises_and_leaves_no_thread():

@@ -1,7 +1,8 @@
-import itertools
 import random
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,50 +22,58 @@ from parterm.transport import (
 
 from parterm.terms import EXP_MASK
 
-from oracles import hand_wire_bytes, pack, pack_terms, random_terms
+from oracles import hand_crc32, hand_wire_bytes, pack, pack_terms, random_terms
 
 NSYM = 4
 
 
 # -- wire format -------------------------------------------------------------
 
-# Monomial widths: 33 bits a symbol, rounded up to bytes.
-W4 = 17  # 4 symbols: 132 bits, 4 padding bits on top
-W3 = 13  # 3 symbols: 99 bits
+def _int(v):
+    """``v`` as marshal version 2 writes an int that fits an i32."""
+    return b"i" + struct.pack("<i", v)
+
+
+def _header(count):
+    return b"(" + struct.pack("<I", count)
+
+
+def _sealed(body):
+    """``body`` and its CRC-32, computed by hand."""
+    return body + struct.pack("<I", hand_crc32(body))
 
 
 def test_golden_minus_one_unit_term():
     data = serialize_terms([(-1, 0)], NSYM)
-    assert data == (
-        b"\x01\x00\x00\x00"  # term count 1
-        b"\x01"              # sign: minus
-        b"\x01\x00\x00\x00"  # magnitude length 1
-        b"\x01"              # magnitude 1
-        + b"\x00" * W4       # the unit monomial
+    assert data == _sealed(
+        b"(\x02\x00\x00\x00"  # a tuple of 2 elements
+        b"i\xff\xff\xff\xff"  # the coefficient -1
+        b"i\x00\x00\x00\x00"  # the unit monomial 0
     )
     assert deserialize_terms(data, NSYM) == ((-1, 0),)
 
 
 def test_golden_empty_sequence_is_header_only():
-    assert serialize_terms([], NSYM) == b"\x00\x00\x00\x00"
-    assert deserialize_terms(b"\x00\x00\x00\x00", NSYM) == ()
+    # no elements: the tuple header, then its CRC
+    assert serialize_terms([], NSYM) == _sealed(b"(\x00\x00\x00\x00")
+    assert deserialize_terms(_sealed(b"(\x00\x00\x00\x00"), NSYM) == ()
 
 
 def test_golden_zero_coefficient():
-    # x2 of 3 symbols: exponent 1 in the lowest field, so only bit 0 is set.
+    # x2 of 3 symbols: exponent 1 in the lowest field, so the int 1.
     z = pack(((2, 1),), 3)
     data = serialize_terms([(0, z)], 3)
-    assert data == b"\x01\x00\x00\x00" b"\x00" b"\x00\x00\x00\x00" \
-                   + b"\x00" * (W3 - 1) + b"\x01"
+    assert data == _sealed(_header(2) + _int(0) + _int(1))
     assert deserialize_terms(data, 3) == ((0, z),)
 
 
-def test_golden_monomial_bytes_are_the_fields_big_endian():
+def test_golden_monomial_past_an_i32_is_its_15_bit_digits():
     # x0^2 * x3 of 4 symbols: x3's exponent is bit 0 and x0's field starts
-    # at bit 99, so 2 sets bit 100: bit 4 of the byte 100 // 8 = 12 from the
-    # end, that is, of byte 4 of 17.
+    # at bit 99, so 2 sets bit 100.  2**100 + 1 has 101 bits, 7 digits: the
+    # lowest is 1, the top one 2**(100 - 90) = 0x400, and 5 zeros between.
     data = serialize_terms([(1, pack(((0, 2), (3, 1)), NSYM))], NSYM)
-    assert data[10:] == b"\x00" * 4 + b"\x10" + b"\x00" * 11 + b"\x01"
+    assert data[10:-4] == (b"l\x07\x00\x00\x00" b"\x01\x00" + b"\x00\x00" * 5
+                           + b"\x00\x04")
 
 
 st_terms = st.lists(
@@ -94,7 +103,8 @@ def test_serialization_matches_hand_encoder(ts):
 @given(data=st.data())
 @settings(max_examples=50)
 def test_every_width_matches_the_hand_encoder_and_round_trips(nsymbols, data):
-    # Widths 5, 9, 13, 21 and 33 bytes: 7, 6, 5, 3 and 0 padding bits.
+    # Monomials of up to 33, 66, 99, 165 and 264 bits: up to 3, 5, 7, 11
+    # and 18 digits, or one i32 when below 2**31.
     exps = st.lists(st.integers(0, EXP_MASK), min_size=nsymbols, max_size=nsymbols)
     ts = data.draw(st.lists(st.tuples(
         st.integers(-(10**20), 10**20),
@@ -104,57 +114,65 @@ def test_every_width_matches_the_hand_encoder_and_round_trips(nsymbols, data):
     assert deserialize_terms(wire, nsymbols) == pack_terms(ts, nsymbols)
 
 
-st_monomial = st.lists(st.integers(0, EXP_MASK), min_size=NSYM, max_size=NSYM).map(
-    lambda exps: pack(tuple((sid, e) for sid, e in enumerate(exps) if e), NSYM))
+def test_i32_edges_of_coefficients_and_monomials_match_the_hand_encoder():
+    # -2**31 and 2**31 - 1 are the last ints marshal writes as "i"; one
+    # further out takes 3 digits.  x0's exponent 2**31 - 1 in 1 symbol is
+    # the int 2**31 - 1, and 2**31 is the first monomial over an i32.
+    for coeff in (-(1 << 31) - 1, -(1 << 31), (1 << 31) - 1, 1 << 31):
+        for e in ((1 << 31) - 1, 1 << 31):
+            ts = ((coeff, ((0, e),)),)
+            wire = serialize_terms(pack_terms(ts, 1), 1)
+            assert wire == hand_wire_bytes(ts, 1)
+            assert deserialize_terms(wire, 1) == pack_terms(ts, 1)
+    assert hand_wire_bytes(((-(1 << 31), ()),), 1)[5:10] == b"i\x00\x00\x00\x80"
+    assert hand_wire_bytes((((1 << 31), ()),), 1)[5:10] == b"l\x03\x00\x00\x00"
 
 
-@given(st.lists(st_monomial, min_size=2, max_size=12))
-@settings(max_examples=200)
-def test_monomial_blocks_compare_as_bytes_in_int_order(monos):
-    data = serialize_terms([(0, m) for m in monos], NSYM)
-    # Each zero-coefficient term is 5 header bytes, then its W4 monomial bytes.
-    blocks = [data[4 + 5 + i * (5 + W4):4 + (i + 1) * (5 + W4)] for i in range(len(monos))]
-    assert all(len(b) == W4 for b in blocks)
-    assert sorted(range(len(monos)), key=blocks.__getitem__) \
-        == sorted(range(len(monos)), key=monos.__getitem__)
-    for (a, ba), (b, bb) in itertools.combinations(zip(monos, blocks), 2):
-        assert (a < b) == (ba < bb) and (a == b) == (ba == bb)
+# 2**40 in 4 symbols is x2^128: "l", 3 digits, the top one 2**10.
+_L40 = b"l\x03\x00\x00\x00" b"\x00\x00" b"\x00\x00" b"\x00\x04"
+# (1, 0): a valid 15-byte body; with its CRC, 19 bytes.
+_ONE_TERM = _header(2) + _int(1) + _int(0)
 
-
-# One term of coefficient 1 (header b"\x00\x01\x00\x00\x00\x01" at offsets 4-9),
-# then a 4-symbol monomial from offset 10.
-_ONE_TERM = b"\x01\x00\x00\x00" b"\x00" b"\x01\x00\x00\x00" b"\x01"
-
-
-def _with_bit(bit):
-    """The 17 monomial bytes with only ``bit`` set (bit 0 is the last byte's lowest)."""
-    return (1 << bit).to_bytes(W4, "big")
-
-
-MALFORMED = [
-    (b"\x01\x00", "truncated", 0),
-    # two terms: a zero-coefficient unit term fills offsets 4-25, the
-    # second's 5-byte header is cut at 26
-    (b"\x02\x00\x00\x00" + b"\x00" * (5 + W4) + b"\x00\x00", "truncated", 26),
-    # the monomial starts at 10 and has 16 of its 17 bytes
-    (_ONE_TERM + b"\x00" * (W4 - 1), "truncated", 10),
-    (b"\x01\x00\x00\x00" b"\x00" b"\xff\xff\xff\x0f" b"\x01", "truncated", 9),
-    (b"\x00\x00\x00\x00" b"\xaa", "overlong", 4),
-    (_ONE_TERM + b"\x00" * W4 + b"\x00", "overlong", 10 + W4),
-    (b"\x01\x00\x00\x00" b"\x02" b"\x00\x00\x00\x00" + b"\x00" * W4, "invalid sign", 4),
-    (b"\x01\x00\x00\x00" b"\x00" b"\x02\x00\x00\x00" b"\x01\x00" + b"\x00" * W4,
-     "non-minimal", 9),
-    (b"\x01\x00\x00\x00" b"\x01" b"\x00\x00\x00\x00" + b"\x00" * W4, "negative zero", 9),
-    # x3's guard bit, bit 32: byte 12 of the monomial is 0x01
-    (_ONE_TERM + _with_bit(32), "guard bit", 10),
-    # x0's guard bit, bit 3 * 33 + 32 = 131: the first byte is 0x08
-    (_ONE_TERM + _with_bit(131), "guard bit", 10),
-    # bit 132, the lowest padding bit above x0's field: the first byte is 0x10
-    (_ONE_TERM + _with_bit(132), "beyond the fields of nsymbols 4", 10),
+MALFORMED = [  # (id, bytes, message fragment, offset): one row per rejected class
+    # one bit of the last body byte flipped: the CRC at 15 no longer matches
+    ("checksum", _sealed(_ONE_TERM)[:14] + b"\x01" + _sealed(_ONE_TERM)[15:],
+     "checksum mismatch", 15),
+    ("no-room-for-header-and-checksum", b"(\x00\x00", "truncated", 3),
+    # the second element announces 3 digits and brings 1
+    ("truncated", _sealed(_header(2) + _int(1) + b"l\x03\x00\x00\x00\x01\x00"),
+     "truncated", 17),
+    ("not-a-tuple", _sealed(b"[\x02\x00\x00\x00" + _int(1) + _int(0)), "not a tuple", 0),
+    ("odd-count", _sealed(_header(1) + _int(1)), "odd element count 1", 1),
+    # 2**20 elements: a 15-byte body holds at most (15 - 5) // 5 = 2
+    ("count-over-the-bytes", _sealed(_header(1 << 20) + _int(1) + _int(0)),
+     "element count 1048576 is more than", 1),
+    ("bool", _sealed(_header(2) + _L40 + b"T"), "element is a bool", 16),
+    ("float", _sealed(_header(2) + _int(1) + b"g" + struct.pack("<d", 1.0)),
+     "element is a float", 10),
+    ("nested-tuple", _sealed(_header(2) + _int(1) + _header(1) + _int(0)),
+     "element is a tuple", 10),
+    ("unknown-type-code", _sealed(_header(2) + _int(1) + b"?" + b"\x00" * 4),
+     "unknown type code", 10),
+    # 2**32, x3's guard bit: 3 digits, the top one 2**2
+    ("guard-bit", _sealed(_header(2) + _int(1) + b"l\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00"),
+     "guard bit", 10),
+    # 2**132, the first bit above x0's field: 9 digits, the top one 2**12
+    ("beyond-the-fields",
+     _sealed(_header(2) + _int(1) + b"l\x09\x00\x00\x00" + b"\x00\x00" * 8 + b"\x00\x10"),
+     "beyond the fields of nsymbols 4", 10),
+    # 5 as one digit: marshal reads it, and writes "i" back at 10
+    ("long-for-a-small-int", _sealed(_header(2) + _int(1) + b"l\x01\x00\x00\x00\x05\x00"),
+     "non-canonical", 10),
+    # the same 5 before a bool: the first defect in byte order is named
+    ("non-canonical-before-a-bool",
+     _sealed(_header(4) + b"l\x01\x00\x00\x00\x05\x00" + b"T" + _L40 + _int(0)),
+     "non-canonical", 5),
+    ("trailing-bytes", _sealed(_ONE_TERM + b"\x00"), "trailing bytes", 15),
 ]
 
 
-@pytest.mark.parametrize("data,fragment,offset", MALFORMED)
+@pytest.mark.parametrize("data,fragment,offset", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
 def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
     with pytest.raises(WireError) as err:
         deserialize_terms(data, NSYM)
@@ -164,27 +182,47 @@ def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
 
 
 def test_malformed_rows_are_the_bytes_they_claim():
-    assert _with_bit(32)[12] == 0x01 and _with_bit(131)[0] == 0x08
-    assert _with_bit(132)[0] == 0x10
-    good = _ONE_TERM + b"\x00" * W4
-    assert deserialize_terms(good, NSYM) == ((1, 0),)
+    assert deserialize_terms(_sealed(_ONE_TERM), NSYM) == ((1, 0),)
+    assert hand_wire_bytes([(1 << 40, ())], NSYM)[5:16] == _L40
+    assert serialize_terms([(1, 1 << 40)], NSYM) == _sealed(_header(2) + _int(1) + _L40)
+    # every row after the short one carries the CRC of its own body
+    for _, data, _, _ in MALFORMED[2:]:
+        assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def test_every_bit_flip_and_truncation_is_rejected():
+    ts = pack_terms(((3, ((0, 2), (1, 1))), (7, ((1, 3), (2, 1))), (-1, ((3, 5),))), NSYM)
+    data = serialize_terms(ts, NSYM)
+    assert 55 <= len(data) <= 70 and deserialize_terms(data, NSYM) == ts
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(WireError):
+            deserialize_terms(bytes(flipped), NSYM)
+    for n in range(len(data)):
+        with pytest.raises(WireError):
+            deserialize_terms(data[:n], NSYM)
+
+
+def _hand_int(v):
+    """A nonnegative ``v`` as marshal version 2 writes it, from the hand encoder."""
+    return hand_wire_bytes([(v, ())], 1)[5:-4]
 
 
 @pytest.mark.parametrize("nsymbols", [1, 4, 8])
 def test_every_guard_and_padding_bit_is_rejected_both_ways(nsymbols):
-    width = (33 * nsymbols + 7) // 8
-    invalid = [b for b in range(8 * width) if b % 33 == 32 or b >= 33 * nsymbols]
-    assert len(invalid) == nsymbols + 8 * width - 33 * nsymbols
+    # Padding bits are the 40 bits above the last field.  Each bad monomial
+    # is that of (1, 1 << bit): after the 5-byte header and the
+    # coefficient's 5 bytes, at offset 10.
+    invalid = [b for b in range(33 * nsymbols + 40) if b % 33 == 32 or b >= 33 * nsymbols]
+    assert len(invalid) == nsymbols + 40
     for bit in invalid:
         with pytest.raises(WireError) as err:
-            deserialize_terms(_ONE_TERM + (1 << bit).to_bytes(width, "big"), nsymbols)
+            deserialize_terms(_sealed(_header(2) + _int(1) + _hand_int(1 << bit)), nsymbols)
         assert err.value.offset == 10, bit
         with pytest.raises(WireError) as err:
             serialize_terms([(1, 1 << bit)], nsymbols)
         assert err.value.offset == 10, bit
-    # the first bit past the last byte exists only on the encoding side
-    with pytest.raises(WireError):
-        serialize_terms([(1, 1 << (8 * width))], nsymbols)
 
 
 def test_serialize_rejects_oversized_fields_at_the_monomial_offset():
@@ -194,10 +232,11 @@ def test_serialize_rejects_oversized_fields_at_the_monomial_offset():
         with pytest.raises(WireError, match="u32") as err:
             serialize_terms([(1, over)], NSYM)
         assert err.value.offset == 10
-    # the second term's monomial: after 4 + (6 + W4) bytes and its own 5 + 2
+    # the second term's monomial: after the header, the first term's 5 + 5
+    # bytes and -300's 5
     with pytest.raises(WireError, match="nsymbols 4") as err:
         serialize_terms([(1, 0), (-300, 1 << (33 * NSYM))], NSYM)
-    assert err.value.offset == 4 + (6 + W4) + 7
+    assert err.value.offset == 5 + 10 + 5
     with pytest.raises(WireError, match="nsymbols 4"):
         serialize_terms([(1, -1)], NSYM)
 
@@ -212,18 +251,16 @@ def test_largest_exponent_round_trips_in_every_field():
 
 
 def test_decode_rejects_bytes_encoded_for_more_symbols():
-    # Encoded for 2 symbols a monomial is 9 bytes; read for 1 it is 5.
-    data = hand_wire_bytes([(1, ((1, 2),))], 2)
-    assert deserialize_terms(data, 2) == ((1, pack(((1, 2),), 2)),)
-    with pytest.raises(WireError, match="overlong") as err:
+    # Rejected once they use a field the reader lacks: x0 of 2 symbols is
+    # 2**33, past the one field of 1 symbol, and is named at its offset.
+    # The bytes carry values, not widths, so y^2 of 2 symbols, the int 2,
+    # reads as x0^2 of 1.
+    assert deserialize_terms(hand_wire_bytes([(1, ((1, 2),))], 2), 1) == ((1, 2),)
+    data = hand_wire_bytes([(1, ((1, 2),)), (1, ((0, 1),))], 2)
+    assert deserialize_terms(data, 2) == pack_terms([(1, ((1, 2),)), (1, ((0, 1),))], 2)
+    with pytest.raises(WireError, match="nsymbols 1") as err:
         deserialize_terms(data, 1)
-    assert err.value.offset == 15  # 4 + 6 header bytes, then 5 monomial bytes
-    # x0^(2**31) sets bit 64 of 72, which read as 1 symbol's 40 bits is bit
-    # 32: that symbol's guard bit
-    data = hand_wire_bytes([(1, ((0, 1 << 31),))], 2)
-    with pytest.raises(WireError, match="guard bit") as err:
-        deserialize_terms(data, 1)
-    assert err.value.offset == 10
+    assert err.value.offset == 20
 
 
 # -- backends ----------------------------------------------------------------
@@ -252,14 +289,15 @@ def test_failed_detail_travels_beside_the_payload(backend):
     slave = master.slave(1)
     slave.reply(failed)
     assert master.recv_any() == (1, failed)
-    # the detail is not part of the wire payload: an empty run's 4 bytes
-    assert master.stats().serialized_bytes == (4 if backend == "mp" else 0)
+    # the detail is not part of the wire payload: an empty run's 9 bytes,
+    # "(", a zero u32 count and the CRC
+    assert master.stats().serialized_bytes == (9 if backend == "mp" else 0)
     slave.reply(last_run)
     frm, got = master.recv_any()
     assert frm == 1 and got == last_run and got.metrics is record
     # nor are the metrics: only the one-term run's bytes come on top
     run_bytes = len(hand_wire_bytes([(3, ())], NSYM))
-    assert master.stats().serialized_bytes == (4 + run_bytes if backend == "mp" else 0)
+    assert master.stats().serialized_bytes == (9 + run_bytes if backend == "mp" else 0)
 
 
 def test_mp_copies_but_sm_transfers_ownership():
@@ -280,11 +318,14 @@ def test_mp_copies_but_sm_transfers_ownership():
 
 def test_mp_accounting_is_exact_per_message():
     master = MasterEndpoint("mp", 1, NSYM)
-    factors = ((5, ((0, 2),)),)  # one term: 4 + (1+4) + 1 + W4 = 27 bytes
+    # One term: the 5-byte header, 5 as "i" and an i32, x0^2 (2**100, 101
+    # bits) as "l", a u32 and 7 two-byte digits, then the 4-byte CRC:
+    # 5 + 5 + 19 + 4 = 33 bytes.
+    factors = ((5, ((0, 2),)),)
     payload = pack_terms(factors, NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = master.stats()
-    assert stats.serialized_bytes == len(hand_wire_bytes(factors, NSYM)) == 27
+    assert stats.serialized_bytes == len(hand_wire_bytes(factors, NSYM)) == 33
     assert stats.messages_master_to_slave == 1
     assert stats.handle_transfers == 0
 
@@ -302,12 +343,12 @@ def test_sm_accounting_counts_handles_not_bytes():
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_reply_counts_once_the_master_takes_it(backend):
     master = MasterEndpoint(backend, 2, NSYM)
-    factors = ((5, ((0, 2),)),)  # one term: 27 bytes on the wire
+    factors = ((5, ((0, 2),)),)  # one term: 33 bytes on the wire
     master.slave(1).reply(
         Message(MessageKind.RUN_RETURN, payload=pack_terms(factors, NSYM)))
     assert master.stats() == TransportStats()  # the slave counts nothing
     master.recv_any()
-    assert master.stats() == (TransportStats(0, 1, 27, 0) if backend == "mp"
+    assert master.stats() == (TransportStats(0, 1, 33, 0) if backend == "mp"
                               else TransportStats(0, 1, 0, 1))
 
 
