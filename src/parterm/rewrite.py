@@ -5,18 +5,24 @@ with no sorting in between (FORM semantics: no sort inside a module).  The
 last statement adds its products straight into the caller's accumulator, one
 ``dict`` (monomial -> coefficient) per expression, so like terms combine as
 they are generated and a sort boundary only has to order the distinct
-monomials (see :func:`parterm.terms.sorted_terms`).  An accumulator may hold
+monomials (see :func:`parterm.terms.sorted_flat`).  An accumulator may hold
 zero sums until then.
+
+A chunk is a flat term batch ``(c0, m0, c1, m1, ...)`` (see
+:mod:`parterm.terms`), and so is every intermediate result: the rewriter
+reads the terms two at a time and builds no tuple per term.  Only the
+statements' factors and the powers of an ``rhs`` are expressions of pairs,
+as the parser made them.
 
 On packed monomials (see :mod:`parterm.terms`) ``id x = rhs`` reads the
 exponent ``n`` of ``x`` with one shift and mask, subtracts that field and
 multiplies the rest by ``rhs^n``; ``multiply f`` multiplies by ``f``.  Each
-statement first makes one guard pass over the chunk's intermediate terms:
-one check per term, against the field-wise maximum of its factor's
-monomials, covers every product of the term with that factor.  Then it makes
-one loop over the terms per term of the factor.  No product is made before
-every check has passed, so a chunk that overflows leaves the accumulator
-untouched.
+statement first makes one guard pass over the chunk's intermediate
+monomials: one check per term, against the field-wise maximum of its
+factor's monomials, covers every product of the term with that factor.
+Then it makes one loop over the terms per term of the factor.  No product
+is made before every check has passed, so a chunk that overflows leaves the
+accumulator untouched.
 
 As a module's last statement ``id x = rhs`` groups the chunk by x-degree
 into polynomials ``P_n`` without ``x`` and evaluates ``sum P_n * rhs^n`` by
@@ -35,11 +41,13 @@ computed twice.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import terms
 from .parser import IdSubst, Module, Multiply
 from .terms import Accumulator, Expression, Monomial, Term
+
+Batch = Sequence[int]   # a flat (c0, m0, c1, m1, ...) tuple or list
 
 
 _field_max = functools.lru_cache(maxsize=256)(terms.field_max)
@@ -56,22 +64,30 @@ def _rhs_power(rhs: Expression, n: int) -> tuple[Expression, Monomial]:
     return power, n * terms.field_max(rhs)
 
 
-def _check(current: Sequence[Term], bound: Monomial, nsymbols: int) -> None:
+def _terms(batch: Batch) -> Iterator[Term]:
+    """The ``(coeff, mono)`` terms of a flat batch, one at a time; ``zip``
+    hands back the same tuple while its last one is unpacked and dropped."""
+    it = iter(batch)
+    return zip(it, it)
+
+
+def _check(current: Batch, bound: Monomial, nsymbols: int) -> None:
     """Raise unless every term of ``current`` times ``bound`` fits its fields."""
     guard = terms.guard_mask(nsymbols)
-    for _, mono in current:
+    for mono in current[1::2]:
         if (mono + bound) & guard:
             raise terms.ExponentOverflowError()
 
 
-def _degrees(current: Sequence[Term], s: IdSubst, nsymbols: int) -> dict[int, list[Term]]:
-    """The terms of ``current`` by the exponent ``n`` of ``s``'s target, which
-    each loses, after every term's guard check against ``rhs^n``."""
+def _degrees(current: Batch, s: IdSubst, nsymbols: int) -> dict[int, list[int]]:
+    """The terms of ``current`` as flat batches by the exponent ``n`` of
+    ``s``'s target, which each loses, after every term's guard check against
+    ``rhs^n``."""
     shift = terms.field_shift(s.target, nsymbols)
-    parts: dict[int, list[Term]] = {}
-    for coeff, mono in current:
+    parts: dict[int, list[int]] = {}
+    for coeff, mono in _terms(current):
         n = (mono >> shift) & terms.EXP_MASK
-        parts.setdefault(n, []).append((coeff, mono - (n << shift)))
+        parts.setdefault(n, []).extend((coeff, mono - (n << shift)))
     for n, part in parts.items():
         _check(part, _rhs_power(s.rhs, n)[1], nsymbols)
     return parts
@@ -86,13 +102,12 @@ def _times(h: Accumulator, power: Expression, out: Accumulator) -> None:
             out[mono] = get(mono, 0) + coeff * c
 
 
-def _substitute(current: Sequence[Term], s: IdSubst, nsymbols: int,
-                acc: Accumulator) -> int:
+def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> int:
     """``id x = rhs`` on every term of ``current``, by Horner's rule, into
     ``acc``; returns the direct expansion's count ``sum |P_n| * |rhs^n|``."""
     rhs = s.rhs
     parts = _degrees(current, s, nsymbols)
-    direct = sum(len(part) * len(_rhs_power(rhs, n)[0]) for n, part in parts.items())
+    direct = sum(len(part) // 2 * len(_rhs_power(rhs, n)[0]) for n, part in parts.items())
     # made: products so far; left: the direct count of the degrees not yet
     # in h; total = made + |h| * |rhs^e| + left, the chunk's products if h
     # takes no further step.  Steps stop for the chunk once one raises
@@ -117,9 +132,9 @@ def _substitute(current: Sequence[Term], s: IdSubst, nsymbols: int,
             made += len(h) * len(held)
             _times(h, held, acc)
             h = {}
-        left -= len(part) * len(power)
+        left -= len(part) // 2 * len(power)
         get = h.get
-        for coeff, mono in part:
+        for coeff, mono in _terms(part):
             h[mono] = get(mono, 0) + coeff
         e = n
         now = made + len(h) * len(power) + left
@@ -128,24 +143,34 @@ def _substitute(current: Sequence[Term], s: IdSubst, nsymbols: int,
     return direct
 
 
-def apply_module_to_chunk(chunk_terms: Sequence[Term], m: Module, nsymbols: int,
-                          acc: Accumulator) -> int:
-    """Rewrite every term of one chunk and add the results into ``acc``.
+def _products(current: Batch, factor: Expression) -> list[int]:
+    """The flat batch ``current * factor``, uncombined: one pass over
+    ``current`` per term of ``factor``."""
+    out: list[int] = []
+    for c, mm in factor:
+        for coeff, mono in _terms(current):
+            out += coeff * c, mono + mm
+    return out
+
+
+def apply_module_to_chunk(chunk: Batch, m: Module, nsymbols: int, acc: Accumulator) -> int:
+    """Rewrite every term of one flat chunk and add the results into ``acc``.
 
     Returns the direct expansion's count: the number of terms the last
     statement generates when each term is multiplied by its own factor (the
     chunk's length for an empty module), before any of them combine.
     """
     statements = m.statements
-    current = chunk_terms
+    current = chunk
     for s in statements[:-1]:
         if isinstance(s, Multiply):
             _check(current, _field_max(s.factor), nsymbols)
-            current = [(coeff * c, mono + mm) for c, mm in s.factor for coeff, mono in current]
+            current = _products(current, s.factor)
         else:
-            current = [(coeff * c, mono + mm)
-                       for n, part in _degrees(current, s, nsymbols).items()
-                       for c, mm in _rhs_power(s.rhs, n)[0] for coeff, mono in part]
+            parts = _degrees(current, s, nsymbols)
+            current = []
+            for n, part in parts.items():
+                current += _products(part, _rhs_power(s.rhs, n)[0])
     if not statements:
         factor = terms.ONE
     elif isinstance(statements[-1], IdSubst):
@@ -155,17 +180,18 @@ def apply_module_to_chunk(chunk_terms: Sequence[Term], m: Module, nsymbols: int,
         _check(current, _field_max(factor), nsymbols)
     get = acc.get
     for c, mm in factor:
-        for coeff, mono in current:
+        for coeff, mono in _terms(current):
             mono += mm
             acc[mono] = get(mono, 0) + coeff * c
-    return len(current) * len(factor)
+    return len(current) // 2 * len(factor)
 
 
 def apply_module_to_term(t: Term, m: Module, nsymbols: int) -> list[Term]:
-    """One term through the module pipeline: the one-term chunk.
+    """One term through the module pipeline: the one-term chunk, which is
+    the pair ``t`` itself.
 
     The result is combined but unsorted, and may hold zero coefficients.
     """
     acc: Accumulator = {}
-    apply_module_to_chunk((t,), m, nsymbols, acc)
+    apply_module_to_chunk(t, m, nsymbols, acc)
     return [(coeff, mono) for mono, coeff in acc.items()]

@@ -8,9 +8,8 @@ Symbol 0 sits in the most significant field and symbol
 ``nsymbols - 1`` in the least significant one, so the exponent of symbol
 ``sid`` is ``(m >> field_shift(sid, nsymbols)) & EXP_MASK``, and the unit
 monomial is ``0``.  The layout depends only on the number of declared
-symbols.  It is also the wire layout: :mod:`parterm.transport` sends a
-monomial as this int's big-endian bytes, so the field width is part of the
-wire contract.
+symbols.  :mod:`parterm.transport` sends a monomial as marshal writes this
+int, so the field width is part of the wire contract.
 
 The packing makes the two hot operations single int operations:
 
@@ -27,13 +26,22 @@ The packing makes the two hot operations single int operations:
 A term is ``(coeff, monomial)`` with an arbitrary-precision int coefficient,
 and an expression is a tuple of terms in descending monomial order, with like
 terms combined and zero coefficients removed.  Plain tuples keep structural
-equality a single ``==``.
+equality a single ``==``.  The parser, the arithmetic here and a run's
+results hold expressions of pairs.
+
+Inside a run the engine holds the same terms as one flat tuple
+``(c0, m0, c1, m1, ...)`` (:data:`Flat`): chunks are slices of it, and
+runs and message payloads take the same form, so no tuple is made per term.
+:func:`flatten` and :func:`pairs` convert between the two, once at each end
+of a run, and :func:`sorted_flat` is the sort boundary's flat form of
+:func:`sorted_terms`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain, compress
 from typing import Iterable
 
 Factor = tuple[int, int]            # (symbol_id, exponent >= 1)
@@ -41,6 +49,7 @@ Monomial = int                      # packed exponent vector, see module docstri
 Term = tuple[int, Monomial]         # (coefficient, monomial)
 Expression = tuple[Term, ...]       # descending monomials, combined, no zeros
 Accumulator = dict[Monomial, int]   # monomial -> coefficient sum, unsorted
+Flat = tuple[int, ...]              # the same terms as c0, m0, c1, m1, ...
 
 FIELD_BITS = 33                     # 32 value bits + 1 guard bit per symbol
 EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
@@ -146,15 +155,48 @@ def extend_layout(e: Expression, added: int) -> Expression:
     return tuple((c, m << shift) for c, m in e)
 
 
+def flatten(e: Expression) -> Flat:
+    """The terms of ``e`` as one flat tuple ``(c0, m0, c1, m1, ...)``."""
+    return tuple(chain.from_iterable(e))
+
+
+def pairs(flat: Flat) -> Expression:
+    """The ``(coeff, monomial)`` pairs of a flat tuple: the inverse of :func:`flatten`."""
+    it = iter(flat)
+    return tuple(zip(it, it))
+
+
+def _sorted_columns(acc: Accumulator) -> tuple[list[int], list[Monomial]]:
+    """The nonzero coefficients of ``acc`` and their monomials, in canonical
+    order: only the distinct monomials are sorted, and no tuple is made per
+    term."""
+    ms = sorted(acc, reverse=True)
+    cs = list(map(acc.__getitem__, ms))
+    if 0 in cs:
+        ms = list(compress(ms, cs))
+        cs = list(compress(cs, cs))
+    return cs, ms
+
+
 def sorted_terms(acc: Accumulator) -> Expression:
     """Combined coefficients by monomial -> canonical expression.
 
-    Drops zero sums and sorts only the distinct monomials.  The engine's sort
-    boundary calls this on the accumulators the rewriter fills (see
-    :mod:`parterm.rewrite`); :func:`normalize` is the same step for a raw
-    term list.
+    Drops zero sums and sorts only the distinct monomials.
+    :func:`normalize` is the same step for a raw term list, and
+    :func:`sorted_flat` for the engine's sort boundary.
     """
-    return tuple([(c, m) for m, c in sorted(acc.items(), reverse=True) if c])
+    cs, ms = _sorted_columns(acc)
+    return tuple(zip(cs, ms))
+
+
+def sorted_flat(acc: Accumulator) -> Flat:
+    """:func:`sorted_terms` as a flat tuple: the run a sort boundary makes of
+    an accumulator the rewriter filled (see :mod:`parterm.rewrite`)."""
+    cs, ms = _sorted_columns(acc)
+    out = cs + ms
+    out[::2] = cs
+    out[1::2] = ms
+    return tuple(out)
 
 
 def normalize(raw: Iterable[Term]) -> Expression:

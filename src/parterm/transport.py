@@ -7,7 +7,7 @@ each slave its :class:`SlaveEndpoint`.  The backend chooses only the codec,
 that is, how a message's term payload moves:
 
 * ``mp`` marshals the payload through the binary wire format below, ships
-  the bytes, and rebuilds fresh term tuples on receipt: the
+  the bytes, and decodes a fresh flat tuple from them on receipt: the
   serialize/copy/deserialize cost of a message-passing library, with every
   payload byte accounted.
 * ``sm`` hands the message over by reference, a zero-copy ownership
@@ -35,17 +35,21 @@ Every message starts or ends at the master, so only the master counts: a
 send is counted when the master sends it, a reply when the master takes it
 from its inbox.
 
-Wire format: the payload ``((c0, m0), (c1, m1), ...)`` crosses as
-``marshal.dumps((c0, m0, c1, m1, ...), 2)`` and the CRC-32 of those bytes,
-a little-endian u32: one C call encodes it and one decodes it, with no
-per-term work in the interpreter, as ParFORM hands FORM's term buffers to
-MPI.  Version 2 writes every int by value, ``i`` and an i32 if it fits,
-else ``l``, its signed digit count and its 15-bit digits; versions 3 and up
-write back-references, so the bytes would depend on which ints happen to be
-one object.  The checksum comes first because marshal trusts a header: it
-allocates what a count announces before it finds the bytes short.  So a
-changed byte never reaches marshal.  A forged message with a valid checksum
-still does, and a nested tuple in it is allocated at its announced size.
+A payload is the engine's flat term batch ``(c0, m0, c1, m1, ...)`` (see
+:mod:`parterm.terms`): ``sm`` hands over that very tuple, and ``mp``'s wire
+carries it as it is, so neither codec builds or takes apart a term.
+
+Wire format: the payload tuple crosses as ``marshal.dumps(payload, 2)`` and
+the CRC-32 of those bytes, a little-endian u32: one C call encodes it and
+one decodes it, with no per-term work in the interpreter, as ParFORM hands
+FORM's term buffers to MPI.  Version 2 writes every int by value, ``i`` and
+an i32 if it fits, else ``l``, its signed digit count and its 15-bit
+digits; versions 3 and up write back-references, so the bytes would depend
+on which ints happen to be one object.  The checksum comes first because
+marshal trusts a header: it allocates what a count announces before it
+finds the bytes short.  So a changed byte never reaches marshal.  A forged
+message with a valid checksum still does, and a nested tuple in it is
+allocated at its announced size.
 
 :func:`deserialize_terms` checks, in order: the checksum; the header, a
 tuple of an even count of elements that the bytes can hold, at 5 bytes an
@@ -55,8 +59,8 @@ or above ``1 << (FIELD_BITS * nsymbols)``; and that re-encoding gives back
 the very bytes, which rejects trailing bytes and non-canonical encodings.
 :func:`serialize_terms` runs the monomial check first.  Every
 :class:`WireError` names an offset, found only once a check has failed.
-``mp`` copies everything: the receiver's term tuples, coefficients and
-monomials are new objects built from the bytes.
+``mp`` copies everything: the receiver's tuple, coefficients and monomials
+are new objects that marshal built from the bytes.
 
 Per-slave mailboxes hold at most ``MAILBOX_BOUND`` messages; a send to a full
 mailbox blocks until the slave drains it.
@@ -71,12 +75,11 @@ import queue
 import zlib
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import countOf, or_
 from time import perf_counter_ns
-from typing import Optional, Sequence
+from typing import Optional
 
-from .terms import FIELD_BITS, Term, guard_mask
+from .terms import FIELD_BITS, Flat, guard_mask
 
 MAILBOX_BOUND = 16
 
@@ -113,7 +116,7 @@ class Message:
     ``metrics`` the per-module record a module's last ``RUN_RETURN`` carries."""
 
     kind: MessageKind
-    payload: tuple[Term, ...] = ()
+    payload: Flat = ()
     expr: int = 0
     detail: str = ""
     metrics: object = None
@@ -179,18 +182,19 @@ def _unreadable(body: bytes, exc: Exception) -> WireError:
     return WireError(f"unreadable element: {exc}", f.tell() - 1)
 
 
-def serialize_terms(ts: Sequence[Term], nsymbols: int) -> bytes:
-    """Encode ``ts``; a monomial that is not valid for ``nsymbols`` symbols
-    raises :class:`WireError` naming the offset it would have had."""
-    flat = tuple(chain.from_iterable(ts))
+def serialize_terms(flat: Flat, nsymbols: int) -> bytes:
+    """Encode the flat term batch ``flat``; a monomial that is not valid for
+    ``nsymbols`` symbols raises :class:`WireError` naming the offset it would
+    have had."""
     if reduce(or_, flat[1::2], 0) & _invalid_bits(nsymbols):
         raise _monomial_error(flat, nsymbols, marshal.dumps(flat, _VERSION))
     body = marshal.dumps(flat, _VERSION)
     return body + zlib.crc32(body).to_bytes(_CRC, "little")
 
 
-def deserialize_terms(data: bytes, nsymbols: int) -> tuple[Term, ...]:
-    """Check and decode ``data``, in the order the module docstring gives."""
+def deserialize_terms(data: bytes, nsymbols: int) -> Flat:
+    """Check and decode ``data``, in the order the module docstring gives,
+    into the flat term batch it carries."""
     n = len(data) - _CRC
     if n < _HEADER:
         raise WireError("truncated input", len(data))
@@ -218,8 +222,7 @@ def deserialize_terms(data: bytes, nsymbols: int) -> tuple[Term, ...]:
         at = _first_difference(body, canonical)
         raise WireError("trailing bytes" if at == len(canonical) else
                         "non-canonical encoding", at)
-    pairs = iter(flat)
-    return tuple(zip(pairs, pairs))
+    return flat
 
 
 BACKENDS = ("mp", "sm")

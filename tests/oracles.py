@@ -58,6 +58,25 @@ def pack_terms(ts, nsymbols: int) -> tuple:
     return tuple((c, pack(m, nsymbols)) for c, m in ts)
 
 
+def flat(ts) -> tuple:
+    """``(coeff, monomial)`` pairs -> the engine's flat batch ``(c0, m0, c1, m1, ...)``."""
+    out = []
+    for c, m in ts:
+        out.append(c)
+        out.append(m)
+    return tuple(out)
+
+
+def unflat(e) -> tuple:
+    """A flat batch -> its ``(coeff, monomial)`` pairs."""
+    return tuple(zip(e[::2], e[1::2]))
+
+
+def pack_flat(ts, nsymbols: int) -> tuple:
+    """Oracle terms -> a production flat batch."""
+    return flat(pack_terms(ts, nsymbols))
+
+
 def unpack_terms(ts, nsymbols: int) -> tuple:
     return tuple((c, unpack(m, nsymbols)) for c, m in ts)
 
@@ -98,11 +117,13 @@ class ComparisonCount:
         self.count = 0
 
     def wrap(self, runs):
-        return [tuple((c, CountedMonomial(m, self)) for c, m in run) for run in runs]
+        """Flat runs ``(c0, m0, ...)`` with every monomial wrapped."""
+        return [flat((c, CountedMonomial(m, self)) for c, m in unflat(run)) for run in runs]
 
 
 class CountedMonomial:
-    """A packed monomial whose ``<`` and ``==`` tick a shared count."""
+    """A packed monomial whose ``<`` and ``==`` tick a shared count; ``>``
+    is the reflected ``<`` and ticks it too."""
 
     __slots__ = ("mono", "counter")
 
@@ -110,18 +131,24 @@ class CountedMonomial:
         self.mono = mono
         self.counter = counter
 
-    def __lt__(self, other: "CountedMonomial") -> bool:
+    def __lt__(self, other) -> bool:
         self.counter.count += 1
-        return self.mono < other.mono
+        return self.mono < _plain(other)
 
     def __eq__(self, other: object) -> bool:
         self.counter.count += 1
-        return self.mono == other.mono  # type: ignore[attr-defined]
+        return self.mono == _plain(other)
+
+
+def _plain(mono) -> int:
+    """A monomial as a plain int: a merge may also compare against a plain
+    int that marks the end of a run, and that comparison counts too."""
+    return mono.mono if isinstance(mono, CountedMonomial) else mono
 
 
 def unwrap(e) -> tuple:
-    """An expression over :class:`CountedMonomial` -> plain monomials."""
-    return tuple((c, m.mono) for c, m in e)
+    """A flat batch over :class:`CountedMonomial` -> plain ``(coeff, monomial)`` pairs."""
+    return tuple((c, m.mono) for c, m in unflat(e))
 
 
 def is_canonical(e, nsymbols: int) -> bool:

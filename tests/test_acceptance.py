@@ -29,6 +29,7 @@ from oracles import (
     ComparisonCount,
     brute_multiply,
     brute_power,
+    flat,
     hand_wire_bytes,
     oracle_normalize,
     oracle_run_program,
@@ -84,11 +85,11 @@ def test_acceptance_2_merge_oracle_and_comparison_bound():
     for _ in range(1000):
         k = rng.randint(1, 8)
         raws = [random_terms(rng, nsym, rng.randint(0, 30)) for _ in range(k)]
-        runs = [normalize(pack_terms(raw, nsym)) for raw in raws]
+        runs = [flat(normalize(pack_terms(raw, nsym))) for raw in raws]
         counted = ComparisonCount()
         merged = unwrap(merge_runs(counted.wrap(runs)))
         assert merged == pack_terms(oracle_normalize([t for raw in raws for t in raw], nsym), nsym)
-        total = sum(len(r) for r in runs)
+        total = sum(len(r) for r in runs) // 2  # terms, not flat elements
         if total:
             assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
     _passed(2, "merge oracle and comparison bound")
@@ -261,7 +262,7 @@ def test_acceptance_7_round_trips():
         text = f"symbols x,y,z,w; local F = {format_expression(e, tab)}; .sort .end"
         (_, parsed), = parse_program(text).initial
         assert parsed == e
-        assert deserialize_terms(serialize_terms(e, 4), 4) == e
+        assert deserialize_terms(serialize_terms(flat(e), 4), 4) == flat(e)
     _passed(7, "parser and wire-format round trips")
 
 

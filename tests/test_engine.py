@@ -17,12 +17,14 @@ from parterm.terms import SymbolTable, add_expressions, pow_expression, symbol
 from oracles import (
     algebra_apply_module,
     brute_multiply,
+    flat,
     oracle_normalize,
     oracle_run_program,
     pack,
     pack_terms,
     random_expression,
     random_module,
+    unflat,
     unpack_terms,
 )
 
@@ -77,7 +79,8 @@ def test_partition_reconstructs_input():
         exprs = [random_expression(rng, NSYM, rng.randint(0, 40))
                  for _ in range(rng.randint(1, 3))]
         size = rng.choice([1, 2, 7, 1000])
-        chunks = partition_chunks(exprs, size)
+        # The engine partitions flat expressions; the ranges count terms.
+        chunks = partition_chunks([flat(e) for e in exprs], size)
         assert [c.expr for c in chunks] == sorted(c.expr for c in chunks)
         for i, e in enumerate(exprs):
             ranges = [(c.start, c.stop) for c in chunks if c.expr == i]
@@ -87,6 +90,25 @@ def test_partition_reconstructs_input():
             assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
             assert (ranges[-1][1] if ranges else 0) == len(e)
             assert tuple(t for a, b in ranges for t in e[a:b]) == e
+            assert tuple(x for a, b in ranges for x in flat(e)[2 * a:2 * b]) == flat(e)
+
+
+def test_chunks_and_metrics_count_terms_not_flat_elements():
+    # Inside a run an expression is a flat tuple, two elements a term; every
+    # range and count the engine reports is in terms.  F = (x+y)^3 has 4
+    # terms and G = x-y 2; times x+y they make 8 + 4 products and combine to
+    # (x+y)^4's 5 terms and x^2-y^2's 2.
+    program = _parse("symbols x,y; local F = (x+y)^3; local G = x-y; multiply x+y; .sort .end")
+    exprs = [flat(e) for _, e in program.initial]
+    assert [tuple(c) for c in partition_chunks(exprs, 3)] == [(0, 0, 3), (0, 3, 4), (1, 0, 2)]
+    for cfg in (SEQ, RunConfig(nslaves=1, chunk_size=3),
+                RunConfig(nslaves=2, chunk_size=1, backend="mp"),
+                RunConfig(nslaves=2, chunk_size=2, master_computes=True)):
+        m = run_program(program, cfg).module_metrics[0]
+        assert (m.terms_in, m.terms_out, m.terms_generated) == (6, 7, 12), cfg
+        assert sum(m.terms_processed.values()) == 6, cfg
+        if cfg.nslaves == 1:
+            assert m.terms_processed == {0: 6}
 
 
 # -- parallel engine ---------------------------------------------------------
@@ -641,7 +663,7 @@ def test_products_that_all_cancel_leave_no_zero_term(monkeypatch):
         assert unpack_terms(res.expressions["F"], 3) == ((1, ((2, 2),)),), cfg
         assert res.expressions["H"] == (), cfg
         assert res.module_metrics[0].terms_generated == 5
-        assert runs and all(c for run in runs for c, _ in run), cfg
+        assert runs and all(c for run in runs for c, _ in unflat(run)), cfg
 
 
 def test_peak_memory_stays_far_below_one_raw_term_per_generated_term():

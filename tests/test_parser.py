@@ -15,7 +15,7 @@ from parterm import terms
 from parterm.terms import SymbolTable
 from parterm.transport import deserialize_terms, serialize_terms
 
-from oracles import oracle_normalize, pack_terms, random_expression, unpack_terms
+from oracles import flat, oracle_normalize, pack_terms, random_expression, unpack_terms
 
 
 def test_binomial_square_program():
@@ -155,7 +155,7 @@ def test_largest_exponent_parses_formats_and_crosses_the_wire():
     (_, value), = program.initial
     assert unpack_terms(value, 2) == ((3, ((0, top), (1, 1))), (1, ((1, top),)))
     assert format_expression(value, program.symtab) == f"3*x^{top}*y+y^{top}"
-    assert deserialize_terms(serialize_terms(value, 2), 2) == value
+    assert deserialize_terms(serialize_terms(flat(value), 2), 2) == flat(value)
 
 
 @pytest.mark.parametrize("text,col", [

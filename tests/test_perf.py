@@ -19,6 +19,8 @@ from parterm.terms import (EXP_MASK, ExponentOverflowError, field_max, field_shi
 from parterm.transport import deserialize_terms, serialize_terms
 from parterm.workloads import generate_workload
 
+from oracles import flat
+
 pytestmark = pytest.mark.perf
 
 
@@ -62,30 +64,32 @@ def test_power_of_a_linear_form_parses_in_time_proportional_to_its_output():
 
 
 def test_mp_round_trip_costs_at_most_three_marshal_round_trips():
-    # 5,456 terms.  The flat (coeff, mono, ...) tuple goes out as one
-    # marshal.dumps and comes back as one marshal.loads, checked by one
-    # more dumps: about 1.4x marshal's round trip of the payload on a
-    # 2-core host.  A codec that
-    # walked the terms in Python, one int.to_bytes and one int.from_bytes per
-    # monomial, cost 4-7x.  Interleaved best of five each, so a change of
-    # host speed hits both alike.
+    # 5,456 terms.  The engine's flat (coeff, mono, ...) payload goes out as
+    # one marshal.dumps and comes back as one marshal.loads, checked by one
+    # more dumps: about 1.1x marshal's round trip of the same terms as
+    # 5,456 pairs on a 2-core host.  Flattening the pairs on encode and
+    # rebuilding them on decode cost 1.6-1.9x; a codec that walked the terms
+    # in Python, one int.to_bytes and one int.from_bytes per monomial, 4-7x.
+    # Interleaved best of five each, so a change of host speed hits both
+    # alike.
     program = parse_program("symbols x,y,z,w;\nlocal F = (3*x-2*y+z+2*w)^30;\n.sort\n.end\n")
-    payload = program.initial[0][1]
+    pairs = program.initial[0][1]
+    payload = flat(pairs)
     nsymbols = len(program.symtab)
-    assert len(payload) == 5456
+    assert len(pairs) == 5456 and len(payload) == 2 * 5456
 
-    def timed(round_trip):
+    def timed(round_trip, expected):
         start = perf_counter()
         got = round_trip()
         elapsed = perf_counter() - start
-        assert got == payload
+        assert got == expected
         return elapsed
 
     mp_s = marshal_s = float("inf")
     for _ in range(5):
         mp_s = min(mp_s, timed(
-            lambda: deserialize_terms(serialize_terms(payload, nsymbols), nsymbols)))
-        marshal_s = min(marshal_s, timed(lambda: marshal.loads(marshal.dumps(payload))))
+            lambda: deserialize_terms(serialize_terms(payload, nsymbols), nsymbols), payload))
+        marshal_s = min(marshal_s, timed(lambda: marshal.loads(marshal.dumps(pairs)), pairs))
     assert mp_s <= 3 * marshal_s, f"mp {mp_s:.4f} s, marshal {marshal_s:.4f} s"
 
 
@@ -96,6 +100,7 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
     program = parse_program("symbols x,y,z,w;\nlocal F = (x-y+3*z-3*w)^17;\n.sort\n"
                             "id x = -2*y+z+2*w-1;\n.sort\n.end\n")
     chunk = program.initial[0][1]
+    batch = flat(chunk)  # as the engine holds it
     module = program.modules[-1]
     s = module.statements[0]
     shift = field_shift(s.target, 4)
@@ -113,7 +118,7 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
     expected = {}
     per_term(expected)
     expected = sorted_terms(expected)
-    apply_module_to_chunk(chunk, module, 4, {})
+    apply_module_to_chunk(batch, module, 4, {})
 
     def timed(rewrite_chunk):
         acc = {}
@@ -125,7 +130,7 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
 
     horner_s = per_term_s = float("inf")
     for _ in range(5):
-        horner_s = min(horner_s, timed(lambda acc: apply_module_to_chunk(chunk, module, 4, acc)))
+        horner_s = min(horner_s, timed(lambda acc: apply_module_to_chunk(batch, module, 4, acc)))
         per_term_s = min(per_term_s, timed(per_term))
     assert 2 * horner_s <= per_term_s, f"Horner {horner_s:.4f} s, per term {per_term_s:.4f} s"
 
@@ -134,10 +139,12 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
     # One 5,456-term chunk times a 4-term factor.  The rewriter's guard pass
     # and then one pass over the chunk per factor term run about 1.17x faster
     # than one pass over the chunk with each term's check and products inside.
+    # Both read the chunk as the engine holds it, flat, two elements a term.
     # Interleaved best of five each.
     program = parse_program("symbols x,y,z,w;\nlocal F = (3*x-2*y+z+2*w)^30;\n"
                             "multiply x-3*y+2*z+w;\n.sort\n.end\n")
     chunk = program.initial[0][1]
+    batch = flat(chunk)
     module = program.modules[0]
     factor = module.statements[0].factor
     guard, bound = guard_mask(4), field_max(factor)
@@ -145,7 +152,8 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
 
     def term_major(acc):
         get = acc.get
-        for coeff, mono in chunk:
+        it = iter(batch)
+        for coeff, mono in zip(it, it):
             if (mono + bound) & guard:
                 raise ExponentOverflowError()
             for c, m in factor:
@@ -155,7 +163,7 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
     expected = {}
     term_major(expected)
     expected = sorted_terms(expected)
-    apply_module_to_chunk(chunk, module, 4, {})
+    apply_module_to_chunk(batch, module, 4, {})
 
     def timed(rewrite_chunk):
         acc = {}
@@ -167,6 +175,6 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
 
     factor_s = term_s = float("inf")
     for _ in range(5):
-        factor_s = min(factor_s, timed(lambda acc: apply_module_to_chunk(chunk, module, 4, acc)))
+        factor_s = min(factor_s, timed(lambda acc: apply_module_to_chunk(batch, module, 4, acc)))
         term_s = min(term_s, timed(term_major))
     assert factor_s <= term_s, f"factor-major {factor_s:.4f} s, term-major {term_s:.4f} s"

@@ -11,6 +11,7 @@ from parterm.terms import add_expressions, normalize, pow_expression, sorted_ter
 from oracles import (
     algebra_apply_module,
     brute_power,
+    flat,
     oracle_normalize,
     pack,
     pack_terms,
@@ -33,7 +34,7 @@ def _one_statement(t, s, nsym):
     """One statement on one term through the chunk rewriter: the number of
     generated terms and the accumulator they were added into."""
     acc = {}
-    generated = apply_module_to_chunk((t,), Module((s,)), nsym, acc)
+    generated = apply_module_to_chunk(flat((t,)), Module((s,)), nsym, acc)
     return generated, acc
 
 
@@ -93,7 +94,7 @@ def test_id_subst_reads_the_largest_exponent(monkeypatch):
     calls = _counted_products(monkeypatch)
     chunk = ((1, pack(((0, top), (1, 1)), 3)), (2, pack(((0, 1),), 3)))
     acc = {}
-    assert apply_module_to_chunk(chunk, Module((stmt,)), 3, acc) == 2
+    assert apply_module_to_chunk(flat(chunk), Module((stmt,)), 3, acc) == 2
     assert acc == {pack(((1, 1), (2, top)), 3): 1, pack(((2, 1),), 3): 2}
     assert [power for _, power, _, _ in calls] == [pow_expression(stmt.rhs, top - 1),
                                                   stmt.rhs]
@@ -110,7 +111,7 @@ def test_dense_substitution_shares_the_expansion_of_neighbouring_degrees(monkeyp
     assert len(chunk) == 1140
     calls = _counted_products(monkeypatch)
     acc = {}
-    assert apply_module_to_chunk(chunk, module, 4, acc) == 100947
+    assert apply_module_to_chunk(flat(chunk), module, 4, acc) == 100947
     assert sum(made for *_, made in calls) <= 25000  # the direct expansion makes 100,947
     assert sorted_terms(acc) == algebra_apply_module(chunk, module, 4)
     # The count means the direct expansion's count in every configuration.
@@ -127,7 +128,7 @@ def test_sparse_substitution_stays_within_twice_the_direct_products(monkeypatch)
     module = Module((IdSubst(0, rhs),))
     calls = _counted_products(monkeypatch)
     acc = {}
-    assert apply_module_to_chunk(chunk, module, 4, acc) == 5984
+    assert apply_module_to_chunk(flat(chunk), module, 4, acc) == 5984
     assert sum(made for *_, made in calls) <= 2 * 5984
     assert sorted_terms(acc) == algebra_apply_module(chunk, module, 4)
     # No work is thrown away: each partial sum is multiplied once, and each
@@ -144,7 +145,7 @@ def test_sparse_substitution_stays_within_twice_the_direct_products(monkeypatch)
     # makes 274.
     calls.clear()
     module = Module((IdSubst(0, _sym_expr(4, 1) + terms.ONE),))
-    assert apply_module_to_chunk(chunk, module, 4, {}) == 170
+    assert apply_module_to_chunk(flat(chunk), module, 4, {}) == 170
     assert sum(made for *_, made in calls) == 188
 
 
@@ -163,7 +164,7 @@ def test_substitution_never_makes_more_than_twice_the_direct_products(monkeypatc
             assert rewrite._rhs_power(s.rhs, n)[1] == terms.field_max(pow_expression(s.rhs, n))
         calls.clear()
         acc = {}
-        assert apply_module_to_chunk(e, Module((s,)), nsym, acc) == direct
+        assert apply_module_to_chunk(flat(e), Module((s,)), nsym, acc) == direct
         assert sum(made for *_, made in calls) <= 2 * direct
         assert sorted_terms(acc) == algebra_apply_module(e, Module((s,)), nsym)
 
@@ -194,7 +195,7 @@ def test_overflow_in_an_intermediate_or_the_final_statement_raises():
     cases.append((dense, Module((IdSubst(0, add_expressions(terms.symbol(1, 2), terms.ONE)),))))
     for chunk, m in cases:
         with pytest.raises(terms.ExponentOverflowError):
-            apply_module_to_chunk(chunk, m, 2, {})
+            apply_module_to_chunk(flat(chunk), m, 2, {})
 
 
 def test_a_chunk_that_overflows_adds_nothing():
@@ -213,7 +214,7 @@ def test_a_chunk_that_overflows_adds_nothing():
             acc = {pack(((0, 2),), 2): 5, terms.UNIT: -3}
             before = dict(acc)
             with pytest.raises(terms.ExponentOverflowError):
-                apply_module_to_chunk(chunk, m, 2, acc)
+                apply_module_to_chunk(flat(chunk), m, 2, acc)
             assert acc == before
 
 
@@ -230,7 +231,7 @@ def test_substitution_inside_a_module_matches_the_oracle():
     chunk = pack_terms(oracle_normalize(
         [(n + j, factors(n, j)) for n in range(6) for j in range(1, 4)], 4), 4)
     acc = {}
-    generated = apply_module_to_chunk(chunk, module, 4, acc)
+    generated = apply_module_to_chunk(flat(chunk), module, 4, acc)
     assert sorted_terms(acc) == algebra_apply_module(chunk, module, 4)
     # Per term: |first| products, each of x-degree n replaced by rhs^n's
     # terms, each multiplied by |last|.
@@ -279,14 +280,14 @@ def test_chunk_application_matches_expression_algebra():
     m = Module((Multiply(_sym_expr(2, 0, 1)),))
     chunk = ((1, terms.UNIT), (2, pack(((0, 1),), 2)))
     acc = {}
-    assert apply_module_to_chunk(chunk, m, 2, acc) == 4
+    assert apply_module_to_chunk(flat(chunk), m, 2, acc) == 4
     assert sorted_terms(acc) == algebra_apply_module(normalize(chunk), m, 2)
 
 
 def test_empty_module_adds_the_chunk():
     chunk = pack_terms(((2, ((0, 1),)), (-1, ())), 2)
     acc = {pack(((0, 1),), 2): -2}
-    assert apply_module_to_chunk(chunk, Module(()), 2, acc) == 2
+    assert apply_module_to_chunk(flat(chunk), Module(()), 2, acc) == 2
     assert acc == {pack(((0, 1),), 2): 0, terms.UNIT: -1}
     assert sorted_terms(acc) == pack_terms(((-1, ()),), 2)
 
@@ -298,7 +299,7 @@ def test_chunks_accumulate_and_cancel_across_calls():
                                          terms.negate_expression(terms.symbol(1, 2)))),))
     e = _sym_expr(2, 0, 1)
     acc = {}
-    generated = sum(apply_module_to_chunk((t,), m, 2, acc) for t in e)
+    generated = sum(apply_module_to_chunk(flat((t,)), m, 2, acc) for t in e)
     assert generated == 4
     assert sorted_terms(acc) == pack_terms(((1, ((0, 2),)), (-1, ((1, 2),))), 2)
     rng = random.Random(31)
@@ -306,8 +307,8 @@ def test_chunks_accumulate_and_cancel_across_calls():
         e = random_expression(rng, NSYM, rng.randint(0, 8), max_exp=3)
         m = random_module(rng, NSYM)
         whole, chunked = {}, {}
-        n = apply_module_to_chunk(e, m, NSYM, whole)
+        n = apply_module_to_chunk(flat(e), m, NSYM, whole)
         size = rng.randint(1, 3)
-        assert n == sum(apply_module_to_chunk(e[i:i + size], m, NSYM, chunked)
+        assert n == sum(apply_module_to_chunk(flat(e[i:i + size]), m, NSYM, chunked)
                         for i in range(0, len(e), size))
         assert sorted_terms(chunked) == sorted_terms(whole) == algebra_apply_module(e, m, NSYM)

@@ -1,26 +1,32 @@
 import math
 import random
+from itertools import chain
+from operator import itemgetter
 
+from parterm.parser import parse_program
+from parterm.rewrite import apply_module_to_chunk
 from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
-from parterm.terms import add_expressions, normalize
+from parterm.terms import add_expressions, normalize, sorted_flat, sorted_terms
 
 from oracles import (
     ComparisonCount,
+    flat,
     is_canonical,
     oracle_normalize,
     pack,
     pack_terms,
     random_packed_terms,
     random_terms,
+    unflat,
     unwrap,
 )
 
 NSYM = 4
 
 
-# A worker builds its run by normalizing its raw terms once.
+# A worker builds its run by normalizing its raw terms once; it travels flat.
 def _runs_from(raws):
-    return [normalize(raw) for raw in raws]
+    return [flat(normalize(raw)) for raw in raws]
 
 
 def test_build_run_sorts():
@@ -46,13 +52,13 @@ def test_build_run_matches_normalize_on_random_batches():
 def test_merge_cross_run_cancellation():
     x, y = pack(((0, 1),), 2), pack(((1, 1),), 2)
     runs = _runs_from([[(1, x), (1, y)], [(1, x), (-1, y)]])
-    assert merge_runs(runs) == ((2, x),)
+    assert merge_runs(runs) == (2, x)
 
 
 def test_merge_single_run_identity():
     rng = random.Random(43)
     raw = random_packed_terms(rng, NSYM, 12)
-    run = normalize(raw)
+    run = flat(normalize(raw))
     assert merge_runs([run]) == run
 
 
@@ -62,8 +68,8 @@ def test_merge_empty_inputs():
 
 
 def test_merge_equals_normalize_of_concatenation():
-    # Runs of up to 15 terms sit below timsort's minrun; runs of about 200 and
-    # 1,000 terms are longer, so the sort merges them as natural runs.
+    # Runs of up to 15 terms, of about 200 and of about 1,000, 8 at a time:
+    # three rounds of two-way merges.
     rng = random.Random(47)
     shapes = [(100, (0, 15), 5), (5, (180, 220), 9), (3, (900, 1100), 9)]
     for sets, (shortest, longest), max_exp in shapes:
@@ -71,7 +77,7 @@ def test_merge_equals_normalize_of_concatenation():
             raws = [random_packed_terms(rng, NSYM, rng.randint(shortest, longest), max_exp)
                     for _ in range(8)]
             runs = _runs_from(raws)
-            merged = merge_runs(runs)
+            merged = unflat(merge_runs(runs))
             assert merged == normalize([t for raw in raws for t in raw])
             assert is_canonical(merged, NSYM)
 
@@ -92,19 +98,19 @@ def test_merge_two_runs_equals_add_expressions():
     for _ in range(50):
         a = normalize(random_packed_terms(rng, NSYM, 10))
         b = normalize(random_packed_terms(rng, NSYM, 10))
-        assert merge_runs([a, b]) == add_expressions(a, b)
+        assert merge_runs([flat(a), flat(b)]) == flat(add_expressions(a, b))
 
 
 def test_merge_associative_over_grouping():
     rng = random.Random(61)
     raws = [random_packed_terms(rng, NSYM, 8) for _ in range(7)]
     runs = _runs_from(raws)
-    flat = merge_runs(runs)
+    merged = merge_runs(runs)
     # left fold of pairwise merges
     acc = runs[0]
     for r in runs[1:]:
         acc = merge_runs([acc, r])
-    assert acc == flat
+    assert acc == merged
     # balanced tree of merges
     level = runs
     while len(level) > 1:
@@ -114,25 +120,25 @@ def test_merge_associative_over_grouping():
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
-    assert level[0] == flat
+    assert level[0] == merged
 
 
 def test_comparison_count_stays_under_bound():
     rng = random.Random(67)
     inputs = [_runs_from([random_packed_terms(rng, NSYM, n) for _ in range(k)])
               for k in (1, 2, 3, 4, 8, 16) for n in (1, 20, 200)]
-    # The measured worst case: the sort reads the concatenated runs reversed,
-    # meets the 2-term run first, and places the other 61 terms by binary
-    # insertion.
-    inputs.append([tuple((1, m) for m in range(61, 0, -1)), ((1, 101), (1, 100))])
+    # A long run against a short one that precedes it, and 17 runs whose
+    # terms interleave one by one: the most comparisons per term measured.
+    inputs.append([flat((1, m) for m in range(61, 0, -1)), (1, 101, 1, 100)])
+    inputs.append([flat((1, m) for m in range(169 - i, -1, -17)) for i in range(17)])
     for runs in inputs:
         k = len(runs)
-        total = sum(len(r) for r in runs)
+        total = sum(len(r) for r in runs) // 2  # terms, not flat elements
         if total == 0:
             continue
         counted = ComparisonCount()
         merged = unwrap(merge_runs(counted.wrap(runs)))
-        assert merged == normalize([t for r in runs for t in r])
+        assert merged == normalize([t for r in runs for t in unflat(r)])
         assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
 
 
@@ -143,9 +149,64 @@ def test_comparison_count_beats_sort_from_scratch_asymptotics():
     k, n = 8, 20000
     raws = [[(1, pack(((0, rng.randint(1, 10**6)),), 1)) for _ in range(n)] for _ in range(k)]
     runs = _runs_from(raws)
-    total = sum(len(r) for r in runs)
+    total = sum(len(r) for r in runs) // 2
     counted = ComparisonCount()
     merge_runs(counted.wrap(runs))
     bound = MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
     assert counted.count <= bound
     assert bound < total * math.log2(total)
+
+
+def _pair_merge(runs):
+    """The merge on runs of pairs: one sort keyed on the monomial, then one
+    pass summing equal neighbours and dropping zero sums."""
+    out = []
+    for c, m in sorted(chain.from_iterable(runs), key=itemgetter(1), reverse=True):
+        if out and out[-1][1] == m:
+            out[-1] = (out[-1][0] + c, m)
+        else:
+            out.append((c, m))
+    return tuple(t for t in out if t[0])
+
+
+def _cancelling_accumulator():
+    """H = x - y under id x = y: one monomial whose sum is zero."""
+    program = parse_program("symbols x,y,z; local H = x - y; id x = y; .sort .end")
+    acc = {}
+    apply_module_to_chunk(flat(program.initial[0][1]), program.modules[0], 3, acc)
+    assert acc == {pack(((1, 1),), 3): 0}
+    return acc
+
+
+def test_flat_sort_and_merge_match_the_pair_forms_on_random_accumulators():
+    # Coefficients in -2..2 leave zero sums in most accumulators; the last
+    # sets cancel completely, within one accumulator and across runs.
+    rng = random.Random(73)
+    sets = []
+    for _ in range(300):
+        accs = []
+        for _ in range(rng.randint(1, 5)):
+            acc = {}
+            for c, m in random_packed_terms(rng, NSYM, rng.randint(0, 30), 3):
+                acc[m] = acc.get(m, 0) + rng.randint(-2, 2) * c
+            accs.append(acc)
+        sets.append(accs)
+    x = pack(((0, 1),), NSYM)
+    sets += [[_cancelling_accumulator()], [{x: 1}, {x: -1}], [{x: 2, 0: 0}, {x: -2}, {}]]
+    for accs in sets:
+        pair_runs = [sorted_terms(acc) for acc in accs]
+        runs = [sorted_flat(acc) for acc in accs]
+        assert runs == [flat(r) for r in pair_runs]
+        assert all(type(r) is tuple and all(r[0::2]) for r in runs)
+        merged = merge_runs(runs)
+        assert type(merged) is tuple and unflat(merged) == _pair_merge(pair_runs)
+        # The comparison count is the production merge's own.
+        counted = ComparisonCount()
+        assert unwrap(merge_runs(counted.wrap(runs))) == unflat(merged)
+        total = sum(len(r) for r in runs) // 2
+        k = len(runs)
+        assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
+        if sum(map(bool, runs)) > 1:
+            assert counted.count > 0
+    assert sorted_flat(_cancelling_accumulator()) == ()
+    assert merge_runs([sorted_flat({x: 1}), sorted_flat({x: -1})]) == ()

@@ -19,6 +19,7 @@ from oracles import (
     brute_multiply,
     is_canonical,
     brute_power,
+    flat,
     oracle_cmp,
     oracle_normalize,
     pack,
@@ -207,6 +208,20 @@ def test_normalize_matches_oracle_on_random_input():
 @given(st_raw_factors)
 def test_packed_normalize_agrees_with_oracle(raw):
     assert normalize(pack_terms(raw, NSYM)) == pack_terms(oracle_normalize(raw, NSYM), NSYM)
+
+
+@given(st_expression)
+def test_flatten_and_pairs_convert_between_the_two_forms(e):
+    assert terms.flatten(e) == flat(e)
+    assert terms.pairs(terms.flatten(e)) == e
+
+
+@given(st_raw)
+def test_sorted_flat_is_sorted_terms_flattened(raw):
+    acc = {}
+    for c, m in raw:
+        acc[m] = acc.get(m, 0) + c
+    assert terms.sorted_flat(acc) == flat(terms.sorted_terms(acc)) == flat(normalize(raw))
 
 
 @given(st_raw)

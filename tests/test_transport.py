@@ -22,7 +22,7 @@ from parterm.transport import (
 
 from parterm.terms import EXP_MASK
 
-from oracles import hand_crc32, hand_wire_bytes, pack, pack_terms, random_terms
+from oracles import hand_crc32, hand_wire_bytes, pack, pack_flat, random_terms
 
 NSYM = 4
 
@@ -44,34 +44,34 @@ def _sealed(body):
 
 
 def test_golden_minus_one_unit_term():
-    data = serialize_terms([(-1, 0)], NSYM)
+    data = serialize_terms((-1, 0), NSYM)
     assert data == _sealed(
         b"(\x02\x00\x00\x00"  # a tuple of 2 elements
         b"i\xff\xff\xff\xff"  # the coefficient -1
         b"i\x00\x00\x00\x00"  # the unit monomial 0
     )
-    assert deserialize_terms(data, NSYM) == ((-1, 0),)
+    assert deserialize_terms(data, NSYM) == (-1, 0)
 
 
 def test_golden_empty_sequence_is_header_only():
     # no elements: the tuple header, then its CRC
-    assert serialize_terms([], NSYM) == _sealed(b"(\x00\x00\x00\x00")
+    assert serialize_terms((), NSYM) == _sealed(b"(\x00\x00\x00\x00")
     assert deserialize_terms(_sealed(b"(\x00\x00\x00\x00"), NSYM) == ()
 
 
 def test_golden_zero_coefficient():
     # x2 of 3 symbols: exponent 1 in the lowest field, so the int 1.
     z = pack(((2, 1),), 3)
-    data = serialize_terms([(0, z)], 3)
+    data = serialize_terms((0, z), 3)
     assert data == _sealed(_header(2) + _int(0) + _int(1))
-    assert deserialize_terms(data, 3) == ((0, z),)
+    assert deserialize_terms(data, 3) == (0, z)
 
 
 def test_golden_monomial_past_an_i32_is_its_15_bit_digits():
     # x0^2 * x3 of 4 symbols: x3's exponent is bit 0 and x0's field starts
     # at bit 99, so 2 sets bit 100.  2**100 + 1 has 101 bits, 7 digits: the
     # lowest is 1, the top one 2**(100 - 90) = 0x400, and 5 zeros between.
-    data = serialize_terms([(1, pack(((0, 2), (3, 1)), NSYM))], NSYM)
+    data = serialize_terms((1, pack(((0, 2), (3, 1)), NSYM)), NSYM)
     assert data[10:-4] == (b"l\x07\x00\x00\x00" b"\x01\x00" + b"\x00\x00" * 5
                            + b"\x00\x04")
 
@@ -87,14 +87,14 @@ st_terms = st.lists(
 @given(st_terms)
 @settings(max_examples=200)
 def test_round_trip_identity(ts):
-    packed = pack_terms(ts, NSYM)
+    packed = pack_flat(ts, NSYM)
     assert deserialize_terms(serialize_terms(packed, NSYM), NSYM) == packed
 
 
 @given(st_terms)
 @settings(max_examples=100)
 def test_serialization_matches_hand_encoder(ts):
-    packed = pack_terms(ts, NSYM)
+    packed = pack_flat(ts, NSYM)
     data = serialize_terms(packed, NSYM)
     assert data == hand_wire_bytes(ts, NSYM)
 
@@ -109,9 +109,9 @@ def test_every_width_matches_the_hand_encoder_and_round_trips(nsymbols, data):
     ts = data.draw(st.lists(st.tuples(
         st.integers(-(10**20), 10**20),
         exps.map(lambda es: tuple((sid, e) for sid, e in enumerate(es) if e))), max_size=6))
-    wire = serialize_terms(pack_terms(ts, nsymbols), nsymbols)
+    wire = serialize_terms(pack_flat(ts, nsymbols), nsymbols)
     assert wire == hand_wire_bytes(ts, nsymbols)
-    assert deserialize_terms(wire, nsymbols) == pack_terms(ts, nsymbols)
+    assert deserialize_terms(wire, nsymbols) == pack_flat(ts, nsymbols)
 
 
 def test_i32_edges_of_coefficients_and_monomials_match_the_hand_encoder():
@@ -121,9 +121,9 @@ def test_i32_edges_of_coefficients_and_monomials_match_the_hand_encoder():
     for coeff in (-(1 << 31) - 1, -(1 << 31), (1 << 31) - 1, 1 << 31):
         for e in ((1 << 31) - 1, 1 << 31):
             ts = ((coeff, ((0, e),)),)
-            wire = serialize_terms(pack_terms(ts, 1), 1)
+            wire = serialize_terms(pack_flat(ts, 1), 1)
             assert wire == hand_wire_bytes(ts, 1)
-            assert deserialize_terms(wire, 1) == pack_terms(ts, 1)
+            assert deserialize_terms(wire, 1) == pack_flat(ts, 1)
     assert hand_wire_bytes(((-(1 << 31), ()),), 1)[5:10] == b"i\x00\x00\x00\x80"
     assert hand_wire_bytes((((1 << 31), ()),), 1)[5:10] == b"l\x03\x00\x00\x00"
 
@@ -182,16 +182,16 @@ def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
 
 
 def test_malformed_rows_are_the_bytes_they_claim():
-    assert deserialize_terms(_sealed(_ONE_TERM), NSYM) == ((1, 0),)
+    assert deserialize_terms(_sealed(_ONE_TERM), NSYM) == (1, 0)
     assert hand_wire_bytes([(1 << 40, ())], NSYM)[5:16] == _L40
-    assert serialize_terms([(1, 1 << 40)], NSYM) == _sealed(_header(2) + _int(1) + _L40)
+    assert serialize_terms((1, 1 << 40), NSYM) == _sealed(_header(2) + _int(1) + _L40)
     # every row after the short one carries the CRC of its own body
     for _, data, _, _ in MALFORMED[2:]:
         assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
 
 
 def test_every_bit_flip_and_truncation_is_rejected():
-    ts = pack_terms(((3, ((0, 2), (1, 1))), (7, ((1, 3), (2, 1))), (-1, ((3, 5),))), NSYM)
+    ts = pack_flat(((3, ((0, 2), (1, 1))), (7, ((1, 3), (2, 1))), (-1, ((3, 5),))), NSYM)
     data = serialize_terms(ts, NSYM)
     assert 55 <= len(data) <= 70 and deserialize_terms(data, NSYM) == ts
     for bit in range(8 * len(data)):
@@ -221,7 +221,7 @@ def test_every_guard_and_padding_bit_is_rejected_both_ways(nsymbols):
             deserialize_terms(_sealed(_header(2) + _int(1) + _hand_int(1 << bit)), nsymbols)
         assert err.value.offset == 10, bit
         with pytest.raises(WireError) as err:
-            serialize_terms([(1, 1 << bit)], nsymbols)
+            serialize_terms((1, 1 << bit), nsymbols)
         assert err.value.offset == 10, bit
 
 
@@ -230,24 +230,24 @@ def test_serialize_rejects_oversized_fields_at_the_monomial_offset():
     for sid in range(NSYM):
         over = pack(((sid, EXP_MASK),), NSYM) + pack(((sid, 1),), NSYM)
         with pytest.raises(WireError, match="u32") as err:
-            serialize_terms([(1, over)], NSYM)
+            serialize_terms((1, over), NSYM)
         assert err.value.offset == 10
     # the second term's monomial: after the header, the first term's 5 + 5
     # bytes and -300's 5
     with pytest.raises(WireError, match="nsymbols 4") as err:
-        serialize_terms([(1, 0), (-300, 1 << (33 * NSYM))], NSYM)
+        serialize_terms((1, 0, -300, 1 << (33 * NSYM)), NSYM)
     assert err.value.offset == 5 + 10 + 5
     with pytest.raises(WireError, match="nsymbols 4"):
-        serialize_terms([(1, -1)], NSYM)
+        serialize_terms((1, -1), NSYM)
 
 
 def test_largest_exponent_round_trips_in_every_field():
     for sid in range(NSYM):
         other = (sid + 1) % NSYM
         ts = ((1, ((sid, EXP_MASK),)), (-2, tuple(sorted([(sid, EXP_MASK), (other, 7)]))))
-        data = serialize_terms(pack_terms(ts, NSYM), NSYM)
+        data = serialize_terms(pack_flat(ts, NSYM), NSYM)
         assert data == hand_wire_bytes(ts, NSYM)
-        assert deserialize_terms(data, NSYM) == pack_terms(ts, NSYM)
+        assert deserialize_terms(data, NSYM) == pack_flat(ts, NSYM)
 
 
 def test_decode_rejects_bytes_encoded_for_more_symbols():
@@ -255,9 +255,9 @@ def test_decode_rejects_bytes_encoded_for_more_symbols():
     # 2**33, past the one field of 1 symbol, and is named at its offset.
     # The bytes carry values, not widths, so y^2 of 2 symbols, the int 2,
     # reads as x0^2 of 1.
-    assert deserialize_terms(hand_wire_bytes([(1, ((1, 2),))], 2), 1) == ((1, 2),)
+    assert deserialize_terms(hand_wire_bytes([(1, ((1, 2),))], 2), 1) == (1, 2)
     data = hand_wire_bytes([(1, ((1, 2),)), (1, ((0, 1),))], 2)
-    assert deserialize_terms(data, 2) == pack_terms([(1, ((1, 2),)), (1, ((0, 1),))], 2)
+    assert deserialize_terms(data, 2) == pack_flat([(1, ((1, 2),)), (1, ((0, 1),))], 2)
     with pytest.raises(WireError, match="nsymbols 1") as err:
         deserialize_terms(data, 1)
     assert err.value.offset == 20
@@ -269,7 +269,7 @@ def test_decode_rejects_bytes_encoded_for_more_symbols():
 def test_loopback_fidelity(backend):
     master = MasterEndpoint(backend, nslaves=2, nsymbols=NSYM)
     slave = master.slave(1)
-    payload = pack_terms(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
+    payload = pack_flat(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
     sent = Message(MessageKind.CHUNK_ASSIGNMENT, payload=payload, expr=1)
     master.send(1, sent)
     got = slave.recv()
@@ -285,7 +285,7 @@ def test_failed_detail_travels_beside_the_payload(backend):
     master = MasterEndpoint(backend, nslaves=2, nsymbols=NSYM)
     failed = Message(MessageKind.FAILED, detail="Traceback ...\nRuntimeError: x")
     record = object()  # opaque to the transport, like the engine's WorkerMetrics
-    last_run = Message(MessageKind.RUN_RETURN, payload=((3, 0),), metrics=record)
+    last_run = Message(MessageKind.RUN_RETURN, payload=(3, 0), metrics=record)
     slave = master.slave(1)
     slave.reply(failed)
     assert master.recv_any() == (1, failed)
@@ -301,15 +301,15 @@ def test_failed_detail_travels_beside_the_payload(backend):
 
 
 def test_mp_copies_but_sm_transfers_ownership():
-    payload = pack_terms(((5, ((0, 2),)), (7, ((3, 5),))), NSYM)
+    payload = pack_flat(((5, ((0, 2),)), (7, ((3, 5),))), NSYM)
     mp = MasterEndpoint("mp", 1, NSYM)
     mp.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     got = mp.slave(0).recv()
     assert got.payload == payload and got.payload is not payload
-    # Fresh term tuples, and monomials rebuilt from their bytes: x0^2 is a
+    # A fresh flat tuple, and monomials rebuilt from their bytes: x0^2 is a
     # 101-bit int, so an equal one is a new object.
-    assert all(g is not p for g, p in zip(got.payload, payload))
-    assert got.payload[0][1] == payload[0][1] and got.payload[0][1] is not payload[0][1]
+    assert type(got.payload) is tuple and len(got.payload) == 4
+    assert got.payload[1] == payload[1] and got.payload[1] is not payload[1]
 
     sm = MasterEndpoint("sm", 1, NSYM)
     sm.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
@@ -322,7 +322,7 @@ def test_mp_accounting_is_exact_per_message():
     # bits) as "l", a u32 and 7 two-byte digits, then the 4-byte CRC:
     # 5 + 5 + 19 + 4 = 33 bytes.
     factors = ((5, ((0, 2),)),)
-    payload = pack_terms(factors, NSYM)
+    payload = pack_flat(factors, NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = master.stats()
     assert stats.serialized_bytes == len(hand_wire_bytes(factors, NSYM)) == 33
@@ -332,7 +332,7 @@ def test_mp_accounting_is_exact_per_message():
 
 def test_sm_accounting_counts_handles_not_bytes():
     master = MasterEndpoint("sm", 1, NSYM)
-    payload = pack_terms(((5, ((0, 2),)),), NSYM)
+    payload = pack_flat(((5, ((0, 2),)),), NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = master.stats()
     assert stats.serialized_bytes == 0
@@ -345,7 +345,7 @@ def test_reply_counts_once_the_master_takes_it(backend):
     master = MasterEndpoint(backend, 2, NSYM)
     factors = ((5, ((0, 2),)),)  # one term: 33 bytes on the wire
     master.slave(1).reply(
-        Message(MessageKind.RUN_RETURN, payload=pack_terms(factors, NSYM)))
+        Message(MessageKind.RUN_RETURN, payload=pack_flat(factors, NSYM)))
     assert master.stats() == TransportStats()  # the slave counts nothing
     master.recv_any()
     assert master.stats() == (TransportStats(0, 1, 33, 0) if backend == "mp"
@@ -360,11 +360,11 @@ def test_accounting_sums_both_directions():
     for i in range(6):
         payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
         expected += len(hand_wire_bytes(payload, NSYM))
-        master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_terms(payload, NSYM)))
+        master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_flat(payload, NSYM)))
         got = slaves[i % 2].recv()
         reply = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
         expected += len(hand_wire_bytes(reply, NSYM))
-        slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=pack_terms(reply, NSYM)))
+        slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=pack_flat(reply, NSYM)))
         master.recv_any()
     assert master.stats().serialized_bytes == expected
     assert master.stats().messages == 12
@@ -414,7 +414,7 @@ def test_bounded_mailbox_blocks_sender():
 
     def sender():
         for i in range(MAILBOX_BOUND + 1):
-            master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, ((1, 0),), expr=i))
+            master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, (1, 0), expr=i))
         done.set()
 
     th = threading.Thread(target=sender, daemon=True)
