@@ -17,7 +17,6 @@ from .engine import (
 from .parser import ParseError, Program, format_expression, parse_program
 from .terms import Expression, Monomial, SymbolTable, Term
 from .transport import TransportStats
-from .workloads import generate_workload
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "Term",
     "TransportStats",
     "format_expression",
-    "generate_workload",
     "parse_program",
     "run_program",
     "__version__",

@@ -1,7 +1,7 @@
-"""Benchmark sweeps, speedup normalization, and CSV/plot-data emission.
+"""Benchmark sweeps, speedups, and CSV/plot-data emission.
 
 Reported timings are medians over the configured repeats, with one warm-up
-run discarded before measurement.  Two speedup conventions are supported:
+run discarded before measurement.  Every speedup is reported both ways:
 
 * two-processor: S(p) = t_wall(1 slave + master) / t_wall(p slaves)
 * sequential:    S(p) = t_sequential / t_wall(p slaves)
@@ -24,14 +24,9 @@ CSV_COLUMNS = [
     "serialized_bytes", "handle_transfers",
 ]
 
-NORMALIZATIONS = ("two-proc", "sequential")
-
-
 @dataclass(frozen=True)
 class SpeedupRow:
     nslaves: int
-    backend: str
-    repeats: int
     t_wall_ns: int
     t_final_merge_ns: int
     serialized_bytes: int
@@ -40,16 +35,10 @@ class SpeedupRow:
 
 
 @dataclass
-class SpeedupReport:
-    rows: list[SpeedupRow]
-    t_sequential_ns: int
-
-
-@dataclass
 class BenchResult:
     program_name: str
     csv_rows: list[dict]
-    reports: dict[str, SpeedupReport]  # per backend
+    reports: dict[str, list[SpeedupRow]]  # per backend
     t_sequential_ns: int
 
 
@@ -95,7 +84,7 @@ def run_sweep(
     note(f"sequential reference: {t_sequential} ns")
 
     csv_rows: list[dict] = []
-    reports: dict[str, SpeedupReport] = {}
+    reports: dict[str, list[SpeedupRow]] = {}
     for backend in backends:
         timings: dict[int, int] = {}
         merge_medians: dict[int, int] = {}
@@ -138,12 +127,10 @@ def run_sweep(
                         sum(m.t_final_merge for m in r.module_metrics) for r in results)
                     bytes_medians[p] = median_low(
                         r.stats.serialized_bytes for r in results)
-        rows = [
-            SpeedupRow(p, backend, repeats, timings[p], merge_medians[p],
-                       bytes_medians[p], s2p, sseq)
+        reports[backend] = [
+            SpeedupRow(p, timings[p], merge_medians[p], bytes_medians[p], s2p, sseq)
             for p, s2p, sseq in compute_speedups(timings, t_sequential)
         ]
-        reports[backend] = SpeedupReport(rows, t_sequential)
     return BenchResult(program_name, csv_rows, reports, t_sequential)
 
 
@@ -154,34 +141,31 @@ def write_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def write_dat(path: str, result: BenchResult, normalize: str = "two-proc") -> None:
-    """Gnuplot-friendly blocks, one per backend, double-blank separated."""
-    if normalize not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalize!r}")
+def write_dat(path: str, result: BenchResult) -> None:
+    """Gnuplot-friendly blocks, one per backend, double-blank separated and
+    each named by its ``# backend=<name>`` line."""
     with open(path, "w") as fh:
         fh.write(f"# program: {result.program_name}\n")
         fh.write(f"# sequential reference: {result.t_sequential_ns} ns\n")
-        fh.write(f"# speedup normalization: {normalize}\n")
-        fh.write("# columns: nslaves t_wall_ns speedup\n")
-        for bi, (backend, report) in enumerate(result.reports.items()):
+        fh.write("# columns: nslaves t_wall_ns speedup_two_proc speedup_seq\n")
+        for bi, (backend, rows) in enumerate(result.reports.items()):
             if bi:
                 fh.write("\n\n")
             fh.write(f"# backend={backend}\n")
-            for row in report.rows:
-                s = (row.speedup_two_proc if normalize == "two-proc"
-                     else row.speedup_vs_sequential)
-                fh.write(f"{row.nslaves} {row.t_wall_ns} {s:.4f}\n")
+            for row in rows:
+                fh.write(f"{row.nslaves} {row.t_wall_ns} {row.speedup_two_proc:.4f} "
+                         f"{row.speedup_vs_sequential:.4f}\n")
 
 
-def format_report(result: BenchResult, normalize: str = "two-proc") -> str:
+def format_report(result: BenchResult) -> str:
     lines = [
         f"program: {result.program_name}",
         f"sequential reference: {result.t_sequential_ns / 1e6:.3f} ms",
         f"{'backend':>8} {'p':>3} {'t_wall_ms':>12} {'t_merge_ms':>12} "
         f"{'bytes':>12} {'S(two-proc)':>12} {'S(seq)':>8}",
     ]
-    for backend, report in result.reports.items():
-        for r in report.rows:
+    for backend, rows in result.reports.items():
+        for r in rows:
             lines.append(
                 f"{backend:>8} {r.nslaves:>3} {r.t_wall_ns / 1e6:>12.3f} "
                 f"{r.t_final_merge_ns / 1e6:>12.3f} {r.serialized_bytes:>12} "

@@ -11,7 +11,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import bench, workloads
+from . import bench
 from .engine import EngineError, RunConfig, SlaveCountError, run_program
 from .parser import ParseError, format_expression, parse_program
 from .transport import BACKENDS
@@ -84,13 +84,11 @@ def _build_parser() -> _ArgumentParser:
     p_run.add_argument("--out", default=None)
 
     p_bench = sub.add_parser("bench", help="sweep slave counts/backends; emit CSV + .dat")
-    p_bench.add_argument("file", nargs="?", default=None)
-    p_bench.add_argument("--generate", default=None, metavar="KIND:SCALE[:SEED]")
+    p_bench.add_argument("file")
     p_bench.add_argument("--slaves", type=_int_list, required=True)
     p_bench.add_argument("--backend", type=_backend_list, required=True)
     p_bench.add_argument("--chunk", type=_int_list, default=[1000])
     p_bench.add_argument("--repeat", type=_int_at_least(1), default=5)
-    p_bench.add_argument("--normalize", choices=bench.NORMALIZATIONS, default="two-proc")
     p_bench.add_argument("--csv", required=True)
     p_bench.add_argument("--quiet", action="store_true")
 
@@ -124,41 +122,19 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _workload_from_spec(spec: str) -> tuple[str, str]:
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise _UsageError(f"--generate expects KIND:SCALE[:SEED], got {spec!r}")
-    kind = parts[0]
-    try:
-        scale = int(parts[1])
-        seed = int(parts[2]) if len(parts) == 3 else 0
-    except ValueError:
-        raise _UsageError(f"--generate expects integer scale/seed, got {spec!r}")
-    try:
-        return workloads.generate_workload(kind, scale, seed), f"{kind}:{scale}:{seed}"
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
-
 def _cmd_bench(args) -> int:
-    if (args.file is None) == (args.generate is None):
-        raise _UsageError("bench needs exactly one of <file> or --generate")
     if 1 not in args.slaves:
         raise _UsageError("--slaves must include 1: speedups are normalized "
                           "to the one-slave timing")
     RunConfig(nslaves=max(args.slaves))  # reject an over-cap count before any run
-    if args.generate:
-        text, name = _workload_from_spec(args.generate)
-    else:
-        text = _read_program(args.file)
-        name = os.path.basename(args.file)
+    text = _read_program(args.file)
     progress = None if args.quiet else sys.stderr
-    result = bench.run_sweep(text, name, args.slaves, args.backend, args.chunk,
-                             repeats=args.repeat, progress=progress)
+    result = bench.run_sweep(text, os.path.basename(args.file), args.slaves, args.backend,
+                             args.chunk, repeats=args.repeat, progress=progress)
     bench.write_csv(args.csv, result.csv_rows)
     dat_path = os.path.splitext(args.csv)[0] + ".dat"
-    bench.write_dat(dat_path, result, normalize=args.normalize)
-    print(bench.format_report(result, normalize=args.normalize))
+    bench.write_dat(dat_path, result)
+    print(bench.format_report(result))
     print(f"wrote {args.csv} and {dat_path}")
     return EXIT_OK
 

@@ -153,10 +153,6 @@ class PhaseMetrics:
         return max((w.sort_ns for w in self.workers.values()), default=0)
 
     @property
-    def terms_processed(self) -> dict[int, int]:
-        return {i: w.processed for i, w in self.workers.items()}
-
-    @property
     def terms_generated(self) -> int:
         return sum(w.generated for w in self.workers.values())
 
@@ -237,7 +233,8 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
             else:  # pragma: no cover - protocol violation
                 raise EngineError(f"unexpected message kind {msg.kind}")
     except Exception:
-        endpoint.reply(Message(MessageKind.FAILED, detail=traceback.format_exc()))
+        failed = Message(MessageKind.FAILED, detail=traceback.format_exc())
+        endpoint.reply(endpoint.encode(failed))
 
 
 class _Session:

@@ -330,9 +330,8 @@ class SlaveEndpoint:
         """``msg`` as the record :meth:`reply` sends: encoded now, sent later."""
         return self._master._encode(msg)
 
-    def reply(self, msg) -> None:
-        """Send a :class:`Message`, or a record :meth:`encode` made of one."""
+    def reply(self, record) -> None:
+        """Send a record that :meth:`encode` made."""
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")
-        record = self.encode(msg) if isinstance(msg, Message) else msg
         self._master._inbox.put((self.worker, record))

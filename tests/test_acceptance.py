@@ -23,8 +23,8 @@ from parterm.parser import format_expression, parse_program
 from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
 from parterm.terms import SymbolTable, normalize
 from parterm.transport import deserialize_terms, serialize_terms
-from parterm.workloads import generate_workload
 
+from generators import grid_program
 from oracles import (
     ComparisonCount,
     brute_multiply,
@@ -50,18 +50,12 @@ def _passed(n, name):
     print(f"ACCEPTANCE {n} ({name}): PASS")
 
 
-def _grid_program(seed: int) -> str:
-    if seed % 2 == 0:
-        return generate_workload("expand", 2 + (seed // 2) % 2, seed)
-    return generate_workload("substitute-chain", 1 + seed % 3, seed)
-
-
 def test_acceptance_1_determinism_grid():
     """100 generated programs give identical expressions across the whole
     (slaves x chunk x backend x master) grid, equal to the expression-algebra
     oracle applied module by module."""
     for seed in range(100):
-        program = parse_program(_grid_program(seed))
+        program = parse_program(grid_program(seed))
         reference = oracle_run_program(program)
         assert run_program(program, RunConfig(nslaves=0)).expressions == reference
         for nslaves in GRID_SLAVES:

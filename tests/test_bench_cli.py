@@ -11,9 +11,11 @@ from parterm.bench import CSV_COLUMNS, compute_speedups, run_sweep, write_csv, w
 from parterm.engine import MAX_SLAVES, RunConfig, run_program
 from parterm.parser import format_expression, parse_program
 
+from generators import expand
 from oracles import oracle_run_program
 
 PROGRAMS = os.path.join(os.path.dirname(__file__), os.pardir, "programs")
+BINOMIAL = os.path.join(PROGRAMS, "binomial.pt")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -77,24 +79,32 @@ def test_sweep_row_count_matches_flag_grid(tmp_path):
 def test_sweep_reports_both_normalizations(tmp_path):
     text = "symbols x; local F = (x+1)^5; multiply x; .sort .end"
     result = run_sweep(text, "demo", slaves=[1, 2], backends=["sm"], repeats=2)
-    report = result.reports["sm"]
-    assert report.rows[0].nslaves == 1
-    assert report.rows[0].speedup_two_proc == 1.0
-    assert report.rows[0].speedup_vs_sequential == pytest.approx(
-        result.t_sequential_ns / report.rows[0].t_wall_ns)
+    rows = result.reports["sm"]
+    assert rows[0].nslaves == 1
+    assert rows[0].speedup_two_proc == 1.0
+    assert rows[0].speedup_vs_sequential == pytest.approx(
+        result.t_sequential_ns / rows[0].t_wall_ns)
     dat = tmp_path / "bench.dat"
-    write_dat(str(dat), result, normalize="sequential")
-    content = dat.read_text()
-    assert "# backend=sm" in content
-    assert "normalization: sequential" in content
+    write_dat(str(dat), result)
+    assert [line.split() for line in dat.read_text().splitlines()[-2:]] == [
+        [str(r.nslaves), str(r.t_wall_ns), f"{r.speedup_two_proc:.4f}",
+         f"{r.speedup_vs_sequential:.4f}"] for r in rows]
 
 
 def test_dat_blocks_are_gnuplot_indexable(tmp_path):
+    # Blocks come in --backend order, double-blank separated, each named by
+    # its first line, which plots/speedup.gp selects with index 'backend=..'.
     text = "symbols x; local F = x+1; .sort .end"
-    result = run_sweep(text, "demo", slaves=[1], backends=["mp", "sm"], repeats=1)
+    result = run_sweep(text, "demo", slaves=[1, 2], backends=["sm", "mp"], repeats=1)
     dat = tmp_path / "b.dat"
     write_dat(str(dat), result)
-    assert "\n\n\n# backend=sm\n" in dat.read_text()  # double blank separator
+    sm, mp = dat.read_text().split("\n\n\n")
+    assert "# columns: nslaves t_wall_ns speedup_two_proc speedup_seq\n# backend=sm\n" in sm
+    assert mp.startswith("# backend=mp\n")
+    for block, backend in ((sm, "sm"), (mp, "mp")):
+        rows = [line.split() for line in block.splitlines() if not line.startswith("#")]
+        assert [len(row) for row in rows] == [4, 4]
+        assert [int(row[0]) for row in rows] == [r.nslaves for r in result.reports[backend]]
 
 
 def test_multi_module_programs_emit_one_row_per_module():
@@ -106,21 +116,21 @@ def test_multi_module_programs_emit_one_row_per_module():
 # -- CLI -----------------------------------------------------------------------
 
 def test_cli_run_prints_expressions(capsys):
-    rc = cli.main(["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves", "2"])
+    rc = cli.main(["run", BINOMIAL, "--slaves", "2"])
     assert rc == 0
     assert capsys.readouterr().out == "F = x^2+2*x*y+y^2\n"
 
 
 def test_cli_run_out_file(tmp_path, capsys):
     out = tmp_path / "result.txt"
-    rc = cli.main(["run", os.path.join(PROGRAMS, "binomial.pt"), "--out", str(out)])
+    rc = cli.main(["run", BINOMIAL, "--out", str(out)])
     assert rc == 0
     assert out.read_text() == "F = x^2+2*x*y+y^2\n"
     assert capsys.readouterr().out == ""
 
 
 def test_cli_run_sequential_sentinel(capsys):
-    rc = cli.main(["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves", "0"])
+    rc = cli.main(["run", BINOMIAL, "--slaves", "0"])
     assert rc == 0
     assert "F = " in capsys.readouterr().out
 
@@ -160,14 +170,16 @@ def test_cli_verify_detects_mismatch(capsys, monkeypatch):
         return result
 
     monkeypatch.setattr(cli, "run_program", corrupting)
-    rc = cli.main(["verify", os.path.join(PROGRAMS, "binomial.pt"), "--slaves", "1"])
+    rc = cli.main(["verify", BINOMIAL, "--slaves", "1"])
     assert rc == cli.EXIT_VERIFY
     assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
+    program = tmp_path / "expand.pt"
+    program.write_text(expand(2, 1))
     path = tmp_path / "bench.csv"
-    rc = cli.main(["bench", "--generate", "expand:2:1", "--slaves", "1,2",
+    rc = cli.main(["bench", str(program), "--slaves", "1,2",
                    "--backend", "mp,sm", "--repeat", "2", "--csv", str(path), "--quiet"])
     assert rc == 0
     assert path.exists()
@@ -181,26 +193,28 @@ def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
 @pytest.mark.parametrize("argv,code", [
     (["run", "no_such_file.pt"], cli.EXIT_RUNTIME),
     (["bench", "--slaves", "1", "--backend", "sm", "--csv", "x.csv"], cli.EXIT_USAGE),
-    (["bench", "--generate", "bogus", "--slaves", "1", "--backend", "sm",
+    (["bench", BINOMIAL, "--generate", "expand:2", "--slaves", "1", "--backend", "sm",
       "--csv", "x.csv"], cli.EXIT_USAGE),
-    (["bench", "--generate", "expand:2", "--slaves", "1", "--backend", "ftp",
+    (["bench", BINOMIAL, "--slaves", "1", "--backend", "ftp",
       "--csv", "x.csv"], cli.EXIT_USAGE),
     (["verify", "no_such_file.pt"], cli.EXIT_RUNTIME),
-    (["run", os.path.join(PROGRAMS, "binomial.pt"), "--chunk", "0"], cli.EXIT_USAGE),
-    (["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves", "-1"], cli.EXIT_USAGE),
-    (["bench", "--generate", "expand:2", "--slaves", "2", "--backend", "sm",
+    (["run", BINOMIAL, "--chunk", "0"], cli.EXIT_USAGE),
+    (["run", BINOMIAL, "--slaves", "-1"], cli.EXIT_USAGE),
+    (["bench", BINOMIAL, "--slaves", "2", "--backend", "sm",
       "--csv", "x.csv"], cli.EXIT_USAGE),
-    (["bench", "--generate", "expand:2", "--slaves", "1", "--backend", "sm",
+    (["bench", BINOMIAL, "--slaves", "1", "--backend", "sm",
       "--repeat", "0", "--csv", "x.csv"], cli.EXIT_USAGE),
+    (["bench", BINOMIAL, "--normalize", "sequential", "--slaves", "1", "--backend", "sm",
+      "--csv", "x.csv"], cli.EXIT_USAGE),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
 
 
 @pytest.mark.parametrize("command", [
-    ["run", os.path.join(PROGRAMS, "binomial.pt"), "--slaves"],
-    ["verify", os.path.join(PROGRAMS, "binomial.pt"), "--slaves"],
-    ["bench", "--generate", "expand:2", "--backend", "sm", "--csv", "x.csv", "--slaves"],
+    ["run", BINOMIAL, "--slaves"],
+    ["verify", BINOMIAL, "--slaves"],
+    ["bench", BINOMIAL, "--backend", "sm", "--csv", "x.csv", "--slaves"],
 ])
 def test_cli_rejects_a_slave_count_over_the_cap_without_starting_threads(command, capsys):
     before = threading.active_count()

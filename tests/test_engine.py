@@ -106,9 +106,9 @@ def test_chunks_and_metrics_count_terms_not_flat_elements():
                 RunConfig(nslaves=2, chunk_size=2, master_computes=True)):
         m = run_program(program, cfg).module_metrics[0]
         assert (m.terms_in, m.terms_out, m.terms_generated) == (6, 7, 12), cfg
-        assert sum(m.terms_processed.values()) == 6, cfg
+        assert sum(w.processed for w in m.workers.values()) == 6, cfg
         if cfg.nslaves == 1:
-            assert m.terms_processed == {0: 6}
+            assert {i: w.processed for i, w in m.workers.items()} == {0: 6}
 
 
 # -- parallel engine ---------------------------------------------------------
@@ -135,8 +135,8 @@ def test_five_chunks_over_four_slaves():
     result, metrics, _ = _run_module(e, m, 2, RunConfig(nslaves=4, chunk_size=1, backend="sm"))
     assert result == expected
     # priming hands every slave one of the five chunks
-    assert all(metrics.terms_processed[i] >= 1 for i in range(4))
-    assert sum(metrics.terms_processed.values()) == len(e)
+    assert all(metrics.workers[i].processed >= 1 for i in range(4))
+    assert sum(w.processed for w in metrics.workers.values()) == len(e)
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
@@ -153,7 +153,7 @@ def test_grid_matches_sequential(backend, master_computes):
                                 master_computes=master_computes)
                 result, metrics, stats = _run_module(e, m, NSYM, cfg)
                 assert result == expected
-                assert sum(metrics.terms_processed.values()) == len(e)
+                assert sum(w.processed for w in metrics.workers.values()) == len(e)
 
 
 def test_empty_expression_parallel():
@@ -473,7 +473,7 @@ def test_run_program_two_module_composition():
         # every slave's record arrived with its last run of each module
         for m in result.module_metrics:
             assert set(m.workers) == {0, 1}
-            assert sum(m.terms_processed.values()) == m.terms_in
+            assert sum(w.processed for w in m.workers.values()) == m.terms_in
 
 
 def test_program_without_locals_keeps_zero_records():

@@ -17,8 +17,8 @@ from parterm.rewrite import apply_module_to_chunk
 from parterm.terms import (EXP_MASK, ExponentOverflowError, field_max, field_shift, guard_mask,
                           pow_expression, sorted_terms)
 from parterm.transport import deserialize_terms, serialize_terms
-from parterm.workloads import generate_workload
 
+from generators import expand
 from oracles import flat
 
 pytestmark = pytest.mark.perf
@@ -27,7 +27,7 @@ pytestmark = pytest.mark.perf
 def test_master_is_almost_idle_without_participation():
     # On a compute-heavy module the non-participating master should spend
     # under 5% of the wall time on anything besides dispatch and the merge.
-    program = parse_program(generate_workload("expand", 14, 0))
+    program = parse_program(expand(14, 0))
     res = run_program(program, RunConfig(nslaves=2, chunk_size=200, backend="sm"))
     metrics = res.module_metrics[1]  # the substitution module
     other = metrics.master_busy - metrics.t_distribute - metrics.t_final_merge

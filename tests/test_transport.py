@@ -274,7 +274,7 @@ def test_loopback_fidelity(backend):
     master.send(1, sent)
     got = slave.recv()
     assert got == sent
-    slave.reply(Message(MessageKind.RUN_RETURN, payload=payload))
+    slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=payload)))
     frm, echoed = master.recv_any()
     assert frm == 1
     assert echoed.payload == payload
@@ -287,12 +287,12 @@ def test_failed_detail_travels_beside_the_payload(backend):
     record = object()  # opaque to the transport, like the engine's WorkerMetrics
     last_run = Message(MessageKind.RUN_RETURN, payload=(3, 0), metrics=record)
     slave = master.slave(1)
-    slave.reply(failed)
+    slave.reply(slave.encode(failed))
     assert master.recv_any() == (1, failed)
     # the detail is not part of the wire payload: an empty run's 9 bytes,
     # "(", a zero u32 count and the CRC
     assert master.stats().serialized_bytes == (9 if backend == "mp" else 0)
-    slave.reply(last_run)
+    slave.reply(slave.encode(last_run))
     frm, got = master.recv_any()
     assert frm == 1 and got == last_run and got.metrics is record
     # nor are the metrics: only the one-term run's bytes come on top
@@ -344,8 +344,8 @@ def test_sm_accounting_counts_handles_not_bytes():
 def test_reply_counts_once_the_master_takes_it(backend):
     master = MasterEndpoint(backend, 2, NSYM)
     factors = ((5, ((0, 2),)),)  # one term: 33 bytes on the wire
-    master.slave(1).reply(
-        Message(MessageKind.RUN_RETURN, payload=pack_flat(factors, NSYM)))
+    slave = master.slave(1)
+    slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=pack_flat(factors, NSYM))))
     assert master.stats() == TransportStats()  # the slave counts nothing
     master.recv_any()
     assert master.stats() == (TransportStats(0, 1, 33, 0) if backend == "mp"
@@ -361,10 +361,11 @@ def test_accounting_sums_both_directions():
         payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
         expected += len(hand_wire_bytes(payload, NSYM))
         master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_flat(payload, NSYM)))
-        got = slaves[i % 2].recv()
+        slave = slaves[i % 2]
+        got = slave.recv()
         reply = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
         expected += len(hand_wire_bytes(reply, NSYM))
-        slaves[i % 2].reply(Message(MessageKind.RUN_RETURN, payload=pack_flat(reply, NSYM)))
+        slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=pack_flat(reply, NSYM))))
         master.recv_any()
     assert master.stats().serialized_bytes == expected
     assert master.stats().messages == 12
@@ -387,7 +388,7 @@ def test_channel_closed_after_shutdown(backend):
     with pytest.raises(ChannelClosedError):
         slave.recv()
     with pytest.raises(ChannelClosedError):
-        slave.reply(Message(MessageKind.RUN_RETURN))
+        slave.reply(slave.encode(Message(MessageKind.RUN_RETURN)))
 
 
 def test_star_topology_has_no_slave_to_slave_api():
@@ -399,7 +400,7 @@ def test_star_topology_has_no_slave_to_slave_api():
     assert not hasattr(slave, "recv_any")
     import inspect
     params = list(inspect.signature(slave.reply).parameters)
-    assert params == ["msg"]
+    assert params == ["record"]
     # The master addresses slaves by id only; -1 (the computing master's
     # metrics key) and nslaves are no slave, not the last or the first one.
     for bad in (-1, 2):
@@ -432,7 +433,8 @@ def test_bounded_mailbox_blocks_sender():
 def test_recv_any_nonblocking():
     master = MasterEndpoint("sm", 1, NSYM)
     assert master.recv_any(block=False) is None
-    master.slave(0).reply(Message(MessageKind.RUN_RETURN))
+    slave = master.slave(0)
+    slave.reply(slave.encode(Message(MessageKind.RUN_RETURN)))
     assert master.recv_any(block=False) == (0, Message(MessageKind.RUN_RETURN))
 
 
