@@ -25,12 +25,11 @@ SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
 After the last module the master sends ``Shutdown`` to each worker once;
 nothing travels on a channel after its Shutdown.
 
-Inside a run every expression is one flat tuple ``(c0, m0, c1, m1, ...)``
-(:data:`parterm.terms.Flat`): :func:`run_program` flattens each initial
-expression once and turns each result back into an expression of pairs
-once.  A chunk of terms ``start:stop`` is the slice ``2*start:2*stop``; the
-runs, the merged result and every message payload are flat tuples too, so
-no stage builds a tuple per term.  Term counts (``Chunk`` ranges,
+Every expression is one flat tuple ``(c0, m0, c1, m1, ...)`` (see
+:mod:`parterm.terms`), from the program's initial expressions to the run's
+results.  A chunk of terms ``start:stop`` is the slice ``2*start:2*stop``;
+the runs, the merged result and every message payload are flat tuples too,
+so no stage builds a tuple per term.  Term counts (``Chunk`` ranges,
 ``processed``, ``terms_in``/``terms_out``) count terms, half the elements.
 
 A worker that raises
@@ -57,7 +56,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import rewrite, sortmerge, terms
 from .parser import Module, Program
-from .terms import Expression, Flat
+from .terms import Expression
 from .transport import BACKENDS, MasterEndpoint, Message, MessageKind, TransportStats
 
 MASTER_WORKER_ID = -1
@@ -165,8 +164,8 @@ class ProgramRunResult:
     stats: TransportStats
 
 
-def partition_chunks(exprs: Sequence[Flat], chunk_size: int) -> list[Chunk]:
-    """Split every flat expression into contiguous nonempty term ranges,
+def partition_chunks(exprs: Sequence[Expression], chunk_size: int) -> list[Chunk]:
+    """Split every expression into contiguous nonempty term ranges,
     expression by expression; each expression's ranges, in order, cover its
     terms exactly."""
     return [Chunk(expr, i, min(i + chunk_size, len(e) // 2))
@@ -174,7 +173,7 @@ def partition_chunks(exprs: Sequence[Flat], chunk_size: int) -> list[Chunk]:
             for i in range(0, len(e) // 2, chunk_size)]
 
 
-def _rewrite_chunk(chunk: Flat, m: Module, nsymbols: int,
+def _rewrite_chunk(chunk: Expression, m: Module, nsymbols: int,
                    acc: terms.Accumulator, metrics: WorkerMetrics) -> None:
     t0 = perf_counter_ns()
     generated = rewrite.apply_module_to_chunk(chunk, m, nsymbols, acc)
@@ -183,7 +182,7 @@ def _rewrite_chunk(chunk: Flat, m: Module, nsymbols: int,
     metrics.processed += len(chunk) // 2
 
 
-def _sort_runs(accs: list[terms.Accumulator], metrics: WorkerMetrics) -> list[Flat]:
+def _sort_runs(accs: list[terms.Accumulator], metrics: WorkerMetrics) -> list[Expression]:
     """Sort the distinct monomials of each expression's accumulator once: the runs.
 
     Empties each accumulator, so its terms are freed before the runs travel.
@@ -288,11 +287,11 @@ class _Session:
             th.join()
 
 
-def execute_parallel(session: _Session, k: int, exprs: Sequence[Flat]
-                     ) -> tuple[list[Flat], PhaseMetrics]:
-    """Run module ``k`` over every flat local expression in one dispatch pass.
+def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
+                     ) -> tuple[list[Expression], PhaseMetrics]:
+    """Run module ``k`` over every local expression in one dispatch pass.
 
-    Returns the new flat expressions, in the order of ``exprs``, and the module's
+    Returns the new expressions, in the order of ``exprs``, and the module's
     metrics, each slave's record as its last run delivered it.  The result is
     the same for every configuration; only metrics and transport stats vary.
     """
@@ -306,7 +305,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Flat]
     t_start = perf_counter_ns()
     t_distribute = 0
 
-    def chunk_terms(c: Chunk) -> Flat:
+    def chunk_terms(c: Chunk) -> Expression:
         # Sliced only when sent or computed, so only outstanding chunks are copies.
         return exprs[c.expr][2 * c.start:2 * c.stop]
 
@@ -345,7 +344,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Flat]
     for w in range(cfg.nslaves):
         session.master.send(w, Message(MessageKind.SORT))
     t_distribute += perf_counter_ns() - t0
-    runs: list[list[Flat]] = [[] for _ in exprs]
+    runs: list[list[Expression]] = [[] for _ in exprs]
     if mine is not None:
         for expr, run in enumerate(_sort_runs(master_accs, mine)):
             runs[expr].append(run)
@@ -375,7 +374,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Flat]
 def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     """Execute every module in order over every local expression."""
     names = [name for name, _ in program.initial]
-    exprs = [terms.flatten(e) for _, e in program.initial]
+    exprs = [e for _, e in program.initial]
     module_metrics: list[PhaseMetrics] = []
     marks: list[TransportStats] = []
     session = _Session(program, cfg)
@@ -391,5 +390,5 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     if marks:
         marks[-1] = stats  # the Shutdowns count towards the last module
     module_stats = [b - a for a, b in zip([TransportStats()] + marks, marks)]
-    return ProgramRunResult(dict(zip(names, map(terms.pairs, exprs))),
+    return ProgramRunResult(dict(zip(names, exprs)),
                             module_metrics, module_stats, stats)

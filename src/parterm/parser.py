@@ -14,10 +14,16 @@ Operator precedence is ``^`` above unary minus above ``*`` above binary
 ``+``/``-``; exponents must be positive integer literals.  A ``*`` in the
 first column starts a comment that runs to end of line.
 
-Expressions are built directly as packed terms (:mod:`parterm.terms`).  A
-``symbols`` statement after a ``local`` adds fields at the low end of the
-layout, so once the declarations end each local moves up by one field per
-symbol declared after it.
+Expressions, and the statements' factors, are built directly as flat
+expressions of packed terms (:mod:`parterm.terms`).  A ``symbols`` statement
+after a ``local`` adds fields at the low end of the layout, so once the
+declarations end each local moves up by one field per symbol declared after
+it.
+
+Integer literals and printed coefficients may have any number of digits:
+past ``sys.get_int_max_str_digits()``, where ``int`` and ``str`` stop,
+they convert through :class:`decimal.Decimal`, which is exact and has no
+such limit.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import terms
-from .terms import Expression, SymbolTable
+from .terms import Expression, SymbolTable, iter_terms
 
 KEYWORDS = frozenset({"symbols", "local", "id", "multiply"})
 
@@ -78,6 +84,16 @@ class _Token:
     col: int
 
 
+def _unlimited(convert, value):
+    """``convert(value)`` for ``int`` of a literal or ``str`` of a coefficient,
+    through ``Decimal`` past their digit limit; only then is decimal imported."""
+    try:
+        return convert(value)
+    except ValueError:
+        from decimal import Decimal
+        return convert(Decimal(value))
+
+
 def _show(tok: _Token) -> str:
     return repr(tok.text) if tok.text else "end of input"
 
@@ -122,9 +138,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -280,7 +296,7 @@ class _Parser:
             if tok.kind != "INT":
                 raise ParseError("exponent must be an integer literal", tok.line, tok.col)
             self.advance()
-            n = int(tok.text)
+            n = _unlimited(int, tok.text)
             if n <= 0:
                 raise ParseError(f"exponent must be positive, got {n}", tok.line, tok.col)
             try:
@@ -298,7 +314,7 @@ class _Parser:
             return terms.symbol(self.symbol_id(tok), len(self.symtab))
         if tok.kind == "INT":
             self.advance()
-            return terms.constant(int(tok.text))
+            return terms.constant(_unlimited(int, tok.text))
         if tok.kind == "(":
             self.advance()
             value = self.expr()
@@ -321,16 +337,16 @@ def format_expression(e: Expression, symtab: SymbolTable) -> str:
         return "0"
     nsymbols = len(symtab)
     parts: list[str] = []
-    for i, (coeff, mono) in enumerate(e):
+    for i, (coeff, mono) in enumerate(iter_terms(e)):
         sign = "-" if coeff < 0 else ("+" if i else "")
         mag = abs(coeff)
         factors = [f"{symtab.name_of(sid)}^{exp}" if exp > 1 else symtab.name_of(sid)
                    for sid, exp in terms.unpack(mono, nsymbols)]
         if not factors:
-            body = str(mag)
+            body = _unlimited(str, mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_unlimited(str, mag)] + factors)
         parts.append(sign + body)
     return "".join(parts)

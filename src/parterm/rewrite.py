@@ -8,11 +8,11 @@ they are generated and a sort boundary only has to order the distinct
 monomials (see :func:`parterm.terms.sorted_flat`).  An accumulator may hold
 zero sums until then.
 
-A chunk is a flat term batch ``(c0, m0, c1, m1, ...)`` (see
-:mod:`parterm.terms`), and so is every intermediate result: the rewriter
-reads the terms two at a time and builds no tuple per term.  Only the
-statements' factors and the powers of an ``rhs`` are expressions of pairs,
-as the parser made them.
+A chunk, every intermediate result, a statement's factor and each power of
+an ``rhs`` are flat term batches ``(c0, m0, c1, m1, ...)`` (see
+:mod:`parterm.terms`): the rewriter reads the terms two at a time and builds
+no tuple per term.  Every product count below counts terms, half a batch's
+length.
 
 On packed monomials (see :mod:`parterm.terms`) ``id x = rhs`` reads the
 exponent ``n`` of ``x`` with one shift and mask, subtracts that field and
@@ -41,11 +41,11 @@ computed twice.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import terms
 from .parser import IdSubst, Module, Multiply
-from .terms import Accumulator, Expression, Monomial, Term
+from .terms import Accumulator, Expression, Monomial, Term, iter_terms
 
 Batch = Sequence[int]   # a flat (c0, m0, c1, m1, ...) tuple or list
 
@@ -64,13 +64,6 @@ def _rhs_power(rhs: Expression, n: int) -> tuple[Expression, Monomial]:
     return power, n * terms.field_max(rhs)
 
 
-def _terms(batch: Batch) -> Iterator[Term]:
-    """The ``(coeff, mono)`` terms of a flat batch, one at a time; ``zip``
-    hands back the same tuple while its last one is unpacked and dropped."""
-    it = iter(batch)
-    return zip(it, it)
-
-
 def _check(current: Batch, bound: Monomial, nsymbols: int) -> None:
     """Raise unless every term of ``current`` times ``bound`` fits its fields."""
     guard = terms.guard_mask(nsymbols)
@@ -85,7 +78,7 @@ def _degrees(current: Batch, s: IdSubst, nsymbols: int) -> dict[int, list[int]]:
     ``rhs^n``."""
     shift = terms.field_shift(s.target, nsymbols)
     parts: dict[int, list[int]] = {}
-    for coeff, mono in _terms(current):
+    for coeff, mono in iter_terms(current):
         n = (mono >> shift) & terms.EXP_MASK
         parts.setdefault(n, []).extend((coeff, mono - (n << shift)))
     for n, part in parts.items():
@@ -96,7 +89,7 @@ def _degrees(current: Batch, s: IdSubst, nsymbols: int) -> dict[int, list[int]]:
 def _times(h: Accumulator, power: Expression, out: Accumulator) -> None:
     """Add ``h * power`` into ``out``, one pass over ``h`` per term of ``power``."""
     get = out.get
-    for c, m in power:
+    for c, m in iter_terms(power):
         for mono, coeff in h.items():
             mono += m
             out[mono] = get(mono, 0) + coeff * c
@@ -107,7 +100,7 @@ def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> 
     ``acc``; returns the direct expansion's count ``sum |P_n| * |rhs^n|``."""
     rhs = s.rhs
     parts = _degrees(current, s, nsymbols)
-    direct = sum(len(part) // 2 * len(_rhs_power(rhs, n)[0]) for n, part in parts.items())
+    direct = sum(len(part) * len(_rhs_power(rhs, n)[0]) // 4 for n, part in parts.items())
     # made: products so far; left: the direct count of the degrees not yet
     # in h; total = made + |h| * |rhs^e| + left, the chunk's products if h
     # takes no further step.  Steps stop for the chunk once one raises
@@ -121,23 +114,23 @@ def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> 
         power = _rhs_power(rhs, n)[0]
         if h and paying:
             step = _rhs_power(rhs, e - n)[0]
-            cost = len(h) * len(step)
-            paying = made + cost * (1 + len(power)) + left <= 2 * direct
+            cost = len(h) * len(step) // 2
+            paying = made + cost * (1 + len(power) // 2) + left <= 2 * direct
             if paying:
                 made += cost
                 h, stepped = {}, h
                 _times(stepped, step, h)
         if h and not paying:
             held = _rhs_power(rhs, e)[0]
-            made += len(h) * len(held)
+            made += len(h) * len(held) // 2
             _times(h, held, acc)
             h = {}
-        left -= len(part) // 2 * len(power)
+        left -= len(part) * len(power) // 4
         get = h.get
-        for coeff, mono in _terms(part):
+        for coeff, mono in iter_terms(part):
             h[mono] = get(mono, 0) + coeff
         e = n
-        now = made + len(h) * len(power) + left
+        now = made + len(h) * len(power) // 2 + left
         paying, total = paying and now <= total, now
     _times(h, _rhs_power(rhs, e)[0], acc)
     return direct
@@ -147,8 +140,8 @@ def _products(current: Batch, factor: Expression) -> list[int]:
     """The flat batch ``current * factor``, uncombined: one pass over
     ``current`` per term of ``factor``."""
     out: list[int] = []
-    for c, mm in factor:
-        for coeff, mono in _terms(current):
+    for c, mm in iter_terms(factor):
+        for coeff, mono in iter_terms(current):
             out += coeff * c, mono + mm
     return out
 
@@ -178,12 +171,8 @@ def apply_module_to_chunk(chunk: Batch, m: Module, nsymbols: int, acc: Accumulat
     else:
         factor = statements[-1].factor
         _check(current, _field_max(factor), nsymbols)
-    get = acc.get
-    for c, mm in factor:
-        for coeff, mono in _terms(current):
-            mono += mm
-            acc[mono] = get(mono, 0) + coeff * c
-    return len(current) // 2 * len(factor)
+    terms.add_product(acc, current, factor)
+    return len(current) * len(factor) // 4
 
 
 def apply_module_to_term(t: Term, m: Module, nsymbols: int) -> list[Term]:

@@ -2,8 +2,8 @@
 
 A run is a worker's locally sorted, like-term-combined output stream: the
 ``terms.sorted_flat`` of its accumulator, a flat ``(c0, m0, c1, m1, ...)``
-tuple like every term batch inside a run of the engine.  The final merge
-merges the runs two at a time, in rounds, as a balanced tree: each two-way
+expression like every term batch in the engine.  The final merge merges
+the runs two at a time, in rounds, as a balanced tree: each two-way
 merge is one pass that takes the terms of both runs in order, sums equal
 monomials and drops zero sums.  It reads the flat runs as they are, so the
 master builds no tuple per term, and it never sorts from scratch: its
@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import terms
-from .terms import Flat
+from .terms import Expression, iter_terms
 
 
 # Merging k runs holding N terms in total performs fewer than
@@ -44,8 +44,7 @@ def _merge_two(a: Sequence[int], b: Sequence[int]) -> list[int]:
     append = out.append
     rest = chain(a, _END)
     ca, ma = next(rest), next(rest)
-    it = iter(b)
-    for cb, mb in zip(it, it):
+    for cb, mb in iter_terms(b):
         while ma > mb:
             append(ca)
             append(ma)
@@ -67,7 +66,7 @@ def _merge_two(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def merge_runs(runs: Sequence[Flat]) -> Flat:
+def merge_runs(runs: Sequence[Expression]) -> Expression:
     """Merge k sorted flat runs into one: two-way merges in rounds.
 
     Equal monomials across runs are summed; zero sums are dropped.

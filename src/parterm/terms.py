@@ -23,39 +23,33 @@ The packing makes the two hot operations single int operations:
   power of the first declared symbol comes first.  On packed monomials that
   order is descending int order.
 
-A term is ``(coeff, monomial)`` with an arbitrary-precision int coefficient,
-and an expression is a tuple of terms in descending monomial order, with like
-terms combined and zero coefficients removed.  Plain tuples keep structural
-equality a single ``==``.  The parser, the arithmetic here and a run's
-results hold expressions of pairs.
-
-Inside a run the engine holds the same terms as one flat tuple
-``(c0, m0, c1, m1, ...)`` (:data:`Flat`): chunks are slices of it, and
-runs and message payloads take the same form, so no tuple is made per term.
-:func:`flatten` and :func:`pairs` convert between the two, once at each end
-of a run, and :func:`sorted_flat` is the sort boundary's flat form of
-:func:`sorted_terms`.
+A term is a coefficient, an arbitrary-precision int, and a monomial.  An
+expression is one flat tuple ``(c0, m0, c1, m1, ...)`` of its terms in
+descending monomial order, with like terms combined and zero coefficients
+removed.  The parser, the arithmetic here, the engine's chunks, runs and
+message payloads, and a run's results all hold this one form, so no stage
+builds a tuple per term and structural equality is a single ``==``.
+:func:`iter_terms` is how code walks the terms one at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, compress
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 Factor = tuple[int, int]            # (symbol_id, exponent >= 1)
 Monomial = int                      # packed exponent vector, see module docstring
 Term = tuple[int, Monomial]         # (coefficient, monomial)
-Expression = tuple[Term, ...]       # descending monomials, combined, no zeros
+Expression = tuple[int, ...]        # c0, m0, c1, m1, ...: descending, combined, no zeros
 Accumulator = dict[Monomial, int]   # monomial -> coefficient sum, unsorted
-Flat = tuple[int, ...]              # the same terms as c0, m0, c1, m1, ...
 
 FIELD_BITS = 33                     # 32 value bits + 1 guard bit per symbol
 EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
 
 UNIT: Monomial = 0
-ONE: Expression = ((1, UNIT),)
+ONE: Expression = (1, UNIT)
 ZERO: Expression = ()
 
 
@@ -132,13 +126,20 @@ def unpack(mono: Monomial, nsymbols: int) -> tuple[Factor, ...]:
     return tuple(out)
 
 
+def iter_terms(batch: Iterable[int]) -> Iterator[Term]:
+    """The ``(coeff, mono)`` terms of a flat batch, one at a time; ``zip``
+    hands back the same tuple while its last one is unpacked and dropped."""
+    it = iter(batch)
+    return zip(it, it)
+
+
 def field_max(e: Expression) -> Monomial:
     """The field-wise maximum of ``e``'s monomials, itself a monomial.
 
     ``m + field_max(e)`` has a guard bit set exactly when ``m + mi`` does for
     some monomial ``mi`` of ``e``, so one check covers a whole distribution.
     """
-    rest = [m for _, m in e]
+    rest = e[1::2]
     out = 0
     shift = 0
     while any(rest):
@@ -151,61 +152,37 @@ def field_max(e: Expression) -> Monomial:
 def extend_layout(e: Expression, added: int) -> Expression:
     """``e`` after ``added`` more symbols are declared: they take the low
     fields, so every monomial moves up by ``added`` fields."""
-    shift = FIELD_BITS * added
-    return tuple((c, m << shift) for c, m in e)
+    out = list(e)
+    out[1::2] = [m << (FIELD_BITS * added) for m in e[1::2]]
+    return tuple(out)
 
 
-def flatten(e: Expression) -> Flat:
-    """The terms of ``e`` as one flat tuple ``(c0, m0, c1, m1, ...)``."""
-    return tuple(chain.from_iterable(e))
+def sorted_flat(acc: Accumulator) -> Expression:
+    """Combined coefficients by monomial -> canonical expression.
 
-
-def pairs(flat: Flat) -> Expression:
-    """The ``(coeff, monomial)`` pairs of a flat tuple: the inverse of :func:`flatten`."""
-    it = iter(flat)
-    return tuple(zip(it, it))
-
-
-def _sorted_columns(acc: Accumulator) -> tuple[list[int], list[Monomial]]:
-    """The nonzero coefficients of ``acc`` and their monomials, in canonical
-    order: only the distinct monomials are sorted, and no tuple is made per
-    term."""
+    Drops zero sums and sorts only the distinct monomials, with no tuple made
+    per term.  :func:`normalize` is the same step for a raw batch, and the
+    engine's sort boundary makes a run of each accumulator the rewriter filled.
+    """
     ms = sorted(acc, reverse=True)
     cs = list(map(acc.__getitem__, ms))
     if 0 in cs:
         ms = list(compress(ms, cs))
         cs = list(compress(cs, cs))
-    return cs, ms
-
-
-def sorted_terms(acc: Accumulator) -> Expression:
-    """Combined coefficients by monomial -> canonical expression.
-
-    Drops zero sums and sorts only the distinct monomials.
-    :func:`normalize` is the same step for a raw term list, and
-    :func:`sorted_flat` for the engine's sort boundary.
-    """
-    cs, ms = _sorted_columns(acc)
-    return tuple(zip(cs, ms))
-
-
-def sorted_flat(acc: Accumulator) -> Flat:
-    """:func:`sorted_terms` as a flat tuple: the run a sort boundary makes of
-    an accumulator the rewriter filled (see :mod:`parterm.rewrite`)."""
-    cs, ms = _sorted_columns(acc)
     out = cs + ms
     out[::2] = cs
     out[1::2] = ms
     return tuple(out)
 
 
-def normalize(raw: Iterable[Term]) -> Expression:
-    """Combine like terms, drop zero sums, and sort the distinct monomials once."""
+def normalize(raw: Iterable[int]) -> Expression:
+    """Combine the like terms of a flat batch, drop zero sums, and sort the
+    distinct monomials once."""
     acc: Accumulator = {}
     get = acc.get
-    for coeff, mono in raw:
+    for coeff, mono in iter_terms(raw):
         acc[mono] = get(mono, 0) + coeff
-    return sorted_terms(acc)
+    return sorted_flat(acc)
 
 
 def add_expressions(a: Expression, b: Expression) -> Expression:
@@ -214,7 +191,19 @@ def add_expressions(a: Expression, b: Expression) -> Expression:
 
 
 def negate_expression(a: Expression) -> Expression:
-    return tuple((-c, m) for c, m in a)
+    out = list(a)
+    out[::2] = [-c for c in a[::2]]
+    return tuple(out)
+
+
+def add_product(acc: Accumulator, batch: Sequence[int], factor: Expression) -> None:
+    """Add ``batch * factor`` into ``acc``, one pass over the flat ``batch``
+    per term of ``factor``.  The caller has checked the guard bits."""
+    get = acc.get
+    for c, mm in iter_terms(factor):
+        for coeff, mono in iter_terms(batch):
+            mono += mm
+            acc[mono] = get(mono, 0) + coeff * c
 
 
 def multiply_expressions(a: Expression, b: Expression) -> Expression:
@@ -229,18 +218,14 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
     if len(a) < len(b):
         a, b = b, a
     # Guard bits for every field up to the largest product's top field.
-    guard = guard_mask(-(-(a[0][1] + b[0][1]).bit_length() // FIELD_BITS))
+    guard = guard_mask(-(-(a[1] + b[1]).bit_length() // FIELD_BITS))
     bound = field_max(b)
-    for _, ma in a:
+    for ma in a[1::2]:
         if (ma + bound) & guard:
             raise ExponentOverflowError()
-    acc: dict[Monomial, int] = {}
-    get = acc.get
-    for cb, mb in b:
-        for ca, ma in a:
-            ma += mb
-            acc[ma] = get(ma, 0) + ca * cb
-    return sorted_terms(acc)
+    acc: Accumulator = {}
+    add_product(acc, a, b)
+    return sorted_flat(acc)
 
 
 def pow_expression(a: Expression, n: int) -> Expression:
@@ -274,10 +259,10 @@ def pow_expression(a: Expression, n: int) -> Expression:
             raise ExponentOverflowError()
         outputs *= e + 1
         rest >>= FIELD_BITS
-    k = len(a)
+    k = len(a) // 2
     if k == 1:
-        (coeff, mono), = a
-        return ((coeff ** n, mono * n),)
+        coeff, mono = a
+        return (coeff ** n, mono * n)
     if math.comb(n + k - 1, k - 1) > k * n * outputs:
         result = ONE
         for _ in range(n):
@@ -285,7 +270,7 @@ def pow_expression(a: Expression, n: int) -> Expression:
         return result
     # Per term: c**i and i*m for i = 0..n.  The fields cannot carry, as above.
     coeff_pows, mono_pows = [], []
-    for c, m in a:
+    for c, m in iter_terms(a):
         row = [1]
         for _ in range(n):
             row.append(row[-1] * c)
@@ -312,15 +297,15 @@ def pow_expression(a: Expression, n: int) -> Expression:
             mm = m + m1[i] + m2[r - i]
             acc[mm] = get(mm, 0) + c * c1[i] * c2[r - i]
             c = c * (r - i) // (i + 1)
-    return sorted_terms(acc)
+    return sorted_flat(acc)
 
 
 def constant(c: int) -> Expression:
-    return ((c, UNIT),) if c else ZERO
+    return (c, UNIT) if c else ZERO
 
 
 def symbol(sid: int, nsymbols: int) -> Expression:
     """The expression ``1 * symbol`` for symbol ``sid`` of ``nsymbols``."""
     if not 0 <= sid < nsymbols:
         raise InvariantError(f"symbol id {sid} out of range for nsymbols {nsymbols}")
-    return ((1, 1 << field_shift(sid, nsymbols)),)
+    return (1, 1 << field_shift(sid, nsymbols))

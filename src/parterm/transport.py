@@ -35,9 +35,10 @@ Every message starts or ends at the master, so only the master counts: a
 send is counted when the master sends it, a reply when the master takes it
 from its inbox.
 
-A payload is the engine's flat term batch ``(c0, m0, c1, m1, ...)`` (see
-:mod:`parterm.terms`): ``sm`` hands over that very tuple, and ``mp``'s wire
-carries it as it is, so neither codec builds or takes apart a term.
+A payload is a flat term batch ``(c0, m0, c1, m1, ...)``, the one form of
+an expression (see :mod:`parterm.terms`): ``sm`` hands over that very tuple,
+and ``mp``'s wire carries it as it is, so neither codec builds or takes apart
+a term.
 
 Wire format: the payload tuple crosses as ``marshal.dumps(payload, 2)`` and
 the CRC-32 of those bytes, a little-endian u32: one C call encodes it and
@@ -79,7 +80,7 @@ from operator import countOf, or_
 from time import perf_counter_ns
 from typing import Optional
 
-from .terms import FIELD_BITS, Flat, guard_mask
+from .terms import FIELD_BITS, Expression, guard_mask
 
 MAILBOX_BOUND = 16
 
@@ -116,7 +117,7 @@ class Message:
     ``metrics`` the per-module record a module's last ``RUN_RETURN`` carries."""
 
     kind: MessageKind
-    payload: Flat = ()
+    payload: Expression = ()
     expr: int = 0
     detail: str = ""
     metrics: object = None
@@ -182,7 +183,7 @@ def _unreadable(body: bytes, exc: Exception) -> WireError:
     return WireError(f"unreadable element: {exc}", f.tell() - 1)
 
 
-def serialize_terms(flat: Flat, nsymbols: int) -> bytes:
+def serialize_terms(flat: Expression, nsymbols: int) -> bytes:
     """Encode the flat term batch ``flat``; a monomial that is not valid for
     ``nsymbols`` symbols raises :class:`WireError` naming the offset it would
     have had."""
@@ -192,7 +193,7 @@ def serialize_terms(flat: Flat, nsymbols: int) -> bytes:
     return body + zlib.crc32(body).to_bytes(_CRC, "little")
 
 
-def deserialize_terms(data: bytes, nsymbols: int) -> Flat:
+def deserialize_terms(data: bytes, nsymbols: int) -> Expression:
     """Check and decode ``data``, in the order the module docstring gives,
     into the flat term batch it carries."""
     n = len(data) - _CRC

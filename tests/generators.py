@@ -35,11 +35,11 @@ def _rng(kind: str, scale: int, seed: int) -> random.Random:
 def _random_expression(rng: random.Random, nsymbols: int, max_terms: int,
                        max_exp: int) -> Expression:
     while True:
-        raw: list[terms.Term] = []
+        raw: list[int] = []
         for _ in range(rng.randint(2, max_terms)):
             mono = sum(rng.randint(1, max_exp) << terms.field_shift(sid, nsymbols)
                        for sid in range(nsymbols) if rng.random() < 0.5)
-            raw.append((rng.choice(_NONZERO), mono))
+            raw += rng.choice(_NONZERO), mono
         e = terms.normalize(raw)
         if e:
             return e

@@ -2,10 +2,13 @@
 
 The oracles work on *factor tuples*: a monomial is a tuple of
 ``(symbol_id, exponent)`` pairs by increasing symbol id, every exponent >= 1,
-and the empty tuple is the unit.  Production code packs monomials into ints;
-the oracles reach production values only through the boundary pair
-:func:`pack` / :func:`unpack` (and their term-level wrappers), which encode
-the documented layout by hand, so nothing else here depends on the packing.
+the empty tuple is the unit, and an expression is a tuple of
+``(coeff, monomial)`` pairs.  Production code packs monomials into ints and
+holds an expression as one flat tuple ``(c0, m0, c1, m1, ...)``; the oracles
+reach production values only through the boundary pair :func:`pack` /
+:func:`unpack` and their expression-level wrappers :func:`pack_terms` /
+:func:`unpack_terms`, which encode the documented layout by hand, so nothing
+else here depends on the packing or the flat form.
 
 Everything here deliberately avoids the production code paths it verifies:
 normalization sorts with a three-way comparison of dense exponent vectors
@@ -55,16 +58,17 @@ def unpack(mono: int, nsymbols: int) -> Factors:
 
 
 def pack_terms(ts, nsymbols: int) -> tuple:
-    return tuple((c, pack(m, nsymbols)) for c, m in ts)
-
-
-def flat(ts) -> tuple:
-    """``(coeff, monomial)`` pairs -> the engine's flat batch ``(c0, m0, c1, m1, ...)``."""
+    """Oracle terms -> a production flat batch ``(c0, m0, c1, m1, ...)``."""
     out = []
     for c, m in ts:
         out.append(c)
-        out.append(m)
+        out.append(pack(m, nsymbols))
     return tuple(out)
+
+
+def flat(ts) -> tuple:
+    """``(coeff, monomial)`` pairs -> a flat batch ``(c0, m0, c1, m1, ...)``."""
+    return tuple(x for t in ts for x in t)
 
 
 def unflat(e) -> tuple:
@@ -72,13 +76,9 @@ def unflat(e) -> tuple:
     return tuple(zip(e[::2], e[1::2]))
 
 
-def pack_flat(ts, nsymbols: int) -> tuple:
-    """Oracle terms -> a production flat batch."""
-    return flat(pack_terms(ts, nsymbols))
-
-
-def unpack_terms(ts, nsymbols: int) -> tuple:
-    return tuple((c, unpack(m, nsymbols)) for c, m in ts)
+def unpack_terms(e, nsymbols: int) -> tuple:
+    """A production flat batch -> its oracle terms."""
+    return tuple((c, unpack(m, nsymbols)) for c, m in unflat(e))
 
 
 def oracle_cmp(a: Factors, b: Factors, nsymbols: int) -> int:
@@ -118,7 +118,7 @@ class ComparisonCount:
 
     def wrap(self, runs):
         """Flat runs ``(c0, m0, ...)`` with every monomial wrapped."""
-        return [flat((c, CountedMonomial(m, self)) for c, m in unflat(run)) for run in runs]
+        return [_map_monomials(run, lambda m: CountedMonomial(m, self)) for run in runs]
 
 
 class CountedMonomial:
@@ -146,9 +146,15 @@ def _plain(mono) -> int:
     return mono.mono if isinstance(mono, CountedMonomial) else mono
 
 
+def _map_monomials(e, fn) -> tuple:
+    out = list(e)
+    out[1::2] = [fn(m) for m in e[1::2]]
+    return tuple(out)
+
+
 def unwrap(e) -> tuple:
-    """A flat batch over :class:`CountedMonomial` -> plain ``(coeff, monomial)`` pairs."""
-    return tuple((c, m.mono) for c, m in unflat(e))
+    """A flat batch over :class:`CountedMonomial` -> the same batch over plain monomials."""
+    return _map_monomials(e, lambda m: m.mono)
 
 
 def is_canonical(e, nsymbols: int) -> bool:
@@ -182,10 +188,11 @@ def brute_power(a: FExpression, n: int, nsymbols: int) -> FExpression:
 
 
 def algebra_apply_module(e: terms.Expression, m: Module, nsymbols: int) -> terms.Expression:
-    """Apply a module to a whole (production) expression with expression-level
-    algebra on factor tuples: :func:`brute_multiply` for ``multiply``, and for
-    ``id x = rhs`` each term without ``x`` times the :func:`brute_power` of
-    ``rhs`` to its x-degree, the contributions summed in a dict."""
+    """Apply a module to a whole (production, flat) expression with
+    expression-level algebra on factor tuples: :func:`brute_multiply` for
+    ``multiply``, and for ``id x = rhs`` each term without ``x`` times the
+    :func:`brute_power` of ``rhs`` to its x-degree, the contributions summed
+    in a dict."""
     fe = unpack_terms(e, nsymbols)
     for s in m.statements:
         if isinstance(s, Multiply):
@@ -272,14 +279,14 @@ def random_terms(rng: random.Random, nsymbols: int, n: int,
 
 
 def random_packed_terms(rng: random.Random, nsymbols: int, n: int,
-                        max_exp: int = 5, max_coeff: int = 9) -> list[terms.Term]:
-    """:func:`random_terms`, packed for production code."""
+                        max_exp: int = 5, max_coeff: int = 9) -> list[int]:
+    """:func:`random_terms`, packed for production code as a flat batch."""
     return list(pack_terms(random_terms(rng, nsymbols, n, max_exp, max_coeff), nsymbols))
 
 
 def random_expression(rng: random.Random, nsymbols: int, n: int,
                       max_exp: int = 5) -> terms.Expression:
-    """A production expression, normalized by the oracle."""
+    """A production (flat) expression, normalized by the oracle."""
     raw = random_terms(rng, nsymbols, n, max_exp)
     return pack_terms(oracle_normalize(raw, nsymbols), nsymbols)
 

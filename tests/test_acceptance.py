@@ -29,7 +29,6 @@ from oracles import (
     ComparisonCount,
     brute_multiply,
     brute_power,
-    flat,
     hand_wire_bytes,
     oracle_normalize,
     oracle_run_program,
@@ -79,7 +78,7 @@ def test_acceptance_2_merge_oracle_and_comparison_bound():
     for _ in range(1000):
         k = rng.randint(1, 8)
         raws = [random_terms(rng, nsym, rng.randint(0, 30)) for _ in range(k)]
-        runs = [flat(normalize(pack_terms(raw, nsym))) for raw in raws]
+        runs = [normalize(pack_terms(raw, nsym)) for raw in raws]
         counted = ComparisonCount()
         merged = unwrap(merge_runs(counted.wrap(runs)))
         assert merged == pack_terms(oracle_normalize([t for raw in raws for t in raw], nsym), nsym)
@@ -256,7 +255,7 @@ def test_acceptance_7_round_trips():
         text = f"symbols x,y,z,w; local F = {format_expression(e, tab)}; .sort .end"
         (_, parsed), = parse_program(text).initial
         assert parsed == e
-        assert deserialize_terms(serialize_terms(flat(e), 4), 4) == flat(e)
+        assert deserialize_terms(serialize_terms(e, 4), 4) == e
     _passed(7, "parser and wire-format round trips")
 
 
@@ -276,5 +275,5 @@ def test_acceptance_8_combinatorial_counts():
     # and through the engine: a bare module normalizes the expansion unchanged
     program = parse_program("symbols x,y,z,w; local F = (x+y+z+w)^2; .sort .end")
     res = run_program(program, RunConfig(nslaves=2, chunk_size=3))
-    assert len(res.expressions["F"]) == 10
+    assert len(res.expressions["F"]) // 2 == 10
     _passed(8, "combinatorial counts")

@@ -160,13 +160,26 @@ def test_cli_verify_reports_grid(capsys):
         oracle_run_program(program)
 
 
+@pytest.mark.parametrize("name,flags,configs", [
+    ("binomial.pt", [], 36),
+    ("chain.pt", [], 36),
+    ("stress.pt", [], 36),
+    # The default grid takes minutes on heavy.pt; one slave count and one
+    # chunk size still cover both backends and both master roles.
+    ("heavy.pt", ["--slaves", "2", "--chunk", "1000"], 4),
+], ids=["binomial", "chain", "stress", "heavy"])
+def test_cli_verify_passes_on_the_shipped_programs(name, flags, configs, capsys):
+    assert cli.main(["verify", os.path.join(PROGRAMS, name), *flags]) == 0
+    assert f"verified {configs} configurations" in capsys.readouterr().out
+
+
 def test_cli_verify_detects_mismatch(capsys, monkeypatch):
     real = cli.run_program
 
     def corrupting(program, cfg):
         result = real(program, cfg)
         if cfg.nslaves:  # corrupt only parallel runs
-            result.expressions = {k: v + ((99, ()),) for k, v in result.expressions.items()}
+            result.expressions = {k: v + (99, 0) for k, v in result.expressions.items()}
         return result
 
     monkeypatch.setattr(cli, "run_program", corrupting)

@@ -60,11 +60,11 @@ def test_sequential_substitution_collapses_to_nine_terms():
     # (x+y+z)^8 with x -> y+z equals (2y+2z)^8: nine terms y^a z^b, a+b=8
     program = _parse("symbols x,y,z; local F = (x+y+z)^8; id x = y+z; .sort .end")
     (_, e), = program.initial
-    assert len(e) == 45
+    assert len(e) // 2 == 45
     got = _run_module(e, program.modules[0], 3, SEQ)[0]
     expected = algebra_apply_module(e, program.modules[0], 3)
     assert got == expected
-    assert len(got) == 9
+    assert len(got) // 2 == 9
     assert got == pow_expression(
         add_expressions(
             terms.multiply_expressions(terms.constant(2), symbol(1, 3)),
@@ -79,27 +79,27 @@ def test_partition_reconstructs_input():
         exprs = [random_expression(rng, NSYM, rng.randint(0, 40))
                  for _ in range(rng.randint(1, 3))]
         size = rng.choice([1, 2, 7, 1000])
-        # The engine partitions flat expressions; the ranges count terms.
-        chunks = partition_chunks([flat(e) for e in exprs], size)
+        # The expressions are flat; the ranges count terms.
+        chunks = partition_chunks(exprs, size)
         assert [c.expr for c in chunks] == sorted(c.expr for c in chunks)
         for i, e in enumerate(exprs):
             ranges = [(c.start, c.stop) for c in chunks if c.expr == i]
             # in bounds, nonempty, at most chunk_size long
-            assert all(0 <= a < b <= len(e) and b - a <= size for a, b in ranges)
-            # consecutive from 0 to len(e): the ranges cover e in order
+            assert all(0 <= a < b <= len(e) // 2 and b - a <= size for a, b in ranges)
+            # consecutive from 0 to the term count: the ranges cover e in order
             assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
-            assert (ranges[-1][1] if ranges else 0) == len(e)
-            assert tuple(t for a, b in ranges for t in e[a:b]) == e
-            assert tuple(x for a, b in ranges for x in flat(e)[2 * a:2 * b]) == flat(e)
+            assert (ranges[-1][1] if ranges else 0) == len(e) // 2
+            assert tuple(t for a, b in ranges for t in unflat(e)[a:b]) == unflat(e)
+            assert tuple(x for a, b in ranges for x in e[2 * a:2 * b]) == e
 
 
 def test_chunks_and_metrics_count_terms_not_flat_elements():
-    # Inside a run an expression is a flat tuple, two elements a term; every
-    # range and count the engine reports is in terms.  F = (x+y)^3 has 4
+    # An expression is a flat tuple, two elements a term; every range and
+    # count the engine reports is in terms.  F = (x+y)^3 has 4
     # terms and G = x-y 2; times x+y they make 8 + 4 products and combine to
     # (x+y)^4's 5 terms and x^2-y^2's 2.
     program = _parse("symbols x,y; local F = (x+y)^3; local G = x-y; multiply x+y; .sort .end")
-    exprs = [flat(e) for _, e in program.initial]
+    exprs = [e for _, e in program.initial]
     assert [tuple(c) for c in partition_chunks(exprs, 3)] == [(0, 0, 3), (0, 3, 4), (1, 0, 2)]
     for cfg in (SEQ, RunConfig(nslaves=1, chunk_size=3),
                 RunConfig(nslaves=2, chunk_size=1, backend="mp"),
@@ -120,8 +120,8 @@ def test_single_slave_equals_sequential():
     expected = algebra_apply_module(e, m, 2)
     result, metrics, stats = _run_module(e, m, 2, RunConfig(nslaves=1, chunk_size=2))
     assert result == expected
-    assert metrics.terms_in == len(e)
-    assert metrics.terms_out == len(result)
+    assert metrics.terms_in == len(e) // 2
+    assert metrics.terms_out == len(result) // 2
     assert metrics.t_wall >= metrics.t_final_merge
     assert metrics.terms_out <= metrics.terms_generated
 
@@ -129,14 +129,14 @@ def test_single_slave_equals_sequential():
 def test_five_chunks_over_four_slaves():
     program = _parse("symbols x,y; local F = (x+y)^4; id x = x+1; .sort .end")
     (_, e), = program.initial
-    assert len(e) == 5
+    assert len(e) // 2 == 5
     m = program.modules[0]
     expected = algebra_apply_module(e, m, 2)
     result, metrics, _ = _run_module(e, m, 2, RunConfig(nslaves=4, chunk_size=1, backend="sm"))
     assert result == expected
     # priming hands every slave one of the five chunks
     assert all(metrics.workers[i].processed >= 1 for i in range(4))
-    assert sum(w.processed for w in metrics.workers.values()) == len(e)
+    assert sum(w.processed for w in metrics.workers.values()) == len(e) // 2
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
@@ -153,7 +153,7 @@ def test_grid_matches_sequential(backend, master_computes):
                                 master_computes=master_computes)
                 result, metrics, stats = _run_module(e, m, NSYM, cfg)
                 assert result == expected
-                assert sum(w.processed for w in metrics.workers.values()) == len(e)
+                assert sum(w.processed for w in metrics.workers.values()) == len(e) // 2
 
 
 def test_empty_expression_parallel():
@@ -218,7 +218,7 @@ def _injected_fault(chunk_terms, m, nsymbols, acc):
 
 
 # 60 one-term chunks over 2 slaves: far more than a mailbox holds.
-_SIXTY = tuple((1, pack(((0, i),), 1)) for i in range(60, 0, -1))
+_SIXTY = flat((1, pack(((0, i),), 1)) for i in range(60, 0, -1))
 
 
 def test_worker_failure_raises_instead_of_hanging(monkeypatch):
@@ -260,7 +260,7 @@ def test_computing_master_raises_when_every_worker_faults(monkeypatch):
     cfg = RunConfig(nslaves=2, chunk_size=1, master_computes=True)
     exc = _raised_within(10.0, lambda: _run_module(_SIXTY, m, 1, cfg))
     assert isinstance(exc, WorkerError) and "injected fault" in str(exc)
-    assert len(computed_by_master) < len(_SIXTY) - 2
+    assert len(computed_by_master) < len(_SIXTY) // 2 - 2
 
 
 def test_master_fault_shuts_down_live_workers(monkeypatch):
@@ -487,9 +487,9 @@ def test_program_without_locals_keeps_zero_records():
 @pytest.mark.parametrize("nslaves", [0, 2])
 def test_program_without_modules_returns_its_locals(nslaves, backend):
     before = threading.active_count()
-    program = Program(SymbolTable(["x"]), [("F", ((1, 0),))], [])
+    program = Program(SymbolTable(["x"]), [("F", (1, 0))], [])
     result = run_program(program, RunConfig(nslaves=nslaves, backend=backend))
-    assert result.expressions == {"F": ((1, 0),)}
+    assert result.expressions == {"F": (1, 0)}
     assert result.module_metrics == result.module_stats == []
     # only the Shutdowns travel, one per slave
     assert result.stats.messages == result.stats.messages_master_to_slave == nslaves
@@ -533,7 +533,7 @@ def test_config_grid_equality_over_programs():
 
 def test_exponent_overflow_in_a_worker_is_reported():
     top = terms.EXP_MASK
-    e = ((1, pack(((0, top),), 1)),)
+    e = (1, pack(((0, top),), 1))
     m = Module((Multiply(symbol(0, 1)),))
     with pytest.raises(terms.ExponentOverflowError):
         _run_module(e, m, 1, SEQ)

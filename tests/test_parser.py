@@ -1,9 +1,13 @@
+import math
 import random
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parterm import cli
 from parterm.parser import (
     IdSubst,
     Multiply,
@@ -15,7 +19,7 @@ from parterm import terms
 from parterm.terms import SymbolTable
 from parterm.transport import deserialize_terms, serialize_terms
 
-from oracles import flat, oracle_normalize, pack_terms, random_expression, unpack_terms
+from oracles import flat, oracle_normalize, pack_terms, random_expression, unflat, unpack_terms
 
 
 def test_binomial_square_program():
@@ -80,6 +84,7 @@ def test_multiple_modules_and_empty_module():
     ("symbols x; local F = x; .end", "no module", 1, 29),
     ("symbols x; multiply x; .end", "not terminated by '.sort'", 1, 24),
     ("symbols x; local F = $;", "unexpected character '$'", 1, 22),
+    ("symbols x; local F = x^\u00b2;", "unexpected character '\u00b2'", 1, 24),
     ("symbols x, x; .sort .end", "declared twice", 1, 12),
     ("symbols x; local F = x; local F = x; .sort .end", "defined twice", 1, 31),
     ("symbols id; .sort .end", "keyword", 1, 9),
@@ -143,7 +148,7 @@ def test_round_trip_on_big_random_coefficients():
     tab = SymbolTable(_NAMES.split(","))
     for _ in range(20):
         e = random_expression(rng, NSYM, 10)
-        e = tuple((c * rng.randint(10**15, 10**20), m) for c, m in e)
+        e = flat((c * rng.randint(10**15, 10**20), m) for c, m in unflat(e))
         text = f"symbols {_NAMES}; local F = {format_expression(e, tab)}; .sort .end"
         (_, value), = parse_program(text).initial
         assert value == e
@@ -155,7 +160,7 @@ def test_largest_exponent_parses_formats_and_crosses_the_wire():
     (_, value), = program.initial
     assert unpack_terms(value, 2) == ((3, ((0, top), (1, 1))), (1, ((1, top),)))
     assert format_expression(value, program.symtab) == f"3*x^{top}*y+y^{top}"
-    assert deserialize_terms(serialize_terms(flat(value), 2), 2) == flat(value)
+    assert deserialize_terms(serialize_terms(value, 2), 2) == value
 
 
 @pytest.mark.parametrize("text,col", [
@@ -181,3 +186,23 @@ def test_symbols_after_a_local_match_declaring_them_up_front():
     assert late.modules == early.modules
     assert unpack_terms(late.initial[0][1], 4) == (
         (1, ((0, 3),)), (6, ((0, 2),)), (12, ((0, 1),)), (8, ()))
+
+
+def test_coefficients_past_the_int_str_digit_limit_print_and_parse(tmp_path, capsys):
+    # CPython converts at most sys.get_int_max_str_digits() digits between
+    # int and str, 4,300 by default; the parser and the printer have no limit.
+    limit = sys.get_int_max_str_digits() or 4300
+    tab = SymbolTable(["x"])
+    big = 7 * 10 ** (limit + 100) + 1
+    e = (-big, terms.symbol(0, 1)[1], big, terms.UNIT)
+    text = f"symbols x; local F = {format_expression(e, tab)}; .sort .end"
+    (_, value), = parse_program(text).initial
+    assert value == e
+    path = tmp_path / "big.pt"
+    path.write_text("symbols x; local F = (3*x+1)^9000; .sort .end\n")
+    assert cli.main(["run", str(path), "--slaves", "0"]) == 0
+    out = capsys.readouterr().out
+    # The largest coefficient, C(9000, 6750) * 3^6750, has 5,417 digits.
+    top = Decimal(math.comb(9000, 6750) * 3 ** 6750)
+    assert len(str(top)) > limit and f"+{top}*x^6750+" in out
+    assert out.startswith(f"F = {Decimal(3 ** 9000)}*x^9000+") and out.endswith("+1\n")

@@ -15,11 +15,11 @@ from parterm.engine import RunConfig, run_program
 from parterm.parser import parse_program
 from parterm.rewrite import apply_module_to_chunk
 from parterm.terms import (EXP_MASK, ExponentOverflowError, field_max, field_shift, guard_mask,
-                          pow_expression, sorted_terms)
+                          pow_expression, sorted_flat)
 from parterm.transport import deserialize_terms, serialize_terms
 
 from generators import expand
-from oracles import flat
+from oracles import unflat
 
 pytestmark = pytest.mark.perf
 
@@ -73,8 +73,8 @@ def test_mp_round_trip_costs_at_most_three_marshal_round_trips():
     # Interleaved best of five each, so a change of host speed hits both
     # alike.
     program = parse_program("symbols x,y,z,w;\nlocal F = (3*x-2*y+z+2*w)^30;\n.sort\n.end\n")
-    pairs = program.initial[0][1]
-    payload = flat(pairs)
+    payload = program.initial[0][1]
+    pairs = unflat(payload)
     nsymbols = len(program.symtab)
     assert len(pairs) == 5456 and len(payload) == 2 * 5456
 
@@ -99,12 +99,12 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
     # every power of rhs built.  Interleaved best of five each.
     program = parse_program("symbols x,y,z,w;\nlocal F = (x-y+3*z-3*w)^17;\n.sort\n"
                             "id x = -2*y+z+2*w-1;\n.sort\n.end\n")
-    chunk = program.initial[0][1]
-    batch = flat(chunk)  # as the engine holds it
+    batch = program.initial[0][1]
+    chunk = unflat(batch)
     module = program.modules[-1]
     s = module.statements[0]
     shift = field_shift(s.target, 4)
-    powers = [pow_expression(s.rhs, n) for n in range(18)]
+    powers = [unflat(pow_expression(s.rhs, n)) for n in range(18)]
 
     def per_term(acc):
         get = acc.get
@@ -117,7 +117,7 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
 
     expected = {}
     per_term(expected)
-    expected = sorted_terms(expected)
+    expected = sorted_flat(expected)
     apply_module_to_chunk(batch, module, 4, {})
 
     def timed(rewrite_chunk):
@@ -125,7 +125,7 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
         start = perf_counter()
         rewrite_chunk(acc)
         elapsed = perf_counter() - start
-        assert sorted_terms(acc) == expected
+        assert sorted_flat(acc) == expected
         return elapsed
 
     horner_s = per_term_s = float("inf")
@@ -143,12 +143,12 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
     # Interleaved best of five each.
     program = parse_program("symbols x,y,z,w;\nlocal F = (3*x-2*y+z+2*w)^30;\n"
                             "multiply x-3*y+2*z+w;\n.sort\n.end\n")
-    chunk = program.initial[0][1]
-    batch = flat(chunk)
+    batch = program.initial[0][1]
     module = program.modules[0]
     factor = module.statements[0].factor
     guard, bound = guard_mask(4), field_max(factor)
-    assert len(chunk) == 5456 and len(factor) == 4
+    assert len(batch) // 2 == 5456 and len(factor) // 2 == 4
+    factor_terms = unflat(factor)
 
     def term_major(acc):
         get = acc.get
@@ -156,13 +156,13 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
         for coeff, mono in zip(it, it):
             if (mono + bound) & guard:
                 raise ExponentOverflowError()
-            for c, m in factor:
+            for c, m in factor_terms:
                 m += mono
                 acc[m] = get(m, 0) + coeff * c
 
     expected = {}
     term_major(expected)
-    expected = sorted_terms(expected)
+    expected = sorted_flat(expected)
     apply_module_to_chunk(batch, module, 4, {})
 
     def timed(rewrite_chunk):
@@ -170,7 +170,7 @@ def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():
         start = perf_counter()
         rewrite_chunk(acc)
         elapsed = perf_counter() - start
-        assert sorted_terms(acc) == expected
+        assert sorted_flat(acc) == expected
         return elapsed
 
     factor_s = term_s = float("inf")

@@ -6,7 +6,7 @@ from operator import itemgetter
 from parterm.parser import parse_program
 from parterm.rewrite import apply_module_to_chunk
 from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
-from parterm.terms import add_expressions, normalize, sorted_flat, sorted_terms
+from parterm.terms import add_expressions, normalize, sorted_flat
 
 from oracles import (
     ComparisonCount,
@@ -24,21 +24,21 @@ from oracles import (
 NSYM = 4
 
 
-# A worker builds its run by normalizing its raw terms once; it travels flat.
+# A worker builds its run by normalizing its raw terms once.
 def _runs_from(raws):
-    return [flat(normalize(raw)) for raw in raws]
+    return [normalize(raw) for raw in raws]
 
 
 def test_build_run_sorts():
     batch = [(5, ((1, 2),)), (10, ((1, 1), (2, 1))), (5, ((2, 2),))]
     run = normalize(pack_terms(batch, 3))
     assert run == pack_terms(oracle_normalize(batch, 3), 3)
-    assert len(run) == 3
+    assert len(run) // 2 == 3
 
 
 def test_build_run_cancellation():
     x = pack(((0, 1),), 1)
-    assert normalize([(1, x), (-1, x)]) == ()
+    assert normalize([1, x, -1, x]) == ()
 
 
 def test_build_run_matches_normalize_on_random_batches():
@@ -51,14 +51,14 @@ def test_build_run_matches_normalize_on_random_batches():
 
 def test_merge_cross_run_cancellation():
     x, y = pack(((0, 1),), 2), pack(((1, 1),), 2)
-    runs = _runs_from([[(1, x), (1, y)], [(1, x), (-1, y)]])
+    runs = _runs_from([[1, x, 1, y], [1, x, -1, y]])
     assert merge_runs(runs) == (2, x)
 
 
 def test_merge_single_run_identity():
     rng = random.Random(43)
     raw = random_packed_terms(rng, NSYM, 12)
-    run = flat(normalize(raw))
+    run = normalize(raw)
     assert merge_runs([run]) == run
 
 
@@ -77,8 +77,8 @@ def test_merge_equals_normalize_of_concatenation():
             raws = [random_packed_terms(rng, NSYM, rng.randint(shortest, longest), max_exp)
                     for _ in range(8)]
             runs = _runs_from(raws)
-            merged = unflat(merge_runs(runs))
-            assert merged == normalize([t for raw in raws for t in raw])
+            merged = merge_runs(runs)
+            assert merged == normalize([x for raw in raws for x in raw])
             assert is_canonical(merged, NSYM)
 
 
@@ -98,7 +98,7 @@ def test_merge_two_runs_equals_add_expressions():
     for _ in range(50):
         a = normalize(random_packed_terms(rng, NSYM, 10))
         b = normalize(random_packed_terms(rng, NSYM, 10))
-        assert merge_runs([flat(a), flat(b)]) == flat(add_expressions(a, b))
+        assert merge_runs([a, b]) == add_expressions(a, b)
 
 
 def test_merge_associative_over_grouping():
@@ -138,7 +138,7 @@ def test_comparison_count_stays_under_bound():
             continue
         counted = ComparisonCount()
         merged = unwrap(merge_runs(counted.wrap(runs)))
-        assert merged == normalize([t for r in runs for t in unflat(r)])
+        assert merged == normalize([x for r in runs for x in r])
         assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
 
 
@@ -147,7 +147,8 @@ def test_comparison_count_beats_sort_from_scratch_asymptotics():
     # that ignores the runs, so passing it rules such a sort out.
     rng = random.Random(71)
     k, n = 8, 20000
-    raws = [[(1, pack(((0, rng.randint(1, 10**6)),), 1)) for _ in range(n)] for _ in range(k)]
+    raws = [flat((1, pack(((0, rng.randint(1, 10**6)),), 1)) for _ in range(n))
+            for _ in range(k)]
     runs = _runs_from(raws)
     total = sum(len(r) for r in runs) // 2
     counted = ComparisonCount()
@@ -173,7 +174,7 @@ def _cancelling_accumulator():
     """H = x - y under id x = y: one monomial whose sum is zero."""
     program = parse_program("symbols x,y,z; local H = x - y; id x = y; .sort .end")
     acc = {}
-    apply_module_to_chunk(flat(program.initial[0][1]), program.modules[0], 3, acc)
+    apply_module_to_chunk(program.initial[0][1], program.modules[0], 3, acc)
     assert acc == {pack(((1, 1),), 3): 0}
     return acc
 
@@ -187,14 +188,14 @@ def test_flat_sort_and_merge_match_the_pair_forms_on_random_accumulators():
         accs = []
         for _ in range(rng.randint(1, 5)):
             acc = {}
-            for c, m in random_packed_terms(rng, NSYM, rng.randint(0, 30), 3):
+            for c, m in unflat(random_packed_terms(rng, NSYM, rng.randint(0, 30), 3)):
                 acc[m] = acc.get(m, 0) + rng.randint(-2, 2) * c
             accs.append(acc)
         sets.append(accs)
     x = pack(((0, 1),), NSYM)
     sets += [[_cancelling_accumulator()], [{x: 1}, {x: -1}], [{x: 2, 0: 0}, {x: -2}, {}]]
     for accs in sets:
-        pair_runs = [sorted_terms(acc) for acc in accs]
+        pair_runs = [_pair_merge([[(c, m) for m, c in acc.items()]]) for acc in accs]
         runs = [sorted_flat(acc) for acc in accs]
         assert runs == [flat(r) for r in pair_runs]
         assert all(type(r) is tuple and all(r[0::2]) for r in runs)
@@ -202,7 +203,7 @@ def test_flat_sort_and_merge_match_the_pair_forms_on_random_accumulators():
         assert type(merged) is tuple and unflat(merged) == _pair_merge(pair_runs)
         # The comparison count is the production merge's own.
         counted = ComparisonCount()
-        assert unwrap(merge_runs(counted.wrap(runs))) == unflat(merged)
+        assert unwrap(merge_runs(counted.wrap(runs))) == merged
         total = sum(len(r) for r in runs) // 2
         k = len(runs)
         assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(k + 1)

@@ -22,7 +22,7 @@ from parterm.transport import (
 
 from parterm.terms import EXP_MASK
 
-from oracles import hand_crc32, hand_wire_bytes, pack, pack_flat, random_terms
+from oracles import hand_crc32, hand_wire_bytes, pack, pack_terms, random_terms
 
 NSYM = 4
 
@@ -87,14 +87,14 @@ st_terms = st.lists(
 @given(st_terms)
 @settings(max_examples=200)
 def test_round_trip_identity(ts):
-    packed = pack_flat(ts, NSYM)
+    packed = pack_terms(ts, NSYM)
     assert deserialize_terms(serialize_terms(packed, NSYM), NSYM) == packed
 
 
 @given(st_terms)
 @settings(max_examples=100)
 def test_serialization_matches_hand_encoder(ts):
-    packed = pack_flat(ts, NSYM)
+    packed = pack_terms(ts, NSYM)
     data = serialize_terms(packed, NSYM)
     assert data == hand_wire_bytes(ts, NSYM)
 
@@ -109,9 +109,9 @@ def test_every_width_matches_the_hand_encoder_and_round_trips(nsymbols, data):
     ts = data.draw(st.lists(st.tuples(
         st.integers(-(10**20), 10**20),
         exps.map(lambda es: tuple((sid, e) for sid, e in enumerate(es) if e))), max_size=6))
-    wire = serialize_terms(pack_flat(ts, nsymbols), nsymbols)
+    wire = serialize_terms(pack_terms(ts, nsymbols), nsymbols)
     assert wire == hand_wire_bytes(ts, nsymbols)
-    assert deserialize_terms(wire, nsymbols) == pack_flat(ts, nsymbols)
+    assert deserialize_terms(wire, nsymbols) == pack_terms(ts, nsymbols)
 
 
 def test_i32_edges_of_coefficients_and_monomials_match_the_hand_encoder():
@@ -121,9 +121,9 @@ def test_i32_edges_of_coefficients_and_monomials_match_the_hand_encoder():
     for coeff in (-(1 << 31) - 1, -(1 << 31), (1 << 31) - 1, 1 << 31):
         for e in ((1 << 31) - 1, 1 << 31):
             ts = ((coeff, ((0, e),)),)
-            wire = serialize_terms(pack_flat(ts, 1), 1)
+            wire = serialize_terms(pack_terms(ts, 1), 1)
             assert wire == hand_wire_bytes(ts, 1)
-            assert deserialize_terms(wire, 1) == pack_flat(ts, 1)
+            assert deserialize_terms(wire, 1) == pack_terms(ts, 1)
     assert hand_wire_bytes(((-(1 << 31), ()),), 1)[5:10] == b"i\x00\x00\x00\x80"
     assert hand_wire_bytes((((1 << 31), ()),), 1)[5:10] == b"l\x03\x00\x00\x00"
 
@@ -191,7 +191,7 @@ def test_malformed_rows_are_the_bytes_they_claim():
 
 
 def test_every_bit_flip_and_truncation_is_rejected():
-    ts = pack_flat(((3, ((0, 2), (1, 1))), (7, ((1, 3), (2, 1))), (-1, ((3, 5),))), NSYM)
+    ts = pack_terms(((3, ((0, 2), (1, 1))), (7, ((1, 3), (2, 1))), (-1, ((3, 5),))), NSYM)
     data = serialize_terms(ts, NSYM)
     assert 55 <= len(data) <= 70 and deserialize_terms(data, NSYM) == ts
     for bit in range(8 * len(data)):
@@ -245,9 +245,9 @@ def test_largest_exponent_round_trips_in_every_field():
     for sid in range(NSYM):
         other = (sid + 1) % NSYM
         ts = ((1, ((sid, EXP_MASK),)), (-2, tuple(sorted([(sid, EXP_MASK), (other, 7)]))))
-        data = serialize_terms(pack_flat(ts, NSYM), NSYM)
+        data = serialize_terms(pack_terms(ts, NSYM), NSYM)
         assert data == hand_wire_bytes(ts, NSYM)
-        assert deserialize_terms(data, NSYM) == pack_flat(ts, NSYM)
+        assert deserialize_terms(data, NSYM) == pack_terms(ts, NSYM)
 
 
 def test_decode_rejects_bytes_encoded_for_more_symbols():
@@ -257,7 +257,7 @@ def test_decode_rejects_bytes_encoded_for_more_symbols():
     # reads as x0^2 of 1.
     assert deserialize_terms(hand_wire_bytes([(1, ((1, 2),))], 2), 1) == (1, 2)
     data = hand_wire_bytes([(1, ((1, 2),)), (1, ((0, 1),))], 2)
-    assert deserialize_terms(data, 2) == pack_flat([(1, ((1, 2),)), (1, ((0, 1),))], 2)
+    assert deserialize_terms(data, 2) == pack_terms([(1, ((1, 2),)), (1, ((0, 1),))], 2)
     with pytest.raises(WireError, match="nsymbols 1") as err:
         deserialize_terms(data, 1)
     assert err.value.offset == 20
@@ -269,7 +269,7 @@ def test_decode_rejects_bytes_encoded_for_more_symbols():
 def test_loopback_fidelity(backend):
     master = MasterEndpoint(backend, nslaves=2, nsymbols=NSYM)
     slave = master.slave(1)
-    payload = pack_flat(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
+    payload = pack_terms(((1, ((0, 1),)), (1, ((1, 1),))), NSYM)
     sent = Message(MessageKind.CHUNK_ASSIGNMENT, payload=payload, expr=1)
     master.send(1, sent)
     got = slave.recv()
@@ -301,7 +301,7 @@ def test_failed_detail_travels_beside_the_payload(backend):
 
 
 def test_mp_copies_but_sm_transfers_ownership():
-    payload = pack_flat(((5, ((0, 2),)), (7, ((3, 5),))), NSYM)
+    payload = pack_terms(((5, ((0, 2),)), (7, ((3, 5),))), NSYM)
     mp = MasterEndpoint("mp", 1, NSYM)
     mp.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     got = mp.slave(0).recv()
@@ -322,7 +322,7 @@ def test_mp_accounting_is_exact_per_message():
     # bits) as "l", a u32 and 7 two-byte digits, then the 4-byte CRC:
     # 5 + 5 + 19 + 4 = 33 bytes.
     factors = ((5, ((0, 2),)),)
-    payload = pack_flat(factors, NSYM)
+    payload = pack_terms(factors, NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = master.stats()
     assert stats.serialized_bytes == len(hand_wire_bytes(factors, NSYM)) == 33
@@ -332,7 +332,7 @@ def test_mp_accounting_is_exact_per_message():
 
 def test_sm_accounting_counts_handles_not_bytes():
     master = MasterEndpoint("sm", 1, NSYM)
-    payload = pack_flat(((5, ((0, 2),)),), NSYM)
+    payload = pack_terms(((5, ((0, 2),)),), NSYM)
     master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, payload))
     stats = master.stats()
     assert stats.serialized_bytes == 0
@@ -345,7 +345,7 @@ def test_reply_counts_once_the_master_takes_it(backend):
     master = MasterEndpoint(backend, 2, NSYM)
     factors = ((5, ((0, 2),)),)  # one term: 33 bytes on the wire
     slave = master.slave(1)
-    slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=pack_flat(factors, NSYM))))
+    slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=pack_terms(factors, NSYM))))
     assert master.stats() == TransportStats()  # the slave counts nothing
     master.recv_any()
     assert master.stats() == (TransportStats(0, 1, 33, 0) if backend == "mp"
@@ -360,12 +360,12 @@ def test_accounting_sums_both_directions():
     for i in range(6):
         payload = tuple(random_terms(rng, NSYM, rng.randint(1, 5)))
         expected += len(hand_wire_bytes(payload, NSYM))
-        master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_flat(payload, NSYM)))
+        master.send(i % 2, Message(MessageKind.CHUNK_ASSIGNMENT, pack_terms(payload, NSYM)))
         slave = slaves[i % 2]
         got = slave.recv()
         reply = tuple(random_terms(rng, NSYM, rng.randint(0, 4)))
         expected += len(hand_wire_bytes(reply, NSYM))
-        slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=pack_flat(reply, NSYM))))
+        slave.reply(slave.encode(Message(MessageKind.RUN_RETURN, payload=pack_terms(reply, NSYM))))
         master.recv_any()
     assert master.stats().serialized_bytes == expected
     assert master.stats().messages == 12
