@@ -264,14 +264,17 @@ class _Parser:
             raise ParseError(f"undeclared symbol {tok.text!r}", tok.line, tok.col) from None
 
     def expr(self) -> Expression:
+        # The signed terms of a sum go into one batch, normalized once, so a
+        # long sum parses in time linear in its terms.
         value = self.term()
+        if self.peek().kind not in ("+", "-"):
+            return value
+        raw = list(value)
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            if op.kind == "-":
-                rhs = terms.negate_expression(rhs)
-            value = terms.add_expressions(value, rhs)
-        return value
+            raw += terms.negate_expression(rhs) if op.kind == "-" else rhs
+        return terms.normalize(raw)
 
     def term(self) -> Expression:
         value = self.factor()

@@ -35,12 +35,15 @@ every monomial of ``H`` lies below some checked product.  On a sparse chunk a
 step can cost more than it saves, so stepping stops once a step has not paid
 or could take the chunk past twice the direct count.  ``H`` then goes into
 the accumulator at once, times the power of its degree, and nothing is
-computed twice.
+computed twice.  The guard bound of ``rhs^n`` and its size, which the cost
+model reads, come without building it (see :func:`_rhs_size`), so only the
+powers a product loop multiplies by are built.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 from . import terms
@@ -51,17 +54,43 @@ Batch = Sequence[int]   # a flat (c0, m0, c1, m1, ...) tuple or list
 
 
 _field_max = functools.lru_cache(maxsize=256)(terms.field_max)
+_rhs_bound = functools.lru_cache(maxsize=256)(terms.pow_field_max)
 
 
 @functools.lru_cache(maxsize=256)
-def _rhs_power(rhs: Expression, n: int) -> tuple[Expression, Monomial]:
-    # The guard checks need rhs^n for every x-degree n, and Horner's rule
-    # rhs^gap for every step, so each power is built once and memoized.
-    # pow_expression builds it in one pass over its multinomial compositions
-    # and one sort, so building the powers costs little beside the products.
-    # Once it has not raised, n * field_max(rhs) is field_max(power) exactly.
-    power = terms.pow_expression(rhs, n)
-    return power, n * terms.field_max(rhs)
+def _rhs_power(rhs: Expression, n: int) -> Expression:
+    # Called for a power a product loop multiplies by, or that _rhs_size
+    # cannot count otherwise; each is built once.
+    return terms.pow_expression(rhs, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _compositions_distinct(rhs: Expression) -> bool:
+    """Whether every non-unit monomial of ``rhs`` has a symbol no other one
+    has, as in any linear form ``a*y + b*z + ... + c``.  Then that symbol's
+    exponent in a monomial of ``rhs^n`` says how often the composition took
+    the term, so distinct compositions give distinct monomials."""
+    nfields = max(rhs[1::2], default=0).bit_length() // terms.FIELD_BITS + 1
+    seen, shared, supports = set(), set(), []
+    for m in rhs[1::2]:
+        support = {sid for sid, _ in terms.unpack(m, nfields)}
+        shared |= seen & support
+        seen |= support
+        supports.append(support)
+    return all(support - shared for support in supports if support)
+
+
+def _rhs_size(rhs: Expression, n: int) -> int:
+    """The number of terms of ``rhs^n``.  When the compositions of ``n`` over
+    the ``k`` terms of ``rhs`` are distinct, each gives its own monomial, with
+    a coefficient that is not zero: ``C(n + k - 1, k - 1)`` terms, counted
+    without building the power."""
+    if not rhs:
+        return int(n == 0)
+    if _compositions_distinct(rhs):
+        k = len(rhs) // 2
+        return math.comb(n + k - 1, k - 1)
+    return len(_rhs_power(rhs, n)) // 2
 
 
 def _check(current: Batch, bound: Monomial, nsymbols: int) -> None:
@@ -82,7 +111,7 @@ def _degrees(current: Batch, s: IdSubst, nsymbols: int) -> dict[int, list[int]]:
         n = (mono >> shift) & terms.EXP_MASK
         parts.setdefault(n, []).extend((coeff, mono - (n << shift)))
     for n, part in parts.items():
-        _check(part, _rhs_power(s.rhs, n)[1], nsymbols)
+        _check(part, _rhs_bound(s.rhs, n), nsymbols)
     return parts
 
 
@@ -100,7 +129,7 @@ def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> 
     ``acc``; returns the direct expansion's count ``sum |P_n| * |rhs^n|``."""
     rhs = s.rhs
     parts = _degrees(current, s, nsymbols)
-    direct = sum(len(part) * len(_rhs_power(rhs, n)[0]) // 4 for n, part in parts.items())
+    direct = sum(len(part) // 2 * _rhs_size(rhs, n) for n, part in parts.items())
     # made: products so far; left: the direct count of the degrees not yet
     # in h; total = made + |h| * |rhs^e| + left, the chunk's products if h
     # takes no further step.  Steps stop for the chunk once one raises
@@ -111,28 +140,26 @@ def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> 
     e = 0
     for n in sorted(parts, reverse=True):
         part = parts[n]
-        power = _rhs_power(rhs, n)[0]
+        size = _rhs_size(rhs, n)
         if h and paying:
-            step = _rhs_power(rhs, e - n)[0]
-            cost = len(h) * len(step) // 2
-            paying = made + cost * (1 + len(power) // 2) + left <= 2 * direct
+            cost = len(h) * _rhs_size(rhs, e - n)
+            paying = made + cost * (1 + size) + left <= 2 * direct
             if paying:
                 made += cost
                 h, stepped = {}, h
-                _times(stepped, step, h)
+                _times(stepped, _rhs_power(rhs, e - n), h)
         if h and not paying:
-            held = _rhs_power(rhs, e)[0]
-            made += len(h) * len(held) // 2
-            _times(h, held, acc)
+            made += len(h) * _rhs_size(rhs, e)
+            _times(h, _rhs_power(rhs, e), acc)
             h = {}
-        left -= len(part) * len(power) // 4
+        left -= len(part) // 2 * size
         get = h.get
         for coeff, mono in iter_terms(part):
             h[mono] = get(mono, 0) + coeff
         e = n
-        now = made + len(h) * len(power) // 2 + left
+        now = made + len(h) * size + left
         paying, total = paying and now <= total, now
-    _times(h, _rhs_power(rhs, e)[0], acc)
+    _times(h, _rhs_power(rhs, e), acc)
     return direct
 
 
@@ -163,7 +190,7 @@ def apply_module_to_chunk(chunk: Batch, m: Module, nsymbols: int, acc: Accumulat
             parts = _degrees(current, s, nsymbols)
             current = []
             for n, part in parts.items():
-                current += _products(part, _rhs_power(s.rhs, n)[0])
+                current += _products(part, _rhs_power(s.rhs, n))
     if not statements:
         factor = terms.ONE
     elif isinstance(statements[-1], IdSubst):

@@ -228,13 +228,26 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
     return sorted_flat(acc)
 
 
+def pow_field_max(a: Expression, n: int) -> Monomial:
+    """``field_max(a**n)`` without building the power: ``n * field_max(a)``.
+
+    The ``n``-th power of the terms of ``a`` that reach a field's largest
+    exponent is not zero, so the power overflows exactly when some field of
+    ``n * field_max(a)`` does; then this raises.
+    """
+    bound = field_max(a)
+    rest = bound
+    while rest:
+        if (rest & EXP_MASK) * n > EXP_MASK:
+            raise ExponentOverflowError()
+        rest >>= FIELD_BITS
+    return n * bound
+
+
 def pow_expression(a: Expression, n: int) -> Expression:
     """a**n; a**0 is the constant 1.
 
-    One check before any work: the power holds a monomial whose field is
-    ``n`` times the largest exponent of that field in ``a`` (the ``n``-th
-    power of the terms that reach it is not zero), so the power overflows
-    exactly when ``n * field_max(a)`` does in some field.
+    One check before any work, :func:`pow_field_max`.
 
     A single-term base is raised directly.  Otherwise the multinomial theorem
     gives each term of the power once per composition ``i_1+...+i_k = n``:
@@ -252,12 +265,9 @@ def pow_expression(a: Expression, n: int) -> Expression:
     if not a:
         return ZERO
     outputs = 1  # the distinct monomials the power can have, at most
-    rest = field_max(a)
+    rest = pow_field_max(a, n)
     while rest:
-        e = (rest & EXP_MASK) * n
-        if e > EXP_MASK:
-            raise ExponentOverflowError()
-        outputs *= e + 1
+        outputs *= (rest & EXP_MASK) + 1
         rest >>= FIELD_BITS
     k = len(a) // 2
     if k == 1:

@@ -154,6 +154,34 @@ def test_round_trip_on_big_random_coefficients():
         assert value == e
 
 
+def test_a_sum_is_sorted_once_whatever_its_length(monkeypatch):
+    # Powers of one symbol and integers build no sorted expression of their
+    # own, so every sort is the sum's.
+    calls = []
+    sorted_flat = terms.sorted_flat
+
+    def counted(acc):
+        calls.append(len(acc))
+        return sorted_flat(acc)
+
+    monkeypatch.setattr(terms, "sorted_flat", counted)
+    for n in (10, 300):
+        body = "".join(f"{'-' if i % 3 else '+'}x^{i}+{i}" for i in range(1, n + 1))
+        calls.clear()
+        (_, value), = parse_program(f"symbols x; local F = 7{body}; .sort .end").initial
+        assert calls == [n + 1]
+        assert len(value) // 2 == n + 1
+
+
+def test_a_long_printed_sum_reparses_to_the_same_expression():
+    program = parse_program("symbols x,y,z,w; local F = (x+y+z+w)^20; .sort .end")
+    (_, e), = program.initial
+    assert len(e) // 2 == 1771
+    text = f"symbols {_NAMES}; local G = {format_expression(e, program.symtab)}; .sort .end"
+    (_, value), = parse_program(text).initial
+    assert value == e
+
+
 def test_largest_exponent_parses_formats_and_crosses_the_wire():
     top = terms.EXP_MASK  # 2**32 - 1, the wire format's largest u32 exponent
     program = parse_program(f"symbols x, y; local F = 3*x^{top}*y + y^{top}; .sort .end")

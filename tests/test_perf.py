@@ -11,6 +11,7 @@ from time import perf_counter
 
 import pytest
 
+from parterm import rewrite
 from parterm.engine import RunConfig, run_program
 from parterm.parser import parse_program
 from parterm.rewrite import apply_module_to_chunk
@@ -133,6 +134,32 @@ def test_substitution_by_horner_beats_the_per_term_expansion_twice():
         horner_s = min(horner_s, timed(lambda acc: apply_module_to_chunk(batch, module, 4, acc)))
         per_term_s = min(per_term_s, timed(per_term))
     assert 2 * horner_s <= per_term_s, f"Horner {horner_s:.4f} s, per term {per_term_s:.4f} s"
+
+
+def test_a_cold_substitution_costs_little_more_than_a_warm_one():
+    # The substitute-expand shape again.  From empty caches the rewriter
+    # builds only rhs^1 and rhs^0, the powers Horner's rule multiplies by, so
+    # the first rewrite of the chunk, which every fresh process pays, takes
+    # about what a repeat does.  Building every power up to rhs^17 for its
+    # size and guard bound made it about 1.6x.  Interleaved best of five each.
+    program = parse_program("symbols x,y,z,w;\nlocal F = (x-y+3*z-3*w)^17;\n.sort\n"
+                            "id x = -2*y+z+2*w-1;\n.sort\n.end\n")
+    batch = program.initial[0][1]
+    module = program.modules[-1]
+    caches = [f for f in vars(rewrite).values() if hasattr(f, "cache_clear")]
+
+    def timed():
+        start = perf_counter()
+        apply_module_to_chunk(batch, module, 4, {})
+        return perf_counter() - start
+
+    cold_s = warm_s = float("inf")
+    for _ in range(5):
+        for cached in caches:
+            cached.cache_clear()
+        cold_s = min(cold_s, timed())
+        warm_s = min(warm_s, timed())
+    assert cold_s <= 1.25 * warm_s, f"cold {cold_s:.4f} s, warm {warm_s:.4f} s"
 
 
 def test_a_last_multiply_runs_factor_major_no_slower_than_term_major():

@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from parterm import rewrite, terms
 from parterm.engine import RunConfig, run_program
@@ -13,6 +16,7 @@ from oracles import (
     brute_power,
     flat,
     oracle_normalize,
+    oracle_run_program,
     pack,
     pack_terms,
     random_expression,
@@ -120,6 +124,35 @@ def test_dense_substitution_shares_the_expansion_of_neighbouring_degrees(monkeyp
         assert run_program(DENSE, cfg).module_metrics[-1].terms_generated == 100947
 
 
+def _cold_pow_calls(monkeypatch):
+    """Empty the rewriter's caches and record the exponent of every power
+    ``terms.pow_expression`` builds from then on."""
+    for cached in (rewrite._rhs_power, rewrite._rhs_bound, rewrite._compositions_distinct):
+        cached.cache_clear()
+    calls = []
+    pow_expression = terms.pow_expression
+
+    def counted(a, n):
+        calls.append(n)
+        return pow_expression(a, n)
+
+    monkeypatch.setattr(terms, "pow_expression", counted)
+    return calls
+
+
+def test_dense_substitution_builds_only_the_powers_it_multiplies_by(monkeypatch):
+    # Horner's rule steps by rhs^1 from x^17 down to x^0 and then multiplies
+    # by rhs^0; the guard bounds and the cost model build no power of rhs.
+    chunk = DENSE.initial[0][1]
+    module = DENSE.modules[-1]
+    built = _cold_pow_calls(monkeypatch)
+    calls = _counted_products(monkeypatch)
+    assert apply_module_to_chunk(chunk, module, 4, {}) == 100947
+    assert sorted(built) == [0, 1]
+    rhs = module.statements[0].rhs
+    assert {power for _, power, _, _ in calls} == {rhs, terms.ONE}
+
+
 def test_sparse_substitution_stays_within_twice_the_direct_products(monkeypatch):
     # x^n * y^(100n) for n = 1..17 share nothing: the direct expansion makes
     # sum |rhs^n| = 5,984 products, Horner's rule on every step 81,396.
@@ -161,12 +194,73 @@ def test_substitution_never_makes_more_than_twice_the_direct_products(monkeypatc
         degrees = [(mono >> shift) & terms.EXP_MASK for mono in e[1::2]]
         direct = sum(len(pow_expression(s.rhs, n)) // 2 for n in degrees)
         for n in degrees:  # the guard bound is the power's own field-wise maximum
-            assert rewrite._rhs_power(s.rhs, n)[1] == terms.field_max(pow_expression(s.rhs, n))
+            assert rewrite._rhs_bound(s.rhs, n) == terms.field_max(pow_expression(s.rhs, n))
         calls.clear()
         acc = {}
         assert apply_module_to_chunk(e, Module((s,)), nsym, acc) == direct
         assert sum(made for *_, made in calls) <= 2 * direct
         assert sorted_flat(acc) == algebra_apply_module(e, Module((s,)), nsym)
+
+
+@pytest.mark.parametrize("rhs", ["0", "3", "y"])
+@pytest.mark.parametrize("last", [True, False], ids=["last", "non-last"])
+def test_a_zero_constant_or_single_symbol_rhs_matches_the_oracle(rhs, last):
+    # Chunks of 7 terms: the first ones hold no x-free term, so with rhs 0
+    # their direct count is 0.
+    after = "" if last else "multiply y+z+1;\n"
+    program = parse_program("symbols x,y,z;\nlocal F = (x+y+z)^4 + x^3 - 2;\n"
+                            f"id x = {rhs};\n{after}.sort\n.end\n")
+    reference = oracle_run_program(program)
+    for cfg in (RunConfig(nslaves=0, chunk_size=7),
+                RunConfig(nslaves=2, chunk_size=7, backend="mp")):
+        assert run_program(program, cfg).expressions == reference
+
+
+# rhs over symbols 1..3 of (x, y, z, w): an integer or up to four terms,
+# with exponents up to 3, so the dependent shapes such as 1 + y + y^2 and
+# y + y*z come up alongside the linear forms.
+st_rhs = st.lists(
+    st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+              st.lists(st.integers(0, 3), min_size=3, max_size=3).map(
+                  lambda exps: tuple((sid + 1, e) for sid, e in enumerate(exps) if e))),
+    max_size=4,
+).map(lambda raw: pack_terms(oracle_normalize(raw, 4), 4))
+
+_Y, _Z = pack(((1, 1),), 4), pack(((2, 1),), 4)
+
+
+@given(st_rhs, st.integers(0, 10))
+@example((1, 2 * _Y, 1, _Y, 1, terms.UNIT), 5)   # 1 + y + y^2
+@example((1, _Y + _Z, 1, _Y), 4)                 # y*z + y
+@example(terms.ZERO, 0)
+@example(terms.ZERO, 3)
+@settings(max_examples=200)
+def test_the_size_and_bound_of_a_power_are_those_of_the_built_power(rhs, n):
+    power = pow_expression(rhs, n)
+    assert rewrite._rhs_size(rhs, n) == len(power) // 2
+    assert rewrite._rhs_bound(rhs, n) == terms.field_max(power)
+
+
+@given(st_rhs, st.integers(0, 3), st.booleans())
+@settings(max_examples=50)
+def test_a_power_past_the_exponent_range_raises_before_any_power_is_built(rhs, extra, last):
+    # n * field_max(rhs) passes the largest u32 exponent in rhs's largest
+    # field.  Neither the guard bound nor the rewriter builds a power first,
+    # whether the id is the last statement of its module or not.
+    top = max((e for _, mono in unpack_terms(rhs, 4) for _, e in mono), default=0)
+    assume(top >= 2)
+    n = terms.EXP_MASK // top + 1 + extra
+    statements = (IdSubst(0, rhs),) + (() if last else (Multiply(terms.ONE),))
+    chunk = (1, pack(((0, n),), 4), 2, pack(((0, 1),), 4))
+    for cached in (rewrite._rhs_power, rewrite._rhs_bound):
+        cached.cache_clear()
+    acc = {}
+    with mock.patch.object(terms, "pow_expression", wraps=terms.pow_expression) as built:
+        with pytest.raises(terms.ExponentOverflowError):
+            rewrite._rhs_bound(rhs, n)
+        with pytest.raises(terms.ExponentOverflowError):
+            apply_module_to_chunk(chunk, Module(statements), 4, acc)
+    assert built.call_count == 0 and acc == {}
 
 
 def test_rewrite_overflow_raises_instead_of_wrapping():
