@@ -1,6 +1,8 @@
-"""Program execution: one master and one session of workers per program run.
+"""Program execution: one master and its workers, started once per program run.
 
-A run starts ``nslaves`` worker threads once.  Every worker holds the
+:func:`run_program` has a :class:`~parterm.transport.MasterEndpoint` start
+``nslaves`` workers once, and closes it, which shuts down and joins them, on
+its way out.  Every worker holds the
 program's module list and applies module *k* after it has seen *k* SORTs.
 Workers share nothing except their transport endpoint: all term data and
 every per-module record moves by message, and a worker writes no object the
@@ -34,20 +36,19 @@ so no stage builds a tuple per term.  Term counts (``Chunk`` ranges,
 
 A worker that raises
 answers ``FAILED`` with the traceback and stops; the master raises
-:class:`WorkerError` on receiving it, and still shuts down and joins every
-worker on its way out.
+:class:`WorkerError` on receiving it, and the endpoint still shuts down and
+joins every worker.
 
 The dispatch loop hands each idle worker, in order, the next pending chunk.
 With ``master_computes`` the master rewrites the next chunk itself whenever
 no acknowledgement is waiting and chunks remain.  ``nslaves=0`` is the same
-loop with no workers and no transport: the master rewrites every chunk
+loop over an endpoint with no channels: the master rewrites every chunk
 itself and merges its single run.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
@@ -75,9 +76,14 @@ class SlaveCountError(ValueError):
 
 
 class WorkerError(EngineError):
+    """``worker N failed: Type: message``, from the last line of the worker's
+    traceback; ``detail`` keeps the whole traceback."""
+
     def __init__(self, worker: int, detail: str):
-        super().__init__(f"worker {worker} failed: {detail}")
+        kind, sep, message = detail.rstrip().rpartition("\n")[2].partition(": ")
+        super().__init__(f"worker {worker} failed: {kind.rpartition('.')[2]}{sep}{message}")
         self.worker = worker
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -236,72 +242,28 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
         endpoint.reply(endpoint.encode(failed))
 
 
-class _Session:
-    """The workers and the master endpoint of one run: started once, shut down once."""
-
-    def __init__(self, program: Program, cfg: RunConfig):
-        self.cfg = cfg
-        self.modules = program.modules
-        self.nsymbols = len(program.symtab)
-        self.nexprs = len(program.initial)
-        self.threads: list[threading.Thread] = []
-        self.master = (MasterEndpoint(cfg.backend, cfg.nslaves, self.nsymbols)
-                       if cfg.nslaves else None)
-
-    def start(self) -> None:
-        for i in range(self.cfg.nslaves):
-            th = threading.Thread(
-                target=_slave_loop,
-                args=(self.master.slave(i), self.modules, self.nsymbols, self.nexprs),
-                name=f"parterm-worker-{i}",
-                daemon=True,
-            )
-            th.start()
-            self.threads.append(th)
-
-    def recv(self, block: bool = True) -> Optional[tuple[int, Message]]:
-        """The next worker message, or None if ``block`` is false and none is
-        waiting; a ``FAILED`` message raises :class:`WorkerError`."""
-        got = self.master.recv_any(block)
-        if got is not None and got[1].kind is MessageKind.FAILED:
-            raise WorkerError(got[0], got[1].detail)
-        return got
-
-    def stats(self) -> TransportStats:
-        return self.master.stats() if self.master else TransportStats()
-
-    def wait_ns(self) -> int:
-        """The master's time blocked on worker messages so far."""
-        return self.master.wait_ns if self.master else 0
-
-    def close(self) -> None:
-        """Send ``Shutdown`` to every started worker and join it.
-
-        The protocol never leaves more than one message outstanding on a
-        channel, so the Shutdown fits the mailbox and the send cannot block,
-        also after a failure; a failed worker has stopped and never reads it.
-        """
-        for i in range(len(self.threads)):
-            self.master.send(i, Message(MessageKind.SHUTDOWN))
-        for th in self.threads:
-            th.join()
+def _recv(master: MasterEndpoint, block: bool = True) -> Optional[tuple[int, Message]]:
+    """The next worker message, or None if ``block`` is false and none is
+    waiting; a ``FAILED`` message raises :class:`WorkerError`."""
+    got = master.recv_any(block)
+    if got is not None and got[1].kind is MessageKind.FAILED:
+        raise WorkerError(got[0], got[1].detail)
+    return got
 
 
-def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
-                     ) -> tuple[list[Expression], PhaseMetrics]:
-    """Run module ``k`` over every local expression in one dispatch pass.
+def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
+                     exprs: Sequence[Expression]) -> tuple[list[Expression], PhaseMetrics]:
+    """Run module ``m`` over every local expression in one dispatch pass.
 
     Returns the new expressions, in the order of ``exprs``, and the module's
     metrics, each slave's record as its last run delivered it.  The result is
     the same for every configuration; only metrics and transport stats vary.
     """
-    cfg = session.cfg
-    m = session.modules[k]
-    nsymbols = session.nsymbols
+    nsymbols = master.nsymbols
     first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
     workers = {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
     mine = workers.get(MASTER_WORKER_ID)
-    wait_start = session.wait_ns()
+    wait_start = master.wait_ns
     t_start = perf_counter_ns()
     t_distribute = 0
 
@@ -320,19 +282,19 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         t0 = perf_counter_ns()
         while idle and pending:
             c = pending.popleft()
-            session.master.send(idle.popleft(), Message(
+            master.send(idle.popleft(), Message(
                 MessageKind.CHUNK_ASSIGNMENT, chunk_terms(c), c.expr))
             outstanding += 1
         t_distribute += perf_counter_ns() - t0
         got = None
         if pending and mine is not None:
-            got = session.recv(block=False) if outstanding else None
+            got = _recv(master, block=False) if outstanding else None
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
                 c = pending.popleft()
                 _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr], mine)
                 continue
-        worker, msg = got or session.recv()
+        worker, msg = got or _recv(master)
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
             raise EngineError(f"expected completion signal, got {msg.kind}")
         outstanding -= 1
@@ -342,14 +304,14 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
     # distinct monomials it accumulated once per expression.
     t0 = perf_counter_ns()
     for w in range(cfg.nslaves):
-        session.master.send(w, Message(MessageKind.SORT))
+        master.send(w, Message(MessageKind.SORT))
     t_distribute += perf_counter_ns() - t0
     runs: list[list[Expression]] = [[] for _ in exprs]
     if mine is not None:
         for expr, run in enumerate(_sort_runs(master_accs, mine)):
             runs[expr].append(run)
     for _ in range(cfg.nslaves * len(exprs)):
-        worker, msg = session.recv()
+        worker, msg = _recv(master)
         if msg.kind is not MessageKind.RUN_RETURN:
             raise EngineError(f"expected run return, got {msg.kind}")
         runs[msg.expr].append(msg.payload)
@@ -363,7 +325,7 @@ def execute_parallel(session: _Session, k: int, exprs: Sequence[Expression]
         t_distribute=t_distribute,
         t_final_merge=t_end - t0,
         t_wall=t_end - t_start,
-        master_busy=(t_end - t_start) - (session.wait_ns() - wait_start),
+        master_busy=(t_end - t_start) - (master.wait_ns - wait_start),
         terms_in=sum(len(e) for e in exprs) // 2,
         terms_out=sum(len(e) for e in results) // 2,
         workers=workers,
@@ -377,16 +339,17 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     exprs = [e for _, e in program.initial]
     module_metrics: list[PhaseMetrics] = []
     marks: list[TransportStats] = []
-    session = _Session(program, cfg)
+    nsymbols = len(program.symtab)
+    master = MasterEndpoint(cfg.backend, cfg.nslaves, nsymbols)
     try:
-        session.start()
-        for k in range(len(program.modules)):
-            exprs, metrics = execute_parallel(session, k, exprs)
+        master.start(_slave_loop, program.modules, nsymbols, len(exprs))
+        for m in program.modules:
+            exprs, metrics = execute_parallel(master, cfg, m, exprs)
             module_metrics.append(metrics)
-            marks.append(session.stats())
+            marks.append(master.stats())
     finally:
-        session.close()
-    stats = session.stats()
+        master.close()
+    stats = master.stats()
     if marks:
         marks[-1] = stats  # the Shutdowns count towards the last module
     module_stats = [b - a for a, b in zip([TransportStats()] + marks, marks)]

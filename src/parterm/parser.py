@@ -29,7 +29,7 @@ such limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import terms
 from .terms import Expression, SymbolTable, iter_terms
@@ -76,8 +76,7 @@ class Program:
     modules: list[Module]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME | INT | DOTWORD | one of , ; = + - * ^ ( ) | EOF
     text: str
     line: int

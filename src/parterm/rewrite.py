@@ -207,6 +207,8 @@ def apply_module_to_term(t: Term, m: Module, nsymbols: int) -> list[Term]:
     the pair ``t`` itself.
 
     The result is combined but unsorted, and may hold zero coefficients.
+    The engine never calls it; it stays only because ``perfbench/tracing.py``
+    looks it up by name (ROADMAP items 1, 2 and 8).
     """
     acc: Accumulator = {}
     apply_module_to_chunk(t, m, nsymbols, acc)

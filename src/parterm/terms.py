@@ -186,7 +186,11 @@ def normalize(raw: Iterable[int]) -> Expression:
 
 
 def add_expressions(a: Expression, b: Expression) -> Expression:
-    """Sum of two normalized expressions: :func:`normalize` of their concatenation."""
+    """Sum of two normalized expressions: :func:`normalize` of their concatenation.
+
+    Nothing in the package calls it; it stays only because
+    ``perfbench/tracing.py`` looks it up by name (ROADMAP items 1, 2 and 8).
+    """
     return normalize(a + b)
 
 

@@ -1,10 +1,13 @@
-"""Master<->slave mailboxes with two swappable backends.
+"""The master-slave substrate: the workers, their channels and two swappable codecs.
 
-Both backends live in one process and expose the same star topology: every
-slave holds exactly one channel, to the master, and no slave-to-slave channel
-can be constructed.  :class:`MasterEndpoint` owns every channel and hands
-each slave its :class:`SlaveEndpoint`.  The backend chooses only the codec,
-that is, how a message's term payload moves:
+:class:`MasterEndpoint` is the whole substrate: it starts every slave, feeds
+it through its one channel and joins it, and is the only class that knows
+where a slave runs.  Here each slave runs on a daemon thread of this process
+and each channel is a pair of unbounded queues.  Both backends expose the
+same star topology: every slave holds exactly one channel, to the master,
+through its :class:`SlaveEndpoint`, and no slave-to-slave channel can be
+constructed.  The backend chooses only the codec, that is, how a message's
+term payload moves:
 
 * ``mp`` marshals the payload through the binary wire format below, ships
   the bytes, and decodes a fresh flat tuple from them on receipt: the
@@ -63,8 +66,8 @@ the very bytes, which rejects trailing bytes and non-canonical encodings.
 ``mp`` copies everything: the receiver's tuple, coefficients and monomials
 are new objects that marshal built from the bytes.
 
-Per-slave mailboxes hold at most ``MAILBOX_BOUND`` messages; a send to a full
-mailbox blocks until the slave drains it.
+The channels need no bound: the session protocol lets a channel hold at most
+one unread message, or two when a Shutdown follows a slave's failure.
 """
 
 from __future__ import annotations
@@ -73,16 +76,15 @@ import enum
 import io
 import marshal
 import queue
+import threading
 import zlib
 from dataclasses import dataclass
 from functools import reduce
 from operator import countOf, or_
 from time import perf_counter_ns
-from typing import Optional
+from typing import Callable, Optional
 
 from .terms import FIELD_BITS, Expression, guard_mask
-
-MAILBOX_BOUND = 16
 
 _VERSION = 2
 _HEADER = 5    # "(" and the u32 element count
@@ -230,27 +232,51 @@ BACKENDS = ("mp", "sm")
 
 
 class MasterEndpoint:
-    """The master's side of every channel: the slaves' mailboxes, its own
-    inbox, the closed flags and the counters, which need no lock because
-    only the master counts.  A queue record is the message itself under
-    ``sm``, and its fields with the payload as wire bytes under ``mp``.
-    ``wait_ns`` is the time the master has spent waiting on its inbox."""
+    """The master's side of every channel: the slaves it started, their
+    mailboxes, its own inbox, the closed flags and the counters, which need
+    no lock because only the master counts.  A queue record is the message
+    itself under ``sm``, and its fields with the payload as wire bytes under
+    ``mp``.  ``wait_ns`` is the time the master has spent waiting on its
+    inbox.  With ``nslaves=0`` there are no channels: :meth:`start` and
+    :meth:`close` do nothing and the counters stay at zero."""
 
     def __init__(self, backend: str, nslaves: int, nsymbols: int):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        if nslaves < 1:
-            raise ValueError("transport needs at least one slave")
+        if nslaves < 0:
+            raise ValueError(f"nslaves must be >= 0, got {nslaves}")
         self.nslaves = nslaves
         self.nsymbols = nsymbols
         self._copy = backend == "mp"
-        self._outboxes = [queue.Queue(maxsize=MAILBOX_BOUND) for _ in range(nslaves)]
-        self._inbox: queue.Queue = queue.Queue()
+        self._outboxes = [queue.SimpleQueue() for _ in range(nslaves)]
+        self._inbox = queue.SimpleQueue()
         self._closed = [False] * nslaves
+        self._threads: list[threading.Thread] = []
         self._m2s = 0
         self._s2m = 0
         self._bytes = 0
         self.wait_ns = 0
+
+    def start(self, loop: Callable[..., None], *args) -> None:
+        """Run ``loop(self.slave(i), *args)`` for every slave ``i``, each on a
+        daemon thread named ``parterm-worker-{i}``."""
+        for i in range(self.nslaves):
+            th = threading.Thread(target=loop, args=(self.slave(i), *args),
+                                  name=f"parterm-worker-{i}", daemon=True)
+            th.start()
+            self._threads.append(th)
+
+    def close(self) -> None:
+        """Send ``Shutdown`` to every started slave and join it.
+
+        A send never blocks, so this returns also after a failure: a failed
+        slave has stopped and never reads its Shutdown, and a live one reads
+        it after whatever its channel still holds.
+        """
+        for i in range(len(self._threads)):
+            self.send(i, Message(MessageKind.SHUTDOWN))
+        for th in self._threads:
+            th.join()
 
     def _encode(self, msg: Message):
         if not self._copy:

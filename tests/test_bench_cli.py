@@ -224,6 +224,20 @@ def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
 
 
+@pytest.mark.parametrize("slaves", ["0", "2"])
+def test_cli_reports_a_worker_failure_in_one_line(slaves, tmp_path, capsys):
+    program = tmp_path / "overflow.pt"
+    program.write_text("symbols x,y; local F = x^4294967295; multiply x; .sort .end")
+    assert cli.main(["run", str(program), "--slaves", slaves]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exponent overflow" in captured.err
+    assert "Traceback" not in captured.err
+    if slaves != "0":
+        assert captured.err.startswith("error: worker 0 failed: ExponentOverflowError: ")
+
+
 @pytest.mark.parametrize("command", [
     ["run", BINOMIAL, "--slaves"],
     ["verify", BINOMIAL, "--slaves"],

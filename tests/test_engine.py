@@ -240,6 +240,9 @@ def test_worker_fault_detail_crosses_the_backend(backend, monkeypatch):
     assert exc.worker in (0, 1)
     assert str(exc).startswith(f"worker {exc.worker} failed")
     assert "injected fault" in str(exc)
+    # One line for the user; the traceback stays on the exception.
+    assert str(exc) == f"worker {exc.worker} failed: RuntimeError: injected fault"
+    assert exc.detail.startswith("Traceback") and "_injected_fault" in exc.detail
 
 
 def test_computing_master_raises_when_every_worker_faults(monkeypatch):

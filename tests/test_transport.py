@@ -1,25 +1,27 @@
 import random
 import struct
 import threading
-import time
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parterm.transport import (
-    MAILBOX_BOUND,
     ChannelClosedError,
     MasterEndpoint,
     Message,
     MessageKind,
+    SlaveEndpoint,
     TransportStats,
     WireError,
     deserialize_terms,
     serialize_terms,
 )
 
+from parterm.engine import RunConfig, WorkerError, run_program
+from parterm.parser import parse_program
 from parterm.terms import EXP_MASK
 
 from oracles import hand_crc32, hand_wire_bytes, pack, pack_terms, random_terms
@@ -409,25 +411,92 @@ def test_star_topology_has_no_slave_to_slave_api():
     assert master.stats().messages == 0
 
 
-def test_bounded_mailbox_blocks_sender():
-    master = MasterEndpoint("sm", 1, NSYM)
-    done = threading.Event()
+def _count_unread(monkeypatch, fail_worker=None):
+    """Count each channel's unread messages: one up as the master sends, one
+    down once the slave's recv returns, so the count is never below what
+    the channel holds.  Returns the counts and a one-element list holding
+    the peak.  Slave ``fail_worker`` raises in its recv before reading."""
+    lock = threading.Lock()
+    unread = Counter()
+    peak = [0]
+    real_send, real_recv = MasterEndpoint.send, SlaveEndpoint.recv
 
-    def sender():
-        for i in range(MAILBOX_BOUND + 1):
-            master.send(0, Message(MessageKind.CHUNK_ASSIGNMENT, (1, 0), expr=i))
-        done.set()
+    def send(self, worker, msg):
+        with lock:
+            unread[worker] += 1
+            peak[0] = max(peak[0], unread[worker])
+        real_send(self, worker, msg)
 
-    th = threading.Thread(target=sender, daemon=True)
-    th.start()
-    time.sleep(0.2)
-    assert not done.is_set()  # the last send is blocked on the full mailbox
-    assert master.stats().messages_master_to_slave == MAILBOX_BOUND
-    slave = master.slave(0)
-    assert slave.recv().expr == 0
-    th.join(timeout=2.0)
-    assert done.is_set()
-    assert [slave.recv().expr for _ in range(MAILBOX_BOUND)] == list(range(1, MAILBOX_BOUND + 1))
+    def recv(self):
+        if self.worker == fail_worker:
+            raise RuntimeError("injected fault")
+        msg = real_recv(self)
+        with lock:
+            unread[self.worker] -= 1
+        return msg
+
+    monkeypatch.setattr(MasterEndpoint, "send", send)
+    monkeypatch.setattr(SlaveEndpoint, "recv", recv)
+    return unread, peak
+
+
+_TWO_MODULES = parse_program("symbols x,y; local F = (x+y)^6; local G = x-y; "
+                             "multiply x+y; .sort id x = y+1; .sort .end")
+_UNREAD_GRID = [RunConfig(nslaves=n, chunk_size=c, backend=b, master_computes=mc)
+                for n in (1, 2, 4) for c in (1, 7, 1000) for b in ("mp", "sm")
+                for mc in (False, True)]
+
+
+def test_channels_hold_at_most_one_unread_message(monkeypatch):
+    # The channels are unbounded because the protocol bounds them: a chunk,
+    # a Sort or a Shutdown goes to a slave only after it answered the last.
+    unread, peak = _count_unread(monkeypatch)
+    for cfg in _UNREAD_GRID:
+        unread.clear()
+        peak[0] = 0
+        run_program(_TWO_MODULES, cfg)
+        assert peak[0] == 1, cfg
+        assert not any(unread.values()), cfg  # every slave read its Shutdown
+
+
+def test_a_failure_leaves_at_most_two_unread_messages(monkeypatch):
+    # Slave 0 fails before reading its first chunk, so the Shutdown that
+    # follows is its channel's second unread message.
+    unread, peak = _count_unread(monkeypatch, fail_worker=0)
+    for cfg in _UNREAD_GRID:
+        unread.clear()
+        peak[0] = 0
+        with pytest.raises(WorkerError, match="worker 0 failed: RuntimeError: injected fault"):
+            run_program(_TWO_MODULES, cfg)
+        assert peak[0] == 2 and unread[0] == 2, cfg
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+def test_zero_slave_endpoint_starts_and_closes_nothing(backend, monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    master = MasterEndpoint(backend, 0, NSYM)
+    master.start(lambda endpoint: None)
+    master.close()
+    assert started == []
+    assert master.recv_any(block=False) is None
+    assert master.stats() == TransportStats()
+    with pytest.raises(ValueError, match="no slave 0"):
+        master.send(0, Message(MessageKind.SORT))
+
+
+def test_start_runs_the_loop_per_slave_and_close_joins_it():
+    seen = {}
+
+    def loop(endpoint, tag):
+        msg = endpoint.recv()
+        seen[endpoint.worker] = (threading.current_thread().name, tag, msg.kind)
+
+    master = MasterEndpoint("sm", 3, NSYM)
+    master.start(loop, "t")
+    master.close()
+    assert seen == {i: (f"parterm-worker-{i}", "t", MessageKind.SHUTDOWN) for i in range(3)}
+    assert master.stats().messages_master_to_slave == 3
 
 
 def test_recv_any_nonblocking():
