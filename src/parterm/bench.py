@@ -10,9 +10,8 @@ run discarded before measurement.  Every speedup is reported both ways:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from statistics import median_low
-from typing import Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 from .engine import ProgramRunResult, RunConfig, run_program
 from .parser import Program, parse_program
@@ -24,8 +23,8 @@ CSV_COLUMNS = [
     "serialized_bytes", "handle_transfers",
 ]
 
-@dataclass(frozen=True)
-class SpeedupRow:
+
+class SpeedupRow(NamedTuple):
     nslaves: int
     t_wall_ns: int
     t_final_merge_ns: int
@@ -34,8 +33,7 @@ class SpeedupRow:
     speedup_vs_sequential: float
 
 
-@dataclass
-class BenchResult:
+class BenchResult(NamedTuple):
     program_name: str
     csv_rows: list[dict]
     reports: dict[str, list[SpeedupRow]]  # per backend

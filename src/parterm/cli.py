@@ -126,13 +126,16 @@ def _cmd_bench(args) -> int:
     if 1 not in args.slaves:
         raise _UsageError("--slaves must include 1: speedups are normalized "
                           "to the one-slave timing")
+    dat_path = os.path.splitext(args.csv)[0] + ".dat"
+    if dat_path == args.csv:
+        raise _UsageError(f"--csv {args.csv} is the path of the .dat file; "
+                          "give the CSV another extension")
     RunConfig(nslaves=max(args.slaves))  # reject an over-cap count before any run
     text = _read_program(args.file)
     progress = None if args.quiet else sys.stderr
     result = bench.run_sweep(text, os.path.basename(args.file), args.slaves, args.backend,
                              args.chunk, repeats=args.repeat, progress=progress)
     bench.write_csv(args.csv, result.csv_rows)
-    dat_path = os.path.splitext(args.csv)[0] + ".dat"
     bench.write_dat(dat_path, result)
     print(bench.format_report(result))
     print(f"wrote {args.csv} and {dat_path}")

@@ -51,7 +51,7 @@ from __future__ import annotations
 import os
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import NamedTuple, Optional, Sequence
 
@@ -132,8 +132,7 @@ class WorkerMetrics:
     processed: int = 0
 
 
-@dataclass
-class PhaseMetrics:
+class PhaseMetrics(NamedTuple):
     """Per-module phase timings (ns) and term flow counts.
 
     ``t_distribute`` is the master's active partition/send time;
@@ -141,13 +140,13 @@ class PhaseMetrics:
     ``workers`` is keyed by worker id, ``-1`` standing for a computing master.
     """
 
-    t_distribute: int = 0
-    t_final_merge: int = 0
-    t_wall: int = 0
-    master_busy: int = 0
-    terms_in: int = 0
-    terms_out: int = 0
-    workers: dict[int, WorkerMetrics] = field(default_factory=dict)
+    t_distribute: int
+    t_final_merge: int
+    t_wall: int
+    master_busy: int
+    terms_in: int
+    terms_out: int
+    workers: dict[int, WorkerMetrics]
 
     @property
     def t_compute_max(self) -> int:
@@ -162,8 +161,7 @@ class PhaseMetrics:
         return sum(w.generated for w in self.workers.values())
 
 
-@dataclass
-class ProgramRunResult:
+class ProgramRunResult(NamedTuple):
     expressions: dict[str, Expression]
     module_metrics: list[PhaseMetrics]
     module_stats: list[TransportStats]
@@ -277,18 +275,17 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
 
     master_accs: list[terms.Accumulator] = [{} for _ in exprs]
     idle = deque(range(cfg.nslaves))
-    outstanding = 0
-    while pending or outstanding:
+    while pending or len(idle) < cfg.nslaves:  # some worker still holds a chunk
         t0 = perf_counter_ns()
         while idle and pending:
             c = pending.popleft()
             master.send(idle.popleft(), Message(
                 MessageKind.CHUNK_ASSIGNMENT, chunk_terms(c), c.expr))
-            outstanding += 1
         t_distribute += perf_counter_ns() - t0
         got = None
         if pending and mine is not None:
-            got = _recv(master, block=False) if outstanding else None
+            # No slave is idle here, so every slave holds a chunk.
+            got = _recv(master, block=False) if cfg.nslaves else None
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
                 c = pending.popleft()
@@ -297,7 +294,6 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
         worker, msg = got or _recv(master)
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
             raise EngineError(f"expected completion signal, got {msg.kind}")
-        outstanding -= 1
         idle.append(worker)
 
     # Sort boundary: every worker, the master too if it computes, sorts the

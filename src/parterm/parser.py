@@ -28,7 +28,6 @@ such limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from . import terms
@@ -46,16 +45,14 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class IdSubst:
+class IdSubst(NamedTuple):
     """Replace every power of one symbol: x^n -> rhs^n, per term."""
 
     target: int
     rhs: Expression
 
 
-@dataclass(frozen=True)
-class Multiply:
+class Multiply(NamedTuple):
     """Multiply every term by a fixed expression."""
 
     factor: Expression
@@ -64,13 +61,11 @@ class Multiply:
 Statement = Union[IdSubst, Multiply]
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(NamedTuple):
     statements: tuple[Statement, ...]
 
 
-@dataclass
-class Program:
+class Program(NamedTuple):
     symtab: SymbolTable
     initial: list[tuple[str, Expression]]
     modules: list[Module]

@@ -78,11 +78,10 @@ import marshal
 import queue
 import threading
 import zlib
-from dataclasses import dataclass
 from functools import reduce
 from operator import countOf, or_
 from time import perf_counter_ns
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .terms import FIELD_BITS, Expression, guard_mask
 
@@ -112,33 +111,27 @@ class MessageKind(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One message; ``expr`` is the index of the local expression a chunk or
     a run belongs to, ``detail`` the traceback a ``FAILED`` carries, and
-    ``metrics`` the per-module record a module's last ``RUN_RETURN`` carries."""
+    ``metrics`` the per-module record a module's last ``RUN_RETURN`` carries.
+    On an ``mp`` channel ``payload`` holds the wire bytes."""
 
     kind: MessageKind
-    payload: Expression = ()
+    payload: Expression | bytes = ()
     expr: int = 0
     detail: str = ""
     metrics: object = None
 
 
-@dataclass(frozen=True)
-class TransportStats:
+class TransportStats(NamedTuple):
     messages_master_to_slave: int = 0
     messages_slave_to_master: int = 0
     serialized_bytes: int = 0
     handle_transfers: int = 0
 
     def __sub__(self, other: "TransportStats") -> "TransportStats":
-        return TransportStats(
-            self.messages_master_to_slave - other.messages_master_to_slave,
-            self.messages_slave_to_master - other.messages_slave_to_master,
-            self.serialized_bytes - other.serialized_bytes,
-            self.handle_transfers - other.handle_transfers,
-        )
+        return TransportStats(*map(int.__sub__, self, other))
 
     @property
     def messages(self) -> int:
@@ -234,9 +227,9 @@ BACKENDS = ("mp", "sm")
 class MasterEndpoint:
     """The master's side of every channel: the slaves it started, their
     mailboxes, its own inbox, the closed flags and the counters, which need
-    no lock because only the master counts.  A queue record is the message
-    itself under ``sm``, and its fields with the payload as wire bytes under
-    ``mp``.  ``wait_ns`` is the time the master has spent waiting on its
+    no lock because only the master counts.  A queue record is a
+    :class:`Message`: the one sent under ``sm``, and under ``mp`` a copy of it
+    whose payload is the wire bytes.  ``wait_ns`` is the time the master has spent waiting on its
     inbox.  With ``nslaves=0`` there are no channels: :meth:`start` and
     :meth:`close` do nothing and the counters stay at zero."""
 
@@ -278,18 +271,15 @@ class MasterEndpoint:
         for th in self._threads:
             th.join()
 
-    def _encode(self, msg: Message):
+    def _encode(self, msg: Message) -> Message:
         if not self._copy:
             return msg
-        return (msg.kind, msg.expr, msg.detail, msg.metrics,
-                serialize_terms(msg.payload, self.nsymbols))
+        return msg._replace(payload=serialize_terms(msg.payload, self.nsymbols))
 
-    def _decode(self, record) -> Message:
+    def _decode(self, record: Message) -> Message:
         if not self._copy:
             return record
-        kind, expr, detail, metrics, wire = record
-        payload = deserialize_terms(wire, self.nsymbols)
-        return Message(kind, payload, expr, detail, metrics)
+        return record._replace(payload=deserialize_terms(record.payload, self.nsymbols))
 
     def slave(self, worker: int) -> "SlaveEndpoint":
         return SlaveEndpoint(self, worker)
@@ -305,7 +295,7 @@ class MasterEndpoint:
         self._outboxes[worker].put(record)
         self._m2s += 1
         if self._copy:
-            self._bytes += len(record[-1])
+            self._bytes += len(record.payload)
         if msg.kind is MessageKind.SHUTDOWN:
             self._closed[worker] = True
 
@@ -322,7 +312,7 @@ class MasterEndpoint:
             self.wait_ns += perf_counter_ns() - t0
         self._s2m += 1
         if self._copy:
-            self._bytes += len(record[-1])
+            self._bytes += len(record.payload)
         return worker, self._decode(record)
 
     def stats(self) -> TransportStats:
@@ -353,11 +343,11 @@ class SlaveEndpoint:
             self._closed = True
         return msg
 
-    def encode(self, msg: Message):
+    def encode(self, msg: Message) -> Message:
         """``msg`` as the record :meth:`reply` sends: encoded now, sent later."""
         return self._master._encode(msg)
 
-    def reply(self, record) -> None:
+    def reply(self, record: Message) -> None:
         """Send a record that :meth:`encode` made."""
         if self._closed:
             raise ChannelClosedError(f"slave {self.worker} channel is shut down")

@@ -179,7 +179,8 @@ def test_cli_verify_detects_mismatch(capsys, monkeypatch):
     def corrupting(program, cfg):
         result = real(program, cfg)
         if cfg.nslaves:  # corrupt only parallel runs
-            result.expressions = {k: v + (99, 0) for k, v in result.expressions.items()}
+            return result._replace(
+                expressions={k: v + (99, 0) for k, v in result.expressions.items()})
         return result
 
     monkeypatch.setattr(cli, "run_program", corrupting)
@@ -201,6 +202,18 @@ def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
     assert "S(two-proc)" in out
     with open(path) as fh:
         assert len(list(csv.reader(fh))) == 1 + 2 * 2 * 2  # header + p x backend x modules
+
+
+def test_cli_bench_rejects_a_csv_path_that_is_the_dat_path(tmp_path, capsys):
+    program = tmp_path / "expand.pt"
+    program.write_text(expand(2, 1))
+    path = tmp_path / "out.dat"
+    rc = cli.main(["bench", str(program), "--slaves", "1", "--backend", "sm",
+                   "--repeat", "1", "--csv", str(path), "--quiet"])
+    assert rc == cli.EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expand.pt"]
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--csv" in captured.err
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -1,3 +1,7 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import random
 import threading
 import time
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parterm
 from parterm import rewrite, sortmerge, terms, transport
 from parterm.engine import (
     MAX_SLAVES, RunConfig, SlaveCountError, WorkerError, WorkerMetrics, partition_chunks,
@@ -687,3 +692,16 @@ def test_peak_memory_stays_far_below_one_raw_term_per_generated_term():
         generated = sum(m.terms_generated for m in res.module_metrics)
         assert generated == 39440
         assert peak < 32 * generated, (nslaves, peak / generated)
+
+
+def test_only_run_config_and_worker_metrics_are_dataclasses():
+    # Every other record is a NamedTuple: without bytecode each @dataclass
+    # costs about 0.8 ms of setup_s, generating its methods from source at
+    # import.  RunConfig validates itself in __post_init__, and a worker adds
+    # to its WorkerMetrics as it works.
+    found = set()
+    for info in pkgutil.iter_modules(parterm.__path__):
+        module = importlib.import_module(f"parterm.{info.name}")
+        found |= {name for name, cls in inspect.getmembers(module, inspect.isclass)
+                  if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
+    assert found == {"RunConfig", "WorkerMetrics"}

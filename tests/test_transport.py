@@ -283,6 +283,25 @@ def test_loopback_fidelity(backend):
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
+def test_a_channel_record_is_the_message_with_its_payload_encoded(backend):
+    # Both backends queue a Message: the sent one under sm, and under mp the
+    # same fields with the payload's wire bytes in its place.
+    master = MasterEndpoint(backend, nslaves=1, nsymbols=NSYM)
+    payload = pack_terms(((5, ((0, 2),)), (7, ((3, 5),))), NSYM)
+    sent = Message(MessageKind.CHUNK_ASSIGNMENT, payload, expr=1)
+    master.send(0, sent)
+    reply = Message(MessageKind.RUN_RETURN, payload, expr=1, metrics=object())
+    for record, msg in ((master._outboxes[0].get_nowait(), sent),
+                        (master.slave(0).encode(reply), reply)):
+        assert type(record) is Message
+        if backend == "mp":
+            assert record == msg._replace(payload=serialize_terms(payload, NSYM))
+            assert record.metrics is msg.metrics
+        else:
+            assert record is msg
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
 def test_failed_detail_travels_beside_the_payload(backend):
     master = MasterEndpoint(backend, nslaves=2, nsymbols=NSYM)
     failed = Message(MessageKind.FAILED, detail="Traceback ...\nRuntimeError: x")
