@@ -1,7 +1,9 @@
 """Benchmark sweeps, speedups, and CSV/plot-data emission.
 
-Reported timings are medians over the configured repeats, with one warm-up
-run discarded before measurement.  Every speedup is reported both ways:
+``measure`` is the one loop that times runs: whole ``run_program`` calls,
+worker start and join included, over interleaved rounds.  Reported timings
+are medians over the rounds after a discarded warm-up.  Every speedup is
+reported both ways:
 
 * two-processor: S(p) = t_wall(1 slave + master) / t_wall(p slaves)
 * sequential:    S(p) = t_sequential / t_wall(p slaves)
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import csv
 from statistics import median_low
+from time import perf_counter_ns
 from typing import NamedTuple, Optional, Sequence, TextIO
 
-from .engine import ProgramRunResult, RunConfig, run_program
+from .engine import PhaseMetrics, RunConfig, run_program
 from .parser import Program, parse_program
 
 CSV_COLUMNS = [
@@ -49,8 +52,30 @@ def compute_speedups(timings: dict[int, int],
     return [(p, t_two_proc / t, t_sequential / t) for p, t in sorted(timings.items())]
 
 
-def _total_wall(result: ProgramRunResult) -> int:
-    return sum(m.t_wall for m in result.module_metrics)
+class MismatchError(Exception):
+    """A run's expressions differ from the first configuration's."""
+
+
+def measure(program: Program, configs: Sequence[RunConfig], repeats: int) -> list[list[tuple]]:
+    """Run every config once per round, forward in even rounds and backward in
+    odd ones, and drop round 0; per config, return ``repeats`` tuples
+    ``(wall_ns, module_metrics, module_stats, stats)``.  A run whose
+    expressions differ from the first config's raises ``MismatchError``."""
+    runs: list[list[tuple]] = [[] for _ in configs]
+    reference = None
+    for rnd in range(repeats + 1):
+        order = range(len(configs))
+        for i in (reversed(order) if rnd % 2 else order):
+            start = perf_counter_ns()
+            res = run_program(program, configs[i])
+            wall = perf_counter_ns() - start
+            if reference is None:
+                reference = res.expressions
+            elif res.expressions != reference:
+                raise MismatchError(f"{configs[i]} gave other expressions than {configs[0]}")
+            if rnd:
+                runs[i].append((wall, res.module_metrics, res.module_stats, res.stats))
+    return runs
 
 
 def run_sweep(
@@ -62,73 +87,45 @@ def run_sweep(
     repeats: int = 5,
     progress: Optional[TextIO] = None,
 ) -> BenchResult:
-    """Measure every (backend, nslaves, chunk_size) cell plus the sequential
-    reference; returns per-module median CSV rows and per-backend speedups.
-
-    Speedup rows use the first chunk size in ``chunks``.
-    """
+    """Measure the zero-worker reference and every (backend, nslaves,
+    chunk_size) cell together; returns per-module median CSV rows and
+    per-backend speedups of the median whole-run wall times at the first
+    chunk size in ``chunks``."""
     program: Program = parse_program(text)
-    nmodules = len(program.modules)
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress.write(msg + "\n")
-            progress.flush()
-
-    seq_walls = []
-    for r in range(repeats + 1):
-        seq_walls.append(_total_wall(run_program(program, RunConfig(nslaves=0))))
-    t_sequential = median_low(seq_walls[1:])
-    note(f"sequential reference: {t_sequential} ns")
+    cells = [RunConfig(nslaves=p, chunk_size=chunk, backend=backend)
+             for backend in backends for p in slaves for chunk in chunks]
+    seq_runs, *cell_runs = measure(program, [RunConfig(nslaves=0), *cells], repeats)
+    t_sequential = median_low(wall for wall, *_ in seq_runs)
+    notes = [f"sequential reference: {t_sequential} ns"]
 
     csv_rows: list[dict] = []
+    first_chunk: dict[str, dict[int, tuple[int, int, int]]] = {b: {} for b in backends}
+    for cfg, results in zip(cells, cell_runs):
+        walls, metrics, mstats, totals = zip(*results)
+        t_wall = median_low(walls)
+        notes.append(f"backend={cfg.backend} p={cfg.nslaves} chunk={cfg.chunk_size}: "
+                     f"median wall {t_wall} ns")
+        for mi in range(len(program.modules)):
+            row = dict(zip(CSV_COLUMNS, (program_name, mi, cfg.nslaves, cfg.backend,
+                                         cfg.chunk_size, repeats)))
+            # Each further column is a PhaseMetrics field (times with an _ns
+            # suffix) or else a TransportStats field, as a median over the runs.
+            for column in CSV_COLUMNS[len(row):]:
+                field = column.removesuffix("_ns")
+                records = metrics if hasattr(PhaseMetrics, field) else mstats
+                row[column] = median_low(getattr(r[mi], field) for r in records)
+            csv_rows.append(row)
+        if cfg.chunk_size == chunks[0]:
+            first_chunk[cfg.backend][cfg.nslaves] = (
+                t_wall,
+                median_low(sum(m.t_final_merge for m in ms) for ms in metrics),
+                median_low(s.serialized_bytes for s in totals))
+    if progress is not None:
+        print(*notes, sep="\n", file=progress, flush=True)
     reports: dict[str, list[SpeedupRow]] = {}
-    for backend in backends:
-        timings: dict[int, int] = {}
-        merge_medians: dict[int, int] = {}
-        bytes_medians: dict[int, int] = {}
-        for p in slaves:
-            for chunk in chunks:
-                cfg = RunConfig(nslaves=p, chunk_size=chunk, backend=backend)
-                results: list[ProgramRunResult] = []
-                for r in range(repeats + 1):
-                    res = run_program(program, cfg)
-                    if r > 0:  # discard the warm-up run
-                        results.append(res)
-                note(f"backend={backend} p={p} chunk={chunk}: "
-                     f"median wall {median_low(_total_wall(r) for r in results)} ns")
-                for mi in range(nmodules):
-                    mrows = [r.module_metrics[mi] for r in results]
-                    srows = [r.module_stats[mi] for r in results]
-                    csv_rows.append({
-                        "program": program_name,
-                        "module_index": mi,
-                        "nslaves": p,
-                        "backend": backend,
-                        "chunk_size": chunk,
-                        "repeat": repeats,
-                        "t_wall_ns": median_low(m.t_wall for m in mrows),
-                        "t_distribute_ns": median_low(m.t_distribute for m in mrows),
-                        "t_compute_max_ns": median_low(m.t_compute_max for m in mrows),
-                        "t_local_sort_max_ns": median_low(m.t_local_sort_max for m in mrows),
-                        "t_final_merge_ns": median_low(m.t_final_merge for m in mrows),
-                        "terms_in": median_low(m.terms_in for m in mrows),
-                        "terms_generated": median_low(m.terms_generated for m in mrows),
-                        "terms_out": median_low(m.terms_out for m in mrows),
-                        "messages": median_low(s.messages for s in srows),
-                        "serialized_bytes": median_low(s.serialized_bytes for s in srows),
-                        "handle_transfers": median_low(s.handle_transfers for s in srows),
-                    })
-                if chunk == chunks[0]:
-                    timings[p] = median_low(_total_wall(r) for r in results)
-                    merge_medians[p] = median_low(
-                        sum(m.t_final_merge for m in r.module_metrics) for r in results)
-                    bytes_medians[p] = median_low(
-                        r.stats.serialized_bytes for r in results)
-        reports[backend] = [
-            SpeedupRow(p, timings[p], merge_medians[p], bytes_medians[p], s2p, sseq)
-            for p, s2p, sseq in compute_speedups(timings, t_sequential)
-        ]
+    for backend, cols in first_chunk.items():
+        speedups = compute_speedups({p: col[0] for p, col in cols.items()}, t_sequential)
+        reports[backend] = [SpeedupRow(p, *cols[p], s2p, sseq) for p, s2p, sseq in speedups]
     return BenchResult(program_name, csv_rows, reports, t_sequential)
 
 

@@ -33,16 +33,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated int list, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"list entries must be >= 1: {text!r}")
-    return values
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
@@ -55,15 +45,23 @@ def _int_at_least(low: int):
     return parse
 
 
-def _backend_list(text: str) -> list[str]:
-    values = [part for part in text.split(",") if part]
-    for v in values:
-        if v not in BACKENDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown backend {v!r}; expected from {BACKENDS}")
-    if not values:
-        raise argparse.ArgumentTypeError("backend list is empty")
-    return values
+def _backend(text: str) -> str:
+    if text not in BACKENDS:
+        raise argparse.ArgumentTypeError(f"unknown backend {text!r}; expected from {BACKENDS}")
+    return text
+
+
+def _comma_list(item):
+    """A comma-separated list of distinct values, each parsed by ``item``."""
+    def parse(text: str) -> list:
+        values = [item(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(f"{value} is repeated in {text!r}")
+        return values
+    return parse
 
 
 def _default_slaves() -> int:
@@ -85,9 +83,9 @@ def _build_parser() -> _ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="sweep slave counts/backends; emit CSV + .dat")
     p_bench.add_argument("file")
-    p_bench.add_argument("--slaves", type=_int_list, required=True)
-    p_bench.add_argument("--backend", type=_backend_list, required=True)
-    p_bench.add_argument("--chunk", type=_int_list, default=[1000])
+    p_bench.add_argument("--slaves", type=_comma_list(_int_at_least(1)), required=True)
+    p_bench.add_argument("--backend", type=_comma_list(_backend), required=True)
+    p_bench.add_argument("--chunk", type=_comma_list(_int_at_least(1)), default=[1000])
     p_bench.add_argument("--repeat", type=_int_at_least(1), default=5)
     p_bench.add_argument("--csv", required=True)
     p_bench.add_argument("--quiet", action="store_true")
@@ -95,8 +93,8 @@ def _build_parser() -> _ArgumentParser:
     p_verify = sub.add_parser("verify",
                               help="check parallel results against the zero-worker run")
     p_verify.add_argument("file")
-    p_verify.add_argument("--slaves", type=_int_list, default=[1, 2, 4])
-    p_verify.add_argument("--chunk", type=_int_list, default=[1, 7, 1000])
+    p_verify.add_argument("--slaves", type=_comma_list(_int_at_least(1)), default=[1, 2, 4])
+    p_verify.add_argument("--chunk", type=_comma_list(_int_at_least(1)), default=[1, 7, 1000])
     return parser
 
 
@@ -130,7 +128,6 @@ def _cmd_bench(args) -> int:
     if dat_path == args.csv:
         raise _UsageError(f"--csv {args.csv} is the path of the .dat file; "
                           "give the CSV another extension")
-    RunConfig(nslaves=max(args.slaves))  # reject an over-cap count before any run
     text = _read_program(args.file)
     progress = None if args.quiet else sys.stderr
     result = bench.run_sweep(text, os.path.basename(args.file), args.slaves, args.backend,
@@ -178,6 +175,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, SlaveCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except bench.MismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

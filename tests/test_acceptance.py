@@ -17,7 +17,7 @@ from statistics import median_low
 import pytest
 
 from parterm import terms
-from parterm.bench import compute_speedups
+from parterm.bench import compute_speedups, measure
 from parterm.engine import RunConfig, run_program
 from parterm.parser import format_expression, parse_program
 from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
@@ -178,27 +178,16 @@ def _heavy_program():
     return parse_program(HEAVY_TEXT)
 
 
-def _total_wall(result) -> int:
-    return sum(m.t_wall for m in result.module_metrics)
-
-
-def _interleaved_medians(program, configs, rounds=6):
-    """Run every config once per round (paired measurement, so machine-load
-    drift hits all configs equally); drop the warm-up round, return medians."""
-    walls = {key: [] for key in configs}
-    merges = {key: [] for key in configs}
-    generated = None
-    for rep in range(rounds):
-        for key, cfg in configs.items():
-            res = run_program(program, cfg)
-            if generated is None:
-                generated = sum(m.terms_generated for m in res.module_metrics)
-            if rep:
-                walls[key].append(_total_wall(res))
-                merges[key].append(sum(m.t_final_merge for m in res.module_metrics))
-    assert generated >= 1_000_000
-    return ({k: median_low(v) for k, v in walls.items()},
-            {k: median_low(v) for k, v in merges.items()})
+def _medians(program, configs):
+    """Median whole-run wall and summed final-merge times per config key,
+    over 5 rounds of ``bench.measure`` after its warm-up round."""
+    runs = dict(zip(configs, measure(program, list(configs.values()), repeats=5)))
+    walls = {k: median_low(wall for wall, *_ in v) for k, v in runs.items()}
+    merges = {k: median_low(sum(m.t_final_merge for m in ms) for _, ms, _, _ in v)
+              for k, v in runs.items()}
+    _, metrics, _, _ = next(iter(runs.values()))[0]
+    assert sum(m.terms_generated for m in metrics) >= 1_000_000
+    return walls, merges
 
 
 @pytest.mark.skipif(CORES < 4, reason="criterion 4 precondition: >= 4 hardware cores")
@@ -210,7 +199,7 @@ def test_acceptance_4_overhead_ordering():
     for sweep in range(5):
         configs = {(backend, p): RunConfig(nslaves=p, backend=backend)
                    for backend in GRID_BACKENDS for p in (1, 2, 4)}
-        medians, _ = _interleaved_medians(program, configs)
+        medians, _ = _medians(program, configs)
         if all(medians["sm", p] <= medians["mp", p] for p in (1, 2, 4)):
             wins += 1
     assert wins >= 4, f"sm <= mp held in only {wins}/5 sweeps"
@@ -226,7 +215,7 @@ def test_acceptance_5_final_merge_share_trend():
     program = _heavy_program()
     slave_counts = list(range(1, CORES))
     configs = {p: RunConfig(nslaves=p, backend="sm") for p in slave_counts}
-    walls, merges = _interleaved_medians(program, configs)
+    walls, merges = _medians(program, configs)
     ratios = [merges[p] / walls[p] for p in slave_counts]
     for prev, nxt in zip(ratios, ratios[1:]):
         assert nxt >= prev * 0.90, f"merge share dropped: {ratios}"
@@ -238,7 +227,7 @@ def test_acceptance_6_speedup_floor():
     """Two-processor-normalized speedup at four slaves reaches at least 2.0."""
     program = _heavy_program()
     configs = {p: RunConfig(nslaves=p, backend="sm") for p in (1, 4)}
-    walls, _ = _interleaved_medians(program, configs)
+    walls, _ = _medians(program, configs)
     rows = compute_speedups(walls, t_sequential=walls[1])
     speedup_at_4 = dict((p, s2p) for p, s2p, _ in rows)[4]
     assert speedup_at_4 >= 2.0, f"speedup_two_proc(4) = {speedup_at_4:.2f}"

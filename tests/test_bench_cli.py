@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
-from parterm import cli
+from parterm import bench, cli, transport
 from parterm.bench import CSV_COLUMNS, compute_speedups, run_sweep, write_csv, write_dat
 from parterm.engine import MAX_SLAVES, RunConfig, run_program
 from parterm.parser import format_expression, parse_program
@@ -111,6 +112,66 @@ def test_multi_module_programs_emit_one_row_per_module():
     text = "symbols x; local F = x+1; multiply x; .sort multiply x; .sort .end"
     result = run_sweep(text, "demo", slaves=[1], backends=["sm"], repeats=1)
     assert [r["module_index"] for r in result.csv_rows] == [0, 1]
+
+
+def test_measure_alternates_the_order_and_drops_the_warm_up_round(monkeypatch):
+    real = bench.run_program
+    calls = []
+
+    def numbering(program, cfg):
+        calls.append(cfg)
+        return real(program, cfg)._replace(stats=len(calls))
+
+    monkeypatch.setattr(bench, "run_program", numbering)
+    a, b, c = configs = [RunConfig(nslaves=0), RunConfig(nslaves=1),
+                         RunConfig(nslaves=2, backend="mp")]
+    runs = bench.measure(parse_program("symbols x; local F = (x+1)^3; .sort .end"),
+                         configs, repeats=3)
+    assert calls == [a, b, c, c, b, a, a, b, c, c, b, a]
+    # calls 1-3 are round 0, the warm-up
+    assert [[stats for *_, stats in r] for r in runs] == [[6, 7, 12], [5, 8, 11], [4, 9, 10]]
+    assert all(wall > 0 for r in runs for wall, *_ in r)
+
+
+def test_sweep_times_the_whole_run_worker_join_included(monkeypatch):
+    # A run's wall time includes closing the endpoint (the Shutdowns and
+    # joins); a module's does not.
+    real_close = transport.MasterEndpoint.close
+
+    def slow_close(self):
+        time.sleep(0.02)
+        real_close(self)
+
+    monkeypatch.setattr(transport.MasterEndpoint, "close", slow_close)
+    text = "symbols x; local F = x+1; multiply x; .sort .end"
+    result = run_sweep(text, "demo", slaves=[1], backends=["sm"], repeats=1)
+    (row,) = result.reports["sm"]
+    assert row.t_wall_ns >= 20_000_000 and result.t_sequential_ns >= 20_000_000
+    (csv_row,) = result.csv_rows
+    assert csv_row["t_wall_ns"] < 20_000_000
+
+
+def test_a_config_with_other_results_fails_the_sweep(monkeypatch, tmp_path, capsys):
+    real = bench.run_program
+
+    def corrupting(program, cfg):
+        result = real(program, cfg)
+        if cfg.nslaves == 2:
+            return result._replace(
+                expressions={k: v + (99, 0) for k, v in result.expressions.items()})
+        return result
+
+    monkeypatch.setattr(bench, "run_program", corrupting)
+    text = "symbols x; local F = x+1; multiply x; .sort .end"
+    with pytest.raises(bench.MismatchError, match="nslaves=2"):
+        run_sweep(text, "demo", slaves=[1, 2], backends=["sm"], repeats=1)
+    path = tmp_path / "bench.csv"
+    rc = cli.main(["bench", BINOMIAL, "--slaves", "1,2", "--backend", "sm",
+                   "--repeat", "1", "--csv", str(path), "--quiet"])
+    assert rc == cli.EXIT_VERIFY
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nslaves=2" in captured.err
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -235,6 +296,22 @@ def test_cli_bench_rejects_a_csv_path_that_is_the_dat_path(tmp_path, capsys):
 ])
 def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["bench", BINOMIAL, "--slaves", "1,1", "--backend", "sm"], "1"),
+    (["bench", BINOMIAL, "--slaves", "1,2", "--backend", "sm,mp,sm"], "sm"),
+    (["bench", BINOMIAL, "--slaves", "1", "--backend", "sm", "--chunk", "7,100,7"], "7"),
+    (["verify", BINOMIAL, "--slaves", "2,1,2"], "2"),
+    (["verify", BINOMIAL, "--chunk", "1,1"], "1"),
+], ids=["bench-slaves", "bench-backend", "bench-chunk", "verify-slaves", "verify-chunk"])
+def test_cli_rejects_a_repeated_list_entry(argv, value, tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    extra = ["--repeat", "1", "--csv", str(path), "--quiet"] if argv[0] == "bench" else []
+    assert cli.main(argv + extra) == cli.EXIT_USAGE
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{value} is repeated in" in captured.err
 
 
 @pytest.mark.parametrize("slaves", ["0", "2"])

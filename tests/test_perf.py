@@ -12,6 +12,7 @@ from time import perf_counter
 import pytest
 
 from parterm import rewrite
+from parterm.bench import measure
 from parterm.engine import RunConfig, run_program
 from parterm.parser import parse_program
 from parterm.rewrite import apply_module_to_chunk
@@ -38,18 +39,13 @@ def test_master_is_almost_idle_without_participation():
 
 def test_zero_copy_backend_is_not_slower_at_desk_scale():
     # Product-chain workload: worker runs carry thousands of terms, so the
-    # marshalling backend pays a visible structural cost.  Repeats are
-    # interleaved so machine-load drift hits both backends alike.
+    # marshalling backend pays a visible structural cost.  ``measure``
+    # interleaves the runs, so machine-load drift hits both backends alike.
     text = ("symbols x,y,z,w;\nlocal F = (x+y+z+w)^20;\n"
             + "multiply (x+y+z+w);\n.sort\n" * 3 + ".end\n")
-    program = parse_program(text)
-    walls = {"mp": [], "sm": []}
-    for rep in range(6):
-        for backend in ("mp", "sm"):
-            res = run_program(program, RunConfig(nslaves=2, chunk_size=200, backend=backend))
-            if rep:
-                walls[backend].append(sum(m.t_wall for m in res.module_metrics))
-    assert median_low(walls["sm"]) <= median_low(walls["mp"])
+    configs = [RunConfig(nslaves=2, chunk_size=200, backend=b) for b in ("mp", "sm")]
+    mp, sm = measure(parse_program(text), configs, repeats=5)
+    assert median_low(wall for wall, *_ in sm) <= median_low(wall for wall, *_ in mp)
 
 
 def test_power_of_a_linear_form_parses_in_time_proportional_to_its_output():
