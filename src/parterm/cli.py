@@ -109,9 +109,8 @@ def _cmd_run(args) -> int:
     cfg = RunConfig(nslaves=args.slaves, chunk_size=args.chunk, backend=args.backend,
                     master_computes=args.master_computes)
     result = run_program(program, cfg)
-    lines = [f"{name} = {format_expression(expr, program.symtab)}"
-             for name, expr in result.expressions.items()]
-    output = "\n".join(lines) + "\n"
+    output = "".join(f"{name} = {format_expression(expr, program.symtab)}\n"
+                     for name, expr in result.expressions.items())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(output)

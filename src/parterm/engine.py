@@ -2,12 +2,14 @@
 
 :func:`run_program` has a :class:`~parterm.transport.MasterEndpoint` start
 ``nslaves`` workers once, and closes it, which shuts down and joins them, on
-its way out.  Every worker holds the
-program's module list and applies module *k* after it has seen *k* SORTs.
+its way out.  Every worker holds the modules that have statements, in
+program order, and applies the *k*-th of them after it has seen *k* SORTs;
+a module with no statements moves no terms (see :func:`run_program`).
 Workers share nothing except their transport endpoint: all term data and
 every per-module record moves by message, and a worker writes no object the
-master reads.  On each master-slave channel a run is, per module, CHUNK* then
-SORT then one RUN_RETURN per expression, and SHUTDOWN once at the end:
+master reads.  On each master-slave channel a run is, per module that has
+statements, CHUNK* then SORT then one RUN_RETURN per expression, and
+SHUTDOWN once at the end:
 
 1. CHUNK*: the master splits every local expression of the module into
    chunks tagged with their expression's index and deals them in one pass,
@@ -249,6 +251,12 @@ def _recv(master: MasterEndpoint, block: bool = True) -> Optional[tuple[int, Mes
     return got
 
 
+def _worker_records(cfg: RunConfig) -> dict[int, WorkerMetrics]:
+    """A fresh record for every slave, and for the master if it computes."""
+    first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
+    return {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
+
+
 def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
                      exprs: Sequence[Expression]) -> tuple[list[Expression], PhaseMetrics]:
     """Run module ``m`` over every local expression in one dispatch pass.
@@ -258,8 +266,7 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
     the same for every configuration; only metrics and transport stats vary.
     """
     nsymbols = master.nsymbols
-    first = MASTER_WORKER_ID if cfg.master_computes or not cfg.nslaves else 0
-    workers = {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
+    workers = _worker_records(cfg)
     mine = workers.get(MASTER_WORKER_ID)
     wait_start = master.wait_ns
     t_start = perf_counter_ns()
@@ -330,7 +337,14 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
 
 
 def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
-    """Execute every module in order over every local expression."""
+    """Execute every module in order over every local expression.
+
+    Every expression that enters a module is canonical (the parser and the
+    merge make it so), so a module with no statements runs nowhere: the
+    workers hold only the others, and for it the master sends nothing,
+    passes the expressions on as the same tuples and records an identity
+    step, with a zero record per worker.
+    """
     names = [name for name, _ in program.initial]
     exprs = [e for _, e in program.initial]
     module_metrics: list[PhaseMetrics] = []
@@ -338,9 +352,15 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     nsymbols = len(program.symtab)
     master = MasterEndpoint(cfg.backend, cfg.nslaves, nsymbols)
     try:
-        master.start(_slave_loop, program.modules, nsymbols, len(exprs))
+        master.start(_slave_loop, [m for m in program.modules if m.statements],
+                     nsymbols, len(exprs))
         for m in program.modules:
-            exprs, metrics = execute_parallel(master, cfg, m, exprs)
+            if m.statements:
+                exprs, metrics = execute_parallel(master, cfg, m, exprs)
+            else:
+                n = sum(len(e) for e in exprs) // 2
+                metrics = PhaseMetrics(t_distribute=0, t_final_merge=0, t_wall=0, master_busy=0,
+                                       terms_in=n, terms_out=n, workers=_worker_records(cfg))
             module_metrics.append(metrics)
             marks.append(master.stats())
     finally:

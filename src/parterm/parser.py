@@ -66,6 +66,11 @@ class Module(NamedTuple):
 
 
 class Program(NamedTuple):
+    """Symbols, named local expressions and modules, in program order.
+
+    Every local expression is canonical: the engine passes it through a
+    module with no statements untouched."""
+
     symtab: SymbolTable
     initial: list[tuple[str, Expression]]
     modules: list[Module]

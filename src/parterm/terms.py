@@ -216,6 +216,10 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
     Multiplying monomials is adding them.  One guard pass checks the longer
     operand against the shorter one's field-wise maximum, then one pass over
     the longer operand per term of the shorter one makes every product.
+
+    A one-term operand ``c*m`` skips the dict and the sort: adding ``m`` to
+    every monomial keeps their order and distinctness, and a nonzero ``c``
+    keeps every coefficient nonzero, so the shifted, scaled copy is canonical.
     """
     if not a or not b:
         return ZERO
@@ -223,6 +227,15 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
         a, b = b, a
     # Guard bits for every field up to the largest product's top field.
     guard = guard_mask(-(-(a[1] + b[1]).bit_length() // FIELD_BITS))
+    if len(b) == 2:
+        c, mb = b
+        out = list(a)
+        out[1::2] = ms = [ma + mb for ma in a[1::2]]
+        for m in ms:
+            if m & guard:
+                raise ExponentOverflowError()
+        out[::2] = [ca * c for ca in a[::2]]
+        return tuple(out)
     bound = field_max(b)
     for ma in a[1::2]:
         if (ma + bound) & guard:

@@ -190,6 +190,17 @@ def test_cli_run_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_run_prints_nothing_for_a_program_without_locals(tmp_path, capsys):
+    src = tmp_path / "nolocals.pt"
+    src.write_text("symbols x; .sort .end")
+    assert cli.main(["run", str(src), "--slaves", "2"]) == 0
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "result.txt"
+    assert cli.main(["run", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == ""
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_run_sequential_sentinel(capsys):
     rc = cli.main(["run", BINOMIAL, "--slaves", "0"])
     assert rc == 0

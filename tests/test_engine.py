@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import parterm
 from parterm import rewrite, sortmerge, terms, transport
 from parterm.engine import (
-    MAX_SLAVES, RunConfig, SlaveCountError, WorkerError, WorkerMetrics, partition_chunks,
-    run_program)
+    MAX_SLAVES, PhaseMetrics, RunConfig, SlaveCountError, WorkerError, WorkerMetrics,
+    partition_chunks, run_program)
 from parterm.parser import IdSubst, Module, Multiply, Program, parse_program
 from parterm.terms import SymbolTable, add_expressions, pow_expression, symbol
 
@@ -158,7 +158,12 @@ def test_grid_matches_sequential(backend, master_computes):
                                 master_computes=master_computes)
                 result, metrics, stats = _run_module(e, m, NSYM, cfg)
                 assert result == expected
-                assert sum(w.processed for w in metrics.workers.values()) == len(e) // 2
+                processed = sum(w.processed for w in metrics.workers.values())
+                if m.statements:
+                    assert processed == len(e) // 2
+                else:  # a module with no statements runs nowhere
+                    assert processed == metrics.terms_generated == 0
+                    assert stats.messages == nslaves  # the Shutdowns alone
 
 
 def test_empty_expression_parallel():
@@ -465,9 +470,18 @@ def test_worker_busy_counts_the_encode_of_its_replies(monkeypatch):
 # -- whole programs ----------------------------------------------------------
 
 def test_run_program_identity_module():
-    program = _parse("symbols x,y; local F = x+y; .sort .end")
-    result = run_program(program, RunConfig(nslaves=2))
-    assert unpack_terms(result.expressions["F"], 2) == ((1, ((0, 1),)), (1, ((1, 1),)))
+    # A module with no statements runs nowhere: the expressions pass through
+    # as the same tuples, and only the Shutdowns travel.
+    program = _parse("symbols x,y; local F = x+y; local G = (x-y)^3; .sort .end")
+    for cfg in (SEQ, RunConfig(nslaves=2),
+                RunConfig(nslaves=2, backend="mp", master_computes=True)):
+        result = run_program(program, cfg)
+        assert unpack_terms(result.expressions["F"], 2) == ((1, ((0, 1),)), (1, ((1, 1),)))
+        assert all(result.expressions[name] is e for name, e in program.initial)
+        first = -1 if cfg.master_computes or not cfg.nslaves else 0
+        workers = {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
+        assert result.module_metrics == [PhaseMetrics(0, 0, 0, 0, 6, 6, workers)]
+        assert result.stats.messages == cfg.nslaves
 
 
 def test_run_program_two_module_composition():
@@ -675,9 +689,10 @@ def test_products_that_all_cancel_leave_no_zero_term(monkeypatch):
 
 
 def test_peak_memory_stays_far_below_one_raw_term_per_generated_term():
-    # 39,440 generated terms combine to 680 as they are generated.  A raw
-    # term list costs well over 100 bytes per generated term; the bound
-    # leaves room for the accumulators, the runs and the chunk slices.
+    # 38,760 generated terms combine to 680 as they are generated; the bare
+    # .sort runs nowhere and generates none.  A raw term list costs well
+    # over 100 bytes per generated term; the bound leaves room for the
+    # accumulators, the runs and the chunk slices.
     program = _parse("symbols x,y,z,w; local F = (x+2*y-z+w)^14; .sort "
                      "id x = y-3*z+w+2; .sort .end")
     for nslaves in (0, 1):
@@ -690,8 +705,88 @@ def test_peak_memory_stays_far_below_one_raw_term_per_generated_term():
         finally:
             tracemalloc.stop()
         generated = sum(m.terms_generated for m in res.module_metrics)
-        assert generated == 39440
+        assert generated == 38760
         assert peak < 32 * generated, (nslaves, peak / generated)
+
+
+# -- a module with no statements runs nowhere --------------------------------
+
+_BARE_SORT = ("symbols x, y, z, w; local F = (x-y+3*z-3*w)^17; .sort "
+              "id x = -2*y+z+2*w-1; .sort .end")
+
+
+@pytest.mark.parametrize("backend", ["mp", "sm"])
+@pytest.mark.parametrize("nslaves", [1, 2])
+def test_a_bare_sort_sends_nothing(nslaves, backend):
+    cfg = RunConfig(nslaves=nslaves, backend=backend)
+    bare = run_program(_parse(_BARE_SORT), cfg)
+    plain = run_program(_parse(_BARE_SORT.replace(".sort id", "id")), cfg)
+    assert bare.expressions == plain.expressions
+    assert bare.module_stats[0] == transport.TransportStats()
+    assert bare.module_metrics[0] == PhaseMetrics(
+        0, 0, 0, 0, 1140, 1140, {i: WorkerMetrics() for i in range(nslaves)})
+
+    def counts(s):
+        return s.messages_master_to_slave, s.messages_slave_to_master, s.handle_transfers
+
+    assert counts(bare.stats) == counts(plain.stats)
+    if nslaves == 1 and backend == "mp":
+        # With two slaves the runs' bytes depend on which one got which chunk.
+        assert bare.stats.serialized_bytes == plain.stats.serialized_bytes
+
+
+_GRID_SAMPLE = [RunConfig(nslaves=n, chunk_size=c, backend=b, master_computes=mc)
+                for n in (1, 2, 4, 8) for c in (1, 7, 1000) for b in ("mp", "sm")
+                for mc in (False, True)]
+
+
+@st.composite
+def _padded_programs(draw):
+    """A random program, and the same program with empty modules inserted."""
+    initial = [(name, pack_terms(draw(_st_poly), _XYZ)) for name in ("F", "G")]
+    modules = draw(st.lists(st.lists(_st_statement, min_size=1, max_size=2).map(
+        lambda ss: Module(tuple(ss))), min_size=1, max_size=3))
+    padded = list(modules)
+    for _ in range(draw(st.integers(1, 3))):
+        padded.insert(draw(st.integers(0, len(padded))), Module(()))
+    symtab = SymbolTable(("x", "y", "z"))
+    return Program(symtab, initial, modules), Program(symtab, initial, padded)
+
+
+def _module_messages(res, nslaves):
+    """Each module's messages per direction, the Shutdowns left out."""
+    out = [(s.messages_master_to_slave, s.messages_slave_to_master) for s in res.module_stats]
+    out[-1] = (out[-1][0] - nslaves, out[-1][1])
+    return out
+
+
+@given(_padded_programs(), st.sampled_from(_GRID_SAMPLE))
+@settings(max_examples=40, deadline=None)
+def test_empty_modules_change_nothing_but_their_own_records(programs, cfg):
+    plain, padded = programs
+    sorts = []
+    real_send = transport.MasterEndpoint.send
+
+    def counted(self, worker, msg):
+        if msg.kind is transport.MessageKind.SORT:
+            sorts.append(worker)
+        return real_send(self, worker, msg)
+
+    a = run_program(plain, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport.MasterEndpoint, "send", counted)
+        b = run_program(padded, cfg)
+    assert b.expressions == a.expressions == oracle_run_program(plain)
+    assert len(sorts) == cfg.nslaves * len(plain.modules)
+    kept = [i for i, m in enumerate(padded.modules) if m.statements]
+    assert [b.module_metrics[i].terms_generated for i in kept] == \
+        [m.terms_generated for m in a.module_metrics]
+    messages = _module_messages(b, cfg.nslaves)
+    if not cfg.master_computes:  # else the master takes a varying share of the chunks
+        assert [messages[i] for i in kept] == _module_messages(a, cfg.nslaves)
+    for i, m in enumerate(padded.modules):
+        if not m.statements:
+            assert messages[i] == (0, 0) and b.module_metrics[i].terms_generated == 0
 
 
 def test_only_run_config_and_worker_metrics_are_dataclasses():

@@ -333,6 +333,46 @@ def test_multiply_matches_brute_oracle(raw_a, raw_b):
     assert got == pack_terms(brute_multiply(a, b, NSYM), NSYM)
 
 
+# Exponents at the top of a field as well as small ones, so that some
+# products overflow.
+st_wide_factors = st.lists(st.sampled_from((0, 1, 2, EXP_MASK - 1, EXP_MASK)),
+                           max_size=NSYM).map(
+    lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e))
+st_wide_expression = st.lists(st.tuples(st.integers(-9, 9), st_wide_factors), max_size=6).map(
+    lambda raw: oracle_normalize(raw, NSYM))
+
+
+@given(st_wide_expression, st.integers(-9, 9).filter(bool), st_wide_factors)
+def test_one_term_product_matches_the_general_path_and_the_oracle(a, c, m):
+    b = ((c, m),)
+    pa, pb = pack_terms(a, NSYM), pack_terms(b, NSYM)
+    overflows = any(dict(ma).get(sid, 0) + dict(m).get(sid, 0) > EXP_MASK
+                    for _, ma in a for sid in range(NSYM))
+    general: terms.Accumulator = {}
+    terms.add_product(general, pa, pb)
+    for x, y in ((pa, pb), (pb, pa)):
+        if overflows:
+            with pytest.raises(ExponentOverflowError):
+                multiply_expressions(x, y)
+            continue
+        got = multiply_expressions(x, y)
+        assert got == terms.sorted_flat(general) == pack_terms(brute_multiply(a, b, NSYM), NSYM)
+        assert is_canonical(got, NSYM)
+
+
+def test_a_one_term_product_neither_bounds_nor_sorts(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the general path ran")
+
+    monkeypatch.setattr(terms, "field_max", unused)
+    monkeypatch.setattr(terms, "sorted_flat", unused)
+    a = pack_terms(((2, ((0, 2),)), (-1, ((1, 1),)), (3, ())), 2)
+    assert multiply_expressions(a, (-2, pack(((1, 1),), 2))) == \
+        pack_terms(((-4, ((0, 2), (1, 1))), (2, ((1, 2),)), (-6, ((1, 1),))), 2)
+    assert multiply_expressions((5, terms.UNIT), a) == \
+        pack_terms(((10, ((0, 2),)), (-5, ((1, 1),)), (15, ())), 2)
+
+
 def test_results_are_normalized_random():
     rng = random.Random(3)
     for _ in range(50):
