@@ -83,7 +83,7 @@ def run_sweep(
     program_name: str,
     slaves: Sequence[int],
     backends: Sequence[str],
-    chunks: Sequence[int] = (1000,),
+    chunks: Sequence[int] = (RunConfig._field_defaults["chunk_size"],),
     repeats: int = 5,
     progress: Optional[TextIO] = None,
 ) -> BenchResult:

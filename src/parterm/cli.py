@@ -69,6 +69,7 @@ def _default_slaves() -> int:
 
 
 def _build_parser() -> _ArgumentParser:
+    defaults = RunConfig._field_defaults
     parser = _ArgumentParser(prog="parterm",
                              description="parallel term-rewriting engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,8 +77,8 @@ def _build_parser() -> _ArgumentParser:
     p_run = sub.add_parser("run", help="execute a program and print its expressions")
     p_run.add_argument("file")
     p_run.add_argument("--slaves", type=_int_at_least(0), default=_default_slaves())
-    p_run.add_argument("--backend", choices=BACKENDS, default="sm")
-    p_run.add_argument("--chunk", type=_int_at_least(1), default=1000)
+    p_run.add_argument("--backend", choices=BACKENDS, default=defaults["backend"])
+    p_run.add_argument("--chunk", type=_int_at_least(1), default=defaults["chunk_size"])
     p_run.add_argument("--master-computes", action="store_true")
     p_run.add_argument("--out", default=None)
 
@@ -85,7 +86,8 @@ def _build_parser() -> _ArgumentParser:
     p_bench.add_argument("file")
     p_bench.add_argument("--slaves", type=_comma_list(_int_at_least(1)), required=True)
     p_bench.add_argument("--backend", type=_comma_list(_backend), required=True)
-    p_bench.add_argument("--chunk", type=_comma_list(_int_at_least(1)), default=[1000])
+    p_bench.add_argument("--chunk", type=_comma_list(_int_at_least(1)),
+                         default=[defaults["chunk_size"]])
     p_bench.add_argument("--repeat", type=_int_at_least(1), default=5)
     p_bench.add_argument("--csv", required=True)
     p_bench.add_argument("--quiet", action="store_true")

@@ -1,15 +1,16 @@
 """Program execution: one master and its workers, started once per program run.
 
 :func:`run_program` has a :class:`~parterm.transport.MasterEndpoint` start
-``nslaves`` workers once, and closes it, which shuts down and joins them, on
-its way out.  Every worker holds the modules that have statements, in
-program order, and applies the *k*-th of them after it has seen *k* SORTs;
-a module with no statements moves no terms (see :func:`run_program`).
-Workers share nothing except their transport endpoint: all term data and
-every per-module record moves by message, and a worker writes no object the
-master reads.  On each master-slave channel a run is, per module that has
-statements, CHUNK* then SORT then one RUN_RETURN per expression, and
-SHUTDOWN once at the end:
+``nslaves`` workers once, if some module has statements, and closes it,
+which shuts down and joins them, on its way out.  Every worker holds the
+modules that have statements, in program order, and applies the *k*-th of
+them after it has seen *k* SORTs; a module with no statements moves no terms
+(see :func:`run_program`).  Workers share nothing except their transport
+endpoint: all term data and every per-module record moves by message.  A
+record is a value, a tuple of ints sent once per module, so nothing the
+master holds is ever written again.  On each master-slave channel a run is,
+per module that has statements, CHUNK* then SORT then one RUN_RETURN per
+expression, and SHUTDOWN once at the end:
 
 1. CHUNK*: the master splits every local expression of the module into
    chunks tagged with their expression's index and deals them in one pass,
@@ -20,9 +21,10 @@ SHUTDOWN once at the end:
 2. SORT: once every chunk is acknowledged the master sends ``Sort`` to each
    worker; the worker sorts the distinct monomials of each expression's
    accumulator once, dropping zero sums, and answers with exactly one
-   ``RunReturn`` per expression (an empty run is allowed); the last one also
-   carries the worker's :class:`WorkerMetrics` for the module, and the
-   worker starts a fresh record for the next;
+   ``RunReturn`` per expression (an empty run is allowed); once every run is
+   encoded, the last one takes the worker's :class:`WorkerMetrics` for the
+   module, the sum of its messages' shares, and the worker starts a fresh
+   sum for the next;
 3. the master k-way-merges the runs of each expression, one expression at a
    time, into the module's output.
 
@@ -53,7 +55,6 @@ from __future__ import annotations
 import os
 import traceback
 from collections import deque
-from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import NamedTuple, Optional, Sequence
 
@@ -88,16 +89,21 @@ class WorkerError(EngineError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for one engine run; with ``nslaves=0`` the master computes every chunk."""
-
+class _RunKnobs(NamedTuple):
     nslaves: int = 1
     chunk_size: int = 1000
     backend: str = "sm"
     master_computes: bool = False
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunKnobs):
+    """Knobs for one engine run, checked whenever one is built, by ``_replace``
+    too; with ``nslaves=0`` the master computes every chunk."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.nslaves < 0:
             raise ValueError(f"nslaves must be >= 0, got {self.nslaves}")
         if self.nslaves > MAX_SLAVES:
@@ -107,6 +113,11 @@ class RunConfig:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RunConfig":
+        return cls(*iterable)
 
 
 class Chunk(NamedTuple):
@@ -118,13 +129,12 @@ class Chunk(NamedTuple):
     stop: int
 
 
-@dataclass
-class WorkerMetrics:
+class WorkerMetrics(NamedTuple):
     """One worker's (or the computing master's) share of one module.
 
     ``busy_ns`` runs from a message's arrival, before its decode, until its
-    answers are encoded; sending them is transport time.  A worker writes
-    only its own record and sends it with the module's last encoded run.
+    answers are encoded; sending them is transport time.  A worker adds up
+    the shares of its messages and sends the sum once per module.
     """
 
     compute_ns: int = 0
@@ -132,6 +142,9 @@ class WorkerMetrics:
     busy_ns: int = 0
     generated: int = 0
     processed: int = 0
+
+    def __add__(self, other: "WorkerMetrics") -> "WorkerMetrics":
+        return WorkerMetrics(*map(int.__add__, self, other))
 
 
 class PhaseMetrics(NamedTuple):
@@ -180,16 +193,16 @@ def partition_chunks(exprs: Sequence[Expression], chunk_size: int) -> list[Chunk
 
 
 def _rewrite_chunk(chunk: Expression, m: Module, nsymbols: int,
-                   acc: terms.Accumulator, metrics: WorkerMetrics) -> None:
+                   acc: terms.Accumulator) -> WorkerMetrics:
     t0 = perf_counter_ns()
     generated = rewrite.apply_module_to_chunk(chunk, m, nsymbols, acc)
-    metrics.compute_ns += perf_counter_ns() - t0
-    metrics.generated += generated
-    metrics.processed += len(chunk) // 2
+    return WorkerMetrics(compute_ns=perf_counter_ns() - t0, generated=generated,
+                         processed=len(chunk) // 2)
 
 
-def _sort_runs(accs: list[terms.Accumulator], metrics: WorkerMetrics) -> list[Expression]:
-    """Sort the distinct monomials of each expression's accumulator once: the runs.
+def _sort_runs(accs: list[terms.Accumulator]) -> tuple[list[Expression], WorkerMetrics]:
+    """Sort the distinct monomials of each expression's accumulator once: the
+    runs, and the sort's share.
 
     Empties each accumulator, so its terms are freed before the runs travel.
     """
@@ -198,20 +211,20 @@ def _sort_runs(accs: list[terms.Accumulator], metrics: WorkerMetrics) -> list[Ex
     for acc in accs:
         runs.append(terms.sorted_flat(acc))
         acc.clear()
-    metrics.sort_ns += perf_counter_ns() - t0
-    return runs
+    return runs, WorkerMetrics(sort_ns=perf_counter_ns() - t0)
 
 
 def _return_runs(endpoint, accs: list[terms.Accumulator], mine: WorkerMetrics,
                  t0: int) -> None:
-    """Answer a SORT that arrived at ``t0`` with one run per expression, the
-    last carrying ``mine``; the worker keeps none of them."""
-    runs = _sort_runs(accs, mine)
-    last = len(runs) - 1
-    records = [endpoint.encode(Message(MessageKind.RUN_RETURN, payload=run, expr=expr,
-                                       metrics=mine if expr == last else None))
+    """Answer a SORT that arrived at ``t0`` with one run per expression; once
+    every run is encoded, the last one takes ``mine`` plus the SORT's share.
+    The worker keeps none of them."""
+    runs, share = _sort_runs(accs)
+    records = [endpoint.encode(Message(MessageKind.RUN_RETURN, run, expr))
                for expr, run in enumerate(runs)]
-    mine.busy_ns += perf_counter_ns() - t0
+    mine += share._replace(busy_ns=perf_counter_ns() - t0)
+    if records:
+        records[-1] = records[-1]._replace(metrics=mine)
     for record in records:
         endpoint.reply(record)
 
@@ -227,14 +240,13 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
                 break
             t0 = endpoint.received_ns  # before the decode
             if msg.kind is MessageKind.CHUNK_ASSIGNMENT:
-                _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr], mine)
+                share = _rewrite_chunk(msg.payload, modules[k], nsymbols, accs[msg.expr])
                 ack = endpoint.encode(Message(MessageKind.RUN_RETURN))
-                mine.busy_ns += perf_counter_ns() - t0
+                mine += share._replace(busy_ns=perf_counter_ns() - t0)
                 endpoint.reply(ack)
             elif msg.kind is MessageKind.SORT:
                 _return_runs(endpoint, accs, mine, t0)
-                mine = WorkerMetrics()  # the sent record now belongs to the master
-                k += 1
+                mine, k = WorkerMetrics(), k + 1
             else:  # pragma: no cover - protocol violation
                 raise EngineError(f"unexpected message kind {msg.kind}")
     except Exception:
@@ -296,7 +308,7 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
                 c = pending.popleft()
-                _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr], mine)
+                mine += _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr])
                 continue
         worker, msg = got or _recv(master)
         if msg.kind is not MessageKind.RUN_RETURN or msg.payload:
@@ -311,8 +323,9 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
     t_distribute += perf_counter_ns() - t0
     runs: list[list[Expression]] = [[] for _ in exprs]
     if mine is not None:
-        for expr, run in enumerate(_sort_runs(master_accs, mine)):
-            runs[expr].append(run)
+        own, share = _sort_runs(master_accs)
+        workers[MASTER_WORKER_ID] = mine + share
+        runs = [[run] for run in own]
     for _ in range(cfg.nslaves * len(exprs)):
         worker, msg = _recv(master)
         if msg.kind is not MessageKind.RUN_RETURN:
@@ -343,7 +356,8 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     merge make it so), so a module with no statements runs nowhere: the
     workers hold only the others, and for it the master sends nothing,
     passes the expressions on as the same tuples and records an identity
-    step, with a zero record per worker.
+    step, with a zero record per worker.  A program none of whose modules
+    has statements starts no worker, so nothing travels.
     """
     names = [name for name, _ in program.initial]
     exprs = [e for _, e in program.initial]
@@ -352,8 +366,9 @@ def run_program(program: Program, cfg: RunConfig) -> ProgramRunResult:
     nsymbols = len(program.symtab)
     master = MasterEndpoint(cfg.backend, cfg.nslaves, nsymbols)
     try:
-        master.start(_slave_loop, [m for m in program.modules if m.statements],
-                     nsymbols, len(exprs))
+        active = [m for m in program.modules if m.statements]
+        if active:
+            master.start(_slave_loop, active, nsymbols, len(exprs))
         for m in program.modules:
             if m.statements:
                 exprs, metrics = execute_parallel(master, cfg, m, exprs)

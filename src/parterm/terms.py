@@ -138,7 +138,10 @@ def field_max(e: Expression) -> Monomial:
 
     ``m + field_max(e)`` has a guard bit set exactly when ``m + mi`` does for
     some monomial ``mi`` of ``e``, so one check covers a whole distribution.
+    A one-term ``e``'s maximum is its monomial, with no pass over the fields.
     """
+    if len(e) == 2:
+        return e[1]
     rest = e[1::2]
     out = 0
     shift = 0
@@ -189,7 +192,7 @@ def add_expressions(a: Expression, b: Expression) -> Expression:
     """Sum of two normalized expressions: :func:`normalize` of their concatenation.
 
     Nothing in the package calls it; it stays only because
-    ``perfbench/tracing.py`` looks it up by name (ROADMAP items 1, 2 and 8).
+    ``perfbench/tracing.py`` looks it up by name; ROADMAP item 2 removes it.
     """
     return normalize(a + b)
 
@@ -281,15 +284,15 @@ def pow_expression(a: Expression, n: int) -> Expression:
         return ONE
     if not a:
         return ZERO
-    outputs = 1  # the distinct monomials the power can have, at most
     rest = pow_field_max(a, n)
-    while rest:
-        outputs *= (rest & EXP_MASK) + 1
-        rest >>= FIELD_BITS
     k = len(a) // 2
     if k == 1:
         coeff, mono = a
         return (coeff ** n, mono * n)
+    outputs = 1  # the distinct monomials the power can have, at most
+    while rest:
+        outputs *= (rest & EXP_MASK) + 1
+        rest >>= FIELD_BITS
     if math.comb(n + k - 1, k - 1) > k * n * outputs:
         result = ONE
         for _ in range(n):

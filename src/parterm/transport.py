@@ -234,10 +234,6 @@ class MasterEndpoint:
     :meth:`close` do nothing and the counters stay at zero."""
 
     def __init__(self, backend: str, nslaves: int, nsymbols: int):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        if nslaves < 0:
-            raise ValueError(f"nslaves must be >= 0, got {nslaves}")
         self.nslaves = nslaves
         self.nsymbols = nsymbols
         self._copy = backend == "mp"

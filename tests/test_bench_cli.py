@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -163,15 +164,31 @@ def test_a_config_with_other_results_fails_the_sweep(monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(bench, "run_program", corrupting)
     text = "symbols x; local F = x+1; multiply x; .sort .end"
-    with pytest.raises(bench.MismatchError, match="nslaves=2"):
+    message = ("RunConfig(nslaves=2, chunk_size=1000, backend='sm', master_computes=False) "
+               "gave other expressions than "
+               "RunConfig(nslaves=0, chunk_size=1000, backend='sm', master_computes=False)")
+    with pytest.raises(bench.MismatchError) as info:
         run_sweep(text, "demo", slaves=[1, 2], backends=["sm"], repeats=1)
+    assert str(info.value) == message
     path = tmp_path / "bench.csv"
     rc = cli.main(["bench", BINOMIAL, "--slaves", "1,2", "--backend", "sm",
                    "--repeat", "1", "--csv", str(path), "--quiet"])
     assert rc == cli.EXIT_VERIFY
     assert not path.exists()
     captured = capsys.readouterr()
-    assert captured.out == "" and "nslaves=2" in captured.err
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_the_cli_and_the_sweep_take_their_defaults_from_run_config():
+    defaults = RunConfig._field_defaults
+    parser = cli._build_parser()
+    run = parser.parse_args(["run", BINOMIAL])
+    assert (run.chunk, run.backend) == (defaults["chunk_size"], defaults["backend"])
+    sweep = parser.parse_args(["bench", BINOMIAL, "--slaves", "1", "--backend", "sm",
+                               "--csv", "x.csv"])
+    assert sweep.chunk == [defaults["chunk_size"]]
+    assert inspect.signature(run_sweep).parameters["chunks"].default == \
+        (defaults["chunk_size"],)
 
 
 # -- CLI -----------------------------------------------------------------------

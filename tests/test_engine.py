@@ -1,8 +1,11 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -163,7 +166,7 @@ def test_grid_matches_sequential(backend, master_computes):
                     assert processed == len(e) // 2
                 else:  # a module with no statements runs nowhere
                     assert processed == metrics.terms_generated == 0
-                    assert stats.messages == nslaves  # the Shutdowns alone
+                    assert stats.messages == 0  # and no worker starts
 
 
 def test_empty_expression_parallel():
@@ -469,9 +472,23 @@ def test_worker_busy_counts_the_encode_of_its_replies(monkeypatch):
 
 # -- whole programs ----------------------------------------------------------
 
-def test_run_program_identity_module():
+def _counting_thread_starts(monkeypatch) -> list:
+    starts = []
+    real_start = threading.Thread.start
+
+    def counted(self, *args, **kwargs):
+        starts.append(self.name)
+        return real_start(self, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def test_run_program_identity_module(monkeypatch):
     # A module with no statements runs nowhere: the expressions pass through
-    # as the same tuples, and only the Shutdowns travel.
+    # as the same tuples, and a program of such modules starts no worker, so
+    # nothing travels.
+    starts = _counting_thread_starts(monkeypatch)
     program = _parse("symbols x,y; local F = x+y; local G = (x-y)^3; .sort .end")
     for cfg in (SEQ, RunConfig(nslaves=2),
                 RunConfig(nslaves=2, backend="mp", master_computes=True)):
@@ -481,7 +498,8 @@ def test_run_program_identity_module():
         first = -1 if cfg.master_computes or not cfg.nslaves else 0
         workers = {i: WorkerMetrics() for i in range(first, cfg.nslaves)}
         assert result.module_metrics == [PhaseMetrics(0, 0, 0, 0, 6, 6, workers)]
-        assert result.stats.messages == cfg.nslaves
+        assert result.stats == transport.TransportStats()
+    assert starts == []
 
 
 def test_run_program_two_module_composition():
@@ -507,15 +525,15 @@ def test_program_without_locals_keeps_zero_records():
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
 @pytest.mark.parametrize("nslaves", [0, 2])
-def test_program_without_modules_returns_its_locals(nslaves, backend):
-    before = threading.active_count()
+def test_program_without_modules_returns_its_locals(nslaves, backend, monkeypatch):
+    starts = _counting_thread_starts(monkeypatch)
     program = Program(SymbolTable(["x"]), [("F", (1, 0))], [])
     result = run_program(program, RunConfig(nslaves=nslaves, backend=backend))
     assert result.expressions == {"F": (1, 0)}
     assert result.module_metrics == result.module_stats == []
-    # only the Shutdowns travel, one per slave
-    assert result.stats.messages == result.stats.messages_master_to_slave == nslaves
-    assert threading.active_count() == before
+    # no worker starts, so nothing travels
+    assert result.stats == transport.TransportStats()
+    assert starts == []
 
 
 def test_run_program_sequential_sentinel():
@@ -589,14 +607,7 @@ def test_one_run_starts_one_worker_per_slave(backend, monkeypatch):
     # Two modules over two locals: the workers serve the whole program.
     program = _parse("symbols x,y; local F = (x+y)^3; local G = x-y; multiply x+y; .sort "
                      "id x = y+1; .sort .end")
-    starts = []
-    real_start = threading.Thread.start
-
-    def counted(self, *args, **kwargs):
-        starts.append(self.name)
-        return real_start(self, *args, **kwargs)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
+    starts = _counting_thread_starts(monkeypatch)
     for nslaves in (0, 1, 2, 4):
         del starts[:]
         cfg = RunConfig(nslaves=nslaves, chunk_size=1, backend=backend)
@@ -789,14 +800,65 @@ def test_empty_modules_change_nothing_but_their_own_records(programs, cfg):
             assert messages[i] == (0, 0) and b.module_metrics[i].terms_generated == 0
 
 
-def test_only_run_config_and_worker_metrics_are_dataclasses():
-    # Every other record is a NamedTuple: without bytecode each @dataclass
-    # costs about 0.8 ms of setup_s, generating its methods from source at
-    # import.  RunConfig validates itself in __post_init__, and a worker adds
-    # to its WorkerMetrics as it works.
+def test_no_class_in_parterm_is_a_dataclass():
+    # Every record is a NamedTuple: without bytecode each @dataclass costs
+    # about 0.8 ms of setup_s, generating its methods from source at import.
     found = set()
     for info in pkgutil.iter_modules(parterm.__path__):
         module = importlib.import_module(f"parterm.{info.name}")
         found |= {name for name, cls in inspect.getmembers(module, inspect.isclass)
                   if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
-    assert found == {"RunConfig", "WorkerMetrics"}
+    assert found == set()
+
+
+def test_import_parterm_loads_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(parterm.__file__))
+    code = "import sys, parterm; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(nslaves=2, chunk_size=1, backend="mp"),
+                                 RunConfig(nslaves=1, chunk_size=1, master_computes=True),
+                                 SEQ])
+def test_every_record_a_run_returns_is_a_value(cfg):
+    program = _parse("symbols x, y; local F = (x+y)^3; multiply x+y; .sort .end")
+    res = run_program(program, cfg)
+    (metrics,) = res.module_metrics
+    assert metrics.workers and sum(w.processed for w in metrics.workers.values()) == 4
+    for record in (res, metrics, *metrics.workers.values(), *res.module_stats, res.stats):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+
+def test_worker_metrics_add_field_by_field():
+    assert WorkerMetrics(1, 2, 3, 4, 5) + WorkerMetrics(10, 20, 30, 40, 50) == \
+        WorkerMetrics(11, 22, 33, 44, 55)
+
+
+_BAD_CONFIGS = [
+    ({"nslaves": -1}, ValueError, "nslaves must be >= 0, got -1"),
+    ({"nslaves": MAX_SLAVES + 1}, SlaveCountError,
+     f"nslaves {MAX_SLAVES + 1} exceeds the cap of {MAX_SLAVES} (4 per CPU, at least 64)"),
+    ({"chunk_size": 0}, ValueError, "chunk_size must be >= 1, got 0"),
+    ({"backend": "tcp"}, ValueError, "unknown backend 'tcp'"),
+]
+
+
+@pytest.mark.parametrize("bad, error, message", _BAD_CONFIGS,
+                         ids=["negative-slaves", "over-cap", "zero-chunk", "backend"])
+def test_run_config_rejects_a_bad_value_when_built_and_when_replaced(bad, error, message):
+    for build in (lambda: RunConfig(**bad), lambda: RunConfig()._replace(**bad),
+                  lambda: RunConfig._make({**RunConfig._field_defaults, **bad}.values())):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_run_config_repr_is_unchanged():
+    assert repr(RunConfig(nslaves=2, chunk_size=7, backend="mp", master_computes=True)) == \
+        "RunConfig(nslaves=2, chunk_size=7, backend='mp', master_computes=True)"
+    assert repr(RunConfig()) == \
+        "RunConfig(nslaves=1, chunk_size=1000, backend='sm', master_computes=False)"

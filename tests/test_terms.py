@@ -373,6 +373,34 @@ def test_a_one_term_product_neither_bounds_nor_sorts(monkeypatch):
         pack_terms(((10, ((0, 2),)), (-5, ((1, 1),)), (15, ())), 2)
 
 
+_U32_EDGE = (EXP_MASK // 2, EXP_MASK // 2 + 1, EXP_MASK - 1, EXP_MASK, EXP_MASK + 1)
+
+
+@given(st.one_of(st.tuples(st.integers(-9, 9).filter(bool), st.integers(0, 3)),
+                 st.tuples(st.sampled_from((1, -1)), st.sampled_from(_U32_EDGE))),
+       st_wide_factors)
+def test_a_one_term_power_matches_the_general_loop(cn, m):
+    # The general loop is field_max's pass per field, which a second term,
+    # the unit, sends the base through.
+    c, n = cn
+    mono = pack(m, NSYM)
+    assert terms.field_max((c, mono)) is mono
+    assert terms.field_max((c, mono, 1, terms.UNIT)) == mono
+    overflows = any(e * n > EXP_MASK for _, e in m)
+    for base in ((c, mono), (c, mono, 1, terms.UNIT)):
+        if overflows:
+            with pytest.raises(ExponentOverflowError):
+                terms.pow_field_max(base, n)
+        else:
+            assert terms.pow_field_max(base, n) == n * mono
+    if overflows:
+        with pytest.raises(ExponentOverflowError):
+            pow_expression((c, mono), n)
+    else:
+        assert pow_expression((c, mono), n) == \
+            (c ** n, pack(tuple((sid, e * n) for sid, e in m if n), NSYM))
+
+
 def test_results_are_normalized_random():
     rng = random.Random(3)
     for _ in range(50):

@@ -525,8 +525,3 @@ def test_recv_any_nonblocking():
     slave.reply(slave.encode(Message(MessageKind.RUN_RETURN)))
     assert master.recv_any(block=False) == (0, Message(MessageKind.RUN_RETURN))
 
-
-def test_master_endpoint_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown backend"):
-        MasterEndpoint("tcp", 1, NSYM)
-
