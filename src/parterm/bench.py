@@ -22,8 +22,8 @@ from .parser import Program, parse_program
 CSV_COLUMNS = [
     "program", "module_index", "nslaves", "backend", "chunk_size", "repeat",
     "t_wall_ns", "t_distribute_ns", "t_compute_max_ns", "t_local_sort_max_ns",
-    "t_final_merge_ns", "terms_in", "terms_generated", "terms_out", "messages",
-    "serialized_bytes", "handle_transfers",
+    "t_final_merge_ns", "terms_in", "terms_generated", "terms_out", "terms_merged",
+    "messages", "serialized_bytes", "handle_transfers",
 ]
 
 

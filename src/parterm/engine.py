@@ -14,10 +14,10 @@ expression, and SHUTDOWN once at the end:
 
 1. CHUNK*: the master splits every local expression of the module into
    chunks tagged with their expression's index and deals them in one pass,
-   one outstanding chunk per worker; a worker rewrites each chunk, adds its
-   products into one accumulator (monomial -> coefficient) per expression,
-   so like terms combine as they are generated, and acknowledges the chunk
-   with an empty ``RunReturn``;
+   one outstanding chunk per worker, by the rule at the end; a worker
+   rewrites each chunk, adds its products into one accumulator (monomial ->
+   coefficient) per expression, so like terms combine as they are
+   generated, and acknowledges the chunk with an empty ``RunReturn``;
 2. SORT: once every chunk is acknowledged the master sends ``Sort`` to each
    worker; the worker sorts the distinct monomials of each expression's
    accumulator once, dropping zero sums, and answers with exactly one
@@ -43,11 +43,17 @@ answers ``FAILED`` with the traceback and stops; the master raises
 :class:`WorkerError` on receiving it, and the endpoint still shuts down and
 joins every worker.
 
-The dispatch loop hands each idle worker, in order, the next pending chunk.
-With ``master_computes`` the master rewrites the next chunk itself whenever
-no acknowledgement is waiting and chunks remain.  ``nslaves=0`` is the same
-loop over an endpoint with no channels: the master rewrites every chunk
-itself and merges its single run.
+The dispatch loop cuts the module's chunks, in order, into one contiguous
+region per slave, of about equal term count.  An idle worker takes the front
+chunk of its own region; once that is empty, it steals the back chunk of the
+region with the most chunks left, so every region stays contiguous.  A
+worker's run then spans few monomials that another run also holds, and the
+master's merge copies what the runs do not share (see
+:mod:`parterm.sortmerge`).  With ``master_computes`` the master, which owns
+no region, steals a chunk the same way and rewrites it itself whenever no
+acknowledgement is waiting and chunks remain.  ``nslaves=0`` is the same
+loop over an endpoint with no channels and one region: the master rewrites
+every chunk itself, front to back, and merges its single run.
 """
 
 from __future__ import annotations
@@ -153,6 +159,8 @@ class PhaseMetrics(NamedTuple):
     ``t_distribute`` is the master's active partition/send time;
     ``master_busy`` is all master time not spent blocked waiting on slaves.
     ``workers`` is keyed by worker id, ``-1`` standing for a computing master.
+    ``terms_merged`` counts the terms of the runs the master's merge takes
+    in; a module with no statements merges nothing.
     """
 
     t_distribute: int
@@ -162,6 +170,7 @@ class PhaseMetrics(NamedTuple):
     terms_in: int
     terms_out: int
     workers: dict[int, WorkerMetrics]
+    terms_merged: int = 0
 
     @property
     def t_compute_max(self) -> int:
@@ -190,6 +199,20 @@ def partition_chunks(exprs: Sequence[Expression], chunk_size: int) -> list[Chunk
     return [Chunk(expr, i, min(i + chunk_size, len(e) // 2))
             for expr, e in enumerate(exprs)
             for i in range(0, len(e) // 2, chunk_size)]
+
+
+def _regions(chunks: list[Chunk], n: int) -> list[deque[Chunk]]:
+    """``chunks`` cut at chunk boundaries into ``n`` contiguous regions of
+    about equal term count: a chunk joins the region whose equal share of
+    all the terms holds the chunk's midpoint."""
+    total = sum(c.stop - c.start for c in chunks)
+    regions: list[deque[Chunk]] = [deque() for _ in range(n)]
+    before = 0
+    for c in chunks:
+        size = c.stop - c.start
+        regions[(2 * before + size) * n // (2 * total)].append(c)
+        before += size
+    return regions
 
 
 def _rewrite_chunk(chunk: Expression, m: Module, nsymbols: int,
@@ -289,25 +312,31 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
         return exprs[c.expr][2 * c.start:2 * c.stop]
 
     t0 = perf_counter_ns()
-    pending = deque(partition_chunks(exprs, cfg.chunk_size))
+    regions = _regions(partition_chunks(exprs, cfg.chunk_size), max(cfg.nslaves, 1))
     t_distribute += perf_counter_ns() - t0
 
+    def take(own: deque) -> Chunk:
+        # The front of the taker's own region, else the back of the region
+        # with the most chunks left.
+        return own.popleft() if own else max(regions, key=len).pop()
+
+    master_region = deque() if cfg.nslaves else regions[0]  # owned only with no slaves
     master_accs: list[terms.Accumulator] = [{} for _ in exprs]
     idle = deque(range(cfg.nslaves))
-    while pending or len(idle) < cfg.nslaves:  # some worker still holds a chunk
+    while any(regions) or len(idle) < cfg.nslaves:  # some worker still holds a chunk
         t0 = perf_counter_ns()
-        while idle and pending:
-            c = pending.popleft()
-            master.send(idle.popleft(), Message(
-                MessageKind.CHUNK_ASSIGNMENT, chunk_terms(c), c.expr))
+        while idle and any(regions):
+            worker = idle.popleft()
+            c = take(regions[worker])
+            master.send(worker, Message(MessageKind.CHUNK_ASSIGNMENT, chunk_terms(c), c.expr))
         t_distribute += perf_counter_ns() - t0
         got = None
-        if pending and mine is not None:
+        if mine is not None and any(regions):
             # No slave is idle here, so every slave holds a chunk.
             got = _recv(master, block=False) if cfg.nslaves else None
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
-                c = pending.popleft()
+                c = take(master_region)
                 mine += _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr])
                 continue
         worker, msg = got or _recv(master)
@@ -345,6 +374,7 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
         terms_in=sum(len(e) for e in exprs) // 2,
         terms_out=sum(len(e) for e in results) // 2,
         workers=workers,
+        terms_merged=sum(len(r) for rs in runs for r in rs) // 2,
     )
     return results, metrics
 

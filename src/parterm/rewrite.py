@@ -66,18 +66,27 @@ def _rhs_power(rhs: Expression, n: int) -> Expression:
 
 @functools.lru_cache(maxsize=64)
 def _compositions_distinct(rhs: Expression) -> bool:
-    """Whether every non-unit monomial of ``rhs`` has a symbol no other one
-    has, as in any linear form ``a*y + b*z + ... + c``.  Then that symbol's
-    exponent in a monomial of ``rhs^n`` says how often the composition took
-    the term, so distinct compositions give distinct monomials."""
+    """Whether the exponent vectors of ``rhs``'s monomials, each with a 1
+    appended, are linearly independent, as for any linear form
+    ``a*y + b*z + ... + c`` and for ``y + y*z - w`` or ``y + y^2``.  A
+    monomial of ``rhs^n`` is the sum of the vectors, each times how often
+    the composition of ``n`` took its term; two compositions of ``n`` with
+    the same monomial differ by integers ``d`` with ``sum d_j * v_j = 0`` and
+    ``sum d_j = 0``, which independence rules out.  So distinct compositions
+    give distinct monomials."""
     nfields = max(rhs[1::2], default=0).bit_length() // terms.FIELD_BITS + 1
-    seen, shared, supports = set(), set(), []
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row), zero before its pivot
     for m in rhs[1::2]:
-        support = {sid for sid, _ in terms.unpack(m, nfields)}
-        shared |= seen & support
-        seen |= support
-        supports.append(support)
-    return all(support - shared for support in supports if support)
+        v = [(m >> terms.field_shift(sid, nfields)) & terms.EXP_MASK for sid in range(nfields)]
+        v.append(1)
+        for pivot, row in basis:  # fraction-free elimination, over the integers
+            f, g = v[pivot], row[pivot]
+            if f:
+                v = [x * g - y * f for x, y in zip(v, row)]
+        if not any(v):
+            return False
+        basis.append((next(i for i, x in enumerate(v) if x), v))
+    return True
 
 
 def _rhs_size(rhs: Expression, n: int) -> int:

@@ -95,8 +95,9 @@ def _golden_expected_bytes(nslaves: int, chunk_size: int) -> tuple[int, int, int
     """Hand-compute the mp wire traffic for the golden workload when chunk i
     goes to slave i % nslaves: (serialized_bytes, messages m->s, messages s->m).
 
-    Dispatch deals the first pass in slave order, so this holds for runs with
-    at most one chunk per slave."""
+    Each slave takes the front of its own region first, so this holds for one
+    slave, whose region holds every chunk, and for as many equal chunks as
+    slaves, where region i holds chunk i alone."""
     program = parse_program(GOLDEN_TEXT)
     (_, f_expr), = program.initial
     f_expr = unpack_terms(f_expr, 2)

@@ -70,6 +70,7 @@ def test_sweep_row_count_matches_flag_grid(tmp_path):
         assert row["repeat"] == "5"
         assert int(row["t_wall_ns"]) > 0
         assert int(row["terms_in"]) == 5
+        assert int(row["terms_merged"]) >= int(row["terms_out"])
         if row["backend"] == "sm":
             assert row["serialized_bytes"] == "0"
             assert int(row["handle_transfers"]) == int(row["messages"])

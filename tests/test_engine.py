@@ -9,13 +9,14 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parterm
-from parterm import rewrite, sortmerge, terms, transport
+from parterm import engine, rewrite, sortmerge, terms, transport
 from parterm.engine import (
     MAX_SLAVES, PhaseMetrics, RunConfig, SlaveCountError, WorkerError, WorkerMetrics,
     partition_chunks, run_program)
@@ -114,6 +115,8 @@ def test_chunks_and_metrics_count_terms_not_flat_elements():
                 RunConfig(nslaves=2, chunk_size=2, master_computes=True)):
         m = run_program(program, cfg).module_metrics[0]
         assert (m.terms_in, m.terms_out, m.terms_generated) == (6, 7, 12), cfg
+        # One run per expression merges into itself; more may repeat monomials.
+        assert m.terms_merged == 7 or cfg.nslaves > 1 and m.terms_merged > 7, cfg
         assert sum(w.processed for w in m.workers.values()) == 6, cfg
         if cfg.nslaves == 1:
             assert {i: w.processed for i, w in m.workers.items()} == {0: 6}
@@ -145,6 +148,89 @@ def test_five_chunks_over_four_slaves():
     # priming hands every slave one of the five chunks
     assert all(metrics.workers[i].processed >= 1 for i in range(4))
     assert sum(w.processed for w in metrics.workers.values()) == len(e) // 2
+
+
+def _dispatch_log(program, cfg, monkeypatch):
+    """Run ``program`` under ``cfg`` and return, in the order the master
+    took them, ``(taker, chunk index)`` for every chunk of its one module:
+    a slave's from the chunks the master sends it, the master's own
+    (taker -1) from the chunks it rewrites on its own thread."""
+    (_, e), = program.initial
+    first = {e[2 * c.start + 1]: i for i, c in enumerate(partition_chunks([e], cfg.chunk_size))}
+    master_thread = threading.get_ident()
+    log = []
+    real_send, real_rewrite = transport.MasterEndpoint.send, engine._rewrite_chunk
+
+    def send(self, worker, msg):
+        if msg.kind is transport.MessageKind.CHUNK_ASSIGNMENT:
+            log.append((worker, first[msg.payload[1]]))
+        return real_send(self, worker, msg)
+
+    def rewrite_chunk(chunk, *args):
+        if threading.get_ident() == master_thread:
+            log.append((-1, first[chunk[1]]))
+        return real_rewrite(chunk, *args)
+
+    monkeypatch.setattr(transport.MasterEndpoint, "send", send)
+    monkeypatch.setattr(engine, "_rewrite_chunk", rewrite_chunk)
+    assert run_program(program, cfg).expressions == oracle_run_program(program)
+    monkeypatch.undo()
+    return log
+
+
+@pytest.mark.parametrize("master_computes", [False, True], ids=["dealing", "computing"])
+@pytest.mark.parametrize("nslaves", [2, 3])
+def test_each_worker_deals_from_its_own_region_then_steals_from_the_back(
+        nslaves, master_computes, monkeypatch):
+    # 28 terms in chunks of 3: nine of 3 and one of 1.  The regions cut the
+    # chunks where their midpoints cross an equal share of the 28 terms.
+    program = _parse("symbols x,y,z; local F = (x+y+z)^6; multiply x+y-z; .sort .end")
+    cfg = RunConfig(nslaves=nslaves, chunk_size=3, master_computes=master_computes)
+    chunks = partition_chunks([program.initial[0][1]], 3)
+    assert [c.stop - c.start for c in chunks] == [3] * 9 + [1]
+    for _ in range(5):
+        regions = [deque() for _ in range(nslaves)]
+        done = 0
+        for i, c in enumerate(chunks):
+            size = c.stop - c.start
+            regions[(2 * done + size) * nslaves // (2 * 28)].append(i)
+            done += size
+        assert all(len(r) >= 3 for r in regions)
+        log = _dispatch_log(program, cfg, monkeypatch)
+        assert sorted(i for _, i in log) == list(range(len(chunks)))
+        for taker, i in log:
+            # A worker takes its own region's front while it lasts; a computing
+            # master owns no region.  Then the taker steals the back chunk of
+            # a region with the most chunks left.
+            own = regions[taker] if taker >= 0 else ()
+            if own:
+                assert i == own.popleft(), log
+            else:
+                most = max(map(len, regions))
+                victim = next((r for r in regions if len(r) == most and r[-1] == i), None)
+                assert victim is not None, log
+                victim.pop()
+        assert {taker for taker, _ in log} >= set(range(nslaves))
+
+
+def test_zero_slaves_deal_one_region_front_to_back(monkeypatch):
+    program = _parse("symbols x,y,z; local F = (x+y+z)^6; multiply x+y-z; .sort .end")
+    log = _dispatch_log(program, RunConfig(nslaves=0, chunk_size=3), monkeypatch)
+    assert log == [(-1, i) for i in range(10)]
+
+
+def test_contiguous_regions_keep_the_merge_input_near_the_output():
+    # heavy.pt: nine products by x+y+z+w over (x+y+z+w)^50.  Chunks dealt
+    # to whichever worker was idle made every run span the whole expression,
+    # and the merge took in 1.50-1.67 times the terms it put out.  With
+    # contiguous regions it reads 1.03-1.07 at 2 slaves and 1.12-1.17 at 4.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "programs", "heavy.pt")) as fh:
+        program = _parse(fh.read())
+    for nslaves in (2, 4):
+        metrics = run_program(program, RunConfig(nslaves=nslaves)).module_metrics
+        merged = sum(m.terms_merged for m in metrics)
+        out = sum(m.terms_out for m in metrics)
+        assert merged <= 1.25 * out, (nslaves, merged / out)
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -239,6 +240,50 @@ def test_the_size_and_bound_of_a_power_are_those_of_the_built_power(rhs, n):
     power = pow_expression(rhs, n)
     assert rewrite._rhs_size(rhs, n) == len(power) // 2
     assert rewrite._rhs_bound(rhs, n) == terms.field_max(power)
+
+
+def _rhs(text):
+    """The ``rhs`` of ``id x = text`` over symbols x, y, z, w."""
+    program = parse_program(f"symbols x,y,z,w;\nlocal F = x;\nid x = {text};\n.sort\n.end\n")
+    return program.modules[0].statements[0].rhs
+
+
+def test_the_rank_test_counts_independent_rhs_shapes_and_only_those():
+    # Independent: linear forms, and shapes where symbols are shared, which
+    # the test of a symbol of its own per monomial missed.
+    for text in ("-2*y+z+2*w-1", "y", "3", "y+y*z-w", "y+y^2", "y*z+z*w+w*y",
+                 "y^2*z+y*z^2+1"):
+        assert rewrite._compositions_distinct(_rhs(text)), text
+    # Dependent: the powers of these repeat monomials.
+    for text in ("1+y+y^2", "y+z+y*z+1", "y^2+y*z+z^2", "y^3+y^2+y"):
+        rhs = _rhs(text)
+        assert not rewrite._compositions_distinct(rhs), text
+        k = len(rhs) // 2
+        assert len(pow_expression(rhs, 4)) // 2 < math.comb(4 + k - 1, k - 1), text
+
+
+@given(st_rhs, st.integers(0, 10))
+@example(_rhs("y+y*z-w"), 6)
+@example(_rhs("y+y^2"), 9)
+@settings(max_examples=300)
+def test_an_independent_rhs_has_one_monomial_per_composition(rhs, n):
+    assume(rhs and rewrite._compositions_distinct(rhs))
+    k = len(rhs) // 2
+    assert len(pow_expression(rhs, n)) // 2 == math.comb(n + k - 1, k - 1)
+
+
+def test_an_independent_nonlinear_rhs_builds_only_the_powers_it_multiplies_by(monkeypatch):
+    # substitute-expand's chunk under id x = y+y*z-w: the cost model counts
+    # every rhs^n, so only the powers the product loops use are built, where
+    # counting by building made 18 of them.
+    program = parse_program("symbols x,y,z,w;\nlocal F = (x-y+3*z-3*w)^17;\n"
+                            "id x = y+y*z-w;\n.sort\n.end\n")
+    chunk, module = program.initial[0][1], program.modules[0]
+    built = _cold_pow_calls(monkeypatch)
+    acc = {}
+    apply_module_to_chunk(chunk, module, 4, acc)
+    assert sorted(built) == [0, 1]
+    assert sorted_flat(acc) == algebra_apply_module(chunk, module, 4)
 
 
 @given(st_rhs, st.integers(0, 3), st.booleans())

@@ -1,7 +1,10 @@
 import math
 import random
-from itertools import chain
+from itertools import chain, permutations
 from operator import itemgetter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parterm.parser import parse_program
 from parterm.rewrite import apply_module_to_chunk
@@ -156,6 +159,48 @@ def test_comparison_count_beats_sort_from_scratch_asymptotics():
     bound = MERGE_COMPARISON_BOUND * total * math.log2(k + 1)
     assert counted.count <= bound
     assert bound < total * math.log2(total)
+
+
+def test_disjoint_runs_merge_in_logarithmic_comparisons():
+    # Runs that meet in at most one monomial: a search finds the end of the
+    # higher run's part above the lower run, and the lower run follows it
+    # with no comparison.
+    for n in (1, 10, 1000, 100_000):
+        high = flat((1, m) for m in range(2 * n, n, -1))
+        low = flat((1, m) for m in range(n, 0, -1))
+        touching = flat((1, m) for m in range(n + 1, 1, -1))  # meets high in n + 1
+        for runs in ([high, low], [low, high], [high, touching], [touching, high]):
+            counted = ComparisonCount()
+            merged = unwrap(merge_runs(counted.wrap(runs)))
+            assert merged == normalize(runs[0] + runs[1])
+            assert counted.count <= 2 * math.log2(n) + 6, (n, counted.count)
+
+
+@st.composite
+def _banded_runs(draw):
+    """1 to 5 runs cut from one canonical expression's monomials: each a band
+    of them, in which it keeps a term or skips it, with bands that overlap
+    or not, and coefficients that may cancel across runs."""
+    monos = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=40)), reverse=True)
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.integers(0, len(monos) - 1))
+        hi = draw(st.integers(lo + 1, len(monos)))
+        coeffs = draw(st.lists(st.sampled_from((-2, -1, 0, 1, 2)),
+                               min_size=hi - lo, max_size=hi - lo))
+        runs.append(flat((c, m) for c, m in zip(coeffs, monos[lo:hi]) if c))
+    return runs
+
+
+@given(_banded_runs())
+@settings(max_examples=150, deadline=None)
+def test_runs_in_bands_merge_in_every_order_to_normalize_of_their_concatenation(runs):
+    expected = normalize([x for r in runs for x in r])
+    total = sum(len(r) for r in runs) // 2
+    for order in permutations(runs):
+        counted = ComparisonCount()
+        assert unwrap(merge_runs(counted.wrap(order))) == expected
+        assert counted.count <= MERGE_COMPARISON_BOUND * total * math.log2(len(runs) + 1)
 
 
 def _pair_merge(runs):
