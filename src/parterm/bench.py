@@ -43,11 +43,14 @@ class BenchResult(NamedTuple):
     t_sequential_ns: int
 
 
+_NEEDS_ONE_SLAVE = "two-processor normalization requires the one-slave timing"
+
+
 def compute_speedups(timings: dict[int, int],
                      t_sequential: int) -> list[tuple[int, float, float]]:
     """(p, two-processor speedup, vs-sequential speedup) per slave count."""
     if 1 not in timings:
-        raise ValueError("two-processor normalization requires the one-slave timing")
+        raise ValueError(_NEEDS_ONE_SLAVE)
     t_two_proc = timings[1]
     return [(p, t_two_proc / t, t_sequential / t) for p, t in sorted(timings.items())]
 
@@ -90,7 +93,10 @@ def run_sweep(
     """Measure the zero-worker reference and every (backend, nslaves,
     chunk_size) cell together; returns per-module median CSV rows and
     per-backend speedups of the median whole-run wall times at the first
-    chunk size in ``chunks``."""
+    chunk size in ``chunks``; without 1 in ``slaves`` it raises ValueError
+    before it parses or runs anything."""
+    if 1 not in slaves:
+        raise ValueError(_NEEDS_ONE_SLAVE)
     program: Program = parse_program(text)
     cells = [RunConfig(nslaves=p, chunk_size=chunk, backend=backend)
              for backend in backends for p in slaves for chunk in chunks]

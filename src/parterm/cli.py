@@ -141,26 +141,20 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    RunConfig(nslaves=max(args.slaves))  # reject an over-cap count before any run
-    text = _read_program(args.file)
-    program = parse_program(text)
+    configs = [RunConfig(nslaves=p, chunk_size=chunk, backend=backend,
+                         master_computes=master_computes)
+               for p in args.slaves for chunk in args.chunk
+               for backend in BACKENDS for master_computes in (False, True)]
+    program = parse_program(_read_program(args.file))
     reference = run_program(program, RunConfig(nslaves=0)).expressions
-    checked = 0
-    for p in args.slaves:
-        for chunk in args.chunk:
-            for backend in BACKENDS:
-                for master_computes in (False, True):
-                    cfg = RunConfig(nslaves=p, chunk_size=chunk, backend=backend,
-                                    master_computes=master_computes)
-                    got = run_program(program, cfg).expressions
-                    label = (f"nslaves={p} chunk={chunk} backend={backend} "
-                             f"master_computes={str(master_computes).lower()}")
-                    if got != reference:
-                        print(f"MISMATCH {label}")
-                        return EXIT_VERIFY
-                    print(f"ok {label}")
-                    checked += 1
-    print(f"verified {checked} configurations against the zero-worker run")
+    for cfg in configs:
+        label = (f"nslaves={cfg.nslaves} chunk={cfg.chunk_size} backend={cfg.backend} "
+                 f"master_computes={str(cfg.master_computes).lower()}")
+        if run_program(program, cfg).expressions != reference:
+            print(f"MISMATCH {label}")
+            return EXIT_VERIFY
+        print(f"ok {label}")
+    print(f"verified {len(configs)} configurations against the zero-worker run")
     return EXIT_OK
 
 

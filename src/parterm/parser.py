@@ -14,6 +14,11 @@ Operator precedence is ``^`` above unary minus above ``*`` above binary
 ``+``/``-``; exponents must be positive integer literals.  A ``*`` in the
 first column starts a comment that runs to end of line.
 
+One regular expression scans the whole text into ``(kind, text, offset)``
+tokens before the grammar reads any.  No token carries a line or a column:
+those of a :class:`ParseError` are computed from its token's offset only
+when one is raised.
+
 Expressions, and the statements' factors, are built directly as flat
 expressions of packed terms (:mod:`parterm.terms`).  A ``symbols`` statement
 after a ``local`` adds fields at the low end of the layout, so once the
@@ -28,14 +33,13 @@ such limit.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+import re
+from typing import NamedTuple, Optional, Union
 
 from . import terms
 from .terms import Expression, SymbolTable, iter_terms
 
 KEYWORDS = frozenset({"symbols", "local", "id", "multiply"})
-
-_PUNCT = frozenset(",;=+-*^()")
 
 
 class ParseError(ValueError):
@@ -76,11 +80,50 @@ class Program(NamedTuple):
     modules: list[Module]
 
 
-class _Token(NamedTuple):
-    kind: str  # NAME | INT | DOTWORD | one of , ; = + - * ^ ( ) | EOF
-    text: str
-    line: int
-    col: int
+# A token is a plain (kind, text, offset) tuple, which builds in half the
+# time of a NamedTuple.  The kind is NAME, INT, EOF, or for punctuation and
+# the two directives the text itself.  ``\w`` is what str.isalnum accepts
+# plus '_', and ``\d`` what str.isdecimal accepts; ``[^\W\d_]`` holds every
+# letter, but also numerals such as '²', which start no name.  A directive
+# is '.' and the letters after it, so '.sortx' is none.
+_Token = tuple[str, str, int]
+
+_SCAN = re.compile(r"""
+    [ \t\r\n]+ | ^\*.*                            # blanks; a comment line
+  | (?P<NAME>[^\W\d_]\w*) | (?P<INT>\d+)
+  | ([-,;=+*^()] | \.(?:sort|end)(?![^\W\d_]))
+  | (?P<BAD>(?s:.+))                              # no token starts here
+""", re.MULTILINE | re.VERBOSE)
+
+
+def _error(text: str, message: str, pos: int) -> ParseError:
+    col = pos - text.rfind("\n", 0, pos)
+    return ParseError(message, text.count("\n", 0, pos) + 1, col)
+
+
+def _scan_error(text: str, pos: int) -> ParseError:
+    """The error for offset ``pos``, where no token starts."""
+    if text[pos] == ".":
+        end = pos + 1
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        if text[pos:end] not in (".sort", ".end"):
+            return _error(text, f"unknown directive {text[pos:end]!r}", pos)
+        pos = end  # '.sort' or '.end', then a numeral such as '²'
+    return _error(text, f"unexpected character {text[pos]!r}", pos)
+
+
+def _scan(text: str) -> list[_Token]:
+    tokens = [(m.lastgroup or m[0], m[0], m.start())
+              for m in _SCAN.finditer(text) if m.lastindex]
+    if not text.isascii():
+        for kind, word, pos in tokens:
+            if kind == "NAME" and not word[0].isalpha():
+                raise _scan_error(text, pos)
+    if tokens and tokens[-1][0] == "BAD":
+        raise _scan_error(text, tokens[-1][2])
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 def _unlimited(convert, value):
@@ -93,94 +136,37 @@ def _unlimited(convert, value):
         return convert(Decimal(value))
 
 
-def _show(tok: _Token) -> str:
-    return repr(tok.text) if tok.text else "end of input"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "*" and col == 1:  # comment line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == ".":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word not in (".sort", ".end"):
-                raise ParseError(f"unknown directive {word!r}", line, col)
-            tokens.append(_Token("DOTWORD", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.tokens = _scan(text)
+        self.i = 0
         self.symtab = SymbolTable()
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
+        """Take the next token if it is of ``kind`` and, if given, ``text``."""
+        tok = self.tokens[self.i]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            return None
+        self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {_show(tok)}", tok.line, tok.col)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        tok = self.accept(kind)
+        if tok is None:
+            raise self.fail(f"expected {what}, found {self.found()}")
+        return tok[1]
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def found(self) -> str:
+        text = self.tokens[self.i][1]
+        return repr(text) if text else "end of input"
+
+    def fail(self, message: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at token ``at``, by default the next one."""
+        tok = self.tokens[self.i if at is None else at]
+        return _error(self.text, message, tok[2])
 
     # -- grammar -----------------------------------------------------------
 
@@ -188,141 +174,125 @@ class _Parser:
         # (name, value, number of symbols declared when it was defined)
         defined: list[tuple[str, Expression, int]] = []
         seen_locals: set[str] = set()
-        while self.peek().kind == "NAME" and self.peek().text in ("symbols", "local"):
-            tok = self.advance()
-            if tok.text == "symbols":
+        while True:
+            if self.accept("NAME", "symbols"):
                 while True:
+                    at = self.i
                     name = self.expect("NAME", "a symbol name")
-                    if name.text in KEYWORDS:
-                        raise ParseError(f"{name.text!r} is a keyword", name.line, name.col)
-                    try:
-                        self.symtab.declare(name.text)
-                    except terms.InvariantError:
-                        raise ParseError(f"symbol {name.text!r} declared twice",
-                                         name.line, name.col) from None
-                    if self.peek().kind != ",":
+                    if name in KEYWORDS:
+                        raise self.fail(f"{name!r} is a keyword", at)
+                    if name in self.symtab:
+                        raise self.fail(f"symbol {name!r} declared twice", at)
+                    self.symtab.declare(name)
+                    if not self.accept(","):
                         break
-                    self.advance()
-                self.expect(";", "';'")
-            else:
+            elif self.accept("NAME", "local"):
+                at = self.i
                 name = self.expect("NAME", "a local-expression name")
-                if name.text in seen_locals:
-                    raise ParseError(f"local {name.text!r} defined twice", name.line, name.col)
-                seen_locals.add(name.text)
+                if name in seen_locals:
+                    raise self.fail(f"local {name!r} defined twice", at)
+                seen_locals.add(name)
                 self.expect("=", "'='")
-                value = self.expr()
-                self.expect(";", "';'")
-                defined.append((name.text, value, len(self.symtab)))
+                defined.append((name, self.expr(), len(self.symtab)))
+            else:
+                break
+            self.expect(";", "';'")
 
         nsymbols = len(self.symtab)
         initial = [(name, terms.extend_layout(value, nsymbols - n)) for name, value, n in defined]
 
         modules: list[Module] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "DOTWORD" and tok.text == ".end":
-                self.advance()
-                break
-            if tok.kind == "EOF":
-                raise ParseError("missing '.end'", tok.line, tok.col)
+        while not self.accept(".end"):
+            if self.tokens[self.i][0] == "EOF":
+                raise self.fail("missing '.end'")
             modules.append(self.module())
         if not modules:
-            tok = self.peek()
-            raise ParseError("program has no module (no '.sort' boundary)", tok.line, tok.col)
+            raise self.fail("program has no module (no '.sort' boundary)")
         return Program(self.symtab, initial, modules)
 
     def module(self) -> Module:
         statements: list[Statement] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "DOTWORD" and tok.text == ".sort":
-                self.advance()
-                return Module(tuple(statements))
-            if tok.kind == "NAME" and tok.text == "id":
-                self.advance()
-                name = self.expect("NAME", "a symbol name")
-                sid = self.symbol_id(name)
+        while not self.accept(".sort"):
+            if self.accept("NAME", "id"):
+                sid = self.symbol_id()
                 self.expect("=", "'='")
-                rhs = self.expr()
-                self.expect(";", "';'")
-                statements.append(IdSubst(sid, rhs))
-            elif tok.kind == "NAME" and tok.text == "multiply":
-                self.advance()
-                factor = self.expr()
-                self.expect(";", "';'")
-                statements.append(Multiply(factor))
-            elif tok.kind == "EOF" or (tok.kind == "DOTWORD" and tok.text == ".end"):
+                statements.append(IdSubst(sid, self.expr()))
+            elif self.accept("NAME", "multiply"):
+                statements.append(Multiply(self.expr()))
+            elif self.tokens[self.i][0] in ("EOF", ".end"):
                 raise self.fail("module not terminated by '.sort'")
             else:
-                raise self.fail(f"expected a statement or '.sort', found {_show(tok)}")
+                raise self.fail(f"expected a statement or '.sort', found {self.found()}")
+            self.expect(";", "';'")
+        return Module(tuple(statements))
 
-    def symbol_id(self, tok: _Token) -> int:
-        try:
-            return self.symtab.id_of(tok.text)
-        except terms.InvariantError:
-            raise ParseError(f"undeclared symbol {tok.text!r}", tok.line, tok.col) from None
+    def symbol_id(self) -> int:
+        at = self.i
+        name = self.expect("NAME", "a symbol name")
+        if name not in self.symtab:
+            raise self.fail(f"undeclared symbol {name!r}", at)
+        return self.symtab.id_of(name)
+
+    # expr, term and factor run once per operator and operand of a long sum,
+    # so they compare token kinds in place.
 
     def expr(self) -> Expression:
         # The signed terms of a sum go into one batch, normalized once, so a
         # long sum parses in time linear in its terms.
         value = self.term()
-        if self.peek().kind not in ("+", "-"):
+        if self.tokens[self.i][0] not in ("+", "-"):
             return value
         raw = list(value)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        while (op := self.tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
-            raw += terms.negate_expression(rhs) if op.kind == "-" else rhs
+            raw += terms.negate_expression(rhs) if op == "-" else rhs
         return terms.normalize(raw)
 
     def term(self) -> Expression:
         value = self.factor()
-        while self.peek().kind == "*":
-            op = self.advance()
+        while self.tokens[self.i][0] == "*":
+            at = self.i
+            self.i += 1
             rhs = self.factor()
             try:
                 value = terms.multiply_expressions(value, rhs)
             except terms.ExponentOverflowError as exc:
-                raise ParseError(str(exc), op.line, op.col) from None
+                raise self.fail(str(exc), at) from None
         return value
 
     def factor(self) -> Expression:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
+        negate = self.tokens[self.i][0] == "-"
+        if negate:
+            self.i += 1
         value = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise ParseError("exponent must be an integer literal", tok.line, tok.col)
-            self.advance()
-            n = _unlimited(int, tok.text)
+        if self.accept("^"):
+            at = self.i
+            if not self.accept("INT"):
+                raise self.fail("exponent must be an integer literal")
+            n = _unlimited(int, self.tokens[at][1])
             if n <= 0:
-                raise ParseError(f"exponent must be positive, got {n}", tok.line, tok.col)
+                raise self.fail(f"exponent must be positive, got {n}", at)
             try:
                 value = terms.pow_expression(value, n)
             except terms.ExponentOverflowError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
+                raise self.fail(str(exc), at) from None
         return terms.negate_expression(value) if negate else value
 
     def base(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "NAME":
-            if tok.text in KEYWORDS:
-                raise ParseError(f"{tok.text!r} is a keyword", tok.line, tok.col)
-            self.advance()
-            return terms.symbol(self.symbol_id(tok), len(self.symtab))
-        if tok.kind == "INT":
-            self.advance()
-            return terms.constant(_unlimited(int, tok.text))
-        if tok.kind == "(":
-            self.advance()
+        kind, text, _ = self.tokens[self.i]
+        if kind == "NAME":
+            if text in KEYWORDS:
+                raise self.fail(f"{text!r} is a keyword")
+            return terms.symbol(self.symbol_id(), len(self.symtab))
+        if kind == "INT":
+            self.i += 1
+            return terms.constant(_unlimited(int, text))
+        if self.accept("("):
             value = self.expr()
             self.expect(")", "')'")
             return value
-        raise self.fail(f"expected a symbol, integer or '(', found {_show(tok)}")
+        raise self.fail(f"expected a symbol, integer or '(', found {self.found()}")
 
 
 def parse_program(text: str) -> Program:

@@ -35,9 +35,10 @@ every monomial of ``H`` lies below some checked product.  On a sparse chunk a
 step can cost more than it saves, so stepping stops once a step has not paid
 or could take the chunk past twice the direct count.  ``H`` then goes into
 the accumulator at once, times the power of its degree, and nothing is
-computed twice.  The guard bound of ``rhs^n`` and its size, which the cost
-model reads, come without building it (see :func:`_rhs_size`), so only the
-powers a product loop multiplies by are built.
+computed twice.  The guard bound of ``rhs^n`` comes without building it, and
+so does its size, which the cost model reads, when the compositions of ``n``
+give distinct monomials (see :func:`_rhs_size`); a dependent ``rhs`` such as
+``1 + y + y^2`` builds each power it counts, once.
 """
 
 from __future__ import annotations

@@ -51,6 +51,15 @@ def test_speedup_requires_one_slave_reference():
         compute_speedups({2: 50, 4: 25}, t_sequential=100)
 
 
+def test_a_sweep_without_one_slave_fails_before_it_runs(monkeypatch):
+    def never(program, cfg):
+        raise AssertionError(f"ran {cfg}")
+
+    monkeypatch.setattr(bench, "run_program", never)
+    with pytest.raises(ValueError, match="requires the one-slave timing"):
+        run_sweep("symbols x; local F = x; .sort .end", "demo", slaves=[2], backends=["sm"])
+
+
 # -- sweep + emission ----------------------------------------------------------
 
 def test_sweep_row_count_matches_flag_grid(tmp_path):

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import deque
 
 import pytest
@@ -899,10 +900,22 @@ def test_no_class_in_parterm_is_a_dataclass():
 
 def test_import_parterm_loads_neither_dataclasses_nor_inspect():
     src = os.path.dirname(os.path.dirname(parterm.__file__))
-    code = "import sys, parterm; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import sys, parterm; "
+            "print(sorted({'dataclasses', 'decimal', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "[]\n"
+
+
+def test_every_module_compiles_with_warnings_as_errors():
+    # An invalid escape such as "\d" warns on each fresh compile, which a
+    # run without bytecode repeats in every process; here it fails.
+    src = os.path.dirname(parterm.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                compile(fh.read(), name, "exec", dont_inherit=True)
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(nslaves=2, chunk_size=1, backend="mp"),

@@ -91,6 +91,11 @@ def test_multiple_modules_and_empty_module():
     ("symbols x;\nid y = x;\n.sort .end", "undeclared symbol 'y'", 2, 4),
     ("symbols x; local F = (x; .sort .end", "expected ')'", 1, 24),
     ("symbols x; .fold .end", "unknown directive", 1, 12),
+    ("symbols x; local F = x; .sort\n* done", "missing '.end'", 2, 7),
+    ("symbols _x; .sort .end", "unexpected character '_'", 1, 9),
+    ("symbols x; .sort2 .end", "found '2'", 1, 17),
+    ("symbols x;\r\n\tlocal F = $;", "unexpected character '$'", 2, 12),
+    (" * c\nsymbols x; .sort .end", "found '*'", 1, 2),
 ])
 def test_errors_carry_position(text, fragment, line, col):
     with pytest.raises(ParseError) as err:
