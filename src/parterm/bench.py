@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from statistics import median_low
 from time import perf_counter_ns
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .engine import PhaseMetrics, RunConfig, run_program
 from .parser import Program, parse_program
@@ -30,6 +30,8 @@ CSV_COLUMNS = [
 class SpeedupRow(NamedTuple):
     nslaves: int
     t_wall_ns: int
+    t_wall_q1_ns: int
+    t_wall_q3_ns: int
     t_final_merge_ns: int
     serialized_bytes: int
     speedup_two_proc: float
@@ -41,6 +43,8 @@ class BenchResult(NamedTuple):
     csv_rows: list[dict]
     reports: dict[str, list[SpeedupRow]]  # per backend
     t_sequential_ns: int
+    t_sequential_q1_ns: int
+    t_sequential_q3_ns: int
 
 
 _NEEDS_ONE_SLAVE = "two-processor normalization requires the one-slave timing"
@@ -53,6 +57,14 @@ def compute_speedups(timings: dict[int, int],
         raise ValueError(_NEEDS_ONE_SLAVE)
     t_two_proc = timings[1]
     return [(p, t_two_proc / t, t_sequential / t) for p, t in sorted(timings.items())]
+
+
+def _quartiles(values: Iterable[int]) -> tuple[int, int, int]:
+    """The low first quartile, median and third quartile: for q = 1, 2, 3 the
+    sorted values' element ``q * (n - 1) // 4``, so the median is
+    ``median_low``'s, and one value is all three."""
+    ordered = sorted(values)
+    return tuple(ordered[q * (len(ordered) - 1) // 4] for q in (1, 2, 3))
 
 
 class MismatchError(Exception):
@@ -92,25 +104,25 @@ def run_sweep(
 ) -> BenchResult:
     """Measure the zero-worker reference and every (backend, nslaves,
     chunk_size) cell together; returns per-module median CSV rows and
-    per-backend speedups of the median whole-run wall times at the first
-    chunk size in ``chunks``; without 1 in ``slaves`` it raises ValueError
-    before it parses or runs anything."""
+    per-backend speedups of the median whole-run wall times, with their
+    quartiles, at the first chunk size in ``chunks``; without 1 in
+    ``slaves`` it raises ValueError before it parses or runs anything."""
     if 1 not in slaves:
         raise ValueError(_NEEDS_ONE_SLAVE)
     program: Program = parse_program(text)
     cells = [RunConfig(nslaves=p, chunk_size=chunk, backend=backend)
              for backend in backends for p in slaves for chunk in chunks]
     seq_runs, *cell_runs = measure(program, [RunConfig(nslaves=0), *cells], repeats)
-    t_sequential = median_low(wall for wall, *_ in seq_runs)
-    notes = [f"sequential reference: {t_sequential} ns"]
+    seq_q1, t_sequential, seq_q3 = _quartiles(wall for wall, *_ in seq_runs)
+    notes = [f"sequential reference: {t_sequential} ns (q1 {seq_q1}, q3 {seq_q3})"]
 
     csv_rows: list[dict] = []
-    first_chunk: dict[str, dict[int, tuple[int, int, int]]] = {b: {} for b in backends}
+    first_chunk: dict[str, dict[int, tuple[int, ...]]] = {b: {} for b in backends}
     for cfg, results in zip(cells, cell_runs):
         walls, metrics, mstats, totals = zip(*results)
-        t_wall = median_low(walls)
+        q1, t_wall, q3 = _quartiles(walls)
         notes.append(f"backend={cfg.backend} p={cfg.nslaves} chunk={cfg.chunk_size}: "
-                     f"median wall {t_wall} ns")
+                     f"median wall {t_wall} ns (q1 {q1}, q3 {q3})")
         for mi in range(len(program.modules)):
             row = dict(zip(CSV_COLUMNS, (program_name, mi, cfg.nslaves, cfg.backend,
                                          cfg.chunk_size, repeats)))
@@ -123,7 +135,7 @@ def run_sweep(
             csv_rows.append(row)
         if cfg.chunk_size == chunks[0]:
             first_chunk[cfg.backend][cfg.nslaves] = (
-                t_wall,
+                t_wall, q1, q3,
                 median_low(sum(m.t_final_merge for m in ms) for ms in metrics),
                 median_low(s.serialized_bytes for s in totals))
     if progress is not None:
@@ -132,7 +144,7 @@ def run_sweep(
     for backend, cols in first_chunk.items():
         speedups = compute_speedups({p: col[0] for p, col in cols.items()}, t_sequential)
         reports[backend] = [SpeedupRow(p, *cols[p], s2p, sseq) for p, s2p, sseq in speedups]
-    return BenchResult(program_name, csv_rows, reports, t_sequential)
+    return BenchResult(program_name, csv_rows, reports, t_sequential, seq_q1, seq_q3)
 
 
 def write_csv(path: str, rows: list[dict]) -> None:
@@ -161,14 +173,16 @@ def write_dat(path: str, result: BenchResult) -> None:
 def format_report(result: BenchResult) -> str:
     lines = [
         f"program: {result.program_name}",
-        f"sequential reference: {result.t_sequential_ns / 1e6:.3f} ms",
-        f"{'backend':>8} {'p':>3} {'t_wall_ms':>12} {'t_merge_ms':>12} "
+        f"sequential reference: {result.t_sequential_ns / 1e6:.3f} ms "
+        f"(q1 {result.t_sequential_q1_ns / 1e6:.3f}, q3 {result.t_sequential_q3_ns / 1e6:.3f})",
+        f"{'backend':>8} {'p':>3} {'t_wall_ms':>12} {'q1_ms':>10} {'q3_ms':>10} {'t_merge_ms':>12} "
         f"{'bytes':>12} {'S(two-proc)':>12} {'S(seq)':>8}",
     ]
     for backend, rows in result.reports.items():
         for r in rows:
             lines.append(
                 f"{backend:>8} {r.nslaves:>3} {r.t_wall_ns / 1e6:>12.3f} "
+                f"{r.t_wall_q1_ns / 1e6:>10.3f} {r.t_wall_q3_ns / 1e6:>10.3f} "
                 f"{r.t_final_merge_ns / 1e6:>12.3f} {r.serialized_bytes:>12} "
                 f"{r.speedup_two_proc:>12.3f} {r.speedup_vs_sequential:>8.3f}")
     return "\n".join(lines)

@@ -44,22 +44,21 @@ answers ``FAILED`` with the traceback and stops; the master raises
 joins every worker.
 
 The dispatch loop cuts the module's chunks, in order, into one contiguous
-region per slave, of about equal term count.  An idle worker takes the front
-chunk of its own region; once that is empty, it steals the back chunk of the
-region with the most chunks left, so every region stays contiguous.  A
-worker's run then spans few monomials that another run also holds, and the
-master's merge copies what the runs do not share (see
-:mod:`parterm.sortmerge`).  With ``master_computes`` the master, which owns
-no region, steals a chunk the same way and rewrites it itself whenever no
-acknowledgement is waiting and chunks remain.  ``nslaves=0`` is the same
-loop over an endpoint with no channels and one region: the master rewrites
-every chunk itself, front to back, and merges its single run.
+region per taker, of about equal term count: one per slave in id order, then
+the last for the master whenever it computes, with ``master_computes`` or
+with no slaves.  An idle taker takes the front chunk of its own region; once
+that is empty, it steals the back chunk of the region with the most chunks
+left, so every region stays contiguous.  A taker's run then spans few
+monomials that another run also holds, and the master's merge copies what
+the runs do not share (see :mod:`parterm.sortmerge`).  A computing master
+takes a chunk and rewrites it itself whenever no acknowledgement is waiting
+and chunks remain; with no slaves none ever is, so it takes every chunk of
+its one region, front to back.
 """
 
 from __future__ import annotations
 
 import os
-import traceback
 from collections import deque
 from time import perf_counter_ns
 from typing import NamedTuple, Optional, Sequence
@@ -273,6 +272,7 @@ def _slave_loop(endpoint, modules: Sequence[Module], nsymbols: int, nexprs: int)
             else:  # pragma: no cover - protocol violation
                 raise EngineError(f"unexpected message kind {msg.kind}")
     except Exception:
+        import traceback  # only a failing worker needs it
         failed = Message(MessageKind.FAILED, detail=traceback.format_exc())
         endpoint.reply(endpoint.encode(failed))
 
@@ -312,31 +312,32 @@ def execute_parallel(master: MasterEndpoint, cfg: RunConfig, m: Module,
         return exprs[c.expr][2 * c.start:2 * c.stop]
 
     t0 = perf_counter_ns()
-    regions = _regions(partition_chunks(exprs, cfg.chunk_size), max(cfg.nslaves, 1))
+    # One region per taker: slave w owns regions[w], and a computing master
+    # the last, regions[MASTER_WORKER_ID].
+    regions = _regions(partition_chunks(exprs, cfg.chunk_size), len(workers))
     t_distribute += perf_counter_ns() - t0
 
-    def take(own: deque) -> Chunk:
+    def take(taker: int) -> Chunk:
         # The front of the taker's own region, else the back of the region
         # with the most chunks left.
-        return own.popleft() if own else max(regions, key=len).pop()
+        return regions[taker].popleft() if regions[taker] else max(regions, key=len).pop()
 
-    master_region = deque() if cfg.nslaves else regions[0]  # owned only with no slaves
     master_accs: list[terms.Accumulator] = [{} for _ in exprs]
     idle = deque(range(cfg.nslaves))
     while any(regions) or len(idle) < cfg.nslaves:  # some worker still holds a chunk
         t0 = perf_counter_ns()
         while idle and any(regions):
             worker = idle.popleft()
-            c = take(regions[worker])
+            c = take(worker)
             master.send(worker, Message(MessageKind.CHUNK_ASSIGNMENT, chunk_terms(c), c.expr))
         t_distribute += perf_counter_ns() - t0
         got = None
         if mine is not None and any(regions):
             # No slave is idle here, so every slave holds a chunk.
-            got = _recv(master, block=False) if cfg.nslaves else None
+            got = _recv(master, block=False)
             if got is None:
                 # Every worker is busy: the master takes a chunk itself.
-                c = take(master_region)
+                c = take(MASTER_WORKER_ID)
                 mine += _rewrite_chunk(chunk_terms(c), m, nsymbols, master_accs[c.expr])
                 continue
         worker, msg = got or _recv(master)

@@ -275,7 +275,7 @@ class _Parser:
                 raise self.fail(f"exponent must be positive, got {n}", at)
             try:
                 value = terms.pow_expression(value, n)
-            except terms.ExponentOverflowError as exc:
+            except (terms.ExponentOverflowError, terms.CoefficientOverflowError) as exc:
                 raise self.fail(str(exc), at) from None
         return terms.negate_expression(value) if negate else value
 

@@ -218,7 +218,7 @@ def apply_module_to_term(t: Term, m: Module, nsymbols: int) -> list[Term]:
 
     The result is combined but unsorted, and may hold zero coefficients.
     The engine never calls it; it stays only because ``perfbench/tracing.py``
-    looks it up by name; ROADMAP item 2 removes it.
+    looks it up by name; ROADMAP item 5 removes it.
     """
     acc: Accumulator = {}
     apply_module_to_chunk(t, m, nsymbols, acc)

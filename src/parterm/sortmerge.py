@@ -5,17 +5,19 @@ A run is a worker's locally sorted, like-term-combined output stream: the
 expression like every term batch in the engine.  The final merge merges
 the runs two at a time, in rounds, as a balanced tree: each two-way
 merge is one pass that takes the terms of both runs in order, sums equal
-monomials and drops zero sums; only the band where both runs have terms
-costs comparisons, and the rest is copied, so runs of contiguous regions
-cost little more than the copy.  It reads the flat runs as they are, so
-the master builds no tuple per term, and it never sorts from scratch: its
-comparison count stays within the k-way bound below.  The merge is the
-deliberate serial stage of the engine; its cost is what the phase metrics
-expose as the final-sort share of wall time.
+monomials and drops zero sums.  Only the band where both runs have terms
+costs comparisons: a bisection finds the part of one run above the other,
+and that part and the other's part below the band are copied, so runs of
+contiguous regions cost little more than the copy.  It reads the flat runs
+as they are, so the master builds no tuple per term, and it never sorts
+from scratch: its comparison count stays within the k-way bound below.
+The merge is the deliberate serial stage of the engine; its cost is what
+the phase metrics expose as the final-sort share of wall time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import Sequence
 
@@ -24,17 +26,20 @@ from .terms import Expression, iter_terms
 
 
 # Merging k runs holding N terms in total performs fewer than
-# MERGE_COMPARISON_BOUND * N * log2(k+1) monomial comparisons.  In a
-# two-way merge's pass each term of the walked run costs at most two
-# comparisons (``>`` and ``==``), and each term of the other run taken
-# before one of them one; what follows the walk costs none.  The first
-# monomials' comparison, the search, which costs at most 2*h + 1 for the h
-# terms it copies, and the last monomials' comparison add at most 3.  So a
-# merge of p + q terms costs at most 2 * (p + q) + 3, and runs that overlap
-# throughout pay 3 more than the pass.  The k - 1 merges over
-# ceil(log2(k)) rounds then cost at most 2 * N * ceil(log2(k)) + 3 * (k - 1),
-# and k <= N, as merge_runs drops empty runs first: fewer than
-# (2 * ceil(log2(k)) + 3) * N, below 4.5 * N * log2(k+1) for every k >= 2.
+# MERGE_COMPARISON_BOUND * N * log2(k+1) monomial comparisons.  Take a
+# two-way merge of p + q terms, p of them in the run that starts higher and
+# h of those above the other run's first monomial.  The first monomials'
+# comparison costs 1, and the bisection that finds the h terms at most
+# ceil(log2(p+1)).  In the pass each term of the walked run costs at most
+# two comparisons (``>`` and ``==``), and each term of the other run taken
+# before one of them one; what follows the walk costs none.  With the last
+# monomials' comparison that is at most 2 * (p + q - h) + 1, and nothing
+# when h = p.  So a merge costs at most 2 * (p + q - h) + 2 + ceil(log2(p+1)),
+# and one of disjoint runs 1 + ceil(log2(p+1)).  As ceil(log2(p+1)) <= p
+# and q >= 1, a merge costs at most 3 * (p + q) + 1.  The k - 1 merges over
+# ceil(log2(k)) rounds then cost at most 3 * N * ceil(log2(k)) + k - 1, and
+# k <= N, as merge_runs drops empty runs first: fewer than
+# (3 * ceil(log2(k)) + 1) * N, below 4.5 * N * log2(k+1) for every k >= 2.
 # A sort that ignores the runs pays N * log2(N), above the bound at bench
 # sizes.
 MERGE_COMPARISON_BOUND = 4.5
@@ -49,26 +54,17 @@ def _merge_two(a: Sequence[int], b: Sequence[int]) -> list[int]:
     summed and zero sums dropped.
 
     The terms of the higher-starting run above the other run's first
-    monomial are found by galloping, then bisecting, and copied as a slice.
+    monomial are found by bisection and copied as a slice.
     Then one pass walks the run that ends higher, taking the terms of the
     other that come before each of its terms; the rest of the other, all
     below the walked run's last monomial, follows with no comparison.
     """
     if a[1] < b[1]:
         a, b = b, a
-    top, n = b[1], len(a) // 2
-    lo, hi = -1, 0  # a's term lo is above top, or lo is -1; hi is the next probe
-    while hi < n and top < a[2 * hi + 1]:
-        lo, hi = hi, 2 * hi + 1
-    hi = min(hi, n)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if top < a[2 * mid + 1]:
-            lo = mid
-        else:
-            hi = mid
-    out = list(a[:2 * hi])
-    a = a[2 * hi:]
+    top = b[1]
+    h = bisect_left(range(len(a) // 2), True, key=lambda i: not top < a[2 * i + 1])
+    out = list(a[:2 * h])
+    a = a[2 * h:]
     if not (a and a[-1] < b[-1]):
         a, b = b, a
     append = out.append

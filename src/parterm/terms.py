@@ -48,6 +48,13 @@ Accumulator = dict[Monomial, int]   # monomial -> coefficient sum, unsorted
 FIELD_BITS = 33                     # 32 value bits + 1 guard bit per symbol
 EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
 
+# The bits a power's coefficients may take, at most: 2**20, 128 KiB each.
+# FORM bounds a term by MaxTermSize; here every coefficient of a**n is
+# bounded before any is computed, so a literal such as 3^4294967296 (a
+# 6.8-Gbit integer) fails at once.  The largest bound a test or workload
+# reaches is 18,000 bits, for (3*x+1)^9000.
+MAX_COEFF_BITS = 1 << 20
+
 UNIT: Monomial = 0
 ONE: Expression = (1, UNIT)
 ZERO: Expression = ()
@@ -62,6 +69,14 @@ class ExponentOverflowError(InvariantError):
 
     def __init__(self) -> None:
         super().__init__(f"exponent overflow: a product's exponent exceeds {EXP_MASK}")
+
+
+class CoefficientOverflowError(InvariantError):
+    """A power's coefficients may exceed ``MAX_COEFF_BITS`` bits."""
+
+    def __init__(self) -> None:
+        super().__init__(f"coefficient overflow: a power's coefficients may exceed "
+                         f"{MAX_COEFF_BITS} bits")
 
 
 class SymbolTable:
@@ -192,7 +207,7 @@ def add_expressions(a: Expression, b: Expression) -> Expression:
     """Sum of two normalized expressions: :func:`normalize` of their concatenation.
 
     Nothing in the package calls it; it stays only because
-    ``perfbench/tracing.py`` looks it up by name; ROADMAP item 2 removes it.
+    ``perfbench/tracing.py`` looks it up by name; ROADMAP item 5 removes it.
     """
     return normalize(a + b)
 
@@ -267,7 +282,11 @@ def pow_field_max(a: Expression, n: int) -> Monomial:
 def pow_expression(a: Expression, n: int) -> Expression:
     """a**n; a**0 is the constant 1.
 
-    One check before any work, :func:`pow_field_max`.
+    Two checks before any work: :func:`pow_field_max`, then the coefficient
+    bound.  Every coefficient of ``a**n`` is at most ``(sum |c_j|)**n``, so
+    it takes at most ``n * log2(sum |c_j|)`` bits; that is exact for one
+    term, and ``x**n`` has coefficient 1 for any ``n``.  Above
+    ``MAX_COEFF_BITS`` this raises :class:`CoefficientOverflowError`.
 
     A single-term base is raised directly.  Otherwise the multinomial theorem
     gives each term of the power once per composition ``i_1+...+i_k = n``:
@@ -285,6 +304,9 @@ def pow_expression(a: Expression, n: int) -> Expression:
     if not a:
         return ZERO
     rest = pow_field_max(a, n)
+    norm = sum(map(abs, a[::2]))
+    if norm > 1 and n > MAX_COEFF_BITS / math.log2(norm):  # n may be too big for a float
+        raise CoefficientOverflowError()
     k = len(a) // 2
     if k == 1:
         coeff, mono = a

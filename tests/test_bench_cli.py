@@ -103,6 +103,24 @@ def test_sweep_reports_both_normalizations(tmp_path):
          f"{r.speedup_vs_sequential:.4f}"] for r in rows]
 
 
+def test_sweep_reports_the_quartiles_beside_every_median():
+    assert bench._quartiles([7]) == (7, 7, 7)
+    assert bench._quartiles([4, 1, 3, 2]) == (1, 2, 3)
+    assert bench._quartiles([5, 1, 4, 2, 3]) == (2, 3, 4)
+    text = "symbols x; local F = (x+1)^5; multiply x; .sort .end"
+    result = run_sweep(text, "demo", slaves=[1, 2], backends=["sm", "mp"], repeats=3)
+    assert result.t_sequential_q1_ns <= result.t_sequential_ns <= result.t_sequential_q3_ns
+    rows = [(backend, r) for backend, rs in result.reports.items() for r in rs]
+    assert len(rows) == 4
+    lines = bench.format_report(result).splitlines()
+    assert f"(q1 {result.t_sequential_q1_ns / 1e6:.3f}, q3 {result.t_sequential_q3_ns / 1e6:.3f})" \
+        in lines[1]
+    for line, (backend, r) in zip(lines[3:], rows):
+        assert r.t_wall_q1_ns <= r.t_wall_ns <= r.t_wall_q3_ns
+        assert line.split()[:5] == [backend, str(r.nslaves), f"{r.t_wall_ns / 1e6:.3f}",
+                                    f"{r.t_wall_q1_ns / 1e6:.3f}", f"{r.t_wall_q3_ns / 1e6:.3f}"]
+
+
 def test_dat_blocks_are_gnuplot_indexable(tmp_path):
     # Blocks come in --backend order, double-blank separated, each named by
     # its first line, which plots/speedup.gp selects with index 'backend=..'.
@@ -414,3 +432,24 @@ def test_cli_overflowing_power_of_a_sum_exits_at_once(tmp_path):
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == cli.EXIT_PARSE
     assert "exponent overflow" in proc.stderr and "line 1, column 33" in proc.stderr
+
+
+@pytest.mark.parametrize("text, code, where", [
+    ("symbols x; local F = 3^4294967296; .sort .end", cli.EXIT_PARSE, "at line 1, column 24"),
+    ("symbols x;\nlocal F = (2*x)^4294967295; .sort .end", cli.EXIT_PARSE, "at line 2, column 17"),
+    ("symbols x, y; local F = x^4294967295; id x = 2*y; .sort .end", cli.EXIT_RUNTIME,
+     "worker 0 failed: CoefficientOverflowError"),
+], ids=["integer", "one-term", "in-a-worker"])
+def test_cli_power_with_oversized_coefficients_exits_at_once(tmp_path, text, code, where):
+    # 3^4294967296 is a 6.8-Gbit integer and (2*y)^4294967295 a 4.3-Gbit
+    # coefficient: the bound has to come before any multiplication.  A child
+    # process, so that a regression times out instead of allocating.
+    bad = tmp_path / "big.pt"
+    bad.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "parterm.cli", "run", "--slaves", "1", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == code
+    assert "coefficient overflow" in proc.stderr and where in proc.stderr

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -183,27 +184,28 @@ def _dispatch_log(program, cfg, monkeypatch):
 @pytest.mark.parametrize("nslaves", [2, 3])
 def test_each_worker_deals_from_its_own_region_then_steals_from_the_back(
         nslaves, master_computes, monkeypatch):
-    # 28 terms in chunks of 3: nine of 3 and one of 1.  The regions cut the
-    # chunks where their midpoints cross an equal share of the 28 terms.
-    program = _parse("symbols x,y,z; local F = (x+y+z)^6; multiply x+y-z; .sort .end")
+    # 37 terms in chunks of 3: twelve of 3 and one of 1.  The regions cut the
+    # chunks where their midpoints cross an equal share of the 37 terms: one
+    # per slave, and the last for a computing master (taker -1).
+    program = _parse("symbols x,y,z; local F = (x+y+z)^7 + 1; multiply x+y-z; .sort .end")
     cfg = RunConfig(nslaves=nslaves, chunk_size=3, master_computes=master_computes)
     chunks = partition_chunks([program.initial[0][1]], 3)
-    assert [c.stop - c.start for c in chunks] == [3] * 9 + [1]
+    assert [c.stop - c.start for c in chunks] == [3] * 12 + [1]
+    takers = nslaves + master_computes
     for _ in range(5):
-        regions = [deque() for _ in range(nslaves)]
+        regions = [deque() for _ in range(takers)]
         done = 0
         for i, c in enumerate(chunks):
             size = c.stop - c.start
-            regions[(2 * done + size) * nslaves // (2 * 28)].append(i)
+            regions[(2 * done + size) * takers // (2 * 37)].append(i)
             done += size
         assert all(len(r) >= 3 for r in regions)
         log = _dispatch_log(program, cfg, monkeypatch)
         assert sorted(i for _, i in log) == list(range(len(chunks)))
         for taker, i in log:
-            # A worker takes its own region's front while it lasts; a computing
-            # master owns no region.  Then the taker steals the back chunk of
-            # a region with the most chunks left.
-            own = regions[taker] if taker >= 0 else ()
+            # A taker takes its own region's front while it lasts, then steals
+            # the back chunk of a region with the most chunks left.
+            own = regions[taker]
             if own:
                 assert i == own.popleft(), log
             else:
@@ -225,13 +227,16 @@ def test_contiguous_regions_keep_the_merge_input_near_the_output():
     # to whichever worker was idle made every run span the whole expression,
     # and the merge took in 1.50-1.67 times the terms it put out.  With
     # contiguous regions it reads 1.03-1.07 at 2 slaves and 1.12-1.17 at 4.
+    # A computing master owns the last region, and reads 1.07-1.08 and 1.20-1.21.
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "programs", "heavy.pt")) as fh:
         program = _parse(fh.read())
     for nslaves in (2, 4):
-        metrics = run_program(program, RunConfig(nslaves=nslaves)).module_metrics
-        merged = sum(m.terms_merged for m in metrics)
-        out = sum(m.terms_out for m in metrics)
-        assert merged <= 1.25 * out, (nslaves, merged / out)
+        for master_computes in (False, True):
+            cfg = RunConfig(nslaves=nslaves, master_computes=master_computes)
+            metrics = run_program(program, cfg).module_metrics
+            merged = sum(m.terms_merged for m in metrics)
+            out = sum(m.terms_out for m in metrics)
+            assert merged <= 1.25 * out, (cfg, merged / out)
 
 
 @pytest.mark.parametrize("backend", ["mp", "sm"])
@@ -901,7 +906,7 @@ def test_no_class_in_parterm_is_a_dataclass():
 def test_import_parterm_loads_neither_dataclasses_nor_inspect():
     src = os.path.dirname(os.path.dirname(parterm.__file__))
     code = ("import sys, parterm; "
-            "print(sorted({'dataclasses', 'decimal', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'decimal', 'inspect', 'traceback'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "[]\n"
@@ -909,13 +914,16 @@ def test_import_parterm_loads_neither_dataclasses_nor_inspect():
 
 def test_every_module_compiles_with_warnings_as_errors():
     # An invalid escape such as "\d" warns on each fresh compile, which a
-    # run without bytecode repeats in every process; here it fails.
+    # run without bytecode repeats in every process; here it fails.  Every
+    # module must also parse under the oldest grammar pyproject.toml admits.
     src = os.path.dirname(parterm.__file__)
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh, warnings.catch_warnings():
                 warnings.simplefilter("error")
-                compile(fh.read(), name, "exec", dont_inherit=True)
+                text = fh.read()
+                compile(text, name, "exec", dont_inherit=True)
+                ast.parse(text, name, feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(nslaves=2, chunk_size=1, backend="mp"),

@@ -176,6 +176,43 @@ def test_disjoint_runs_merge_in_logarithmic_comparisons():
             assert counted.count <= 2 * math.log2(n) + 6, (n, counted.count)
 
 
+def _derived_bound(x, y):
+    """The comparisons sortmerge's derivation allows the two-way merge of
+    ``x`` and ``y``: p terms in the run that starts higher, h of them above
+    the other's first monomial, q in the other."""
+    a, b = (y, x) if x[1] < y[1] else (x, y)
+    p, q = len(a) // 2, len(b) // 2
+    h = sum(m > b[1] for m in a[1::2])
+    search = math.ceil(math.log2(p + 1))
+    return 1 + search if h == p else 2 * (p + q - h) + 2 + search
+
+
+def test_each_two_way_merge_stays_within_its_derived_bound():
+    # Runs that overlap throughout: interleaved one by one, sharing every
+    # monomial, or sharing every third; then disjoint runs, where only the
+    # first comparison and the bisection are paid.
+    shapes = []
+    for n in (1, 2, 3, 10, 100, 1000):
+        evens = flat((1, m) for m in range(2 * n, 0, -2))
+        shapes += [(evens, flat((1, m) for m in range(2 * n - 1, 0, -2))),
+                   (evens, flat((-1, m) for m in range(2 * n, 0, -2))),
+                   (evens, flat((1, m) for m in range(2 * n + 1, 0, -3))),
+                   (flat((1, m) for m in range(2 * n, n, -1)), flat((1, m) for m in range(n, 0, -1)))]
+    rng = random.Random(73)
+
+    def random_run(monos):
+        return flat((1, m) for m in sorted(rng.sample(monos, rng.randint(1, len(monos))), reverse=True))
+
+    for _ in range(300):
+        monos = rng.sample(range(200), rng.randint(2, 60))
+        shapes.append((random_run(monos), random_run(monos)))
+    for x, y in shapes:
+        for runs in ([x, y], [y, x]):
+            counted = ComparisonCount()
+            assert unwrap(merge_runs(counted.wrap(runs))) == normalize(x + y)
+            assert counted.count <= _derived_bound(*runs), (runs, counted.count)
+
+
 @st.composite
 def _banded_runs(draw):
     """1 to 5 runs cut from one canonical expression's monomials: each a band
