@@ -137,9 +137,11 @@ class Chunk(NamedTuple):
 class WorkerMetrics(NamedTuple):
     """One worker's (or the computing master's) share of one module.
 
-    ``busy_ns`` runs from a message's arrival, before its decode, until its
-    answers are encoded; sending them is transport time.  A worker adds up
-    the shares of its messages and sends the sum once per module.
+    A slave's ``busy_ns`` runs from a message's arrival, before its decode,
+    until its answers are encoded; sending them is transport time.  A worker
+    adds up the shares of its messages and sends the sum once per module.
+    The computing master decodes and encodes nothing, so its ``busy_ns`` is
+    its ``compute_ns + sort_ns``: each share carries its own elapsed time.
     """
 
     compute_ns: int = 0
@@ -218,7 +220,8 @@ def _rewrite_chunk(chunk: Expression, m: Module, nsymbols: int,
                    acc: terms.Accumulator) -> WorkerMetrics:
     t0 = perf_counter_ns()
     generated = rewrite.apply_module_to_chunk(chunk, m, nsymbols, acc)
-    return WorkerMetrics(compute_ns=perf_counter_ns() - t0, generated=generated,
+    elapsed = perf_counter_ns() - t0
+    return WorkerMetrics(compute_ns=elapsed, busy_ns=elapsed, generated=generated,
                          processed=len(chunk) // 2)
 
 
@@ -233,7 +236,8 @@ def _sort_runs(accs: list[terms.Accumulator]) -> tuple[list[Expression], WorkerM
     for acc in accs:
         runs.append(terms.sorted_flat(acc))
         acc.clear()
-    return runs, WorkerMetrics(sort_ns=perf_counter_ns() - t0)
+    elapsed = perf_counter_ns() - t0
+    return runs, WorkerMetrics(sort_ns=elapsed, busy_ns=elapsed)
 
 
 def _return_runs(endpoint, accs: list[terms.Accumulator], mine: WorkerMetrics,

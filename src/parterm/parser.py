@@ -257,7 +257,7 @@ class _Parser:
             rhs = self.factor()
             try:
                 value = terms.multiply_expressions(value, rhs)
-            except terms.ExponentOverflowError as exc:
+            except (terms.ExponentOverflowError, terms.CoefficientOverflowError) as exc:
                 raise self.fail(str(exc), at) from None
         return value
 

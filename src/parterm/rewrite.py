@@ -14,12 +14,14 @@ an ``rhs`` are flat term batches ``(c0, m0, c1, m1, ...)`` (see
 no tuple per term.  Every product count below counts terms, half a batch's
 length.
 
-On packed monomials (see :mod:`parterm.terms`) ``id x = rhs`` reads the
-exponent ``n`` of ``x`` with one shift and mask, subtracts that field and
-multiplies the rest by ``rhs^n``; ``multiply f`` multiplies by ``f``.  Each
-statement first makes one guard pass over the chunk's intermediate
-monomials: one check per term, against the field-wise maximum of its
-factor's monomials, covers every product of the term with that factor.
+The rewriter never reads a monomial's fields itself: :mod:`parterm.terms`
+owns the packed layout.  ``id x = rhs`` splits the terms by the exponent
+``n`` of ``x``, which each loses (:func:`parterm.terms.split_by_exponent`),
+and multiplies each part by ``rhs^n``; ``multiply f`` multiplies by ``f``.
+Each statement first makes one guard pass over the chunk's intermediate
+monomials (:func:`parterm.terms.check_products`): one check per term,
+against the field-wise maximum of its factor's monomials, covers every
+product of the term with that factor.
 Then it makes one loop over the terms per term of the factor.  No product
 is made before every check has passed, so a chunk that overflows leaves the
 accumulator untouched.
@@ -49,7 +51,7 @@ from typing import Sequence
 
 from . import terms
 from .parser import IdSubst, Module, Multiply
-from .terms import Accumulator, Expression, Monomial, Term, iter_terms
+from .terms import Accumulator, Expression, Term, iter_terms
 
 Batch = Sequence[int]   # a flat (c0, m0, c1, m1, ...) tuple or list
 
@@ -66,7 +68,7 @@ def _rhs_power(rhs: Expression, n: int) -> Expression:
 
 
 @functools.lru_cache(maxsize=64)
-def _compositions_distinct(rhs: Expression) -> bool:
+def _compositions_distinct(rhs: Expression, nsymbols: int) -> bool:
     """Whether the exponent vectors of ``rhs``'s monomials, each with a 1
     appended, are linearly independent, as for any linear form
     ``a*y + b*z + ... + c`` and for ``y + y*z - w`` or ``y + y^2``.  A
@@ -75,11 +77,9 @@ def _compositions_distinct(rhs: Expression) -> bool:
     the same monomial differ by integers ``d`` with ``sum d_j * v_j = 0`` and
     ``sum d_j = 0``, which independence rules out.  So distinct compositions
     give distinct monomials."""
-    nfields = max(rhs[1::2], default=0).bit_length() // terms.FIELD_BITS + 1
     basis: list[tuple[int, list[int]]] = []  # (pivot, row), zero before its pivot
     for m in rhs[1::2]:
-        v = [(m >> terms.field_shift(sid, nfields)) & terms.EXP_MASK for sid in range(nfields)]
-        v.append(1)
+        v = terms.exponents(m, nsymbols) + [1]
         for pivot, row in basis:  # fraction-free elimination, over the integers
             f, g = v[pivot], row[pivot]
             if f:
@@ -90,38 +90,26 @@ def _compositions_distinct(rhs: Expression) -> bool:
     return True
 
 
-def _rhs_size(rhs: Expression, n: int) -> int:
+def _rhs_size(rhs: Expression, n: int, nsymbols: int) -> int:
     """The number of terms of ``rhs^n``.  When the compositions of ``n`` over
     the ``k`` terms of ``rhs`` are distinct, each gives its own monomial, with
     a coefficient that is not zero: ``C(n + k - 1, k - 1)`` terms, counted
     without building the power."""
     if not rhs:
         return int(n == 0)
-    if _compositions_distinct(rhs):
+    if _compositions_distinct(rhs, nsymbols):
         k = len(rhs) // 2
         return math.comb(n + k - 1, k - 1)
     return len(_rhs_power(rhs, n)) // 2
-
-
-def _check(current: Batch, bound: Monomial, nsymbols: int) -> None:
-    """Raise unless every term of ``current`` times ``bound`` fits its fields."""
-    guard = terms.guard_mask(nsymbols)
-    for mono in current[1::2]:
-        if (mono + bound) & guard:
-            raise terms.ExponentOverflowError()
 
 
 def _degrees(current: Batch, s: IdSubst, nsymbols: int) -> dict[int, list[int]]:
     """The terms of ``current`` as flat batches by the exponent ``n`` of
     ``s``'s target, which each loses, after every term's guard check against
     ``rhs^n``."""
-    shift = terms.field_shift(s.target, nsymbols)
-    parts: dict[int, list[int]] = {}
-    for coeff, mono in iter_terms(current):
-        n = (mono >> shift) & terms.EXP_MASK
-        parts.setdefault(n, []).extend((coeff, mono - (n << shift)))
+    parts = terms.split_by_exponent(current, s.target, nsymbols)
     for n, part in parts.items():
-        _check(part, _rhs_bound(s.rhs, n), nsymbols)
+        terms.check_products(part, _rhs_bound(s.rhs, n), nsymbols)
     return parts
 
 
@@ -139,7 +127,7 @@ def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> 
     ``acc``; returns the direct expansion's count ``sum |P_n| * |rhs^n|``."""
     rhs = s.rhs
     parts = _degrees(current, s, nsymbols)
-    direct = sum(len(part) // 2 * _rhs_size(rhs, n) for n, part in parts.items())
+    direct = sum(len(part) // 2 * _rhs_size(rhs, n, nsymbols) for n, part in parts.items())
     # made: products so far; left: the direct count of the degrees not yet
     # in h; total = made + |h| * |rhs^e| + left, the chunk's products if h
     # takes no further step.  Steps stop for the chunk once one raises
@@ -150,16 +138,16 @@ def _substitute(current: Batch, s: IdSubst, nsymbols: int, acc: Accumulator) -> 
     e = 0
     for n in sorted(parts, reverse=True):
         part = parts[n]
-        size = _rhs_size(rhs, n)
+        size = _rhs_size(rhs, n, nsymbols)
         if h and paying:
-            cost = len(h) * _rhs_size(rhs, e - n)
+            cost = len(h) * _rhs_size(rhs, e - n, nsymbols)
             paying = made + cost * (1 + size) + left <= 2 * direct
             if paying:
                 made += cost
                 h, stepped = {}, h
                 _times(stepped, _rhs_power(rhs, e - n), h)
         if h and not paying:
-            made += len(h) * _rhs_size(rhs, e)
+            made += len(h) * _rhs_size(rhs, e, nsymbols)
             _times(h, _rhs_power(rhs, e), acc)
             h = {}
         left -= len(part) // 2 * size
@@ -194,7 +182,7 @@ def apply_module_to_chunk(chunk: Batch, m: Module, nsymbols: int, acc: Accumulat
     current = chunk
     for s in statements[:-1]:
         if isinstance(s, Multiply):
-            _check(current, _field_max(s.factor), nsymbols)
+            terms.check_products(current, _field_max(s.factor), nsymbols)
             current = _products(current, s.factor)
         else:
             parts = _degrees(current, s, nsymbols)
@@ -207,7 +195,7 @@ def apply_module_to_chunk(chunk: Batch, m: Module, nsymbols: int, acc: Accumulat
         return _substitute(current, statements[-1], nsymbols, acc)
     else:
         factor = statements[-1].factor
-        _check(current, _field_max(factor), nsymbols)
+        terms.check_products(current, _field_max(factor), nsymbols)
     terms.add_product(acc, current, factor)
     return len(current) * len(factor) // 4
 

@@ -9,7 +9,10 @@ Symbol 0 sits in the most significant field and symbol
 ``sid`` is ``(m >> field_shift(sid, nsymbols)) & EXP_MASK``, and the unit
 monomial is ``0``.  The layout depends only on the number of declared
 symbols.  :mod:`parterm.transport` sends a monomial as marshal writes this
-int, so the field width is part of the wire contract.
+int, so the field width is part of the wire contract.  This module is the
+only one that reads the fields: the rewriter and the transport call
+:func:`check_products`, :func:`split_by_exponent`, :func:`exponents` and
+:func:`invalid_bits`.
 
 The packing makes the two hot operations single int operations:
 
@@ -48,11 +51,12 @@ Accumulator = dict[Monomial, int]   # monomial -> coefficient sum, unsorted
 FIELD_BITS = 33                     # 32 value bits + 1 guard bit per symbol
 EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
 
-# The bits a power's coefficients may take, at most: 2**20, 128 KiB each.
-# FORM bounds a term by MaxTermSize; here every coefficient of a**n is
-# bounded before any is computed, so a literal such as 3^4294967296 (a
-# 6.8-Gbit integer) fails at once.  The largest bound a test or workload
-# reaches is 18,000 bits, for (3*x+1)^9000.
+# The bits a power's or a product's coefficients may take, at most: 2**20,
+# 128 KiB each.  FORM bounds a term by MaxTermSize; here every coefficient of
+# a**n and of a*b is bounded before any is computed, so a literal such as
+# 3^4294967296 (a 6.8-Gbit integer) or 3^600000*3^600000 fails at once.  The
+# largest bound a test or workload reaches is 18,000 bits, for (3*x+1)^9000.
+# The rewriter's multiply statements are not bounded (ROADMAP item 9).
 MAX_COEFF_BITS = 1 << 20
 
 UNIT: Monomial = 0
@@ -72,11 +76,11 @@ class ExponentOverflowError(InvariantError):
 
 
 class CoefficientOverflowError(InvariantError):
-    """A power's coefficients may exceed ``MAX_COEFF_BITS`` bits."""
+    """A power's or a product's coefficients may exceed ``MAX_COEFF_BITS`` bits."""
 
     def __init__(self) -> None:
-        super().__init__(f"coefficient overflow: a power's coefficients may exceed "
-                         f"{MAX_COEFF_BITS} bits")
+        super().__init__(f"coefficient overflow: a power's or a product's coefficients "
+                         f"may exceed {MAX_COEFF_BITS} bits")
 
 
 class SymbolTable:
@@ -131,14 +135,32 @@ def guard_mask(nfields: int) -> int:
     return mask
 
 
+def invalid_bits(nsymbols: int) -> int:
+    """The bits a valid monomial leaves clear: its guard bits and every bit
+    from ``FIELD_BITS * nsymbols`` up.  The mask is negative, so a negative
+    int meets it too."""
+    return guard_mask(nsymbols) | -(1 << (FIELD_BITS * nsymbols))
+
+
+def check_products(batch: Sequence[int], bound: Monomial, nfields: int) -> None:
+    """Raise :class:`ExponentOverflowError` unless every monomial of the flat
+    ``batch`` times ``bound`` keeps the guard bits of the ``nfields`` low
+    fields clear.  One pass checks a whole distribution when ``bound`` is the
+    factor's :func:`field_max`; the caller makes no product before it."""
+    guard = guard_mask(nfields)
+    for mono in batch[1::2]:
+        if (mono + bound) & guard:
+            raise ExponentOverflowError()
+
+
+def exponents(mono: Monomial, nsymbols: int) -> list[int]:
+    """The dense exponent vector of a monomial: index = symbol id."""
+    return [(mono >> field_shift(sid, nsymbols)) & EXP_MASK for sid in range(nsymbols)]
+
+
 def unpack(mono: Monomial, nsymbols: int) -> tuple[Factor, ...]:
     """The ``(symbol_id, exponent)`` factors of a monomial, by increasing id."""
-    out = []
-    for sid in range(nsymbols):
-        exp = (mono >> field_shift(sid, nsymbols)) & EXP_MASK
-        if exp:
-            out.append((sid, exp))
-    return tuple(out)
+    return tuple((sid, exp) for sid, exp in enumerate(exponents(mono, nsymbols)) if exp)
 
 
 def iter_terms(batch: Iterable[int]) -> Iterator[Term]:
@@ -146,6 +168,17 @@ def iter_terms(batch: Iterable[int]) -> Iterator[Term]:
     hands back the same tuple while its last one is unpacked and dropped."""
     it = iter(batch)
     return zip(it, it)
+
+
+def split_by_exponent(batch: Sequence[int], sid: int, nsymbols: int) -> dict[int, list[int]]:
+    """The terms of the flat ``batch`` as flat batches keyed by the exponent
+    ``n`` of symbol ``sid``, which each monomial loses."""
+    shift = field_shift(sid, nsymbols)
+    parts: dict[int, list[int]] = {}
+    for coeff, mono in iter_terms(batch):
+        n = (mono >> shift) & EXP_MASK
+        parts.setdefault(n, []).extend((coeff, mono - (n << shift)))
+    return parts
 
 
 def field_max(e: Expression) -> Monomial:
@@ -231,9 +264,15 @@ def add_product(acc: Accumulator, batch: Sequence[int], factor: Expression) -> N
 def multiply_expressions(a: Expression, b: Expression) -> Expression:
     """Distributive product; combines in a dict, then sorts canonically once.
 
-    Multiplying monomials is adding them.  One guard pass checks the longer
-    operand against the shorter one's field-wise maximum, then one pass over
-    the longer operand per term of the shorter one makes every product.
+    Multiplying monomials is adding them.  Two checks come before any
+    product.  :func:`check_products` checks the longer operand against the
+    shorter one's field-wise maximum.  Then the coefficient bound: a
+    coefficient of the product sums at most ``k`` products ``ca * cb``, ``k``
+    the shorter operand's term count, so it takes at most the two operands'
+    largest coefficient bits plus ``ceil(log2(k))`` bits; above
+    ``MAX_COEFF_BITS`` this raises :class:`CoefficientOverflowError`.  Then
+    one pass over the longer operand per term of the shorter one makes every
+    product.
 
     A one-term operand ``c*m`` skips the dict and the sort: adding ``m`` to
     every monomial keeps their order and distinctness, and a nonzero ``c``
@@ -244,20 +283,17 @@ def multiply_expressions(a: Expression, b: Expression) -> Expression:
     if len(a) < len(b):
         a, b = b, a
     # Guard bits for every field up to the largest product's top field.
-    guard = guard_mask(-(-(a[1] + b[1]).bit_length() // FIELD_BITS))
+    nfields = -(-(a[1] + b[1]).bit_length() // FIELD_BITS)
+    check_products(a, b[1] if len(b) == 2 else field_max(b), nfields)
+    if (max(map(int.bit_length, a[::2])) + max(map(int.bit_length, b[::2]))
+            + (len(b) // 2 - 1).bit_length() > MAX_COEFF_BITS):
+        raise CoefficientOverflowError()
     if len(b) == 2:
         c, mb = b
         out = list(a)
-        out[1::2] = ms = [ma + mb for ma in a[1::2]]
-        for m in ms:
-            if m & guard:
-                raise ExponentOverflowError()
+        out[1::2] = [ma + mb for ma in a[1::2]]
         out[::2] = [ca * c for ca in a[::2]]
         return tuple(out)
-    bound = field_max(b)
-    for ma in a[1::2]:
-        if (ma + bound) & guard:
-            raise ExponentOverflowError()
     acc: Accumulator = {}
     add_product(acc, a, b)
     return sorted_flat(acc)

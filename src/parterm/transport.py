@@ -58,9 +58,10 @@ allocated at its announced size.
 :func:`deserialize_terms` checks, in order: the checksum; the header, a
 tuple of an even count of elements that the bytes can hold, at 5 bytes an
 int at least; marshal's decode; that every element is an ``int``, not a
-bool, a float or a tuple; that no monomial has a guard bit set or a bit at
-or above ``1 << (FIELD_BITS * nsymbols)``; and that re-encoding gives back
-the very bytes, which rejects trailing bytes and non-canonical encodings.
+bool, a float or a tuple; that no monomial has a guard bit set or a bit
+beyond the fields of ``nsymbols`` symbols (:func:`parterm.terms.invalid_bits`;
+the transport reads no field itself); and that re-encoding gives back the
+very bytes, which rejects trailing bytes and non-canonical encodings.
 :func:`serialize_terms` runs the monomial check first.  Every
 :class:`WireError` names an offset, found only once a check has failed.
 ``mp`` copies everything: the receiver's tuple, coefficients and monomials
@@ -83,7 +84,7 @@ from operator import countOf, or_
 from time import perf_counter_ns
 from typing import Callable, NamedTuple, Optional
 
-from .terms import FIELD_BITS, Expression, guard_mask
+from .terms import Expression, invalid_bits
 
 _VERSION = 2
 _HEADER = 5    # "(" and the u32 element count
@@ -138,13 +139,6 @@ class TransportStats(NamedTuple):
         return self.messages_master_to_slave + self.messages_slave_to_master
 
 
-def _invalid_bits(nsymbols: int) -> int:
-    """The bits a valid monomial leaves clear: its guard bits and every bit
-    from ``FIELD_BITS * nsymbols`` up.  The mask is negative, so a negative
-    int meets it too."""
-    return guard_mask(nsymbols) | -(1 << (FIELD_BITS * nsymbols))
-
-
 def _first_difference(a: bytes, b: bytes) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
@@ -159,7 +153,7 @@ def _element_error(body: bytes, flat: tuple, j: int, message: str) -> WireError:
 
 def _monomial_error(flat: tuple, nsymbols: int, body: bytes) -> WireError:
     """The error for the first monomial of ``flat`` that meets the invalid bits."""
-    invalid = _invalid_bits(nsymbols)
+    invalid = invalid_bits(nsymbols)
     j = next(j for j in range(1, len(flat), 2) if flat[j] & invalid)
     return _element_error(body, flat, j, f"monomial has a guard bit set (an exponent over "
                                          f"u32) or a bit beyond the fields of nsymbols {nsymbols}")
@@ -182,7 +176,7 @@ def serialize_terms(flat: Expression, nsymbols: int) -> bytes:
     """Encode the flat term batch ``flat``; a monomial that is not valid for
     ``nsymbols`` symbols raises :class:`WireError` naming the offset it would
     have had."""
-    if reduce(or_, flat[1::2], 0) & _invalid_bits(nsymbols):
+    if reduce(or_, flat[1::2], 0) & invalid_bits(nsymbols):
         raise _monomial_error(flat, nsymbols, marshal.dumps(flat, _VERSION))
     body = marshal.dumps(flat, _VERSION)
     return body + zlib.crc32(body).to_bytes(_CRC, "little")
@@ -211,7 +205,7 @@ def deserialize_terms(data: bytes, nsymbols: int) -> Expression:
     if countOf(map(type, flat), int) != len(flat):
         j = next(j for j, x in enumerate(flat) if type(x) is not int)
         raise _element_error(body, flat, j, f"element is a {type(flat[j]).__name__}")
-    if reduce(or_, flat[1::2], 0) & _invalid_bits(nsymbols):
+    if reduce(or_, flat[1::2], 0) & invalid_bits(nsymbols):
         raise _monomial_error(flat, nsymbols, body)
     canonical = marshal.dumps(flat, _VERSION)
     if canonical != body:

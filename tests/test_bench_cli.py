@@ -1,6 +1,8 @@
 import csv
 import inspect
+import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -119,6 +121,33 @@ def test_sweep_reports_the_quartiles_beside_every_median():
         assert r.t_wall_q1_ns <= r.t_wall_ns <= r.t_wall_q3_ns
         assert line.split()[:5] == [backend, str(r.nslaves), f"{r.t_wall_ns / 1e6:.3f}",
                                     f"{r.t_wall_q1_ns / 1e6:.3f}", f"{r.t_wall_q3_ns / 1e6:.3f}"]
+
+
+_NOTE = re.compile(r"(?:sequential reference:|backend=(\w+) p=(\d+) chunk=(\d+): median wall) "
+                   r"(\d+) ns \(q1 (\d+), q3 (\d+)\)")
+
+
+def test_sweep_progress_notes_give_every_cell_its_whole_run_quartiles():
+    # The notes are the only place a sweep prints the whole-run medians of
+    # its later chunk sizes.
+    text = "symbols x; local F = (x+1)^5; multiply x; .sort .end"
+    out = io.StringIO()
+    result = run_sweep(text, "demo", slaves=[1, 2], backends=["sm", "mp"], chunks=[2, 5],
+                       repeats=3, progress=out)
+    (ref, *notes) = [_NOTE.fullmatch(line) for line in out.getvalue().splitlines()]
+    assert ref and ref.group(1) is None
+    assert tuple(map(int, ref.group(5, 4, 6))) == (
+        result.t_sequential_q1_ns, result.t_sequential_ns, result.t_sequential_q3_ns)
+    cells = {}
+    for note in notes:
+        backend, p, chunk, t, q1, q3 = note.groups()
+        assert int(q1) <= int(t) <= int(q3)
+        cells[backend, int(p), int(chunk)] = (int(t), int(q1), int(q3))
+    assert len(notes) == len(cells) == 8
+    assert set(cells) == {(b, p, c) for b in ("sm", "mp") for p in (1, 2) for c in (2, 5)}
+    for backend, rows in result.reports.items():
+        for r in rows:
+            assert cells[backend, r.nslaves, 2] == (r.t_wall_ns, r.t_wall_q1_ns, r.t_wall_q3_ns)
 
 
 def test_dat_blocks_are_gnuplot_indexable(tmp_path):
@@ -439,11 +468,14 @@ def test_cli_overflowing_power_of_a_sum_exits_at_once(tmp_path):
     ("symbols x;\nlocal F = (2*x)^4294967295; .sort .end", cli.EXIT_PARSE, "at line 2, column 17"),
     ("symbols x, y; local F = x^4294967295; id x = 2*y; .sort .end", cli.EXIT_RUNTIME,
      "worker 0 failed: CoefficientOverflowError"),
-], ids=["integer", "one-term", "in-a-worker"])
+    ("symbols x; local F = 3^600000*3^600000; .sort .end", cli.EXIT_PARSE,
+     "at line 1, column 30"),
+], ids=["integer", "one-term", "in-a-worker", "product"])
 def test_cli_power_with_oversized_coefficients_exits_at_once(tmp_path, text, code, where):
     # 3^4294967296 is a 6.8-Gbit integer and (2*y)^4294967295 a 4.3-Gbit
-    # coefficient: the bound has to come before any multiplication.  A child
-    # process, so that a regression times out instead of allocating.
+    # coefficient, and each 3^600000 passes the bound but their product
+    # would take 1.9 Mbit: the bound has to come before any multiplication.
+    # A child process, so that a regression times out instead of allocating.
     bad = tmp_path / "big.pt"
     bad.write_text(text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))

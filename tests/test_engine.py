@@ -562,6 +562,19 @@ def test_worker_busy_counts_the_encode_of_its_replies(monkeypatch):
         assert workers[worker].busy_ns >= sum(sleeps)
 
 
+@pytest.mark.parametrize("cfg", [SEQ, RunConfig(nslaves=2, chunk_size=1, master_computes=True)],
+                         ids=["zero-slaves", "computing-master"])
+def test_a_computing_master_is_busy_for_its_compute_and_its_sort(cfg):
+    # The master decodes and encodes nothing, so its busy time is the sum
+    # of its chunks' and its sort's shares, never 0 once it has sorted.
+    program = _parse("symbols x, y; local F = (x+y)^8; multiply x+y; .sort .end")
+    res = run_program(program, cfg)
+    master = res.module_metrics[0].workers[engine.MASTER_WORKER_ID]
+    assert master.busy_ns == master.compute_ns + master.sort_ns > 0
+    if not cfg.nslaves:
+        assert master.processed == 9 and master.compute_ns > 0
+
+
 # -- whole programs ----------------------------------------------------------
 
 def _counting_thread_starts(monkeypatch) -> list:
@@ -924,6 +937,25 @@ def test_every_module_compiles_with_warnings_as_errors():
                 text = fh.read()
                 compile(text, name, "exec", dont_inherit=True)
                 ast.parse(text, name, feature_version=(3, 10))
+
+
+def test_only_terms_reads_the_packed_layout():
+    # Every other module calls terms' named functions, so a change of the
+    # field width or the guard bits touches one module.
+    layout = {"FIELD_BITS", "EXP_MASK", "field_shift", "guard_mask"}
+    src = os.path.dirname(parterm.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "terms.py":
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                used = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if used in layout:
+                    found.append(f"{name}:{node.lineno} {used}")
+    assert not found
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(nslaves=2, chunk_size=1, backend="mp"),

@@ -238,7 +238,7 @@ _Y, _Z = pack(((1, 1),), 4), pack(((2, 1),), 4)
 @settings(max_examples=200)
 def test_the_size_and_bound_of_a_power_are_those_of_the_built_power(rhs, n):
     power = pow_expression(rhs, n)
-    assert rewrite._rhs_size(rhs, n) == len(power) // 2
+    assert rewrite._rhs_size(rhs, n, 4) == len(power) // 2
     assert rewrite._rhs_bound(rhs, n) == terms.field_max(power)
 
 
@@ -253,11 +253,11 @@ def test_the_rank_test_counts_independent_rhs_shapes_and_only_those():
     # the test of a symbol of its own per monomial missed.
     for text in ("-2*y+z+2*w-1", "y", "3", "y+y*z-w", "y+y^2", "y*z+z*w+w*y",
                  "y^2*z+y*z^2+1"):
-        assert rewrite._compositions_distinct(_rhs(text)), text
+        assert rewrite._compositions_distinct(_rhs(text), 4), text
     # Dependent: the powers of these repeat monomials.
     for text in ("1+y+y^2", "y+z+y*z+1", "y^2+y*z+z^2", "y^3+y^2+y"):
         rhs = _rhs(text)
-        assert not rewrite._compositions_distinct(rhs), text
+        assert not rewrite._compositions_distinct(rhs, 4), text
         k = len(rhs) // 2
         assert len(pow_expression(rhs, 4)) // 2 < math.comb(4 + k - 1, k - 1), text
 
@@ -267,7 +267,7 @@ def test_the_rank_test_counts_independent_rhs_shapes_and_only_those():
 @example(_rhs("y+y^2"), 9)
 @settings(max_examples=300)
 def test_an_independent_rhs_has_one_monomial_per_composition(rhs, n):
-    assume(rhs and rewrite._compositions_distinct(rhs))
+    assume(rhs and rewrite._compositions_distinct(rhs, 4))
     k = len(rhs) // 2
     assert len(pow_expression(rhs, n)) // 2 == math.comb(n + k - 1, k - 1)
 

@@ -373,6 +373,26 @@ def test_a_one_term_product_neither_bounds_nor_sorts(monkeypatch):
         pack_terms(((10, ((0, 2),)), (-5, ((1, 1),)), (15, ())), 2)
 
 
+def test_a_product_bounds_its_coefficients():
+    # The bound is the operands' largest coefficient bits plus ceil(log2)
+    # of the shorter operand's term count, and it is inclusive.
+    bits = terms.MAX_COEFF_BITS // 2
+    half = 1 << (bits - 1)  # a coefficient of bits bits
+    assert multiply_expressions((half, 0), (-half, 0)) == (-half * half, 0)
+    with pytest.raises(terms.CoefficientOverflowError, match="a product's"):
+        multiply_expressions((2 * half, 0), (half, 0))
+    # Two terms each: a coefficient of the product sums two products.
+    x = pack(((0, 1),), 1)
+    with pytest.raises(terms.CoefficientOverflowError):
+        multiply_expressions((half, x, 1, 0), (half, x, 1, 0))
+    assert multiply_expressions((half // 2, x, 1, 0), (half, x, 1, 0)) == \
+        (half // 2 * half, 2 * x, half // 2 + half, x, 1, 0)
+    # 3^300000 squared takes 951 kbit; a coefficient of 2 fits beside any
+    # exponent.
+    assert multiply_expressions((3 ** 300000, 0), (3 ** 300000, 0)) == (3 ** 600000, 0)
+    assert multiply_expressions((1, EXP_MASK), (2, 0)) == (2, EXP_MASK)
+
+
 _U32_EDGE = (EXP_MASK // 2, EXP_MASK // 2 + 1, EXP_MASK - 1, EXP_MASK, EXP_MASK + 1)
 
 
