@@ -129,6 +129,9 @@ def _cmd_bench(args) -> int:
     if dat_path == args.csv:
         raise _UsageError(f"--csv {args.csv} is the path of the .dat file; "
                           "give the CSV another extension")
+    folder = os.path.dirname(args.csv) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):  # before any run
+        raise OSError(f"cannot write {args.csv}: {folder} is not a writable directory")
     text = _read_program(args.file)
     progress = None if args.quiet else sys.stderr
     result = bench.run_sweep(text, os.path.basename(args.file), args.slaves, args.backend,

@@ -25,14 +25,17 @@ after a ``local`` adds fields at the low end of the layout, so once the
 declarations end each local moves up by one field per symbol declared after
 it.
 
-Integer literals and printed coefficients may have any number of digits:
-past ``sys.get_int_max_str_digits()``, where ``int`` and ``str`` stop,
-they convert through :class:`decimal.Decimal`, which is exact and has no
-such limit.
+An integer literal may take at most ``terms.MAX_COEFF_BITS`` bits, the bound
+of every computed coefficient; a longer one is a parse error before it
+converts.  Literals and printed coefficients convert by halves, in pieces of
+at most 640 digits, the least limit ``sys.set_int_max_str_digits`` accepts:
+``int`` and ``str`` refuse strings past CPython's digit limit, and take time
+quadratic in the digits.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple, Optional, Union
 
@@ -126,14 +129,44 @@ def _scan(text: str) -> list[_Token]:
     return tokens
 
 
-def _unlimited(convert, value):
-    """``convert(value)`` for ``int`` of a literal or ``str`` of a coefficient,
-    through ``Decimal`` past their digit limit; only then is decimal imported."""
-    try:
-        return convert(value)
-    except ValueError:
-        from decimal import Decimal
-        return convert(Decimal(value))
+# A literal's significant digits, at most: those of a MAX_COEFF_BITS-bit int.
+_MAX_DIGITS = int(terms.MAX_COEFF_BITS * math.log10(2)) + 1
+# Every digit limit admits a piece: 640 digits is the least limit that
+# sys.set_int_max_str_digits accepts, and a 2048-bit int has at most 617.
+_PIECE = 640
+_PIECE_BITS = 2048
+
+
+def _to_int(digits: str) -> int:
+    """``int(digits)``, by halves: ``hi * 10**k + lo``."""
+    if len(digits) <= _PIECE:
+        return int(digits)
+    k = len(digits) // 2
+    return _to_int(digits[:-k]) * 10 ** k + _to_int(digits[-k:])
+
+
+def _to_str(n: int) -> str:
+    """``str(n)`` for ``n >= 0``, by halves over exact ``decimal`` arithmetic,
+    ``hi * 2**k + lo``, whose multiplication is subquadratic, as CPython
+    3.12's ``_pylong`` does; only past ``_PIECE_BITS`` is decimal imported."""
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
+    import decimal
+    powers: dict[int, decimal.Decimal] = {}   # 2**k for each split k, built once
+
+    def convert(n: int, bits: int) -> decimal.Decimal:
+        if bits <= _PIECE_BITS:
+            return decimal.Decimal(n)
+        k = bits // 2
+        if k not in powers:
+            powers[k] = decimal.Decimal(2) ** k
+        hi = n >> k
+        return convert(hi, bits - k) * powers[k] + convert(n - (hi << k), k)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return str(convert(n, n.bit_length()))
 
 
 class _Parser:
@@ -270,7 +303,7 @@ class _Parser:
             at = self.i
             if not self.accept("INT"):
                 raise self.fail("exponent must be an integer literal")
-            n = _unlimited(int, self.tokens[at][1])
+            n = self.integer(at)
             if n <= 0:
                 raise self.fail(f"exponent must be positive, got {n}", at)
             try:
@@ -287,12 +320,22 @@ class _Parser:
             return terms.symbol(self.symbol_id(), len(self.symtab))
         if kind == "INT":
             self.i += 1
-            return terms.constant(_unlimited(int, text))
+            return terms.constant(self.integer(self.i - 1))
         if self.accept("("):
             value = self.expr()
             self.expect(")", "')'")
             return value
         raise self.fail(f"expected a symbol, integer or '(', found {self.found()}")
+
+    def integer(self, at: int) -> int:
+        """The value of INT token ``at``, refused past ``MAX_COEFF_BITS``
+        bits, and before it converts past ``_MAX_DIGITS`` digits."""
+        digits = self.tokens[at][1].lstrip("0") or "0"
+        n = _to_int(digits) if len(digits) <= _MAX_DIGITS else None
+        if n is None or n.bit_length() > terms.MAX_COEFF_BITS:
+            raise self.fail(f"coefficient overflow: an integer literal exceeds "
+                            f"{terms.MAX_COEFF_BITS} bits", at)
+        return n
 
 
 def parse_program(text: str) -> Program:
@@ -315,10 +358,10 @@ def format_expression(e: Expression, symtab: SymbolTable) -> str:
         factors = [f"{symtab.name_of(sid)}^{exp}" if exp > 1 else symtab.name_of(sid)
                    for sid, exp in terms.unpack(mono, nsymbols)]
         if not factors:
-            body = _unlimited(str, mag)
+            body = _to_str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_unlimited(str, mag)] + factors)
+            body = "*".join([_to_str(mag)] + factors)
         parts.append(sign + body)
     return "".join(parts)

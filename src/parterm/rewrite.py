@@ -38,9 +38,10 @@ step can cost more than it saves, so stepping stops once a step has not paid
 or could take the chunk past twice the direct count.  ``H`` then goes into
 the accumulator at once, times the power of its degree, and nothing is
 computed twice.  The guard bound of ``rhs^n`` comes without building it, and
-so does its size, which the cost model reads, when the compositions of ``n``
-give distinct monomials (see :func:`_rhs_size`); a dependent ``rhs`` such as
-``1 + y + y^2`` builds each power it counts, once.
+so does its size, which the cost model reads, when ``rhs`` is linear, as
+every workload's is (see :func:`_rhs_size`); any other ``rhs``, such as
+``y + y*z - w`` or ``1 + y + y^2``, builds each power it counts, once per
+process.
 """
 
 from __future__ import annotations
@@ -68,36 +69,22 @@ def _rhs_power(rhs: Expression, n: int) -> Expression:
 
 
 @functools.lru_cache(maxsize=64)
-def _compositions_distinct(rhs: Expression, nsymbols: int) -> bool:
-    """Whether the exponent vectors of ``rhs``'s monomials, each with a 1
-    appended, are linearly independent, as for any linear form
-    ``a*y + b*z + ... + c`` and for ``y + y*z - w`` or ``y + y^2``.  A
-    monomial of ``rhs^n`` is the sum of the vectors, each times how often
-    the composition of ``n`` took its term; two compositions of ``n`` with
-    the same monomial differ by integers ``d`` with ``sum d_j * v_j = 0`` and
-    ``sum d_j = 0``, which independence rules out.  So distinct compositions
-    give distinct monomials."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row), zero before its pivot
-    for m in rhs[1::2]:
-        v = terms.exponents(m, nsymbols) + [1]
-        for pivot, row in basis:  # fraction-free elimination, over the integers
-            f, g = v[pivot], row[pivot]
-            if f:
-                v = [x * g - y * f for x, y in zip(v, row)]
-        if not any(v):
-            return False
-        basis.append((next(i for i, x in enumerate(v) if x), v))
-    return True
+def _linear(rhs: Expression, nsymbols: int) -> bool:
+    """Whether every monomial of ``rhs`` is 1 or one symbol to the first
+    power, as in ``c0 + c1*y + c2*z + ...``: the shape every workload and
+    sample program substitutes."""
+    return all(sum(terms.exponents(m, nsymbols)) <= 1 for m in rhs[1::2])
 
 
 def _rhs_size(rhs: Expression, n: int, nsymbols: int) -> int:
-    """The number of terms of ``rhs^n``.  When the compositions of ``n`` over
-    the ``k`` terms of ``rhs`` are distinct, each gives its own monomial, with
-    a coefficient that is not zero: ``C(n + k - 1, k - 1)`` terms, counted
-    without building the power."""
+    """The number of terms of ``rhs^n``.  For a linear ``rhs`` of ``k`` terms,
+    each composition of ``n`` over them gives its own monomial, whose
+    exponents are how often it took each symbol, with a coefficient that is
+    not zero: ``C(n + k - 1, k - 1)`` terms, counted without building the
+    power.  Any other ``rhs`` builds the power, once."""
     if not rhs:
         return int(n == 0)
-    if _compositions_distinct(rhs, nsymbols):
+    if _linear(rhs, nsymbols):
         k = len(rhs) // 2
         return math.comb(n + k - 1, k - 1)
     return len(_rhs_power(rhs, n)) // 2

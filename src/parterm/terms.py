@@ -54,9 +54,11 @@ EXP_MASK = (1 << 32) - 1            # a field's value bits; the largest exponent
 # The bits a power's or a product's coefficients may take, at most: 2**20,
 # 128 KiB each.  FORM bounds a term by MaxTermSize; here every coefficient of
 # a**n and of a*b is bounded before any is computed, so a literal such as
-# 3^4294967296 (a 6.8-Gbit integer) or 3^600000*3^600000 fails at once.  The
-# largest bound a test or workload reaches is 18,000 bits, for (3*x+1)^9000.
-# The rewriter's multiply statements are not bounded (ROADMAP item 9).
+# 3^4294967296 (a 6.8-Gbit integer) or 3^600000*3^600000 fails at once.  An
+# integer literal takes at most as many bits, and the parser refuses one of
+# more than 315,653 significant digits before it converts it.  The largest
+# bound a test or workload reaches is 18,000 bits, for (3*x+1)^9000.  The
+# rewriter's multiply statements are not bounded (ROADMAP item 9).
 MAX_COEFF_BITS = 1 << 20
 
 UNIT: Monomial = 0

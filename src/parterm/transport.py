@@ -52,8 +52,11 @@ digits; versions 3 and up write back-references, so the bytes would depend
 on which ints happen to be one object.  The checksum comes first because
 marshal trusts a header: it allocates what a count announces before it
 finds the bytes short.  So a changed byte never reaches marshal.  A forged
-message with a valid checksum still does, and a nested tuple in it is
-allocated at its announced size.
+message with a valid checksum still does, and marshal allocates a nested
+tuple in it at its announced length and an ``l`` element at its announced
+digit count: 29 bytes announcing 2^24 digits take 32 MiB before the decode
+fails as truncated, and the i32 count allows 2^31 - 1 digits, about 4 GiB
+(ROADMAP item 9).
 
 :func:`deserialize_terms` checks, in order: the checksum; the header, a
 tuple of an even count of elements that the bytes can hold, at 5 bytes an

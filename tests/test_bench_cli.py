@@ -362,6 +362,21 @@ def test_cli_bench_rejects_a_csv_path_that_is_the_dat_path(tmp_path, capsys):
     assert captured.out == "" and "--csv" in captured.err
 
 
+def test_cli_bench_with_no_csv_directory_fails_before_it_runs(tmp_path, monkeypatch, capsys):
+    def never(program, cfg):
+        raise AssertionError(f"ran {cfg}")
+
+    monkeypatch.setattr(bench, "run_program", never)
+    path = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["bench", BINOMIAL, "--slaves", "1", "--backend", "sm",
+                   "--repeat", "1", "--csv", str(path)])
+    assert rc == cli.EXIT_RUNTIME
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+
 @pytest.mark.parametrize("argv,code", [
     (["run", "no_such_file.pt"], cli.EXIT_RUNTIME),
     (["bench", "--slaves", "1", "--backend", "sm", "--csv", "x.csv"], cli.EXIT_USAGE),
@@ -470,11 +485,15 @@ def test_cli_overflowing_power_of_a_sum_exits_at_once(tmp_path):
      "worker 0 failed: CoefficientOverflowError"),
     ("symbols x; local F = 3^600000*3^600000; .sort .end", cli.EXIT_PARSE,
      "at line 1, column 30"),
-], ids=["integer", "one-term", "in-a-worker", "product"])
+    ("symbols x;\nlocal F = x + " + "7" * 315654 + "; .sort .end", cli.EXIT_PARSE,
+     "an integer literal exceeds 1048576 bits at line 2, column 15"),
+], ids=["integer", "one-term", "in-a-worker", "product", "literal"])
 def test_cli_power_with_oversized_coefficients_exits_at_once(tmp_path, text, code, where):
     # 3^4294967296 is a 6.8-Gbit integer and (2*y)^4294967295 a 4.3-Gbit
     # coefficient, and each 3^600000 passes the bound but their product
     # would take 1.9 Mbit: the bound has to come before any multiplication.
+    # A literal of 315,654 digits, one more than a 2^20-bit integer can
+    # have, is refused before it converts, which is quadratic in its digits.
     # A child process, so that a regression times out instead of allocating.
     bad = tmp_path / "big.pt"
     bad.write_text(text)
@@ -485,3 +504,21 @@ def test_cli_power_with_oversized_coefficients_exits_at_once(tmp_path, text, cod
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == code
     assert "coefficient overflow" in proc.stderr and where in proc.stderr
+
+
+def test_cli_coefficient_at_the_bound_prints_and_reparses_at_once(tmp_path):
+    # 3^600000 has 286,273 digits; int and str take seconds over them.
+    path = tmp_path / "big.pt"
+    path.write_text("symbols x; local F = 3^300000*3^300000; .sort .end")
+    code = ("import sys; from parterm import cli, parser\n"
+            "path, out = sys.argv[1:]\n"
+            "assert cli.main(['run', '--slaves', '0', '--out', out, path]) == 0\n"
+            "text = open(out).read()\n"
+            "assert text.startswith('F = ')\n"
+            "program = parser.parse_program('symbols x; local F = ' + text[4:] + '; .sort .end')\n"
+            "assert program.initial == [('F', (3 ** 600000, 0))]\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out.txt")],
+                   check=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 2.0

@@ -662,6 +662,9 @@ def test_config_grid_equality_over_programs():
     texts = [
         "symbols x,y,z; local F = (x+y+z)^4; id x = y-z+2; .sort multiply x+1; .sort .end",
         "symbols a,b; local F = (a-b)^5; local G = a*b+1; id a = b+1; .sort .end",
+        # Non-linear rhs, whose powers each worker builds to count them.
+        "symbols x,y,z,w; local F = (x+y-z)^4; local G = 3*x^2*y-w+2; id x = y+y*z-w; .sort "
+        "id y = 1+z+z^2; multiply x-w; .sort .end",
     ]
     for text in texts:
         program = _parse(text)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parterm import cli
+from parterm import cli, parser
 from parterm.parser import (
     IdSubst,
     Multiply,
@@ -239,3 +239,54 @@ def test_coefficients_past_the_int_str_digit_limit_print_and_parse(tmp_path, cap
     top = Decimal(math.comb(9000, 6750) * 3 ** 6750)
     assert len(str(top)) > limit and f"+{top}*x^6750+" in out
     assert out.startswith(f"F = {Decimal(3 ** 9000)}*x^9000+") and out.endswith("+1\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """Yields a setter for CPython's int/str digit limit; restores it after."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("limit", ["default", 640])
+def test_literals_and_coefficients_convert_by_pieces_under_any_digit_limit(digit_limit, limit):
+    rng = random.Random(29)
+    default = sys.get_int_max_str_digits()
+    digit_limit(0)
+    cases = [(str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=size - 1)))
+             for size in (1, 639, 640, 641, 1280, 1281, 2561, 4300, 4301, 9000, 20011)]
+    cases += ["1" + "0" * 5000, "9" * 3001]
+    expected = [int(text) for text in cases]
+    digit_limit(default if limit == "default" else limit)
+    for text, n in zip(cases, expected):
+        assert parser._to_int(text) == n
+        assert parser._to_str(n) == text
+    for bits in (2047, 2048, 2049, 4097, 30001):
+        n = (1 << bits) - 1
+        assert parser._to_int(parser._to_str(n)) == n
+
+
+def test_an_integer_literal_past_the_coefficient_bound_is_a_parse_error(monkeypatch):
+    # 315,653 digits is the most a MAX_COEFF_BITS-bit integer can have;
+    # leading zeros do not count.  A longer literal is refused before it
+    # converts, and one that converts past the bound is refused after.
+    digits = parser._MAX_DIGITS
+    assert len(parser._to_str(1 << terms.MAX_COEFF_BITS)) == digits
+    near = (1 << terms.MAX_COEFF_BITS) - 1
+    wide = "0" * 10 + parser._to_str(near)
+    (_, value), = parse_program(f"symbols x; local F = {wide}; .sort .end").initial
+    assert value == (near, terms.UNIT)
+
+    def never(text):
+        raise AssertionError(f"converted {len(text)} digits")
+
+    for literal, convert in ((parser._to_str(near + 1), parser._to_int),
+                             ("1" + "0" * digits, never)):
+        monkeypatch.setattr(parser, "_to_int", convert)
+        for text in (f"symbols x;\nlocal F = {literal}*x; .sort .end",
+                     f"symbols x;\nlocal F = x^{literal}; .sort .end"):
+            col = text.index(literal) - text.index("\n")
+            with pytest.raises(ParseError, match="an integer literal exceeds 1048576 bits") as err:
+                parse_program(text)
+            assert (err.value.line, err.value.col) == (2, col)

@@ -128,7 +128,7 @@ def test_dense_substitution_shares_the_expansion_of_neighbouring_degrees(monkeyp
 def _cold_pow_calls(monkeypatch):
     """Empty the rewriter's caches and record the exponent of every power
     ``terms.pow_expression`` builds from then on."""
-    for cached in (rewrite._rhs_power, rewrite._rhs_bound, rewrite._compositions_distinct):
+    for cached in (rewrite._rhs_power, rewrite._rhs_bound, rewrite._linear):
         cached.cache_clear()
     calls = []
     pow_expression = terms.pow_expression
@@ -248,42 +248,52 @@ def _rhs(text):
     return program.modules[0].statements[0].rhs
 
 
-def test_the_rank_test_counts_independent_rhs_shapes_and_only_those():
-    # Independent: linear forms, and shapes where symbols are shared, which
-    # the test of a symbol of its own per monomial missed.
-    for text in ("-2*y+z+2*w-1", "y", "3", "y+y*z-w", "y+y^2", "y*z+z*w+w*y",
-                 "y^2*z+y*z^2+1"):
-        assert rewrite._compositions_distinct(_rhs(text), 4), text
-    # Dependent: the powers of these repeat monomials.
-    for text in ("1+y+y^2", "y+z+y*z+1", "y^2+y*z+z^2", "y^3+y^2+y"):
+def test_the_linear_test_counts_linear_rhs_shapes_and_only_those():
+    for text in ("-2*y+z+2*w-1", "y", "3"):
+        assert rewrite._linear(_rhs(text), 4), text
+    # Shapes that share a symbol between monomials, and dependent ones, whose
+    # powers repeat monomials: each builds the powers it counts.
+    dependent = ("1+y+y^2", "y+z+y*z+1", "y^2+y*z+z^2", "y^3+y^2+y")
+    for text in ("y+y*z-w", "y+y^2", "y*z+z*w+w*y", "y^2*z+y*z^2+1") + dependent:
+        assert not rewrite._linear(_rhs(text), 4), text
+    for text in dependent:
         rhs = _rhs(text)
-        assert not rewrite._compositions_distinct(rhs, 4), text
         k = len(rhs) // 2
         assert len(pow_expression(rhs, 4)) // 2 < math.comb(4 + k - 1, k - 1), text
 
 
-@given(st_rhs, st.integers(0, 10))
-@example(_rhs("y+y*z-w"), 6)
-@example(_rhs("y+y^2"), 9)
+# A linear rhs over symbols 1..3 of (x, y, z, w): a constant and each symbol
+# to the first power, at most once each, with nonzero coefficients.
+st_linear_rhs = st.lists(
+    st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+              st.sampled_from(((), ((1, 1),), ((2, 1),), ((3, 1),)))),
+    min_size=1, max_size=4, unique_by=lambda t: t[1],
+).map(lambda raw: pack_terms(oracle_normalize(raw, 4), 4))
+
+
+@given(st_linear_rhs, st.integers(0, 10))
 @settings(max_examples=300)
-def test_an_independent_rhs_has_one_monomial_per_composition(rhs, n):
-    assume(rhs and rewrite._compositions_distinct(rhs, 4))
+def test_a_linear_rhs_has_one_monomial_per_composition(rhs, n):
+    assert rewrite._linear(rhs, 4)
     k = len(rhs) // 2
     assert len(pow_expression(rhs, n)) // 2 == math.comb(n + k - 1, k - 1)
 
 
-def test_an_independent_nonlinear_rhs_builds_only_the_powers_it_multiplies_by(monkeypatch):
-    # substitute-expand's chunk under id x = y+y*z-w: the cost model counts
-    # every rhs^n, so only the powers the product loops use are built, where
-    # counting by building made 18 of them.
+def test_a_nonlinear_rhs_builds_each_power_it_counts_once(monkeypatch):
+    # substitute-expand's chunk under id x = y+y*z-w: the cost model builds
+    # every rhs^n, n = 0..17, to count it, and the product loops reuse them;
+    # a second chunk finds every power in the cache.
     program = parse_program("symbols x,y,z,w;\nlocal F = (x-y+3*z-3*w)^17;\n"
                             "id x = y+y*z-w;\n.sort\n.end\n")
     chunk, module = program.initial[0][1], program.modules[0]
     built = _cold_pow_calls(monkeypatch)
     acc = {}
     apply_module_to_chunk(chunk, module, 4, acc)
-    assert sorted(built) == [0, 1]
+    assert sorted(built) == list(range(18))
     assert sorted_flat(acc) == algebra_apply_module(chunk, module, 4)
+    built.clear()
+    apply_module_to_chunk(chunk, module, 4, {})
+    assert built == []
 
 
 @given(st_rhs, st.integers(0, 3), st.booleans())
