@@ -1,8 +1,11 @@
 """Benchmark sweeps, speedups, and CSV/plot-data emission.
 
-``measure`` is the one loop that times runs: whole ``run_program`` calls,
-worker start and join included, over interleaved rounds.  Reported timings
-are medians over the rounds after a discarded warm-up.  Every speedup is
+``measure`` is the one loop that runs a grid of configurations: it times
+whole ``run_program`` calls, worker start and join included, over
+interleaved rounds, and checks every run against the first configuration's
+expressions.  ``parterm verify`` calls it with ``repeats=0``, one run per
+configuration.  A sweep measures one chunk size; reported timings are
+medians over the rounds after a discarded warm-up.  Every speedup is
 reported both ways:
 
 * two-processor: S(p) = t_wall(1 slave + master) / t_wall(p slaves)
@@ -14,9 +17,9 @@ from __future__ import annotations
 import csv
 from statistics import median_low
 from time import perf_counter_ns
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
-from .engine import PhaseMetrics, RunConfig, run_program
+from .engine import PhaseMetrics, RunConfig, SlaveCountError, run_program
 from .parser import Program, parse_program
 
 CSV_COLUMNS = [
@@ -75,7 +78,8 @@ def measure(program: Program, configs: Sequence[RunConfig], repeats: int) -> lis
     """Run every config once per round, forward in even rounds and backward in
     odd ones, and drop round 0; per config, return ``repeats`` tuples
     ``(wall_ns, module_metrics, module_stats, stats)``.  A run whose
-    expressions differ from the first config's raises ``MismatchError``."""
+    expressions differ from the first config's raises ``MismatchError``, so
+    ``repeats=0`` only checks every config once."""
     runs: list[list[tuple]] = [[] for _ in configs]
     reference = None
     for rnd in range(repeats + 1):
@@ -98,31 +102,26 @@ def run_sweep(
     program_name: str,
     slaves: Sequence[int],
     backends: Sequence[str],
-    chunks: Sequence[int] = (RunConfig._field_defaults["chunk_size"],),
+    chunk_size: int = RunConfig._field_defaults["chunk_size"],
     repeats: int = 5,
-    progress: Optional[TextIO] = None,
 ) -> BenchResult:
-    """Measure the zero-worker reference and every (backend, nslaves,
-    chunk_size) cell together; returns per-module median CSV rows and
+    """Measure the zero-worker reference and every (backend, nslaves) cell
+    together at ``chunk_size``; returns per-module median CSV rows and
     per-backend speedups of the median whole-run wall times, with their
-    quartiles, at the first chunk size in ``chunks``; without 1 in
-    ``slaves`` it raises ValueError before it parses or runs anything."""
+    quartiles; without 1 in ``slaves`` it raises SlaveCountError before it
+    parses or runs anything."""
     if 1 not in slaves:
-        raise ValueError(_NEEDS_ONE_SLAVE)
+        raise SlaveCountError(_NEEDS_ONE_SLAVE)
     program: Program = parse_program(text)
-    cells = [RunConfig(nslaves=p, chunk_size=chunk, backend=backend)
-             for backend in backends for p in slaves for chunk in chunks]
+    cells = [RunConfig(nslaves=p, chunk_size=chunk_size, backend=backend)
+             for backend in backends for p in slaves]
     seq_runs, *cell_runs = measure(program, [RunConfig(nslaves=0), *cells], repeats)
     seq_q1, t_sequential, seq_q3 = _quartiles(wall for wall, *_ in seq_runs)
-    notes = [f"sequential reference: {t_sequential} ns (q1 {seq_q1}, q3 {seq_q3})"]
 
     csv_rows: list[dict] = []
-    first_chunk: dict[str, dict[int, tuple[int, ...]]] = {b: {} for b in backends}
+    columns: dict[str, dict[int, tuple[int, ...]]] = {b: {} for b in backends}
     for cfg, results in zip(cells, cell_runs):
         walls, metrics, mstats, totals = zip(*results)
-        q1, t_wall, q3 = _quartiles(walls)
-        notes.append(f"backend={cfg.backend} p={cfg.nslaves} chunk={cfg.chunk_size}: "
-                     f"median wall {t_wall} ns (q1 {q1}, q3 {q3})")
         for mi in range(len(program.modules)):
             row = dict(zip(CSV_COLUMNS, (program_name, mi, cfg.nslaves, cfg.backend,
                                          cfg.chunk_size, repeats)))
@@ -133,15 +132,13 @@ def run_sweep(
                 records = metrics if hasattr(PhaseMetrics, field) else mstats
                 row[column] = median_low(getattr(r[mi], field) for r in records)
             csv_rows.append(row)
-        if cfg.chunk_size == chunks[0]:
-            first_chunk[cfg.backend][cfg.nslaves] = (
-                t_wall, q1, q3,
-                median_low(sum(m.t_final_merge for m in ms) for ms in metrics),
-                median_low(s.serialized_bytes for s in totals))
-    if progress is not None:
-        print(*notes, sep="\n", file=progress, flush=True)
+        q1, t_wall, q3 = _quartiles(walls)
+        columns[cfg.backend][cfg.nslaves] = (
+            t_wall, q1, q3,
+            median_low(sum(m.t_final_merge for m in ms) for ms in metrics),
+            median_low(s.serialized_bytes for s in totals))
     reports: dict[str, list[SpeedupRow]] = {}
-    for backend, cols in first_chunk.items():
+    for backend, cols in columns.items():
         speedups = compute_speedups({p: col[0] for p, col in cols.items()}, t_sequential)
         reports[backend] = [SpeedupRow(p, *cols[p], s2p, sseq) for p, s2p, sseq in speedups]
     return BenchResult(program_name, csv_rows, reports, t_sequential, seq_q1, seq_q3)

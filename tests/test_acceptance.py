@@ -17,7 +17,7 @@ from statistics import median_low
 import pytest
 
 from parterm import terms
-from parterm.bench import compute_speedups, measure
+from parterm.bench import MismatchError, compute_speedups, measure
 from parterm.engine import RunConfig, run_program
 from parterm.parser import format_expression, parse_program
 from parterm.sortmerge import MERGE_COMPARISON_BOUND, merge_runs
@@ -53,20 +53,18 @@ def test_acceptance_1_determinism_grid():
     """100 generated programs give identical expressions across the whole
     (slaves x chunk x backend x master) grid, equal to the expression-algebra
     oracle applied module by module."""
+    grid = [RunConfig(nslaves=nslaves, chunk_size=chunk, backend=backend,
+                      master_computes=master_computes)
+            for nslaves in GRID_SLAVES for chunk in GRID_CHUNKS
+            for backend in GRID_BACKENDS for master_computes in GRID_MASTER]
     for seed in range(100):
         program = parse_program(grid_program(seed))
         reference = oracle_run_program(program)
         assert run_program(program, RunConfig(nslaves=0)).expressions == reference
-        for nslaves in GRID_SLAVES:
-            for chunk in GRID_CHUNKS:
-                for backend in GRID_BACKENDS:
-                    for master_computes in GRID_MASTER:
-                        cfg = RunConfig(nslaves=nslaves, chunk_size=chunk,
-                                        backend=backend, master_computes=master_computes)
-                        got = run_program(program, cfg).expressions
-                        assert got == reference, (
-                            f"seed={seed} nslaves={nslaves} chunk={chunk} "
-                            f"backend={backend} master={master_computes}")
+        try:
+            measure(program, [RunConfig(nslaves=0), *grid], repeats=0)
+        except MismatchError as exc:
+            pytest.fail(f"seed={seed}: {exc}")
     _passed(1, "determinism grid")
 
 

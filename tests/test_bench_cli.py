@@ -1,8 +1,7 @@
+import ast
 import csv
 import inspect
-import io
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -123,33 +122,6 @@ def test_sweep_reports_the_quartiles_beside_every_median():
                                     f"{r.t_wall_q1_ns / 1e6:.3f}", f"{r.t_wall_q3_ns / 1e6:.3f}"]
 
 
-_NOTE = re.compile(r"(?:sequential reference:|backend=(\w+) p=(\d+) chunk=(\d+): median wall) "
-                   r"(\d+) ns \(q1 (\d+), q3 (\d+)\)")
-
-
-def test_sweep_progress_notes_give_every_cell_its_whole_run_quartiles():
-    # The notes are the only place a sweep prints the whole-run medians of
-    # its later chunk sizes.
-    text = "symbols x; local F = (x+1)^5; multiply x; .sort .end"
-    out = io.StringIO()
-    result = run_sweep(text, "demo", slaves=[1, 2], backends=["sm", "mp"], chunks=[2, 5],
-                       repeats=3, progress=out)
-    (ref, *notes) = [_NOTE.fullmatch(line) for line in out.getvalue().splitlines()]
-    assert ref and ref.group(1) is None
-    assert tuple(map(int, ref.group(5, 4, 6))) == (
-        result.t_sequential_q1_ns, result.t_sequential_ns, result.t_sequential_q3_ns)
-    cells = {}
-    for note in notes:
-        backend, p, chunk, t, q1, q3 = note.groups()
-        assert int(q1) <= int(t) <= int(q3)
-        cells[backend, int(p), int(chunk)] = (int(t), int(q1), int(q3))
-    assert len(notes) == len(cells) == 8
-    assert set(cells) == {(b, p, c) for b in ("sm", "mp") for p in (1, 2) for c in (2, 5)}
-    for backend, rows in result.reports.items():
-        for r in rows:
-            assert cells[backend, r.nslaves, 2] == (r.t_wall_ns, r.t_wall_q1_ns, r.t_wall_q3_ns)
-
-
 def test_dat_blocks_are_gnuplot_indexable(tmp_path):
     # Blocks come in --backend order, double-blank separated, each named by
     # its first line, which plots/speedup.gp selects with index 'backend=..'.
@@ -229,7 +201,7 @@ def test_a_config_with_other_results_fails_the_sweep(monkeypatch, tmp_path, caps
     assert str(info.value) == message
     path = tmp_path / "bench.csv"
     rc = cli.main(["bench", BINOMIAL, "--slaves", "1,2", "--backend", "sm",
-                   "--repeat", "1", "--csv", str(path), "--quiet"])
+                   "--repeat", "1", "--csv", str(path)])
     assert rc == cli.EXIT_VERIFY
     assert not path.exists()
     captured = capsys.readouterr()
@@ -243,9 +215,9 @@ def test_the_cli_and_the_sweep_take_their_defaults_from_run_config():
     assert (run.chunk, run.backend) == (defaults["chunk_size"], defaults["backend"])
     sweep = parser.parse_args(["bench", BINOMIAL, "--slaves", "1", "--backend", "sm",
                                "--csv", "x.csv"])
-    assert sweep.chunk == [defaults["chunk_size"]]
-    assert inspect.signature(run_sweep).parameters["chunks"].default == \
-        (defaults["chunk_size"],)
+    assert sweep.chunk == defaults["chunk_size"]
+    assert inspect.signature(run_sweep).parameters["chunk_size"].default == \
+        defaults["chunk_size"]
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -320,7 +292,7 @@ def test_cli_verify_passes_on_the_shipped_programs(name, flags, configs, capsys)
 
 
 def test_cli_verify_detects_mismatch(capsys, monkeypatch):
-    real = cli.run_program
+    real = bench.run_program
 
     def corrupting(program, cfg):
         result = real(program, cfg)
@@ -329,10 +301,58 @@ def test_cli_verify_detects_mismatch(capsys, monkeypatch):
                 expressions={k: v + (99, 0) for k, v in result.expressions.items()})
         return result
 
-    monkeypatch.setattr(cli, "run_program", corrupting)
+    monkeypatch.setattr(bench, "run_program", corrupting)
     rc = cli.main(["verify", BINOMIAL, "--slaves", "1"])
     assert rc == cli.EXIT_VERIFY
-    assert "MISMATCH" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: RunConfig(nslaves=1, chunk_size=1, backend='mp', master_computes=False) "
+        "gave other expressions than "
+        "RunConfig(nslaves=0, chunk_size=1000, backend='sm', master_computes=False)\n")
+
+
+def test_cli_verify_runs_the_reference_and_each_configuration_once(capsys, monkeypatch):
+    real = bench.run_program
+    calls = []
+
+    def counting(program, cfg):
+        calls.append(cfg)
+        return real(program, cfg)
+
+    monkeypatch.setattr(bench, "run_program", counting)
+    assert cli.main(["verify", BINOMIAL]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert len(calls) == len(set(calls)) == 37 and calls[0] == RunConfig(nslaves=0)
+    assert sum(line.startswith("ok ") for line in out) == 36
+    assert out[-1] == "verified 36 configurations against the zero-worker run"
+    with open(BINOMIAL) as fh:
+        program = parse_program(fh.read())
+    configs = list(calls)
+    assert bench.measure(program, configs, repeats=0) == [[] for _ in configs]
+    assert calls == configs * 2
+
+
+def test_only_measure_and_run_call_run_program():
+    # One runner: every grid of runs, bench's and verify's, goes through
+    # bench.measure, so a worker session (or any other change to how runs
+    # are made) has one place to go.
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            callee = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and "run_program" in (
+                    getattr(callee, "id", None), getattr(callee, "attr", None)):
+                callers.add(f"{module}:{where}")
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, module, child.name if defines else where)
+
+    src = os.path.dirname(bench.__file__)
+    callers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                visit(ast.parse(fh.read(), name), name, "<module>")
+    assert callers == {"bench.py:measure", "cli.py:_cmd_run"}
 
 
 def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
@@ -340,7 +360,7 @@ def test_cli_bench_writes_csv_and_dat(tmp_path, capsys):
     program.write_text(expand(2, 1))
     path = tmp_path / "bench.csv"
     rc = cli.main(["bench", str(program), "--slaves", "1,2",
-                   "--backend", "mp,sm", "--repeat", "2", "--csv", str(path), "--quiet"])
+                   "--backend", "mp,sm", "--repeat", "2", "--csv", str(path)])
     assert rc == 0
     assert path.exists()
     assert (tmp_path / "bench.dat").exists()
@@ -355,11 +375,26 @@ def test_cli_bench_rejects_a_csv_path_that_is_the_dat_path(tmp_path, capsys):
     program.write_text(expand(2, 1))
     path = tmp_path / "out.dat"
     rc = cli.main(["bench", str(program), "--slaves", "1", "--backend", "sm",
-                   "--repeat", "1", "--csv", str(path), "--quiet"])
+                   "--repeat", "1", "--csv", str(path)])
     assert rc == cli.EXIT_USAGE
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expand.pt"]
     captured = capsys.readouterr()
     assert captured.out == "" and "--csv" in captured.err
+
+
+def test_cli_run_with_no_out_directory_fails_before_it_runs(tmp_path, monkeypatch, capsys):
+    def never(program, cfg):
+        raise AssertionError(f"ran {cfg}")
+
+    monkeypatch.setattr(cli, "run_program", never)
+    path = tmp_path / "missing" / "out.txt"
+    rc = cli.main(["run", BINOMIAL, "--slaves", "0", "--out", str(path)])
+    assert rc == cli.EXIT_RUNTIME
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
 
 
 def test_cli_bench_with_no_csv_directory_fails_before_it_runs(tmp_path, monkeypatch, capsys):
@@ -393,6 +428,14 @@ def test_cli_bench_with_no_csv_directory_fails_before_it_runs(tmp_path, monkeypa
       "--repeat", "0", "--csv", "x.csv"], cli.EXIT_USAGE),
     (["bench", BINOMIAL, "--normalize", "sequential", "--slaves", "1", "--backend", "sm",
       "--csv", "x.csv"], cli.EXIT_USAGE),
+    # One chunk size a sweep, and no progress notes to silence.
+    (["bench", BINOMIAL, "--slaves", "1", "--backend", "sm", "--chunk", "7,100",
+      "--csv", "x.csv"], cli.EXIT_USAGE),
+    (["bench", BINOMIAL, "--slaves", "1", "--backend", "sm", "--quiet",
+      "--csv", "x.csv"], cli.EXIT_USAGE),
+    # The program is read before the sweep checks for one slave.
+    (["bench", "no_such_file.pt", "--slaves", "2", "--backend", "sm",
+      "--csv", "x.csv"], cli.EXIT_RUNTIME),
 ])
 def test_cli_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -401,13 +444,12 @@ def test_cli_exit_codes(argv, code, capsys):
 @pytest.mark.parametrize("argv,value", [
     (["bench", BINOMIAL, "--slaves", "1,1", "--backend", "sm"], "1"),
     (["bench", BINOMIAL, "--slaves", "1,2", "--backend", "sm,mp,sm"], "sm"),
-    (["bench", BINOMIAL, "--slaves", "1", "--backend", "sm", "--chunk", "7,100,7"], "7"),
     (["verify", BINOMIAL, "--slaves", "2,1,2"], "2"),
     (["verify", BINOMIAL, "--chunk", "1,1"], "1"),
-], ids=["bench-slaves", "bench-backend", "bench-chunk", "verify-slaves", "verify-chunk"])
+], ids=["bench-slaves", "bench-backend", "verify-slaves", "verify-chunk"])
 def test_cli_rejects_a_repeated_list_entry(argv, value, tmp_path, capsys):
     path = tmp_path / "bench.csv"
-    extra = ["--repeat", "1", "--csv", str(path), "--quiet"] if argv[0] == "bench" else []
+    extra = ["--repeat", "1", "--csv", str(path)] if argv[0] == "bench" else []
     assert cli.main(argv + extra) == cli.EXIT_USAGE
     assert not path.exists()
     captured = capsys.readouterr()
