@@ -108,10 +108,12 @@ def run_sweep(
     """Measure the zero-worker reference and every (backend, nslaves) cell
     together at ``chunk_size``; returns per-module median CSV rows and
     per-backend speedups of the median whole-run wall times, with their
-    quartiles; without 1 in ``slaves`` it raises SlaveCountError before it
-    parses or runs anything."""
+    quartiles; without 1 in ``slaves`` it raises SlaveCountError, and with
+    ``repeats`` under 1 ValueError, before it parses or runs anything."""
     if 1 not in slaves:
         raise SlaveCountError(_NEEDS_ONE_SLAVE)
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     program: Program = parse_program(text)
     cells = [RunConfig(nslaves=p, chunk_size=chunk_size, backend=backend)
              for backend in backends for p in slaves]

@@ -2,7 +2,8 @@
 
 ``run`` makes the one run it prints; ``bench`` and ``verify`` run their
 grids through ``bench.measure``, which ``verify`` calls with no timed
-rounds.  An output path is checked before anything runs.
+rounds.  An output path is checked before anything runs: a directory, or a
+path in a directory that cannot be written, is refused.
 
 Exit codes: 0 success, 1 usage (a slave count over the engine's cap, or a
 bench without one slave, too), 2 parse error, 3 verification mismatch (one
@@ -109,8 +110,10 @@ def _read_program(path: str) -> str:
 
 
 def _check_writable(path: str) -> None:
-    """Raise OSError unless ``path``'s directory is writable: checked before
-    any run, so that a bad output path loses no work."""
+    """Raise OSError if ``path`` is a directory or its directory is not
+    writable: checked before any run, so that a bad output path loses no work."""
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(path) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise OSError(f"cannot write {path}: {folder} is not a writable directory")
@@ -139,6 +142,7 @@ def _cmd_bench(args) -> int:
         raise _UsageError(f"--csv {args.csv} is the path of the .dat file; "
                           "give the CSV another extension")
     _check_writable(args.csv)
+    _check_writable(dat_path)
     text = _read_program(args.file)
     result = bench.run_sweep(text, os.path.basename(args.file), args.slaves, args.backend,
                              args.chunk, repeats=args.repeat)

@@ -222,6 +222,8 @@ class _Parser:
             elif self.accept("NAME", "local"):
                 at = self.i
                 name = self.expect("NAME", "a local-expression name")
+                if name in KEYWORDS:
+                    raise self.fail(f"{name!r} is a keyword", at)
                 if name in seen_locals:
                     raise self.fail(f"local {name!r} defined twice", at)
                 seen_locals.add(name)

@@ -58,15 +58,15 @@ digit count: 29 bytes announcing 2^24 digits take 32 MiB before the decode
 fails as truncated, and the i32 count allows 2^31 - 1 digits, about 4 GiB
 (ROADMAP item 9).
 
-:func:`deserialize_terms` checks, in order: the checksum; the header, a
-tuple of an even count of elements that the bytes can hold, at 5 bytes an
-int at least; marshal's decode; that every element is an ``int``, not a
-bool, a float or a tuple; that no monomial has a guard bit set or a bit
-beyond the fields of ``nsymbols`` symbols (:func:`parterm.terms.invalid_bits`;
-the transport reads no field itself); and that re-encoding gives back the
-very bytes, which rejects trailing bytes and non-canonical encodings.
-:func:`serialize_terms` runs the monomial check first.  Every
-:class:`WireError` names an offset, found only once a check has failed.
+:func:`deserialize_terms` checks, in order, and a :class:`WireError` names
+the first check that fails: the checksum; the header, a tuple of an even
+count of elements that the bytes can hold, at 5 bytes an int at least;
+marshal's decode; that re-encoding gives back the very bytes, which rejects
+trailing bytes and non-canonical encodings; that every element is an
+``int``, not a bool, a float or a tuple; and that no monomial has a guard
+bit set or a bit beyond the fields of ``nsymbols`` symbols
+(:func:`parterm.terms.invalid_bits`; the transport reads no field itself).
+:func:`serialize_terms` runs the same monomial check before it encodes.
 ``mp`` copies everything: the receiver's tuple, coefficients and monomials
 are new objects that marshal built from the bytes.
 
@@ -77,7 +77,6 @@ one unread message, or two when a Shutdown follows a slave's failure.
 from __future__ import annotations
 
 import enum
-import io
 import marshal
 import queue
 import threading
@@ -96,11 +95,8 @@ _MIN_INT = 5   # "i" and an i32: the shortest encoding of an int
 
 
 class WireError(ValueError):
-    """Malformed bytes on the message-passing wire."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
+    """Malformed bytes on the message-passing wire; the message names the
+    check that failed."""
 
 
 class ChannelClosedError(RuntimeError):
@@ -142,45 +138,16 @@ class TransportStats(NamedTuple):
         return self.messages_master_to_slave + self.messages_slave_to_master
 
 
-def _first_difference(a: bytes, b: bytes) -> int:
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
-def _element_error(body: bytes, flat: tuple, j: int, message: str) -> WireError:
-    """``message`` at element ``j``: the length of the canonical encoding of
-    the elements before it, unless they differ from it in ``body`` first."""
-    prefix = marshal.dumps(flat[:j], _VERSION)
-    at = _HEADER + _first_difference(body[_HEADER:len(prefix)], prefix[_HEADER:])
-    return WireError("non-canonical encoding" if at < len(prefix) else message, at)
-
-
-def _monomial_error(flat: tuple, nsymbols: int, body: bytes) -> WireError:
-    """The error for the first monomial of ``flat`` that meets the invalid bits."""
-    invalid = invalid_bits(nsymbols)
-    j = next(j for j in range(1, len(flat), 2) if flat[j] & invalid)
-    return _element_error(body, flat, j, f"monomial has a guard bit set (an exponent over "
-                                         f"u32) or a bit beyond the fields of nsymbols {nsymbols}")
-
-
-def _unreadable(body: bytes, exc: Exception) -> WireError:
-    """Where marshal gave up on ``body``: the end of a truncated body, else
-    the last byte that a reread from a file consumed before it raised."""
-    if isinstance(exc, EOFError):
-        return WireError("truncated input", len(body))
-    f = io.BytesIO(body)
-    try:
-        marshal.load(f)
-    except (ValueError, TypeError):
-        pass
-    return WireError(f"unreadable element: {exc}", f.tell() - 1)
+def _check_monomials(flat: Expression, nsymbols: int) -> None:
+    if reduce(or_, flat[1::2], 0) & invalid_bits(nsymbols):
+        raise WireError(f"monomial has a guard bit set (an exponent over u32) "
+                        f"or a bit beyond the fields of nsymbols {nsymbols}")
 
 
 def serialize_terms(flat: Expression, nsymbols: int) -> bytes:
     """Encode the flat term batch ``flat``; a monomial that is not valid for
-    ``nsymbols`` symbols raises :class:`WireError` naming the offset it would
-    have had."""
-    if reduce(or_, flat[1::2], 0) & invalid_bits(nsymbols):
-        raise _monomial_error(flat, nsymbols, marshal.dumps(flat, _VERSION))
+    ``nsymbols`` symbols raises :class:`WireError`."""
+    _check_monomials(flat, nsymbols)
     body = marshal.dumps(flat, _VERSION)
     return body + zlib.crc32(body).to_bytes(_CRC, "little")
 
@@ -190,31 +157,34 @@ def deserialize_terms(data: bytes, nsymbols: int) -> Expression:
     into the flat term batch it carries."""
     n = len(data) - _CRC
     if n < _HEADER:
-        raise WireError("truncated input", len(data))
+        raise WireError("truncated input")
     body = data[:n]
     if zlib.crc32(body) != int.from_bytes(data[n:], "little"):
-        raise WireError("checksum mismatch", n)
+        raise WireError("checksum mismatch")
     if body[0] != ord("("):
-        raise WireError("payload is not a tuple", 0)
+        raise WireError("payload is not a tuple")
     count = int.from_bytes(body[1:_HEADER], "little")
     if count & 1:
-        raise WireError(f"odd element count {count}", 1)
+        raise WireError(f"odd element count {count}")
     if count > (n - _HEADER) // _MIN_INT:
-        raise WireError(f"element count {count} is more than {n} bytes can hold", 1)
+        raise WireError(f"element count {count} is more than {n} bytes can hold")
     try:
         flat = marshal.loads(body)
-    except (EOFError, ValueError, TypeError) as exc:
-        raise _unreadable(body, exc) from None
-    if countOf(map(type, flat), int) != len(flat):
-        j = next(j for j, x in enumerate(flat) if type(x) is not int)
-        raise _element_error(body, flat, j, f"element is a {type(flat[j]).__name__}")
-    if reduce(or_, flat[1::2], 0) & invalid_bits(nsymbols):
-        raise _monomial_error(flat, nsymbols, body)
-    canonical = marshal.dumps(flat, _VERSION)
+    except EOFError:
+        raise WireError("truncated input") from None
+    except (ValueError, TypeError) as exc:
+        raise WireError(f"unreadable element: {exc}") from None
+    try:
+        canonical = marshal.dumps(flat, _VERSION)
+    except ValueError:  # a cycle, made by a back-reference that version 2 never writes
+        raise WireError("non-canonical encoding") from None
     if canonical != body:
-        at = _first_difference(body, canonical)
-        raise WireError("trailing bytes" if at == len(canonical) else
-                        "non-canonical encoding", at)
+        raise WireError("trailing bytes" if body.startswith(canonical) else
+                        "non-canonical encoding")
+    if countOf(map(type, flat), int) != len(flat):
+        kind = next(type(x) for x in flat if type(x) is not int)
+        raise WireError(f"element is a {kind.__name__}")
+    _check_monomials(flat, nsymbols)
     return flat
 
 

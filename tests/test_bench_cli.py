@@ -61,6 +61,16 @@ def test_a_sweep_without_one_slave_fails_before_it_runs(monkeypatch):
         run_sweep("symbols x; local F = x; .sort .end", "demo", slaves=[2], backends=["sm"])
 
 
+def test_a_sweep_without_repeats_fails_before_it_runs(monkeypatch):
+    def never(program, cfg):
+        raise AssertionError(f"ran {cfg}")
+
+    monkeypatch.setattr(bench, "run_program", never)
+    with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+        run_sweep("symbols x; local F = x; .sort .end", "demo", slaves=[1], backends=["sm"],
+                  repeats=0)
+
+
 # -- sweep + emission ----------------------------------------------------------
 
 def test_sweep_row_count_matches_flag_grid(tmp_path):
@@ -387,14 +397,16 @@ def test_cli_run_with_no_out_directory_fails_before_it_runs(tmp_path, monkeypatc
         raise AssertionError(f"ran {cfg}")
 
     monkeypatch.setattr(cli, "run_program", never)
-    path = tmp_path / "missing" / "out.txt"
-    rc = cli.main(["run", BINOMIAL, "--slaves", "0", "--out", str(path)])
-    assert rc == cli.EXIT_RUNTIME
-    assert list(tmp_path.iterdir()) == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert str(path) in captured.err
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for path in (tmp_path / "missing" / "out.txt", folder):
+        rc = cli.main(["run", BINOMIAL, "--slaves", "0", "--out", str(path)])
+        assert rc == cli.EXIT_RUNTIME
+        assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
 
 
 def test_cli_bench_with_no_csv_directory_fails_before_it_runs(tmp_path, monkeypatch, capsys):
@@ -402,15 +414,22 @@ def test_cli_bench_with_no_csv_directory_fails_before_it_runs(tmp_path, monkeypa
         raise AssertionError(f"ran {cfg}")
 
     monkeypatch.setattr(bench, "run_program", never)
-    path = tmp_path / "missing" / "x.csv"
-    rc = cli.main(["bench", BINOMIAL, "--slaves", "1", "--backend", "sm",
-                   "--repeat", "1", "--csv", str(path)])
-    assert rc == cli.EXIT_RUNTIME
-    assert list(tmp_path.iterdir()) == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert str(path) in captured.err
+    folder = tmp_path / "folder"
+    (folder / "res.dat").mkdir(parents=True)
+    missing = tmp_path / "missing" / "x.csv"
+    # (--csv, the path the error names): no directory, the CSV path is a
+    # directory, the .dat path is a directory
+    for csv_path, refused in ((missing, missing), (folder, folder),
+                              (folder / "res.csv", folder / "res.dat")):
+        rc = cli.main(["bench", BINOMIAL, "--slaves", "1", "--backend", "sm",
+                       "--repeat", "1", "--csv", str(csv_path)])
+        assert rc == cli.EXIT_RUNTIME
+        assert list(tmp_path.iterdir()) == [folder]
+        assert list(folder.iterdir()) == [folder / "res.dat"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(refused) in captured.err
 
 @pytest.mark.parametrize("argv,code", [
     (["run", "no_such_file.pt"], cli.EXIT_RUNTIME),

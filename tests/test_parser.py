@@ -96,6 +96,7 @@ def test_multiple_modules_and_empty_module():
     ("symbols x; .sort2 .end", "found '2'", 1, 17),
     ("symbols x;\r\n\tlocal F = $;", "unexpected character '$'", 2, 12),
     (" * c\nsymbols x; .sort .end", "found '*'", 1, 2),
+    ("symbols x; local symbols = x; .sort .end", "keyword", 1, 18),
 ])
 def test_errors_carry_position(text, fragment, line, col):
     with pytest.raises(ParseError) as err:

@@ -135,52 +135,58 @@ _L40 = b"l\x03\x00\x00\x00" b"\x00\x00" b"\x00\x00" b"\x00\x04"
 # (1, 0): a valid 15-byte body; with its CRC, 19 bytes.
 _ONE_TERM = _header(2) + _int(1) + _int(0)
 
-MALFORMED = [  # (id, bytes, message fragment, offset): one row per rejected class
-    # one bit of the last body byte flipped: the CRC at 15 no longer matches
+# 5 as a one-digit long: marshal reads it, and writes it back as "i"
+_FIVE_AS_LONG = b"l\x01\x00\x00\x00\x05\x00"
+# 2**32, x3's guard bit: 3 digits, the top one 2**2
+_GUARD = b"l\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00"
+
+MALFORMED = [  # (id, bytes, message fragment): one row per rejected class
+    # one bit of the last body byte flipped: the CRC no longer matches
     ("checksum", _sealed(_ONE_TERM)[:14] + b"\x01" + _sealed(_ONE_TERM)[15:],
-     "checksum mismatch", 15),
-    ("no-room-for-header-and-checksum", b"(\x00\x00", "truncated", 3),
+     "checksum mismatch"),
+    ("no-room-for-header-and-checksum", b"(\x00\x00", "truncated"),
     # the second element announces 3 digits and brings 1
     ("truncated", _sealed(_header(2) + _int(1) + b"l\x03\x00\x00\x00\x01\x00"),
-     "truncated", 17),
-    ("not-a-tuple", _sealed(b"[\x02\x00\x00\x00" + _int(1) + _int(0)), "not a tuple", 0),
-    ("odd-count", _sealed(_header(1) + _int(1)), "odd element count 1", 1),
+     "truncated"),
+    ("not-a-tuple", _sealed(b"[\x02\x00\x00\x00" + _int(1) + _int(0)), "not a tuple"),
+    ("odd-count", _sealed(_header(1) + _int(1)), "odd element count 1"),
     # 2**20 elements: a 15-byte body holds at most (15 - 5) // 5 = 2
     ("count-over-the-bytes", _sealed(_header(1 << 20) + _int(1) + _int(0)),
-     "element count 1048576 is more than", 1),
-    ("bool", _sealed(_header(2) + _L40 + b"T"), "element is a bool", 16),
+     "element count 1048576 is more than"),
+    ("bool", _sealed(_header(2) + _L40 + b"T"), "element is a bool"),
     ("float", _sealed(_header(2) + _int(1) + b"g" + struct.pack("<d", 1.0)),
-     "element is a float", 10),
+     "element is a float"),
     ("nested-tuple", _sealed(_header(2) + _int(1) + _header(1) + _int(0)),
-     "element is a tuple", 10),
+     "element is a tuple"),
     ("unknown-type-code", _sealed(_header(2) + _int(1) + b"?" + b"\x00" * 4),
-     "unknown type code", 10),
-    # 2**32, x3's guard bit: 3 digits, the top one 2**2
-    ("guard-bit", _sealed(_header(2) + _int(1) + b"l\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00"),
-     "guard bit", 10),
+     "unknown type code"),
+    ("guard-bit", _sealed(_header(2) + _int(1) + _GUARD), "guard bit"),
     # 2**132, the first bit above x0's field: 9 digits, the top one 2**12
     ("beyond-the-fields",
      _sealed(_header(2) + _int(1) + b"l\x09\x00\x00\x00" + b"\x00\x00" * 8 + b"\x00\x10"),
-     "beyond the fields of nsymbols 4", 10),
-    # 5 as one digit: marshal reads it, and writes "i" back at 10
-    ("long-for-a-small-int", _sealed(_header(2) + _int(1) + b"l\x01\x00\x00\x00\x05\x00"),
-     "non-canonical", 10),
-    # the same 5 before a bool: the first defect in byte order is named
+     "beyond the fields of nsymbols 4"),
+    ("long-for-a-small-int", _sealed(_header(2) + _int(1) + _FIVE_AS_LONG), "non-canonical"),
     ("non-canonical-before-a-bool",
-     _sealed(_header(4) + b"l\x01\x00\x00\x00\x05\x00" + b"T" + _L40 + _int(0)),
-     "non-canonical", 5),
-    ("trailing-bytes", _sealed(_ONE_TERM + b"\x00"), "trailing bytes", 15),
+     _sealed(_header(4) + _FIVE_AS_LONG + b"T" + _L40 + _int(0)), "non-canonical"),
+    # two defects: the canonical check runs before the type and monomial
+    # checks, so it names these, whatever comes first in byte order
+    ("bool-before-a-non-canonical-long",
+     _sealed(_header(4) + _L40 + b"T" + _FIVE_AS_LONG + _int(0)), "non-canonical"),
+    ("guard-bit-before-a-non-canonical-long",
+     _sealed(_header(4) + _int(1) + _GUARD + _FIVE_AS_LONG + _int(0)), "non-canonical"),
+    # a list that holds itself through a back-reference, which version 2
+    # never writes and cannot write back
+    ("cyclic-list", _sealed(_header(2) + _int(1) + b"\xdb\x01\x00\x00\x00r\x00\x00\x00\x00"),
+     "non-canonical"),
+    ("trailing-bytes", _sealed(_ONE_TERM + b"\x00"), "trailing bytes"),
 ]
 
 
-@pytest.mark.parametrize("data,fragment,offset", [row[1:] for row in MALFORMED],
+@pytest.mark.parametrize("data,fragment", [row[1:] for row in MALFORMED],
                          ids=[row[0] for row in MALFORMED])
-def test_malformed_wire_bytes_name_the_offset(data, fragment, offset):
-    with pytest.raises(WireError) as err:
+def test_malformed_wire_bytes_name_the_offset(data, fragment):
+    with pytest.raises(WireError, match=fragment):
         deserialize_terms(data, NSYM)
-    assert fragment in str(err.value)
-    assert err.value.offset == offset
-    assert f"offset {offset}" in str(err.value)
 
 
 def test_malformed_rows_are_the_bytes_they_claim():
@@ -188,7 +194,7 @@ def test_malformed_rows_are_the_bytes_they_claim():
     assert hand_wire_bytes([(1 << 40, ())], NSYM)[5:16] == _L40
     assert serialize_terms((1, 1 << 40), NSYM) == _sealed(_header(2) + _int(1) + _L40)
     # every row after the short one carries the CRC of its own body
-    for _, data, _, _ in MALFORMED[2:]:
+    for _, data, _ in MALFORMED[2:]:
         assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
 
 
@@ -214,31 +220,25 @@ def _hand_int(v):
 @pytest.mark.parametrize("nsymbols", [1, 4, 8])
 def test_every_guard_and_padding_bit_is_rejected_both_ways(nsymbols):
     # Padding bits are the 40 bits above the last field.  Each bad monomial
-    # is that of (1, 1 << bit): after the 5-byte header and the
-    # coefficient's 5 bytes, at offset 10.
+    # is that of (1, 1 << bit).
     invalid = [b for b in range(33 * nsymbols + 40) if b % 33 == 32 or b >= 33 * nsymbols]
     assert len(invalid) == nsymbols + 40
     for bit in invalid:
-        with pytest.raises(WireError) as err:
+        with pytest.raises(WireError):
             deserialize_terms(_sealed(_header(2) + _int(1) + _hand_int(1 << bit)), nsymbols)
-        assert err.value.offset == 10, bit
-        with pytest.raises(WireError) as err:
+        with pytest.raises(WireError):
             serialize_terms((1, 1 << bit), nsymbols)
-        assert err.value.offset == 10, bit
 
 
-def test_serialize_rejects_oversized_fields_at_the_monomial_offset():
+def test_serialize_rejects_oversized_fields():
     # 2**32 in a field sets its guard bit: not a valid monomial, not a u32
     for sid in range(NSYM):
         over = pack(((sid, EXP_MASK),), NSYM) + pack(((sid, 1),), NSYM)
-        with pytest.raises(WireError, match="u32") as err:
+        with pytest.raises(WireError, match="u32"):
             serialize_terms((1, over), NSYM)
-        assert err.value.offset == 10
-    # the second term's monomial: after the header, the first term's 5 + 5
-    # bytes and -300's 5
-    with pytest.raises(WireError, match="nsymbols 4") as err:
+    # the second term's monomial
+    with pytest.raises(WireError, match="nsymbols 4"):
         serialize_terms((1, 0, -300, 1 << (33 * NSYM)), NSYM)
-    assert err.value.offset == 5 + 10 + 5
     with pytest.raises(WireError, match="nsymbols 4"):
         serialize_terms((1, -1), NSYM)
 
@@ -254,15 +254,14 @@ def test_largest_exponent_round_trips_in_every_field():
 
 def test_decode_rejects_bytes_encoded_for_more_symbols():
     # Rejected once they use a field the reader lacks: x0 of 2 symbols is
-    # 2**33, past the one field of 1 symbol, and is named at its offset.
+    # 2**33, past the one field of 1 symbol.
     # The bytes carry values, not widths, so y^2 of 2 symbols, the int 2,
     # reads as x0^2 of 1.
     assert deserialize_terms(hand_wire_bytes([(1, ((1, 2),))], 2), 1) == (1, 2)
     data = hand_wire_bytes([(1, ((1, 2),)), (1, ((0, 1),))], 2)
     assert deserialize_terms(data, 2) == pack_terms([(1, ((1, 2),)), (1, ((0, 1),))], 2)
-    with pytest.raises(WireError, match="nsymbols 1") as err:
+    with pytest.raises(WireError, match="nsymbols 1"):
         deserialize_terms(data, 1)
-    assert err.value.offset == 20
 
 
 # -- backends ----------------------------------------------------------------
