@@ -61,11 +61,17 @@ fails as truncated, and the i32 count allows 2^31 - 1 digits, about 4 GiB
 :func:`deserialize_terms` checks, in order, and a :class:`WireError` names
 the first check that fails: the checksum; the header, a tuple of an even
 count of elements that the bytes can hold, at 5 bytes an int at least;
-marshal's decode; that re-encoding gives back the very bytes, which rejects
-trailing bytes and non-canonical encodings; that every element is an
-``int``, not a bool, a float or a tuple; and that no monomial has a guard
-bit set or a bit beyond the fields of ``nsymbols`` symbols
+marshal's decode; that every element is an ``int``, not a bool, a float or
+a tuple; that re-encoding gives back the very bytes, which rejects trailing
+bytes and non-canonical encodings; and that no monomial has a guard bit set
+or a bit beyond the fields of ``nsymbols`` symbols
 (:func:`parterm.terms.invalid_bits`; the transport reads no field itself).
+The types are checked before the re-encode because marshal's decode follows
+back-references, which version 2 never writes: a forged payload of ~420
+bytes can nest tuples that share their halves 40 levels deep, and a
+re-encode would write all 2^40 leaves.  A flat tuple of ints cannot nest,
+but an int shared by reference is still written once per use (ROADMAP
+item 9).
 :func:`serialize_terms` runs the same monomial check before it encodes.
 ``mp`` copies everything: the receiver's tuple, coefficients and monomials
 are new objects that marshal built from the bytes.
@@ -174,16 +180,13 @@ def deserialize_terms(data: bytes, nsymbols: int) -> Expression:
         raise WireError("truncated input") from None
     except (ValueError, TypeError) as exc:
         raise WireError(f"unreadable element: {exc}") from None
-    try:
-        canonical = marshal.dumps(flat, _VERSION)
-    except ValueError:  # a cycle, made by a back-reference that version 2 never writes
-        raise WireError("non-canonical encoding") from None
-    if canonical != body:
-        raise WireError("trailing bytes" if body.startswith(canonical) else
-                        "non-canonical encoding")
     if countOf(map(type, flat), int) != len(flat):
         kind = next(type(x) for x in flat if type(x) is not int)
         raise WireError(f"element is a {kind.__name__}")
+    canonical = marshal.dumps(flat, _VERSION)
+    if canonical != body:
+        raise WireError("trailing bytes" if body.startswith(canonical) else
+                        "non-canonical encoding")
     _check_monomials(flat, nsymbols)
     return flat
 

@@ -1,3 +1,4 @@
+import marshal
 import random
 import struct
 import threading
@@ -140,6 +141,14 @@ _FIVE_AS_LONG = b"l\x01\x00\x00\x00\x05\x00"
 # 2**32, x3's guard bit: 3 digits, the top one 2**2
 _GUARD = b"l\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00"
 
+# T_20, where T_0 is the int 0 and T_k the pair (T_(k-1), T_(k-1)): each
+# object is written once with the reference flag (0x80 on its type code), so
+# that "r" and its index, counted from 0 for T_20 down, refers back to it
+_SHARED_HALVES = b"\xe9" + b"\x00" * 4
+for _k in range(1, 21):
+    _SHARED_HALVES = (b"\xa8" + struct.pack("<I", 2) + _SHARED_HALVES
+                      + b"r" + struct.pack("<I", 21 - _k))
+
 MALFORMED = [  # (id, bytes, message fragment): one row per rejected class
     # one bit of the last body byte flipped: the CRC no longer matches
     ("checksum", _sealed(_ONE_TERM)[:14] + b"\x01" + _sealed(_ONE_TERM)[15:],
@@ -166,18 +175,21 @@ MALFORMED = [  # (id, bytes, message fragment): one row per rejected class
      _sealed(_header(2) + _int(1) + b"l\x09\x00\x00\x00" + b"\x00\x00" * 8 + b"\x00\x10"),
      "beyond the fields of nsymbols 4"),
     ("long-for-a-small-int", _sealed(_header(2) + _int(1) + _FIVE_AS_LONG), "non-canonical"),
+    # two defects: the checks run types, canonical bytes, monomials, and the
+    # first of them that fails names the payload, whatever comes first in
+    # byte order
     ("non-canonical-before-a-bool",
-     _sealed(_header(4) + _FIVE_AS_LONG + b"T" + _L40 + _int(0)), "non-canonical"),
-    # two defects: the canonical check runs before the type and monomial
-    # checks, so it names these, whatever comes first in byte order
+     _sealed(_header(4) + _FIVE_AS_LONG + b"T" + _L40 + _int(0)), "element is a bool"),
     ("bool-before-a-non-canonical-long",
-     _sealed(_header(4) + _L40 + b"T" + _FIVE_AS_LONG + _int(0)), "non-canonical"),
+     _sealed(_header(4) + _L40 + b"T" + _FIVE_AS_LONG + _int(0)), "element is a bool"),
     ("guard-bit-before-a-non-canonical-long",
      _sealed(_header(4) + _int(1) + _GUARD + _FIVE_AS_LONG + _int(0)), "non-canonical"),
-    # a list that holds itself through a back-reference, which version 2
-    # never writes and cannot write back
+    # back-references, which version 2 never writes: a list that holds
+    # itself, and tuples that share their halves, which a re-encode would
+    # write out 2**20 times; the type check names both before any re-encode
     ("cyclic-list", _sealed(_header(2) + _int(1) + b"\xdb\x01\x00\x00\x00r\x00\x00\x00\x00"),
-     "non-canonical"),
+     "element is a list"),
+    ("shared-halves", _sealed(_header(2) + _int(1) + _SHARED_HALVES), "element is a tuple"),
     ("trailing-bytes", _sealed(_ONE_TERM + b"\x00"), "trailing bytes"),
 ]
 
@@ -196,6 +208,11 @@ def test_malformed_rows_are_the_bytes_they_claim():
     # every row after the short one carries the CRC of its own body
     for _, data, _ in MALFORMED[2:]:
         assert data[-4:] == struct.pack("<I", zlib.crc32(data[:-4]))
+    shared = marshal.loads(_SHARED_HALVES)
+    for _ in range(20):
+        assert type(shared) is tuple and shared[0] is shared[1]
+        shared = shared[0]
+    assert shared == 0 and len(_SHARED_HALVES) == 205
 
 
 def test_every_bit_flip_and_truncation_is_rejected():
@@ -213,8 +230,9 @@ def test_every_bit_flip_and_truncation_is_rejected():
 
 
 def _hand_int(v):
-    """A nonnegative ``v`` as marshal version 2 writes it, from the hand encoder."""
-    return hand_wire_bytes([(v, ())], 1)[5:-4]
+    """A nonnegative ``v`` as marshal version 2 writes it, from the hand
+    encoder: the coefficient of the term ``(v, 0)``, without its monomial."""
+    return hand_wire_bytes([(v, ())], 1)[5:-9]
 
 
 @pytest.mark.parametrize("nsymbols", [1, 4, 8])
@@ -224,9 +242,9 @@ def test_every_guard_and_padding_bit_is_rejected_both_ways(nsymbols):
     invalid = [b for b in range(33 * nsymbols + 40) if b % 33 == 32 or b >= 33 * nsymbols]
     assert len(invalid) == nsymbols + 40
     for bit in invalid:
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="guard bit set|beyond the fields"):
             deserialize_terms(_sealed(_header(2) + _int(1) + _hand_int(1 << bit)), nsymbols)
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="guard bit set|beyond the fields"):
             serialize_terms((1, 1 << bit), nsymbols)
 
 
